@@ -6,7 +6,7 @@ GO ?= go
 ci: fmt vet build test test-bisect test-daemon test-cluster test-memo test-transport bench
 
 # The bisection oracle gets its own race pass: the determinism property
-# (FirstBad identical at any worker count, lane width, or cache temperature)
+# (FirstBad identical at any worker count, interpreter engine, or cache temperature)
 # plus the torn-journal /bisect resume and the cluster-sharded bisect merge.
 test-bisect:
 	$(GO) test -race -shuffle=on ./internal/bisect/... ./internal/dedup/...
@@ -43,6 +43,7 @@ test-transport:
 # handshake.
 test-memo:
 	$(GO) test -race -shuffle=on ./internal/memostore/...
+	$(GO) test -race -count=50 -run 'Flight' ./internal/memostore/
 	$(GO) test -race -count=1 -run 'Memo' ./internal/runner/... ./internal/service/... ./internal/cluster/...
 
 fmt:
@@ -78,16 +79,14 @@ baseline:
 # Run the reduction/resume/batching/interpreter benchmarks and fail if any
 # speedup metric (parallel reduction over serial; prefix-snapshot replay over
 # fresh replay; journal resume over a fresh campaign; batched RunAll over a
-# per-target compile loop; the register VM over the tree-walker; lane-mode
-# rendering over the scalar VM; a warm memo repeat campaign over cold)
+# per-target compile loop; the register VM over the tree-walker; a warm
+# memo repeat campaign over cold)
 # regresses below 0.75x its value in the committed BENCH_pr10.json
 # trajectory point — loose enough for machine noise, tight enough to catch
 # a disabled cache, a resume that silently re-runs journaled work, compile
-# sharing gone, the VM degenerating to tree-walker speed, or lane mode
-# losing its amortization (speedup ~1.0). A second pass guards absolute
-# parallel-reduction time: ns/op must not blow past 1.5x the recorded
-# value. A third guards lane-render allocations: allocs/op above 1.5x
-# baseline means the lane buffer reuse across tiles broke. The ratio
+# sharing gone, or the VM degenerating to tree-walker speed. A second pass
+# guards absolute parallel-reduction time: ns/op must not blow past 1.5x
+# the recorded value. The ratio
 # metrics are the tight guards (they cancel machine speed); the absolute
 # bounds are backstops against wholesale regressions that leave the
 # internal ratios intact. Two final passes guard hit fractions: the cold
@@ -108,9 +107,6 @@ bench-compare:
 	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
 		-current /tmp/bench-current.json -metric ns/op -mode max -tolerance 1.5 \
 		-only BenchmarkRunnerParallelReduce
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
-		-current /tmp/bench-current.json -metric allocs/op -mode max -tolerance 1.5 \
-		-only BenchmarkInterpVMLanes/uniform/l8
 	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
 		-current /tmp/bench-current.json -metric dedup-frac -mode min -tolerance 0.95 \
 		-only BenchmarkClusterCampaign

@@ -1390,82 +1390,6 @@ func BenchmarkInterpVM(b *testing.B) {
 	b.ReportMetric(float64(len(refs)), "modules")
 }
 
-// BenchmarkInterpVMLanes measures warp-style lane execution against the
-// scalar register VM on the two control-flow extremes, at lane widths 4, 8
-// and 16 on a 64x64 grid:
-//
-//   - uniform: a counted loop of coordinate-dependent float arithmetic
-//     (testmod.LoopAccum) whose control flow is identical for every pixel —
-//     the divergence-light shape lane mode accelerates most (shape target:
-//     >= 2x at 8 lanes);
-//   - divergent: a branch on pixel-column parity (testmod.ParityStripes)
-//     that splits every lane group, forcing half the pixels back to the
-//     scalar VM — the worst case, pinned here so the fallback overhead is
-//     guarded too.
-//
-// Each sub-benchmark reports scalar-time/lane-time as "speedup" and requires
-// byte-identical images. Both legs run single-worker so the ratio isolates
-// lane amortization from row parallelism.
-func BenchmarkInterpVMLanes(b *testing.B) {
-	shaders := []struct {
-		name string
-		mod  *spirv.Module
-	}{
-		{"uniform", testmod.LoopAccum(64)},
-		{"divergent", testmod.ParityStripes(64)},
-	}
-	in := interp.Inputs{W: 64, H: 64}
-	for _, sh := range shaders {
-		prog, err := interp.Compile(sh.mod)
-		if err != nil {
-			b.Fatalf("%s: %v", sh.name, err)
-		}
-		for _, lanes := range []int{4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/l%d", sh.name, lanes), func(b *testing.B) {
-				var speedup float64
-				for i := 0; i < b.N; i++ {
-					// Best of five runs per leg against CPU-contention
-					// spikes: the ratio divides two noisy measurements, so
-					// each side must reach its own uncontended minimum.
-					var scalarTime, laneTime time.Duration
-					for rep := 0; rep < 5; rep++ {
-						// The scalar leg allocates per-pixel state; flush its
-						// garbage before each timed leg so neither engine
-						// pays the other's collection inside its window.
-						runtime.GC()
-						start := time.Now()
-						sImg, err := prog.RenderParallel(in, 1)
-						if err != nil {
-							b.Fatal(err)
-						}
-						st := time.Since(start)
-
-						runtime.GC()
-						start = time.Now()
-						lImg, _, err := prog.RenderParallelLanes(in, 1, lanes)
-						if err != nil {
-							b.Fatal(err)
-						}
-						lt := time.Since(start)
-
-						if !sImg.Equal(lImg) {
-							b.Fatalf("%s: lane image differs from scalar VM", sh.name)
-						}
-						if rep == 0 || st < scalarTime {
-							scalarTime = st
-						}
-						if rep == 0 || lt < laneTime {
-							laneTime = lt
-						}
-					}
-					speedup = scalarTime.Seconds() / laneTime.Seconds()
-				}
-				b.ReportMetric(speedup, "speedup")
-			})
-		}
-	}
-}
-
 // BenchmarkBisectCampaign measures the second dedup signal end to end: every
 // bug outcome of a fuzzing campaign is bisected against its target's release
 // history, on a cold engine versus the same engine cache-warm. Bisection

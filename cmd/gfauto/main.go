@@ -51,10 +51,8 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit per-tool campaign summaries as JSON (the shape spirvd serves) instead of tables")
 	clusterProbe := flag.Int("cluster-probe", 0, "run a small probe campaign over this many in-process cluster nodes and report transfer/prefetch/shard-sizing counters")
 	interpEngine := flag.String("interp", "vm", "interpreter engine: vm (compile-once register VM) or tree (tree-walking reference; results are identical)")
-	lanes := flag.String("lanes", "0", `pixels per VM instruction, warp-style: a lane count (0 = scalar, max 16) or "auto" to probe each render (results are identical either way)`)
 	flag.Parse()
 	fatal(setInterpEngine(*interpEngine))
-	fatal(interp.SetLanesFlag(*lanes))
 
 	if *listTargets {
 		fmt.Print(experiments.Table2())
@@ -115,15 +113,6 @@ func main() {
 		for _, p := range st.OptPasses {
 			fmt.Printf("gfauto: opt pass %-18s %7d runs  %7d changed  %8v\n",
 				p.Name, p.Runs, p.Changed, time.Duration(p.Nanos).Round(time.Millisecond))
-		}
-		if st.LaneGroups > 0 {
-			fmt.Printf("gfauto: lane groups: %d launched, %d divergences, %d pixels retired to the scalar VM (%.1f%%)\n",
-				st.LaneGroups, st.LaneDivergences, st.ScalarFallbacks,
-				100*ratio(st.ScalarFallbacks, st.LaneGroups*uint64(interp.Lanes())))
-		}
-		if scalar, eight, sixteen := interp.AutoLanePicks(); interp.LanesAuto() && scalar+eight+sixteen > 0 {
-			fmt.Printf("gfauto: auto lanes: %d renders probed to scalar, %d to 8-lane, %d to 16-lane\n",
-				scalar, eight, sixteen)
 		}
 		fmt.Println()
 	}

@@ -26,7 +26,6 @@ func main() {
 	compare := flag.String("compare", "", "second module: render both and exit 4 if the images differ (regression test)")
 	workers := flag.Int("workers", 0, "execution-engine worker pool size; 0 means GOMAXPROCS")
 	interpEngine := flag.String("interp", "vm", "interpreter engine: vm (compile-once register VM) or tree (tree-walking reference; results are identical)")
-	lanes := flag.String("lanes", "0", `pixels per VM instruction, warp-style: a lane count (0 = scalar, max 16) or "auto" to probe each render (results are identical either way)`)
 	flag.Parse()
 	switch *interpEngine {
 	case "vm":
@@ -36,7 +35,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -interp engine %q (want vm or tree)", *interpEngine))
 	}
-	fatal(interp.SetLanesFlag(*lanes))
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "spirv-run: -in is required")
 		os.Exit(2)

@@ -84,7 +84,6 @@ func serverMain(args []string) {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight jobs")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 	interpEngine := fs.String("interp", "vm", "interpreter engine: vm (compile-once register VM) or tree (tree-walking reference; results are identical)")
-	lanes := fs.String("lanes", "0", `pixels per VM instruction, warp-style: a lane count (0 = scalar, max 16) or "auto" to probe each render (results are identical either way)`)
 	join := fs.String("join", "", "coordinator URL to join (required for -role worker)")
 	node := fs.String("node", "", "worker node name (default host-pid)")
 	nodes := fs.Int("nodes", 0, "coordinator only: spawn this many in-process worker nodes")
@@ -104,10 +103,6 @@ func serverMain(args []string) {
 		interp.SetTreeWalker(true)
 	default:
 		fmt.Fprintf(os.Stderr, "spirvd: unknown -interp engine %q (want vm or tree)\n", *interpEngine)
-		os.Exit(2)
-	}
-	if err := interp.SetLanesFlag(*lanes); err != nil {
-		fmt.Fprintf(os.Stderr, "spirvd: %v\n", err)
 		os.Exit(2)
 	}
 	if *storeDir == "" {

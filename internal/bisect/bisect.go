@@ -16,8 +16,8 @@
 // variant answers its probe without compiling at all.
 //
 // Verdicts are engine-independent: every probe is an ordinary deterministic
-// target run, so FirstBad is identical at any worker count, lane width, or
-// cache temperature, and under cluster sharding.
+// target run, so FirstBad is identical at any worker count, under either
+// interpreter engine, at any cache temperature, and under cluster sharding.
 package bisect
 
 import (

@@ -63,10 +63,10 @@ func collectCases(t *testing.T, n int) []bisect.Case {
 
 // bisectAll runs every case through one engine configuration and returns the
 // full results (verdict and self-relative probe counters).
-func bisectAll(t *testing.T, cases []bisect.Case, workers, lanes int, warm bool) []bisect.Result {
+func bisectAll(t *testing.T, cases []bisect.Case, workers int, tree, warm bool) []bisect.Result {
 	t.Helper()
-	interp.SetLanes(lanes)
-	defer interp.SetLanes(0)
+	interp.SetTreeWalker(tree)
+	defer interp.SetTreeWalker(false)
 	be := bisect.New(runner.New(workers))
 	if warm {
 		// Prime every engine cache with a full pass, then measure the repeat.
@@ -90,13 +90,14 @@ func bisectAll(t *testing.T, cases []bisect.Case, workers, lanes int, warm bool)
 // TestFirstBadDeterminism is the verdict-stability property the dedup signal
 // rests on: the full bisection result — FirstBad and the self-relative
 // Queries/CacheHits counters — is identical at 1, 4, and 16 workers, on cold
-// and cache-warm engines, and at every lane width.
+// and cache-warm engines, and under both the register VM and the
+// tree-walking reference evaluator.
 func TestFirstBadDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fuzz+bisect test")
 	}
 	cases := collectCases(t, 6)
-	base := bisectAll(t, cases, 1, 0, false)
+	base := bisectAll(t, cases, 1, false, false)
 	for _, res := range base {
 		if res.FirstBad == "" || res.Queries == 0 {
 			t.Fatalf("empty verdict: %+v", res)
@@ -114,18 +115,18 @@ func TestFirstBadDeterminism(t *testing.T) {
 	configs := []struct {
 		name    string
 		workers int
-		lanes   int
+		tree    bool
 		warm    bool
 	}{
-		{"workers=4 cold scalar", 4, 0, false},
-		{"workers=16 cold scalar", 16, 0, false},
-		{"workers=1 warm scalar", 1, 0, true},
-		{"workers=4 warm scalar", 4, 0, true},
-		{"workers=4 cold lanes=8", 4, 8, false},
-		{"workers=16 warm lanes=16", 16, 16, true},
+		{"workers=4 cold vm", 4, false, false},
+		{"workers=16 cold vm", 16, false, false},
+		{"workers=1 warm vm", 1, false, true},
+		{"workers=4 warm vm", 4, false, true},
+		{"workers=4 cold tree", 4, true, false},
+		{"workers=16 warm tree", 16, true, true},
 	}
 	for _, cfg := range configs {
-		got := bisectAll(t, cases, cfg.workers, cfg.lanes, cfg.warm)
+		got := bisectAll(t, cases, cfg.workers, cfg.tree, cfg.warm)
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("%s: results diverged:\n got %+v\nwant %+v", cfg.name, got, base)
 		}

@@ -1229,7 +1229,7 @@ func (co *Coordinator) ReportBlob(hash string) ([]byte, error) {
 // Metrics returns the cluster-wide counter snapshot. Engine stats are the
 // latest cumulative snapshot per node, merged with runner.MergeStats grouped
 // by process token — N in-process simulated nodes share their process-wide
-// optimizer/lane profiles, which MergeStats counts once instead of N times.
+// optimizer profile, which MergeStats counts once instead of N times.
 func (co *Coordinator) Metrics() Metrics {
 	co.mu.Lock()
 	defer co.mu.Unlock()

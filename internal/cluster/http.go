@@ -3,6 +3,7 @@ package cluster
 import (
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -10,21 +11,40 @@ import (
 	"spirvfuzz/internal/service"
 )
 
+// maxRequestBytes caps every request body the coordinator reads, both as
+// sent and after gzip decoding. The largest body a 500-test benchmark
+// campaign sends is a ~40 KB /cluster/sync, so honest workers stay far
+// below it; a decompression bomb or runaway client is cut off with 413
+// instead of being buffered whole.
+const maxRequestBytes = 16 << 20
+
 // readJSON decodes a request body that may carry Content-Encoding: gzip —
 // the worker protocol negotiates compression per request, and every handler
 // must accept both codings so mixed clusters (compressing and legacy
-// workers against one coordinator) need no handshake.
-func readJSON(r *http.Request, v any) error {
-	body := r.Body
+// workers against one coordinator) need no handshake. A body over
+// maxRequestBytes, raw or decoded, fails with *http.MaxBytesError.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
 		zr, err := gzip.NewReader(body)
 		if err != nil {
 			return fmt.Errorf("bad gzip request body: %w", err)
 		}
-		defer zr.Close()
-		return json.NewDecoder(zr).Decode(v)
+		body = http.MaxBytesReader(w, zr, maxRequestBytes)
+		defer body.Close()
 	}
 	return json.NewDecoder(body).Decode(v)
+}
+
+// requestError answers a request whose body readJSON rejected: 413 when
+// the body overran maxRequestBytes, 400 otherwise.
+func requestError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	clusterError(w, status, err)
 }
 
 // acceptsGzip reports whether the client explicitly asked for gzip
@@ -126,7 +146,11 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	// Worker protocol.
 	mux.HandleFunc("POST /cluster/join", func(w http.ResponseWriter, r *http.Request) {
 		var req joinRequest
-		if err := readJSON(r, &req); err != nil || req.Node == "" {
+		if err := readJSON(w, r, &req); err != nil {
+			requestError(w, err)
+			return
+		}
+		if req.Node == "" {
 			clusterError(w, http.StatusBadRequest, fmt.Errorf("join needs a node name"))
 			return
 		}
@@ -135,7 +159,11 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /cluster/next", func(w http.ResponseWriter, r *http.Request) {
 		var req nodeRequest
-		if err := readJSON(r, &req); err != nil || req.Node == "" {
+		if err := readJSON(w, r, &req); err != nil {
+			requestError(w, err)
+			return
+		}
+		if req.Node == "" {
 			clusterError(w, http.StatusBadRequest, fmt.Errorf("next needs a node name"))
 			return
 		}
@@ -148,7 +176,11 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req nodeRequest
-		if err := readJSON(r, &req); err != nil || req.Node == "" {
+		if err := readJSON(w, r, &req); err != nil {
+			requestError(w, err)
+			return
+		}
+		if req.Node == "" {
 			clusterError(w, http.StatusBadRequest, fmt.Errorf("heartbeat needs a node name"))
 			return
 		}
@@ -157,8 +189,8 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /cluster/result", func(w http.ResponseWriter, r *http.Request) {
 		var res ShardResult
-		if err := readJSON(r, &res); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+		if err := readJSON(w, r, &res); err != nil {
+			requestError(w, err)
 			return
 		}
 		if err := co.Result(res); err != nil {
@@ -172,8 +204,8 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	// compact JSON with negotiated gzip.
 	mux.HandleFunc("POST /cluster/sync", func(w http.ResponseWriter, r *http.Request) {
 		var req syncRequest
-		if err := readJSON(r, &req); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+		if err := readJSON(w, r, &req); err != nil {
+			requestError(w, err)
 			return
 		}
 		resp, err := co.SyncBatch(req)
@@ -187,16 +219,16 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	// Blob-sync protocol against the coordinator's authoritative store.
 	mux.HandleFunc("POST /blobs/has", func(w http.ResponseWriter, r *http.Request) {
 		var req hasRequest
-		if err := readJSON(r, &req); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+		if err := readJSON(w, r, &req); err != nil {
+			requestError(w, err)
 			return
 		}
 		clusterJSONN(w, r, http.StatusOK, hasResponse{Has: co.st.HasBatch(req.Hashes)})
 	})
 	mux.HandleFunc("POST /blobs/put", func(w http.ResponseWriter, r *http.Request) {
 		var req putRequest
-		if err := readJSON(r, &req); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+		if err := readJSON(w, r, &req); err != nil {
+			requestError(w, err)
 			return
 		}
 		hashes, err := co.st.PutBatch(req.Blobs)
@@ -208,8 +240,8 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /blobs/fetch", func(w http.ResponseWriter, r *http.Request) {
 		var req fetchRequest
-		if err := readJSON(r, &req); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+		if err := readJSON(w, r, &req); err != nil {
+			requestError(w, err)
 			return
 		}
 		blobs, err := co.st.GetBatch(req.Hashes)
@@ -226,24 +258,24 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	// rest to no-ops, so mixed deployments need no configuration handshake.
 	mux.HandleFunc("POST /memo/keys", func(w http.ResponseWriter, r *http.Request) {
 		var req memoKeysRequest
-		if err := readJSON(r, &req); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+		if err := readJSON(w, r, &req); err != nil {
+			requestError(w, err)
 			return
 		}
 		clusterJSONN(w, r, http.StatusOK, co.memoKeys(req.Since))
 	})
 	mux.HandleFunc("POST /memo/has", func(w http.ResponseWriter, r *http.Request) {
 		var req memoHasRequest
-		if err := readJSON(r, &req); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+		if err := readJSON(w, r, &req); err != nil {
+			requestError(w, err)
 			return
 		}
 		clusterJSONN(w, r, http.StatusOK, co.memoHas(req.Keys))
 	})
 	mux.HandleFunc("POST /memo/fetch", func(w http.ResponseWriter, r *http.Request) {
 		var req memoFetchRequest
-		if err := readJSON(r, &req); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+		if err := readJSON(w, r, &req); err != nil {
+			requestError(w, err)
 			return
 		}
 		resp, err := co.memoFetch(req.Keys)
@@ -255,8 +287,8 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /memo/push", func(w http.ResponseWriter, r *http.Request) {
 		var req memoPushRequest
-		if err := readJSON(r, &req); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+		if err := readJSON(w, r, &req); err != nil {
+			requestError(w, err)
 			return
 		}
 		if _, err := co.memoPush(req.Records); err != nil {

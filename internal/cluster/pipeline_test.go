@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -345,5 +348,68 @@ func TestTransportGzipRoundTrip(t *testing.T) {
 	}
 	if plainSync.WireBytesIn != plainSync.RawBytesIn || plainSync.WireBytesOut != plainSync.RawBytesOut {
 		t.Fatalf("compression off but wire != raw: %+v", plainSync)
+	}
+}
+
+// TestRequestBodyBounded posts oversized bodies to /cluster/sync: a gzip
+// bomb (a few hundred KiB that inflate to 256 MiB of one JSON string) and a
+// plain body over the raw cap. Both must be refused with 413 after reading
+// at most maxRequestBytes, not buffered whole.
+func TestRequestBodyBounded(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	co, err := NewCoordinator(st, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	mux := co.Mux()
+
+	// Concatenated gzip members form one valid multistream body.
+	member := func(prefix string) []byte {
+		var b bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&b, gzip.BestCompression)
+		zw.Write([]byte(prefix))
+		zw.Write(bytes.Repeat([]byte("a"), 1<<20))
+		zw.Close()
+		return b.Bytes()
+	}
+	bomb := member(`{"node":"`)
+	tail := member("")
+	for i := 1; i < 256; i++ {
+		bomb = append(bomb, tail...)
+	}
+	if len(bomb) >= maxRequestBytes {
+		t.Fatalf("bomb is %d bytes on the wire; it must pass the raw cap", len(bomb))
+	}
+	plain := append([]byte(`{"node":"`), bytes.Repeat([]byte("a"), maxRequestBytes)...)
+
+	for _, tc := range []struct {
+		name string
+		body []byte
+		gzip bool
+	}{
+		{"gzip-bomb", bomb, true},
+		{"raw-oversize", plain, false},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		req := httptest.NewRequest("POST", "/cluster/sync", bytes.NewReader(tc.body))
+		if tc.gzip {
+			req.Header.Set("Content-Encoding", "gzip")
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413 (%s)", tc.name, rec.Code, rec.Body.String())
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*maxRequestBytes {
+			t.Fatalf("%s: handling allocated %d MiB", tc.name, alloc>>20)
+		}
 	}
 }

@@ -64,27 +64,20 @@ const (
 type pinstr struct {
 	op      pop
 	fclass  fastClass // popBin: operand class for the closure-free fast path
-	prim    binPrim   // popBin: unboxed lane-VM primitive, bpNone if uncommon
 	dst     int32
 	a, b, c int32
-	// aConst/bConst point into fixedProto when the operand is a
-	// lane-invariant constant, resolved once after lowering (the pool has
-	// stopped growing by then, so the pointers are stable). prim is
-	// cleared when a fixed operand is a per-lane global pointer, which
-	// only the general loop handles.
-	aConst, bConst *Value
-	args           []int32  // construct elements / call arguments / chain indices
-	lits           []uint32 // extract/insert paths, shuffle selectors
-	bin            func(Value, Value) (Value, error)
-	un             func(Value) (Value, error)
-	binF           func(float32, float32) float32 // fcFloat primitive
-	binI           func(uint32, uint32) uint32    // fcInt primitive
-	cmpF           func(float32, float32) bool    // fcFloatCmp primitive
-	cmpI           func(uint32, uint32) bool      // fcIntCmp primitive
-	zero           Value                          // prototype for popZero and uninitialised popVariable
-	callee         int32                          // popCall: index into Program.funcs
-	fault          error                          // popFault
-	msgID          spirv.ID                       // operand id quoted by pointer-op fault messages
+	args    []int32  // construct elements / call arguments / chain indices
+	lits    []uint32 // extract/insert paths, shuffle selectors
+	bin     func(Value, Value) (Value, error)
+	un      func(Value) (Value, error)
+	binF    func(float32, float32) float32 // fcFloat primitive
+	binI    func(uint32, uint32) uint32    // fcInt primitive
+	cmpF    func(float32, float32) bool    // fcFloatCmp primitive
+	cmpI    func(uint32, uint32) bool      // fcIntCmp primitive
+	zero    Value                          // prototype for popZero and uninitialised popVariable
+	callee  int32                          // popCall: index into Program.funcs
+	fault   error                          // popFault
+	msgID   spirv.ID                       // operand id quoted by pointer-op fault messages
 }
 
 // fastClass selects a VM fast path for popBin when the runtime operand kinds
@@ -100,68 +93,6 @@ const (
 	fcFloatCmp
 )
 
-// binPrim names the binary opcodes whose scalar semantics are a single Go
-// expression. The lane VM bakes these into unboxed per-group loops — no
-// function value, no Value copies — while every other opcode keeps going
-// through the shared primitive tables in instr.go. Each case in the lane
-// VM's prim switch must compute exactly what the table entry of the same
-// opcode computes; the differential tests exercise both engines over the
-// same modules, so any drift shows up as an image mismatch.
-type binPrim uint8
-
-const (
-	bpNone binPrim = iota
-	bpFAdd
-	bpFSub
-	bpFMul
-	bpFDiv
-	bpIAdd
-	bpISub
-	bpIMul
-	bpAnd
-	bpOr
-	bpXor
-	bpFEq
-	bpFNe
-	bpFLt
-	bpFGt
-	bpFLe
-	bpFGe
-	bpIEq
-	bpINe
-	bpSLt
-	bpSLe
-	bpSGt
-	bpSGe
-)
-
-// binPrimOps: which opcodes get an unboxed lane loop. Division and modulo
-// ops with defined-zero edge cases stay on the shared table functions.
-var binPrimOps = map[spirv.Opcode]binPrim{
-	spirv.OpFAdd:                 bpFAdd,
-	spirv.OpFSub:                 bpFSub,
-	spirv.OpFMul:                 bpFMul,
-	spirv.OpFDiv:                 bpFDiv,
-	spirv.OpIAdd:                 bpIAdd,
-	spirv.OpISub:                 bpISub,
-	spirv.OpIMul:                 bpIMul,
-	spirv.OpBitwiseAnd:           bpAnd,
-	spirv.OpBitwiseOr:            bpOr,
-	spirv.OpBitwiseXor:           bpXor,
-	spirv.OpFOrdEqual:            bpFEq,
-	spirv.OpFOrdNotEqual:         bpFNe,
-	spirv.OpFOrdLessThan:         bpFLt,
-	spirv.OpFOrdGreaterThan:      bpFGt,
-	spirv.OpFOrdLessThanEqual:    bpFLe,
-	spirv.OpFOrdGreaterThanEqual: bpFGe,
-	spirv.OpIEqual:               bpIEq,
-	spirv.OpINotEqual:            bpINe,
-	spirv.OpSLessThan:            bpSLt,
-	spirv.OpSLessThanEqual:       bpSLe,
-	spirv.OpSGreaterThan:         bpSGt,
-	spirv.OpSGreaterThanEqual:    bpSGe,
-}
-
 // pmove is one ϕ parallel move staged on block entry; a non-nil fault
 // reproduces the tree-walker's missing-incoming-value fault at the same
 // stage position.
@@ -172,14 +103,10 @@ type pmove struct {
 }
 
 // pedge is one CFG edge: the target block plus the ϕ moves the transition
-// performs. A non-nil fault is a branch to a missing block. direct means no
-// move's destination is any move's source (or another destination) and no
-// move faults, so the lane VM may copy sources straight to destinations
-// without the parallel-move staging pass.
+// performs. A non-nil fault is a branch to a missing block.
 type pedge struct {
 	target int32
 	fault  error
-	direct bool
 	moves  []pmove
 }
 
@@ -256,12 +183,6 @@ type Program struct {
 	coord       int32 // globals index of the coordinate Input, or -1
 	color       int32 // globals index of the color Output
 	colorZero   Value
-
-	// Lane-aware lowering metadata: module-wide maxima computed once at
-	// compile time so the lane VM can presize its SoA staging buffers
-	// (ϕ moves, call arguments) and never allocates in the uniform path.
-	maxPhiMoves int // widest ϕ parallel-move list on any edge
-	maxCallArgs int // widest argument list of any popCall
 }
 
 type planner struct {
@@ -412,51 +333,7 @@ func Compile(m *spirv.Module) (*Program, error) {
 			break
 		}
 	}
-
-	// Lane staging maxima and prim const-operand resolution, over every
-	// lowered function. The fixed pool is complete here, so pointers into
-	// fixedProto taken now stay valid for the program's lifetime.
-	for fi := range p.prog.funcs {
-		pf := &p.prog.funcs[fi]
-		for bi := range pf.blocks {
-			b := &pf.blocks[bi]
-			for ii := range b.code {
-				if b.code[ii].op == popCall {
-					p.prog.maxCallArgs = max(p.prog.maxCallArgs, len(b.code[ii].args))
-				}
-				p.resolvePrimConsts(&b.code[ii])
-			}
-			for ei := range b.term.edges {
-				p.prog.maxPhiMoves = max(p.prog.maxPhiMoves, len(b.term.edges[ei].moves))
-			}
-		}
-	}
 	return p.prog, nil
-}
-
-// resolvePrimConsts fills a popBin instruction's aConst/bConst pointers for
-// fixed lane-invariant operands, and demotes the instruction to the general
-// lane loop (prim = bpNone) when a fixed operand is a per-lane global
-// pointer or missing: the unboxed loops only ever see plain scalar values.
-func (p *planner) resolvePrimConsts(ins *pinstr) {
-	if ins.op != popBin || ins.prim == bpNone {
-		return
-	}
-	for _, ref := range [2]int32{ins.a, ins.b} {
-		if ref >= 0 {
-			continue
-		}
-		if ref == refNone || p.prog.fixedGlobal[-ref-1] >= 0 {
-			ins.prim = bpNone
-			return
-		}
-	}
-	if ins.a < 0 {
-		ins.aConst = &p.prog.fixedProto[-ins.a-1]
-	}
-	if ins.b < 0 {
-		ins.bConst = &p.prog.fixedProto[-ins.b-1]
-	}
 }
 
 func (p *planner) addConst(id spirv.ID, v Value) {
@@ -588,7 +465,7 @@ func (p *planner) lowerInstr(fx *fctx, ins *spirv.Instruction) pinstr {
 		dst = fx.slots[ins.Result]
 	}
 	if f, ok := binOps[ins.Op]; ok {
-		pi := pinstr{op: popBin, dst: dst, a: fx.operand(ins, 0), b: fx.operand(ins, 1), bin: f, prim: binPrimOps[ins.Op]}
+		pi := pinstr{op: popBin, dst: dst, a: fx.operand(ins, 0), b: fx.operand(ins, 1), bin: f}
 		switch {
 		case binFloatPrims[ins.Op] != nil:
 			pi.fclass, pi.binF = fcFloat, binFloatPrims[ins.Op]
@@ -735,24 +612,5 @@ func (p *planner) lowerEdge(fx *fctx, fn *spirv.Function, blockIdx map[spirv.ID]
 			break
 		}
 	}
-	e.direct = edgeDirect(e.moves)
 	return e
-}
-
-// edgeDirect reports whether the edge's ϕ moves may run as sequential
-// copies: staging is observable only when a destination slot doubles as a
-// source (a swap-shaped move set) or is written twice, and a faulting move
-// needs the staged path's stop-at-first-fault order.
-func edgeDirect(moves []pmove) bool {
-	for i := range moves {
-		if moves[i].fault != nil {
-			return false
-		}
-		for j := range moves {
-			if moves[i].dst == moves[j].src || (i != j && moves[i].dst == moves[j].dst) {
-				return false
-			}
-		}
-	}
-	return true
 }

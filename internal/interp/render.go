@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
 	"spirvfuzz/internal/spirv"
@@ -91,117 +90,16 @@ func SetTreeWalker(on bool) { treeMode.Store(on) }
 // reference evaluator.
 func TreeWalker() bool { return treeMode.Load() }
 
-// laneCount selects warp-style lane execution for compiled renders: groups
-// of laneCount pixels advance through one decoded instruction stream
-// together, with divergent or faulting lanes retired to the scalar VM.
-// Process-wide and atomic, like treeMode, so CLIs flip it once up front.
-var laneCount atomic.Int32
-
-// MaxLanes is the widest supported lane group. Wider requests are clamped;
-// the divergence mask is a uint32, so the architectural ceiling is 32.
-const MaxLanes = 16
-
-// SetLanes sets the lane-group width used by compiled renders. n <= 1
-// selects the plain scalar VM (the default); 2..MaxLanes selects lane mode;
-// larger values clamp to MaxLanes. The tree-walker engine is unaffected.
-func SetLanes(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > MaxLanes {
-		n = MaxLanes
-	}
-	laneCount.Store(int32(n))
-}
-
-// Lanes returns the lane-group width selected by SetLanes (0 or 1 = scalar).
-func Lanes() int { return int(laneCount.Load()) }
-
-// laneAutoMode selects adaptive lane-width selection: each compiled render
-// probes the first row at 8 lanes and picks scalar, 8, or 16 lanes from the
-// observed divergence rate. Process-wide and atomic, like laneCount.
-var laneAutoMode atomic.Bool
-
-// SetLanesAuto enables or disables adaptive per-render lane-width selection.
-// When enabled it takes precedence over the fixed width set by SetLanes.
-func SetLanesAuto(on bool) { laneAutoMode.Store(on) }
-
-// LanesAuto reports whether adaptive lane-width selection is enabled.
-func LanesAuto() bool { return laneAutoMode.Load() }
-
-// SetLanesFlag configures lane execution from a CLI flag value: "auto"
-// enables adaptive per-render width selection, and a non-negative integer
-// selects a fixed width as SetLanes does ("0" = scalar, the default).
-func SetLanesFlag(v string) error {
-	if v == "auto" {
-		SetLanesAuto(true)
-		SetLanes(0)
-		return nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return fmt.Errorf("interp: -lanes must be \"auto\" or a non-negative integer, got %q", v)
-	}
-	SetLanesAuto(false)
-	SetLanes(n)
-	return nil
-}
-
-// Process-wide tallies of adaptive width decisions, indexed scalar/8/16, for
-// observability (gfauto prints them when -lanes auto is active).
-var autoPickTotals [3]atomic.Uint64
-
-// AutoLanePicks returns how many adaptive renders picked the scalar VM, 8
-// lanes, and 16 lanes respectively.
-func AutoLanePicks() (scalar, eight, sixteen uint64) {
-	return autoPickTotals[0].Load(), autoPickTotals[1].Load(), autoPickTotals[2].Load()
-}
-
-// LaneStats counts lane-execution events for one render: groups launched,
-// control-flow divergences observed (a group whose lanes disagreed on a
-// branch or switch edge), and pixels retired to the scalar VM.
+// LaneStats and LaneTotals exist only so the end-to-end benchmark's
+// interp.lane_groups ledger entry keeps compiling: the register VM renders
+// one pixel at a time, so the count is always zero. Both go when the
+// benchmark drops that metric.
 type LaneStats struct {
-	Groups      uint64
-	Divergences uint64
-	Fallbacks   uint64
+	Groups uint64
 }
 
-func (s *LaneStats) add(o LaneStats) {
-	s.Groups += o.Groups
-	s.Divergences += o.Divergences
-	s.Fallbacks += o.Fallbacks
-}
-
-// Process-wide lane counters, mirroring the runner's OptPasses precedent:
-// every lane render accumulates into these so long-lived processes (spirvd,
-// gfauto) can report lane behavior without threading stats through every
-// call site.
-var (
-	laneGroupsTotal      atomic.Uint64
-	laneDivergencesTotal atomic.Uint64
-	laneFallbacksTotal   atomic.Uint64
-)
-
-func addLaneTotals(s LaneStats) {
-	if s.Groups != 0 {
-		laneGroupsTotal.Add(s.Groups)
-	}
-	if s.Divergences != 0 {
-		laneDivergencesTotal.Add(s.Divergences)
-	}
-	if s.Fallbacks != 0 {
-		laneFallbacksTotal.Add(s.Fallbacks)
-	}
-}
-
-// LaneTotals returns the process-wide accumulated lane statistics.
-func LaneTotals() LaneStats {
-	return LaneStats{
-		Groups:      laneGroupsTotal.Load(),
-		Divergences: laneDivergencesTotal.Load(),
-		Fallbacks:   laneFallbacksTotal.Load(),
-	}
-}
+// LaneTotals returns a zero LaneStats; see LaneStats.
+func LaneTotals() LaneStats { return LaneStats{} }
 
 // Render executes the module's entry point for every pixel of the grid and
 // returns the resulting image. Any invocation fault aborts the render with
@@ -210,10 +108,9 @@ func LaneTotals() LaneStats {
 //
 // By default the module is lowered once by Compile and executed by the
 // register VM; SetTreeWalker(true) switches to the tree-walking reference
-// evaluator, and SetLanes(n) makes the compiled path execute n pixels per
-// instruction with scalar fallback. All engines implement identical
-// semantics — images are byte-equal and faults carry identical messages
-// (pinned by the differential tests).
+// evaluator. Both engines implement identical semantics — images are
+// byte-equal and faults carry identical messages (pinned by the differential
+// tests).
 func Render(m *spirv.Module, in Inputs) (*Image, error) {
 	if TreeWalker() {
 		return RenderTree(m, in)
@@ -291,19 +188,7 @@ func RenderTree(m *spirv.Module, in Inputs) (*Image, error) {
 			if err != nil {
 				return nil, err
 			}
-			out := mc.globals[colorVar].V
-			var rgba [4]float32
-			switch out.Kind {
-			case KindComposite:
-				for i := 0; i < 4 && i < len(out.Elems); i++ {
-					rgba[i] = out.Elems[i].F
-				}
-			case KindFloat:
-				rgba[0] = out.F
-			}
-			for i := 0; i < 4; i++ {
-				img.Pix[p+i] = quantize(rgba[i])
-			}
+			writePixel(img.Pix[p:p+4:p+4], mc.globals[colorVar].V)
 		}
 	}
 	return img, nil

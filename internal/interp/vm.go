@@ -1,7 +1,5 @@
 package interp
 
-import "sync"
-
 // vmachine executes a compiled Program. A machine owns its mutable state —
 // global cells, the fixed value pool (constants plus this machine's global
 // pointers) and a per-function frame arena — so concurrent renders use one
@@ -18,9 +16,8 @@ type vmachine struct {
 	callDepth int
 }
 
-// valArena is the bump arena for frame-bound composite elements, shared by
-// the scalar vmachine and the laneVM so both engines evaluate composites
-// through the same allocation and semantic paths.
+// valArena is the bump arena for frame-bound composite elements, together
+// with the arena-backed evaluation helpers that allocate from it.
 type valArena struct {
 	earena []Value // bump arena for frame-bound composite elements
 	eoff   int
@@ -29,9 +26,8 @@ type valArena struct {
 // allocElems bump-allocates n element slots from the per-pixel arena. Values
 // backed by the arena may only be stored in frame slots: frames die when the
 // invocation returns, and everything that outlives the pixel (memory cells)
-// is written through Clone, which copies to the heap. renderPixel (and the
-// lane renderer, per group) resets the arena, so steady-state rendering
-// allocates nothing.
+// is written through Clone, which copies to the heap. renderPixel resets the
+// arena, so steady-state rendering allocates nothing.
 func (ar *valArena) allocElems(n int) []Value {
 	if ar.eoff+n > len(ar.earena) {
 		// A new chunk; the old one stays alive while frame values reference
@@ -144,11 +140,10 @@ func (ar *valArena) lanes1(a Value, f func(x Value) (Value, error)) (Value, erro
 	return f(a)
 }
 
-// newState builds one pixel-stream's worth of mutable module state: global
-// cells cloned from their initializers (with uniforms applied) and a fixed
-// pool whose global entries point at those cells. The scalar machine owns one
-// such state; the lane VM owns one per lane.
-func (p *Program) newState(in Inputs) ([]Cell, []Value) {
+// newVM builds a machine with its own mutable module state: global cells
+// cloned from their initializers (with uniforms applied) and a fixed pool
+// whose global entries point at those cells.
+func (p *Program) newVM(in Inputs) *vmachine {
 	cells := make([]Cell, len(p.globals))
 	for i, g := range p.globals {
 		cells[i].V = g.init.Clone()
@@ -165,14 +160,7 @@ func (p *Program) newState(in Inputs) ([]Cell, []Value) {
 			cells[u.global].V = v.Clone()
 		}
 	}
-	return cells, fixed
-}
-
-func (p *Program) newVM(in Inputs) *vmachine {
-	vm := &vmachine{p: p}
-	vm.cells, vm.fixed = p.newState(in)
-	vm.arena = make([][][]Value, len(p.funcs))
-	return vm
+	return &vmachine{p: p, cells: cells, fixed: fixed, arena: make([][][]Value, len(p.funcs))}
 }
 
 // acquire returns a cleared frame for function f from the arena.
@@ -677,35 +665,10 @@ func (vm *vmachine) setCoord(cx, cy float32) {
 	*v = Vec2(cx, cy)
 }
 
-// Render executes the compiled program for every pixel of the grid
-// serially; it is equivalent to RenderParallel with one worker.
+// Render executes the compiled program for every pixel of the grid in scan
+// order on one machine. A fault aborts the render with the first faulting
+// pixel's error, as the tree-walker's does.
 func (p *Program) Render(in Inputs) (*Image, error) {
-	return p.RenderParallel(in, 1)
-}
-
-// RenderParallel renders with up to workers goroutines over disjoint
-// contiguous row bands, one VM instance per goroutine writing a disjoint
-// Pix range. Output is byte-identical to the serial render for any worker
-// count; when the module faults, the fault of the scan-order-first pixel is
-// reported, matching what a serial render returns. When lane mode is enabled
-// via SetLanes, rendering goes through the lane VM (with per-lane scalar
-// fallback) instead — the output contract is identical. SetLanesAuto
-// overrides the fixed width with a per-render probe of the first row
-// (pickLanes); since every width is byte-identical, the policy only moves
-// time, never output.
-func (p *Program) RenderParallel(in Inputs, workers int) (*Image, error) {
-	n := Lanes()
-	if LanesAuto() {
-		n = p.pickLanes(in)
-	}
-	if n > 1 {
-		img, _, err := p.RenderParallelLanes(in, workers, n)
-		return img, err
-	}
-	return p.renderParallelScalar(in, workers)
-}
-
-func (p *Program) renderParallelScalar(in Inputs, workers int) (*Image, error) {
 	w, h := in.W, in.H
 	if w == 0 {
 		w = DefaultGrid
@@ -714,64 +677,20 @@ func (p *Program) renderParallelScalar(in Inputs, workers int) (*Image, error) {
 		h = DefaultGrid
 	}
 	img := &Image{W: w, H: h, Pix: make([]uint8, 4*w*h)}
-	if workers > h {
-		workers = h
-	}
-	if workers <= 1 {
-		if _, err := p.renderRows(p.newVM(in), img, 0, h); err != nil {
-			return nil, err
-		}
-		return img, nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstPix int
-		firstErr error
-	)
-	for b := 0; b < workers; b++ {
-		y0, y1 := b*h/workers, (b+1)*h/workers
-		wg.Add(1)
-		go func(y0, y1 int) {
-			defer wg.Done()
-			pix, err := p.renderRows(p.newVM(in), img, y0, y1)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil || pix < firstPix {
-					firstPix, firstErr = pix, err
-				}
-				mu.Unlock()
+	vm := p.newVM(in)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if err := p.renderPixel(vm, img, x, y); err != nil {
+				return nil, err
 			}
-		}(y0, y1)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		}
 	}
 	return img, nil
 }
 
-// renderRows renders rows [y0, y1) into img. On a fault it returns the
-// scan-order index of the faulting pixel so parallel renders can report the
-// first fault a serial scan would hit.
-func (p *Program) renderRows(vm *vmachine, img *Image, y0, y1 int) (int, error) {
-	w := img.W
-	for y := y0; y < y1; y++ {
-		for x := 0; x < w; x++ {
-			if pix, err := p.renderPixel(vm, img, x, y); err != nil {
-				return pix, err
-			}
-		}
-	}
-	return 0, nil
-}
-
-// renderPixel runs one full pixel on the scalar machine and writes its
-// quantized color (or transparent black for a discarded fragment) into img.
-// It is the unit of work shared by the scalar row renderer and the lane
-// renderer's per-lane fallback. On a fault it returns the pixel's scan-order
-// index and the error.
-func (p *Program) renderPixel(vm *vmachine, img *Image, x, y int) (int, error) {
+// renderPixel runs one full pixel on the machine and writes its quantized
+// color (or transparent black for a discarded fragment) into img.
+func (p *Program) renderPixel(vm *vmachine, img *Image, x, y int) error {
 	w, h := img.W, img.H
 	if p.coord >= 0 {
 		cx := (float32(x) + 0.5) / float32(w)
@@ -786,13 +705,13 @@ func (p *Program) renderPixel(vm *vmachine, img *Image, x, y int) (int, error) {
 	if err == errKill {
 		// Discarded fragment: transparent black.
 		img.Pix[pi], img.Pix[pi+1], img.Pix[pi+2], img.Pix[pi+3] = 0, 0, 0, 0
-		return 0, nil
+		return nil
 	}
 	if err != nil {
-		return y*w + x, err
+		return err
 	}
 	writePixel(img.Pix[pi:pi+4:pi+4], vm.cells[p.color].V)
-	return 0, nil
+	return nil
 }
 
 // writePixel quantizes an output color value into four Pix bytes.

@@ -3,12 +3,11 @@ package interp_test
 // Differential tests pinning the compiled register VM to the tree-walking
 // reference evaluator: for every module — canonical, corpus, fuzzed,
 // optimizer-shaped or deliberately broken — both engines must produce
-// byte-identical images, or faults with identical messages, at any worker
-// count. This is the executable statement of the "two engines, one
-// semantics" contract Render relies on.
+// byte-identical images, or faults with identical messages. This is the
+// executable statement of the "two engines, one semantics" contract Render
+// relies on.
 
 import (
-	"fmt"
 	"testing"
 
 	"spirvfuzz/internal/corpus"
@@ -19,13 +18,8 @@ import (
 	"spirvfuzz/internal/testmod"
 )
 
-// laneWidths are the lane-group widths every differential test sweeps; 1 is
-// the degenerate group (pure lane machinery, no sharing), 16 is MaxLanes.
-var laneWidths = []int{1, 4, 8, 16}
-
-// assertEnginesAgree renders m under the tree walker, under the scalar VM at
-// 1 and 4 workers, and under the lane VM at every lane width × worker count,
-// requiring bitwise-equal images and string-equal faults throughout.
+// assertEnginesAgree renders m under the tree walker and under the compiled
+// VM, requiring bitwise-equal images or string-equal faults.
 func assertEnginesAgree(t *testing.T, name string, m *spirv.Module, in interp.Inputs) {
 	t.Helper()
 	treeImg, treeErr := interp.RenderTree(m, in)
@@ -41,29 +35,19 @@ func assertEnginesAgree(t *testing.T, name string, m *spirv.Module, in interp.In
 		}
 		return
 	}
-	check := func(engine string, vmImg *interp.Image, vmErr error) {
-		t.Helper()
-		switch {
-		case treeErr == nil && vmErr == nil:
-			if !treeImg.Equal(vmImg) {
-				t.Fatalf("%s: images differ under %s (%d pixels)\ntree:\n%svm:\n%s",
-					name, engine, treeImg.DiffCount(vmImg), treeImg.ASCII(), vmImg.ASCII())
-			}
-		case treeErr != nil && vmErr != nil:
-			if treeErr.Error() != vmErr.Error() {
-				t.Fatalf("%s: fault mismatch under %s: tree %q, vm %q", name, engine, treeErr, vmErr)
-			}
-		default:
-			t.Fatalf("%s: outcome mismatch under %s: tree err %v, vm err %v", name, engine, treeErr, vmErr)
+	vmImg, vmErr := prog.Render(in)
+	switch {
+	case treeErr == nil && vmErr == nil:
+		if !treeImg.Equal(vmImg) {
+			t.Fatalf("%s: images differ (%d pixels)\ntree:\n%svm:\n%s",
+				name, treeImg.DiffCount(vmImg), treeImg.ASCII(), vmImg.ASCII())
 		}
-	}
-	for _, workers := range []int{1, 4} {
-		vmImg, vmErr := prog.RenderParallel(in, workers)
-		check(fmt.Sprintf("vm/workers=%d", workers), vmImg, vmErr)
-		for _, lanes := range laneWidths {
-			laneImg, _, laneErr := prog.RenderParallelLanes(in, workers, lanes)
-			check(fmt.Sprintf("lanes=%d/workers=%d", lanes, workers), laneImg, laneErr)
+	case treeErr != nil && vmErr != nil:
+		if treeErr.Error() != vmErr.Error() {
+			t.Fatalf("%s: fault mismatch: tree %q, vm %q", name, treeErr, vmErr)
 		}
+	default:
+		t.Fatalf("%s: outcome mismatch: tree err %v, vm err %v", name, treeErr, vmErr)
 	}
 }
 
@@ -133,7 +117,7 @@ func TestVMDiffOptimizedModules(t *testing.T) {
 
 // TestVMDiffFaultModules crafts modules that fault or discard in every way
 // the interpreter knows, and checks the VM reproduces each fault verbatim
-// (message and all) at 1 and 4 workers.
+// (message and all).
 func TestVMDiffFaultModules(t *testing.T) {
 	in := interp.Inputs{W: 8, H: 8}
 	cases := map[string]*spirv.Module{}
@@ -247,8 +231,7 @@ func TestVMDiffFaultModules(t *testing.T) {
 }
 
 // TestVMDiffKillParallel pins the discard path specifically: killed
-// fragments must leave identical transparent holes under row-parallel
-// rendering.
+// fragments must leave identical transparent holes under both engines.
 func TestVMDiffKillParallel(t *testing.T) {
 	m := testmod.KillHalf()
 	prog, err := interp.Compile(m)
@@ -260,32 +243,21 @@ func TestVMDiffKillParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 16, 64} {
-		img, err := prog.RenderParallel(in, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !ref.Equal(img) {
-			t.Fatalf("workers=%d: image differs from tree reference", workers)
-		}
-		for _, lanes := range laneWidths {
-			img, _, err := prog.RenderParallelLanes(in, workers, lanes)
-			if err != nil {
-				t.Fatalf("lanes=%d workers=%d: %v", lanes, workers, err)
-			}
-			if !ref.Equal(img) {
-				t.Fatalf("lanes=%d workers=%d: image differs from tree reference", lanes, workers)
-			}
-		}
+	img, err := prog.Render(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ref.Equal(img) {
+		t.Fatal("image differs from tree reference")
 	}
 }
 
-// TestVMDiffFirstFaultWins pins the parallel renderer's fault selection:
-// when several rows fault, the reported fault must be the one the serial
-// scan order hits first, so error messages are worker-count independent.
+// TestVMDiffFirstFaultWins pins the VM's fault selection: when several
+// pixels fault, the reported fault must be the one the tree walker's scan
+// order hits first.
 func TestVMDiffFirstFaultWins(t *testing.T) {
 	// Faults on the right half of every row: pixel (4,0) faults first in
-	// scan order regardless of which band's goroutine finishes first.
+	// scan order.
 	b := spirv.NewBuilder()
 	s := b.BeginFragmentShell()
 	m := b.Mod
@@ -315,16 +287,7 @@ func TestVMDiffFirstFaultWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		_, vmErr := prog.RenderParallel(in, workers)
-		if vmErr == nil || vmErr.Error() != treeErr.Error() {
-			t.Fatalf("workers=%d: fault %v, want %v", workers, vmErr, treeErr)
-		}
-		for _, lanes := range laneWidths {
-			_, _, laneErr := prog.RenderParallelLanes(in, workers, lanes)
-			if laneErr == nil || laneErr.Error() != treeErr.Error() {
-				t.Fatalf("lanes=%d workers=%d: fault %v, want %v", lanes, workers, laneErr, treeErr)
-			}
-		}
+	if _, vmErr := prog.Render(in); vmErr == nil || vmErr.Error() != treeErr.Error() {
+		t.Fatalf("fault %v, want %v", vmErr, treeErr)
 	}
 }

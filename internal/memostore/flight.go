@@ -2,8 +2,9 @@ package memostore
 
 // flightCall is one in-flight execution shared by concurrent callers.
 type flightCall struct {
-	done chan struct{}
-	val  any
+	done    chan struct{}
+	val     any
+	waiters int // followers parked on done; guarded by Store.fmu
 }
 
 // Do collapses concurrent executions of the same key: the first caller
@@ -18,16 +19,10 @@ type flightCall struct {
 // (the runner's images and crashes already are). Followers wait without a
 // context: leaders hold a worker slot and run promptly, exactly like the
 // in-memory compile layer's waiters.
-// flightLen reports how many flights are in progress (tests).
-func (s *Store) flightLen() int {
-	s.fmu.Lock()
-	defer s.fmu.Unlock()
-	return len(s.flights)
-}
-
 func (s *Store) Do(k Key, fn func() any) (val any, shared bool) {
 	s.fmu.Lock()
 	if c, ok := s.flights[k]; ok {
+		c.waiters++
 		s.fmu.Unlock()
 		<-c.done
 		return c.val, true
@@ -43,4 +38,15 @@ func (s *Store) Do(k Key, fn func() any) (val any, shared bool) {
 	s.fmu.Unlock()
 	close(c.done)
 	return c.val, false
+}
+
+// flightWaiters reports how many followers are parked on k's flight, or -1
+// when no flight for k is in progress (tests).
+func (s *Store) flightWaiters(k Key) int {
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
+	if c, ok := s.flights[k]; ok {
+		return c.waiters
+	}
+	return -1
 }

@@ -463,7 +463,8 @@ func TestFlightDo(t *testing.T) {
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	k := testKey(7)
-	for i := 0; i < 8; i++ {
+	const callers = 8
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -480,8 +481,9 @@ func TestFlightDo(t *testing.T) {
 			}
 		}()
 	}
-	// Let followers pile up behind the leader, then release.
-	for s.flightLen() == 0 {
+	// Release only once every follower is parked behind the leader: a
+	// caller arriving after the flight drained would lead a fresh one.
+	for s.flightWaiters(k) != callers-1 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -489,8 +491,8 @@ func TestFlightDo(t *testing.T) {
 	if runs.Load() != 1 {
 		t.Fatalf("fn ran %d times", runs.Load())
 	}
-	if sharedN.Load() == 0 {
-		t.Fatal("no caller observed a shared flight")
+	if sharedN.Load() != callers-1 {
+		t.Fatalf("%d callers shared the flight, want %d", sharedN.Load(), callers-1)
 	}
 	// A later Do after the flight drained runs fresh.
 	if _, shared := s.Do(k, func() any { runs.Add(1); return nil }); shared {

@@ -52,10 +52,6 @@ const (
 	defaultCacheCap = 1 << 14
 	// maxUniformMemo bounds the uniforms-hash memo (entries pin their maps).
 	maxUniformMemo = 4096
-	// parallelRenderMinPixels gates row-parallel rendering: grids below it
-	// render serially even when SetRenderWorkers enabled parallelism, because
-	// goroutine fan-out costs more than the render itself on small grids.
-	parallelRenderMinPixels = 4096
 )
 
 // key identifies one target execution by content, not identity: two
@@ -153,12 +149,6 @@ type Stats struct {
 	// OptPasses is the process-wide per-pass optimizer profile (runs,
 	// changed, wall time) accumulated by opt.Pipeline.
 	OptPasses []opt.PassStat
-	// Lane-execution counters, process-wide like OptPasses: lane groups
-	// launched, control-flow divergences, and pixels retired to the scalar
-	// VM. All zero unless interp.SetLanes enabled warp-style rendering.
-	LaneGroups      uint64
-	LaneDivergences uint64
-	ScalarFallbacks uint64
 	// Memo tier: persistent result/compile lookups (see memo.go). All zero
 	// unless SetMemoStore attached a store. MemoHits are executions served
 	// from disk without running anything; MemoMisses are lookups that had
@@ -198,15 +188,14 @@ type uniEntry struct {
 // Engine is a memoizing, concurrency-bounded executor of target runs. It is
 // safe for concurrent use; the zero value is not valid — use New.
 type Engine struct {
-	workers       int
-	sem           chan struct{}
-	maxPerShard   int
-	sharing       bool
-	renderWorkers int
-	shards        [shardCount]shard  // result layer: (target, module, inputs)
-	compiles      [shardCount]cshard // compile layer: (module, mutations)
-	plans         [shardCount]pshard // plan layer: compiled module -> Program
-	renders       [shardCount]shard  // render layer: ("", compiled module, inputs)
+	workers     int
+	sem         chan struct{}
+	maxPerShard int
+	sharing     bool
+	shards      [shardCount]shard  // result layer: (target, module, inputs)
+	compiles    [shardCount]cshard // compile layer: (module, mutations)
+	plans       [shardCount]pshard // plan layer: compiled module -> Program
+	renders     [shardCount]shard  // render layer: ("", compiled module, inputs)
 
 	uniMu   sync.Mutex
 	uniMemo map[uintptr]uniEntry
@@ -252,14 +241,6 @@ func New(workers int) *Engine {
 	}
 	return e
 }
-
-// SetRenderWorkers sets the row-parallelism used for render-layer misses on
-// grids of at least parallelRenderMinPixels pixels; n <= 1 keeps renders
-// serial (the default — campaign grids are small, and the engine already
-// parallelises across runs, so intra-render parallelism only pays off for
-// large single renders). Output is byte-identical at any setting. Not safe
-// to call concurrently with Run.
-func (e *Engine) SetRenderWorkers(n int) { e.renderWorkers = n }
 
 // SetCacheCap rebounds the total number of cached results; 0 disables
 // caching entirely (every Run executes the full toolchain — the pre-engine
@@ -549,10 +530,9 @@ func (e *Engine) render(compiled *spirv.Module, rk key, in interp.Inputs) (*inte
 
 // renderCompiled executes the interpreter for a render-layer miss: the
 // compiled module's register-VM plan comes from the plan cache (keyed by
-// rk.mod, the compiled module's fingerprint) and runs row-parallel when
-// SetRenderWorkers enabled it and the grid is large enough. When the
-// tree-walker flag is set the plan layer is bypassed and the reference
-// evaluator runs instead — same images, same faults, no lowering.
+// rk.mod, the compiled module's fingerprint). When the tree-walker flag is
+// set the plan layer is bypassed and the reference evaluator runs instead —
+// same images, same faults, no lowering.
 func (e *Engine) renderCompiled(compiled *spirv.Module, rk key, in interp.Inputs) (*interp.Image, error) {
 	if interp.TreeWalker() {
 		return interp.RenderTree(compiled, in)
@@ -561,18 +541,7 @@ func (e *Engine) renderCompiled(compiled *spirv.Module, rk key, in interp.Inputs
 	if errMsg != "" {
 		return nil, errors.New(errMsg)
 	}
-	w, h := rk.w, rk.h
-	if w == 0 {
-		w = interp.DefaultGrid
-	}
-	if h == 0 {
-		h = interp.DefaultGrid
-	}
-	workers := 1
-	if e.renderWorkers > 1 && w*h >= parallelRenderMinPixels {
-		workers = e.renderWorkers
-	}
-	return prog.RenderParallel(in, workers)
+	return prog.Render(in)
 }
 
 // plan serves module→Program lowering from the plan cache, keyed by the
@@ -672,8 +641,6 @@ func (e *Engine) Stats() Stats {
 		MemoSpills:       e.memoSpills.Load(),
 		SingleflightHits: e.singleflightHits.Load(),
 	}
-	lt := interp.LaneTotals()
-	st.LaneGroups, st.LaneDivergences, st.ScalarFallbacks = lt.Groups, lt.Divergences, lt.Fallbacks
 	for i := range e.shards {
 		for _, s := range []*shard{&e.shards[i], &e.renders[i]} {
 			s.mu.Lock()

@@ -79,34 +79,18 @@ func TestRunMemoizes(t *testing.T) {
 	}
 }
 
-// TestRenderWorkersIdentical pins the engine's row-parallel render path:
-// images must be byte-identical at any worker count, and identical to the
-// tree-walking reference engine.
-func TestRenderWorkersIdentical(t *testing.T) {
+// TestTreeWalkerRenderIdentical pins the engine's two render engines to each
+// other: the tree-walking reference must produce the register VM's image,
+// and must not touch the plan cache at all.
+func TestTreeWalkerRenderIdentical(t *testing.T) {
 	tg := target.ByName("Mesa")
 	m := testmod.Diamond()
-	// Large enough to clear the parallel-render pixel threshold.
-	in := interp.Inputs{W: 80, H: 80}
+	in := interp.Inputs{W: 16, H: 16}
 
-	serial := runner.New(1)
-	base, crash := serial.Run(tg, m, in)
+	base, crash := runner.New(1).Run(tg, m, in)
 	if crash != nil {
-		t.Fatalf("serial run crashed: %v", crash)
+		t.Fatalf("VM run crashed: %v", crash)
 	}
-	for _, workers := range []int{2, 4, 16} {
-		eng := runner.New(1)
-		eng.SetRenderWorkers(workers)
-		img, crash := eng.Run(tg, m, in)
-		if crash != nil {
-			t.Fatalf("workers=%d: crashed: %v", workers, crash)
-		}
-		if !base.Equal(img) {
-			t.Fatalf("workers=%d: image differs from serial render", workers)
-		}
-	}
-
-	// The tree-walking engine must agree too, and must not touch the plan
-	// cache at all.
 	interp.SetTreeWalker(true)
 	defer interp.SetTreeWalker(false)
 	eng := runner.New(1)

@@ -8,16 +8,16 @@ import (
 )
 
 // Stats mixes two kinds of counters: the cache/worker fields are owned by one
-// Engine, but OptPasses and the Lane* counters are process-wide profiles that
-// every Engine.Stats call in the same process re-reads from shared package
-// state. Summing snapshots from two engines in one process — or two snapshots
-// of the same engine taken as a shard stream progresses — therefore
-// double-counts the shared fields (and, for repeated snapshots, everything).
-// MergeStats is the aggregation that gets this right; cluster metrics use it.
+// Engine, but OptPasses is a process-wide profile that every Engine.Stats
+// call in the same process re-reads from shared package state. Summing
+// snapshots from two engines in one process — or two snapshots of the same
+// engine taken as a shard stream progresses — therefore double-counts the
+// shared profile (and, for repeated snapshots, everything). MergeStats is
+// the aggregation that gets this right; cluster metrics use it.
 
 // AddEngine accumulates the per-engine cache and worker counters of o into s,
-// leaving the process-wide fields (OptPasses, LaneGroups, LaneDivergences,
-// ScalarFallbacks) untouched. Use it to combine engines that share a process.
+// leaving the process-wide OptPasses profile untouched. Use it to combine
+// engines that share a process.
 func (s *Stats) AddEngine(o Stats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
@@ -41,9 +41,6 @@ func (s *Stats) AddEngine(o Stats) {
 // Counters only grow, so the max of several snapshots from one process is the
 // latest reading rather than a multiple of it.
 func (s *Stats) mergeShared(o Stats) {
-	s.LaneGroups = max(s.LaneGroups, o.LaneGroups)
-	s.LaneDivergences = max(s.LaneDivergences, o.LaneDivergences)
-	s.ScalarFallbacks = max(s.ScalarFallbacks, o.ScalarFallbacks)
 	byName := make(map[string]int, len(s.OptPasses))
 	for i := range s.OptPasses {
 		byName[s.OptPasses[i].Name] = i
@@ -64,9 +61,6 @@ func (s *Stats) mergeShared(o Stats) {
 // addShared folds the process-wide fields of o into s by summation — correct
 // across distinct processes, whose shared counters are independent.
 func (s *Stats) addShared(o Stats) {
-	s.LaneGroups += o.LaneGroups
-	s.LaneDivergences += o.LaneDivergences
-	s.ScalarFallbacks += o.ScalarFallbacks
 	byName := make(map[string]int, len(s.OptPasses))
 	for i := range s.OptPasses {
 		byName[s.OptPasses[i].Name] = i
@@ -86,11 +80,11 @@ func (s *Stats) addShared(o Stats) {
 
 // MergeStats aggregates engine snapshots grouped by the process that produced
 // them (key = ProcessToken of the reporting process). Within one group the
-// per-engine counters sum and the process-wide profiles take the latest
+// per-engine counters sum and the process-wide profile takes the latest
 // (element-wise max) reading; across groups everything sums. The result is an
 // honest cluster-wide view: plan-cache hits from N engines in one worker
-// process are each counted once, and the shared optimizer/lane profile of
-// that process appears once no matter how many shard snapshots it reported.
+// process are each counted once, and the shared optimizer profile of that
+// process appears once no matter how many shard snapshots it reported.
 func MergeStats(groups map[string][]Stats) Stats {
 	keys := make([]string, 0, len(groups))
 	for k := range groups {

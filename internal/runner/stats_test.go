@@ -8,20 +8,18 @@ import (
 )
 
 // TestMergeStatsSharedProcess pins the double-counting fix: two engines in
-// the same process (same token) each see the whole process-wide counters
-// (OptPasses, lane counters), so within a group those merge by max, while
+// the same process (same token) each see the whole process-wide OptPasses
+// profile, so within a group it merges by max, while
 // per-engine cache counters — including plan-cache hits — genuinely sum.
 func TestMergeStatsSharedProcess(t *testing.T) {
 	a := runner.Stats{
 		Hits: 10, Misses: 4, PlanHits: 6, PlanMisses: 2, Workers: 2,
-		OptPasses:  []opt.PassStat{{Name: "dce", Runs: 30, Changed: 5, Nanos: 900}},
-		LaneGroups: 100, LaneDivergences: 8, ScalarFallbacks: 3,
+		OptPasses: []opt.PassStat{{Name: "dce", Runs: 30, Changed: 5, Nanos: 900}},
 	}
-	// Engine b read the process-wide counters later, so they are >= a's.
+	// Engine b read the process-wide profile later, so it is >= a's.
 	b := runner.Stats{
 		Hits: 1, Misses: 2, PlanHits: 3, PlanMisses: 1, Workers: 2,
-		OptPasses:  []opt.PassStat{{Name: "dce", Runs: 40, Changed: 7, Nanos: 1200}},
-		LaneGroups: 120, LaneDivergences: 9, ScalarFallbacks: 3,
+		OptPasses: []opt.PassStat{{Name: "dce", Runs: 40, Changed: 7, Nanos: 1200}},
 	}
 	m := runner.MergeStats(map[string][]runner.Stats{"proc": {a, b}})
 	if m.Hits != 11 || m.Misses != 6 {
@@ -33,10 +31,7 @@ func TestMergeStatsSharedProcess(t *testing.T) {
 	if m.Workers != 4 {
 		t.Fatalf("workers must sum: got %d", m.Workers)
 	}
-	// Process-wide counters: the max is the latest reading, not the sum.
-	if m.LaneGroups != 120 || m.LaneDivergences != 9 || m.ScalarFallbacks != 3 {
-		t.Fatalf("lane counters double-counted: %+v", m)
-	}
+	// Process-wide profile: the max is the latest reading, not the sum.
 	if len(m.OptPasses) != 1 || m.OptPasses[0].Runs != 40 || m.OptPasses[0].Nanos != 1200 {
 		t.Fatalf("opt passes double-counted: %+v", m.OptPasses)
 	}
@@ -44,24 +39,19 @@ func TestMergeStatsSharedProcess(t *testing.T) {
 
 // TestMergeStatsDistinctProcesses checks the cross-node half: different
 // tokens are different processes, so everything sums, including the
-// process-wide counters.
+// process-wide profile.
 func TestMergeStatsDistinctProcesses(t *testing.T) {
 	a := runner.Stats{
-		PlanHits:   5,
-		OptPasses:  []opt.PassStat{{Name: "dce", Runs: 10, Nanos: 100}, {Name: "cfg", Runs: 2, Nanos: 20}},
-		LaneGroups: 50,
+		PlanHits:  5,
+		OptPasses: []opt.PassStat{{Name: "dce", Runs: 10, Nanos: 100}, {Name: "cfg", Runs: 2, Nanos: 20}},
 	}
 	b := runner.Stats{
-		PlanHits:   7,
-		OptPasses:  []opt.PassStat{{Name: "dce", Runs: 4, Nanos: 40}},
-		LaneGroups: 30,
+		PlanHits:  7,
+		OptPasses: []opt.PassStat{{Name: "dce", Runs: 4, Nanos: 40}},
 	}
 	m := runner.MergeStats(map[string][]runner.Stats{"p1": {a}, "p2": {b}})
 	if m.PlanHits != 12 {
 		t.Fatalf("plan hits across processes must sum: got %d", m.PlanHits)
-	}
-	if m.LaneGroups != 80 {
-		t.Fatalf("lane groups across processes must sum: got %d", m.LaneGroups)
 	}
 	want := map[string]uint64{"cfg": 2, "dce": 14}
 	if len(m.OptPasses) != 2 {
@@ -82,15 +72,16 @@ func TestMergeStatsDistinctProcesses(t *testing.T) {
 // TestMergeStatsMixed exercises the full shape at once: two same-process
 // snapshots plus one remote process.
 func TestMergeStatsMixed(t *testing.T) {
+	dce := func(runs uint64) []opt.PassStat { return []opt.PassStat{{Name: "dce", Runs: runs}} }
 	m := runner.MergeStats(map[string][]runner.Stats{
-		"local":  {{Misses: 3, LaneGroups: 10}, {Misses: 2, LaneGroups: 15}},
-		"remote": {{Misses: 7, LaneGroups: 4}},
+		"local":  {{Misses: 3, OptPasses: dce(10)}, {Misses: 2, OptPasses: dce(15)}},
+		"remote": {{Misses: 7, OptPasses: dce(4)}},
 	})
 	if m.Misses != 12 {
 		t.Fatalf("misses: got %d, want 12", m.Misses)
 	}
-	if m.LaneGroups != 19 {
-		t.Fatalf("lane groups: got %d, want 15+4", m.LaneGroups)
+	if len(m.OptPasses) != 1 || m.OptPasses[0].Runs != 19 {
+		t.Fatalf("dce runs: got %+v, want 15+4", m.OptPasses)
 	}
 }
 

@@ -193,8 +193,8 @@ type BisectSpec struct {
 
 // BisectOutcome is one case's bisection verdict as journaled by a
 // case_bisected record. Deterministic in the case alone: FirstBad is
-// identical at any worker count, lane width, or cache temperature, and under
-// cluster sharding.
+// identical at any worker count, under either interpreter engine, at any
+// cache temperature, and under cluster sharding.
 type BisectOutcome struct {
 	Case      string `json:"case"`
 	Target    string `json:"target"`

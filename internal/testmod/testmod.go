@@ -225,10 +225,8 @@ func LocalVars() *spirv.Module {
 
 // ParityStripes returns a shader that branches on the parity of the pixel
 // column: even columns go white, odd columns dark. Rendered on a w-wide
-// grid, adjacent pixels always take opposite branch edges, so every lane
-// group wider than one pixel diverges at the conditional — the worst case
-// for warp-style lane execution and the canonical forced-scalar-fallback
-// module in the lane differential tests.
+// grid, adjacent pixels always take opposite branch edges — maximally
+// divergent control flow for the differential tests.
 //
 // coord.x for column x is (x+0.5)/w, so coord.x*w = x+0.5 and ConvertFToS
 // truncates it to exactly x.
@@ -275,8 +273,9 @@ func ParityStripes(w int32) *spirv.Module {
 //
 // and writes the accumulator to the red/green channels. The iteration count
 // is the same for every pixel, so control flow is perfectly uniform across
-// a lane group while the per-lane float values differ — the divergence-light,
-// dispatch-heavy shape that lane execution accelerates most.
+// the grid while the per-pixel float values differ — a dispatch-heavy loop
+// that keeps the VM's ϕ moves and arithmetic fast paths under the
+// differential tests.
 func LoopAccum(n int32) *spirv.Module {
 	b := spirv.NewBuilder()
 	s := b.BeginFragmentShell()
