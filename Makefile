@@ -1,9 +1,17 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test test-bisect test-daemon test-cluster test-memo test-transport bench baseline bench-compare profile
+.PHONY: ci fmt vet build test test-interp test-bisect test-daemon test-cluster test-memo test-transport bench baseline bench-compare profile
 
 # Everything CI runs, in order; fails fast.
-ci: fmt vet build test test-bisect test-daemon test-cluster test-memo test-transport bench
+ci: fmt vet build test test-interp test-bisect test-daemon test-cluster test-memo test-transport bench
+
+# The interpreter gets repeated race passes over the VM/tree-walker
+# differential (the VM stores into cells in place and bump-allocates frame
+# values, the tree-walker clones; every image and fault must still match),
+# then the per-render allocation bound, which only builds without -race.
+test-interp:
+	$(GO) test -race -count=5 -run 'VMDiff|TreeWalker' ./internal/interp/
+	$(GO) test -count=1 -run 'RenderAllocBound' ./internal/interp/
 
 # The bisection oracle gets its own race pass: the determinism property
 # (FirstBad identical at any worker count, interpreter engine, or cache temperature)

@@ -308,8 +308,8 @@ func newMux(svc *service.Service) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var spec service.CampaignSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if err := cluster.ReadJSON(w, r, &spec); err != nil {
+			httpError(w, cluster.RequestStatus(err), err)
 			return
 		}
 		status, err := svc.CreateCampaign(spec)
@@ -343,8 +343,8 @@ func newMux(svc *service.Service) *http.ServeMux {
 	})
 	mux.HandleFunc("POST /bisect", func(w http.ResponseWriter, r *http.Request) {
 		var spec service.BisectSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if err := cluster.ReadJSON(w, r, &spec); err != nil {
+			httpError(w, cluster.RequestStatus(err), err)
 			return
 		}
 		status, err := svc.CreateBisect(spec)

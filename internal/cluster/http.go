@@ -11,40 +11,47 @@ import (
 	"spirvfuzz/internal/service"
 )
 
-// maxRequestBytes caps every request body the coordinator reads, both as
-// sent and after gzip decoding. The largest body a 500-test benchmark
-// campaign sends is a ~40 KB /cluster/sync, so honest workers stay far
-// below it; a decompression bomb or runaway client is cut off with 413
-// instead of being buffered whole.
-const maxRequestBytes = 16 << 20
+// MaxBodyBytes caps every HTTP body a spirvd process reads, both as sent and
+// after gzip decoding: requests to the coordinator and to the standalone
+// daemon, and coordinator responses read by workers. The largest body a
+// 500-test benchmark campaign sends is a ~40 KB /cluster/sync, so honest
+// peers stay far below it; a decompression bomb or runaway peer is cut off
+// (413 on the serving side, an error on the reading side) instead of being
+// buffered whole.
+const MaxBodyBytes = 16 << 20
 
-// readJSON decodes a request body that may carry Content-Encoding: gzip —
+// ReadJSON decodes a request body that may carry Content-Encoding: gzip —
 // the worker protocol negotiates compression per request, and every handler
 // must accept both codings so mixed clusters (compressing and legacy
 // workers against one coordinator) need no handshake. A body over
-// maxRequestBytes, raw or decoded, fails with *http.MaxBytesError.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+// MaxBodyBytes, raw or decoded, fails with *http.MaxBytesError. The
+// standalone daemon's handlers decode through it too.
+func ReadJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
 		zr, err := gzip.NewReader(body)
 		if err != nil {
 			return fmt.Errorf("bad gzip request body: %w", err)
 		}
-		body = http.MaxBytesReader(w, zr, maxRequestBytes)
+		body = http.MaxBytesReader(w, zr, MaxBodyBytes)
 		defer body.Close()
 	}
 	return json.NewDecoder(body).Decode(v)
 }
 
-// requestError answers a request whose body readJSON rejected: 413 when
-// the body overran maxRequestBytes, 400 otherwise.
-func requestError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
+// RequestStatus is the status answering a request whose body ReadJSON
+// rejected: 413 when the body overran MaxBodyBytes, 400 otherwise.
+func RequestStatus(err error) int {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		status = http.StatusRequestEntityTooLarge
+		return http.StatusRequestEntityTooLarge
 	}
-	clusterError(w, status, err)
+	return http.StatusBadRequest
+}
+
+// requestError answers a request whose body ReadJSON rejected.
+func requestError(w http.ResponseWriter, err error) {
+	clusterError(w, RequestStatus(err), err)
 }
 
 // acceptsGzip reports whether the client explicitly asked for gzip
@@ -65,8 +72,8 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	// Campaign API, mirroring cmd/spirvd's standalone mux.
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var spec service.CampaignSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+		if err := ReadJSON(w, r, &spec); err != nil {
+			requestError(w, err)
 			return
 		}
 		status, err := co.CreateCampaign(spec)
@@ -109,8 +116,8 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /bisect", func(w http.ResponseWriter, r *http.Request) {
 		var spec service.BisectSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+		if err := ReadJSON(w, r, &spec); err != nil {
+			requestError(w, err)
 			return
 		}
 		status, err := co.CreateBisect(spec)
@@ -146,7 +153,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	// Worker protocol.
 	mux.HandleFunc("POST /cluster/join", func(w http.ResponseWriter, r *http.Request) {
 		var req joinRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := ReadJSON(w, r, &req); err != nil {
 			requestError(w, err)
 			return
 		}
@@ -159,7 +166,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /cluster/next", func(w http.ResponseWriter, r *http.Request) {
 		var req nodeRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := ReadJSON(w, r, &req); err != nil {
 			requestError(w, err)
 			return
 		}
@@ -176,7 +183,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req nodeRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := ReadJSON(w, r, &req); err != nil {
 			requestError(w, err)
 			return
 		}
@@ -189,7 +196,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /cluster/result", func(w http.ResponseWriter, r *http.Request) {
 		var res ShardResult
-		if err := readJSON(w, r, &res); err != nil {
+		if err := ReadJSON(w, r, &res); err != nil {
 			requestError(w, err)
 			return
 		}
@@ -204,7 +211,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	// compact JSON with negotiated gzip.
 	mux.HandleFunc("POST /cluster/sync", func(w http.ResponseWriter, r *http.Request) {
 		var req syncRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := ReadJSON(w, r, &req); err != nil {
 			requestError(w, err)
 			return
 		}
@@ -219,7 +226,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	// Blob-sync protocol against the coordinator's authoritative store.
 	mux.HandleFunc("POST /blobs/has", func(w http.ResponseWriter, r *http.Request) {
 		var req hasRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := ReadJSON(w, r, &req); err != nil {
 			requestError(w, err)
 			return
 		}
@@ -227,7 +234,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /blobs/put", func(w http.ResponseWriter, r *http.Request) {
 		var req putRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := ReadJSON(w, r, &req); err != nil {
 			requestError(w, err)
 			return
 		}
@@ -240,7 +247,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /blobs/fetch", func(w http.ResponseWriter, r *http.Request) {
 		var req fetchRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := ReadJSON(w, r, &req); err != nil {
 			requestError(w, err)
 			return
 		}
@@ -258,7 +265,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	// rest to no-ops, so mixed deployments need no configuration handshake.
 	mux.HandleFunc("POST /memo/keys", func(w http.ResponseWriter, r *http.Request) {
 		var req memoKeysRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := ReadJSON(w, r, &req); err != nil {
 			requestError(w, err)
 			return
 		}
@@ -266,7 +273,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /memo/has", func(w http.ResponseWriter, r *http.Request) {
 		var req memoHasRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := ReadJSON(w, r, &req); err != nil {
 			requestError(w, err)
 			return
 		}
@@ -274,7 +281,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /memo/fetch", func(w http.ResponseWriter, r *http.Request) {
 		var req memoFetchRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := ReadJSON(w, r, &req); err != nil {
 			requestError(w, err)
 			return
 		}
@@ -287,7 +294,7 @@ func (co *Coordinator) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /memo/push", func(w http.ResponseWriter, r *http.Request) {
 		var req memoPushRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := ReadJSON(w, r, &req); err != nil {
 			requestError(w, err)
 			return
 		}

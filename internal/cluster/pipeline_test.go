@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -351,23 +352,11 @@ func TestTransportGzipRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRequestBodyBounded posts oversized bodies to /cluster/sync: a gzip
-// bomb (a few hundred KiB that inflate to 256 MiB of one JSON string) and a
-// plain body over the raw cap. Both must be refused with 413 after reading
-// at most maxRequestBytes, not buffered whole.
-func TestRequestBodyBounded(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	co, err := NewCoordinator(st, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	mux := co.Mux()
-
+// gzipBomb returns a multistream gzip body of a few hundred KiB that
+// inflates to 256 MiB of one JSON string, so it passes any raw-size cap of
+// MaxBodyBytes and only a cap on the decoded stream stops it.
+func gzipBomb(t *testing.T) []byte {
+	t.Helper()
 	// Concatenated gzip members form one valid multistream body.
 	member := func(prefix string) []byte {
 		var b bytes.Buffer
@@ -382,10 +371,31 @@ func TestRequestBodyBounded(t *testing.T) {
 	for i := 1; i < 256; i++ {
 		bomb = append(bomb, tail...)
 	}
-	if len(bomb) >= maxRequestBytes {
+	if len(bomb) >= MaxBodyBytes {
 		t.Fatalf("bomb is %d bytes on the wire; it must pass the raw cap", len(bomb))
 	}
-	plain := append([]byte(`{"node":"`), bytes.Repeat([]byte("a"), maxRequestBytes)...)
+	return bomb
+}
+
+// TestRequestBodyBounded posts oversized bodies to the worker protocol's
+// /cluster/sync and to the coordinator's campaign and bisect endpoints: a
+// gzip bomb and a plain body over the raw cap. Both must be refused with
+// 413 after reading at most MaxBodyBytes, not buffered whole.
+func TestRequestBodyBounded(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	co, err := NewCoordinator(st, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	mux := co.Mux()
+
+	bomb := gzipBomb(t)
+	plain := append([]byte(`{"node":"`), bytes.Repeat([]byte("a"), MaxBodyBytes)...)
 
 	for _, tc := range []struct {
 		name string
@@ -395,21 +405,57 @@ func TestRequestBodyBounded(t *testing.T) {
 		{"gzip-bomb", bomb, true},
 		{"raw-oversize", plain, false},
 	} {
+		for _, path := range []string{"/cluster/sync", "/campaigns", "/bisect"} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			req := httptest.NewRequest("POST", path, bytes.NewReader(tc.body))
+			if tc.gzip {
+				req.Header.Set("Content-Encoding", "gzip")
+			}
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s %s: status %d, want 413 (%s)", tc.name, path, rec.Code, rec.Body.String())
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*MaxBodyBytes {
+				t.Fatalf("%s %s: handling allocated %d MiB", tc.name, path, alloc>>20)
+			}
+		}
+	}
+}
+
+// TestResponseBodyBounded is the worker side of the same cap: a coordinator
+// (here an httptest server) answering with a gzip bomb or a plain body over
+// MaxBodyBytes must make postWire fail with an error after reading at most
+// the cap, never buffer the whole body or panic.
+func TestResponseBodyBounded(t *testing.T) {
+	bomb := gzipBomb(t)
+	plain := append([]byte(`{"node":"`), bytes.Repeat([]byte("a"), MaxBodyBytes)...)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/bomb" {
+			w.Header().Set("Content-Encoding", "gzip")
+			w.Write(bomb)
+			return
+		}
+		w.Write(plain)
+	}))
+	defer srv.Close()
+
+	for _, path := range []string{"/bomb", "/plain"} {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		req := httptest.NewRequest("POST", "/cluster/sync", bytes.NewReader(tc.body))
-		if tc.gzip {
-			req.Header.Set("Content-Encoding", "gzip")
-		}
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, req)
+		var out nodeRequest
+		_, err := postWire(context.Background(), srv.Client(), srv.URL, path, nodeRequest{Node: "w"}, &out, true, nil)
 		runtime.ReadMemStats(&after)
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: status %d, want 413 (%s)", tc.name, rec.Code, rec.Body.String())
+		if !errors.Is(err, errBodyTooLarge) {
+			t.Fatalf("%s: err %v, want %v", path, err, errBodyTooLarge)
 		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*maxRequestBytes {
-			t.Fatalf("%s: handling allocated %d MiB", tc.name, alloc>>20)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*MaxBodyBytes {
+			t.Fatalf("%s: reading the response allocated %d MiB", path, alloc>>20)
 		}
 	}
 }

@@ -108,6 +108,23 @@ func (s WireStats) WireFraction() float64 {
 	return float64(s.WireBytesOut+s.WireBytesIn) / float64(raw)
 }
 
+// errBodyTooLarge reports a response body over MaxBodyBytes.
+var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
+
+// readBounded reads r to EOF, failing with errBodyTooLarge as soon as it
+// yields more than MaxBodyBytes, so a runaway or decompression-bomb response
+// costs at most the cap.
+func readBounded(r io.Reader) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, MaxBodyBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(b) > MaxBodyBytes {
+		return nil, errBodyTooLarge
+	}
+	return b, nil
+}
+
 // postWire is the counting, compression-negotiating JSON round trip every
 // worker request goes through. The request body is gzip-coded when compress
 // is set and the body clears the size floor; Accept-Encoding advertises
@@ -154,9 +171,9 @@ func postWire(ctx context.Context, hc *http.Client, base, path string, body, out
 		return 0, err
 	}
 	defer resp.Body.Close()
-	respWire, err := io.ReadAll(resp.Body)
+	respWire, err := readBounded(resp.Body)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("cluster: %s: response: %w", path, err)
 	}
 	respRaw := respWire
 	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
@@ -164,7 +181,7 @@ func postWire(ctx context.Context, hc *http.Client, base, path string, body, out
 		if err != nil {
 			return 0, fmt.Errorf("cluster: %s: bad gzip response: %w", path, err)
 		}
-		respRaw, err = io.ReadAll(zr)
+		respRaw, err = readBounded(zr)
 		if err != nil {
 			return 0, fmt.Errorf("cluster: %s: bad gzip response: %w", path, err)
 		}

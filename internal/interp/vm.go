@@ -26,13 +26,18 @@ type valArena struct {
 // allocElems bump-allocates n element slots from the per-pixel arena. Values
 // backed by the arena may only be stored in frame slots: frames die when the
 // invocation returns, and everything that outlives the pixel (memory cells)
-// is written through Clone, which copies to the heap. renderPixel resets the
-// arena, so steady-state rendering allocates nothing.
+// is copied out of it (popStore writes into the cell's own storage, variable
+// init clones to the heap). Chunks start small and double: a pixel of a
+// typical 8×8-grid shader needs a few dozen elements, so a render's arena is
+// a few KiB where a fixed 4096-element first chunk zeroed ~224 KiB of
+// pointer-bearing memory per render. renderPixel resets the offset and keeps
+// the last (largest) chunk, so once a chunk covers a whole pixel the render
+// allocates nothing more.
 func (ar *valArena) allocElems(n int) []Value {
 	if ar.eoff+n > len(ar.earena) {
 		// A new chunk; the old one stays alive while frame values reference
 		// it and is collected afterwards.
-		ar.earena = make([]Value, max(4096, n))
+		ar.earena = make([]Value, max(2*len(ar.earena), n, 64))
 		ar.eoff = 0
 	}
 	s := ar.earena[ar.eoff : ar.eoff+n : ar.eoff+n]
@@ -523,7 +528,7 @@ func (vm *vmachine) exec(pf *pfunc, fr []Value) (Value, error) {
 				if pv.Kind != KindPointer {
 					return Value{}, faultf("OpStore to non-pointer %%%d", ins.msgID)
 				}
-				pv.Ptr.Store(v)
+				storePtr(pv.Ptr, v)
 
 			case popAccessChain:
 				base, err := vm.read(pf, fr, ins.a)
@@ -621,8 +626,8 @@ func (vm *vmachine) exec(pf *pfunc, fr []Value) (Value, error) {
 }
 
 // loadPtr is Pointer.Load with the copy taken from the arena: loaded values
-// land in frame slots, and anything stored back into a cell goes through
-// Pointer.Store's heap Clone.
+// land in frame slots, and anything stored back into a cell is copied into
+// the cell's own storage by storePtr.
 func (vm *vmachine) loadPtr(p *Pointer) Value {
 	v := &p.Cell.V
 	for _, i := range p.Path {
@@ -631,14 +636,32 @@ func (vm *vmachine) loadPtr(p *Pointer) Value {
 	return vm.arenaClone(*v)
 }
 
+// storePtr is Pointer.Store reusing the target's element storage: resetValue
+// copies v into the cell's existing elements wherever the shapes match and
+// heap-clones the rest, so v's arena-backed elements never reach the cell.
+// Writing in place is sound because a cell owns its element storage
+// exclusively: loads arena-clone (loadPtr), and global, uniform and variable
+// cells start from heap clones, so no frame value, constant or other cell
+// aliases it. The tree-walker's Pointer.Store stays the reference.
+func storePtr(p *Pointer, v Value) {
+	dst := &p.Cell.V
+	for _, i := range p.Path {
+		dst = &dst.Elems[i]
+	}
+	resetValue(dst, v)
+}
+
 // resetColor writes the program's output zero into the color cell, reusing
 // the cell's existing element storage when the shape still matches (the
-// common case: OpStore replaces the whole value with a same-shaped clone, so
-// after the first pixel no allocation is needed).
+// common case: storePtr keeps the cell's shape, so after the first pixel no
+// allocation is needed).
 func (vm *vmachine) resetColor() {
 	resetValue(&vm.cells[vm.p.color].V, vm.p.colorZero)
 }
 
+// resetValue sets *dst to a deep copy of proto, writing into dst's existing
+// element storage wherever the composite shapes match and heap-cloning the
+// rest. proto's own storage is only read, never retained.
 func resetValue(dst *Value, proto Value) {
 	if proto.Kind == KindComposite && dst.Kind == KindComposite && len(dst.Elems) == len(proto.Elems) {
 		elems := dst.Elems

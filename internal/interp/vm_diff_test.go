@@ -117,7 +117,8 @@ func TestVMDiffOptimizedModules(t *testing.T) {
 
 // TestVMDiffFaultModules crafts modules that fault or discard in every way
 // the interpreter knows, and checks the VM reproduces each fault verbatim
-// (message and all).
+// (message and all). It also crafts the store shapes the VM's in-place
+// OpStore must handle exactly like the tree-walker.
 func TestVMDiffFaultModules(t *testing.T) {
 	in := interp.Inputs{W: 8, H: 8}
 	cases := map[string]*spirv.Module{}
@@ -225,8 +226,122 @@ func TestVMDiffFaultModules(t *testing.T) {
 		cases["call-depth"] = m
 	}
 
+	// The VM's OpStore writes into the target cell's existing element
+	// storage; these modules pin that against the tree-walker's
+	// clone-per-store reference.
+	{ // A composite stored, then stored again with a different shape:
+		// inner vector length, outer arity, scalar over composite, and
+		// back — on a local variable and on the output cell itself.
+		b := spirv.NewBuilder()
+		s := b.BeginFragmentShell()
+		m := b.Mod
+		one := m.EnsureConstantFloat(1)
+		st4 := m.EnsureTypeStruct(s.Vec4, s.Float)
+		st2 := m.EnsureTypeStruct(s.Vec2, s.Float)
+		st3 := m.EnsureTypeStruct(s.Vec2, s.Float, s.Float)
+		v := b.LocalVariable(st4)
+		c := b.Emit(spirv.OpLoad, s.Vec2, s.Coord)
+		x := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 0)
+		y := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 1)
+		a4 := b.Emit(spirv.OpCompositeConstruct, s.Vec4, x, y, x, one)
+		b.Store(v, b.Emit(spirv.OpCompositeConstruct, st4, a4, y))
+		b.Store(v, b.Emit(spirv.OpCompositeConstruct, st2, c, x))
+		l2 := b.Emit(spirv.OpLoad, st2, v)
+		b.Store(v, b.Emit(spirv.OpCompositeConstruct, st3, c, x, one))
+		b.Store(v, b.Emit(spirv.OpCompositeConstruct, st2, c, y))
+		// Index 2 clamps to the last member: a stale third member left
+		// behind by the wider store would show here.
+		pFloat := m.EnsureTypePointer(spirv.StorageFunction, s.Float)
+		f := b.Emit(spirv.OpLoad, s.Float, b.AccessChain(pFloat, v, m.EnsureConstantInt(2)))
+		b.Store(v, x)
+		b.Store(v, b.Emit(spirv.OpCompositeConstruct, st4, a4, x))
+		l1 := b.Emit(spirv.OpLoad, st4, v)
+		b.Store(s.Color, c)
+		col := b.Emit(spirv.OpCompositeConstruct, s.Vec4,
+			b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(l2), 1),
+			f,
+			b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(l1), 0, 1),
+			b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(l1), 1))
+		b.Store(s.Color, col)
+		b.FinishFragmentShell(s)
+		cases["store-reshape"] = m
+	}
+	{ // Stores through access-chain paths: one and two levels deep, a
+		// coordinate-dependent (clamped) index, and into the output cell.
+		b := spirv.NewBuilder()
+		s := b.BeginFragmentShell()
+		m := b.Mod
+		one := m.EnsureConstantFloat(1)
+		quarter := m.EnsureConstantFloat(0.25)
+		i0, i1, i2 := m.EnsureConstantInt(0), m.EnsureConstantInt(1), m.EnsureConstantInt(2)
+		arr := m.EnsureTypeArray(s.Vec4, m.EnsureConstantInt(3))
+		pVec4 := m.EnsureTypePointer(spirv.StorageFunction, s.Vec4)
+		pFloat := m.EnsureTypePointer(spirv.StorageFunction, s.Float)
+		v := b.LocalVariable(arr)
+		c := b.Emit(spirv.OpLoad, s.Vec2, s.Coord)
+		x := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 0)
+		y := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 1)
+		a := b.Emit(spirv.OpCompositeConstruct, s.Vec4, x, y, x, one)
+		bb := b.Emit(spirv.OpCompositeConstruct, s.Vec4, y, x, y, one)
+		b.Store(v, b.Emit(spirv.OpCompositeConstruct, arr, a, bb, a))
+		b.Store(b.AccessChain(pVec4, v, i1), a)
+		b.Store(b.AccessChain(pFloat, v, i1, i2), y)
+		dyn := b.Emit(spirv.OpConvertFToS, s.Int, b.Emit(spirv.OpFMul, s.Float, x, m.EnsureConstantFloat(8)))
+		b.Store(b.AccessChain(pFloat, v, dyn, i0), quarter)
+		ld := b.Emit(spirv.OpLoad, arr, v)
+		pOut := m.EnsureTypePointer(spirv.StorageOutput, s.Float)
+		b.Store(s.Color, b.EmitWords(spirv.OpCompositeExtract, s.Vec4, uint32(ld), 1))
+		b.Store(b.AccessChain(pOut, s.Color, i0), b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(ld), 2, 0))
+		b.Store(b.AccessChain(pOut, s.Color, i1), b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(ld), 0, 0))
+		b.FinishFragmentShell(s)
+		cases["store-access-chain"] = m
+	}
+	{ // A loaded copy modified after a later store to the same cell; the
+		// copy stored into a second cell must not see further writes to the
+		// first; a private global accumulates across pixels from a constant
+		// initializer that is also read directly.
+		b := spirv.NewBuilder()
+		s := b.BeginFragmentShell()
+		m := b.Mod
+		one := m.EnsureConstantFloat(1)
+		half := m.EnsureConstantFloat(0.5)
+		i1 := m.EnsureConstantInt(1)
+		init := m.EnsureConstantComposite(s.Vec4, half, half, half, one)
+		acc := b.GlobalVariable("acc", spirv.StoragePrivate, s.Vec4, init)
+		pFloat := m.EnsureTypePointer(spirv.StorageFunction, s.Float)
+		v := b.LocalVariable(s.Vec4)
+		w := b.LocalVariable(s.Vec4)
+		c := b.Emit(spirv.OpLoad, s.Vec2, s.Coord)
+		x := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 0)
+		y := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 1)
+		b.Store(v, b.Emit(spirv.OpCompositeConstruct, s.Vec4, x, y, x, one))
+		l1 := b.Emit(spirv.OpLoad, s.Vec4, v)
+		b.Store(v, b.Emit(spirv.OpCompositeConstruct, s.Vec4, y, x, y, one))
+		m1 := b.EmitWords(spirv.OpCompositeInsert, s.Vec4, uint32(half), uint32(l1), 2)
+		b.Store(w, l1)
+		b.Store(b.AccessChain(pFloat, v, i1), half)
+		lw := b.Emit(spirv.OpLoad, s.Vec4, w)
+		lv := b.Emit(spirv.OpLoad, s.Vec4, v)
+		la := b.Emit(spirv.OpLoad, s.Vec4, acc)
+		sum := b.Emit(spirv.OpFAdd, s.Vec4, la, b.Emit(spirv.OpFMul, s.Vec4, lv, init))
+		b.Store(acc, b.Emit(spirv.OpFMul, s.Vec4, sum, init))
+		col := b.Emit(spirv.OpCompositeConstruct, s.Vec4,
+			b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(m1), 2),
+			b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(lw), 1),
+			b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(lv), 1),
+			b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(la), 0))
+		b.Store(s.Color, b.Emit(spirv.OpFAdd, s.Vec4, col, b.Emit(spirv.OpFMul, s.Vec4, init, init)))
+		b.FinishFragmentShell(s)
+		cases["store-after-load"] = m
+	}
+
 	for name, m := range cases {
 		assertEnginesAgree(t, name, m, in)
+	}
+	for _, name := range []string{"store-reshape", "store-access-chain", "store-after-load"} {
+		if _, err := interp.RenderTree(cases[name], in); err != nil {
+			t.Fatalf("%s: must render, faulted: %v", name, err)
+		}
 	}
 }
 

@@ -26,13 +26,21 @@ func (s *Service) runCampaign(ctx context.Context, c *campaign) error {
 
 	// Snapshot the memo counters so the campaign can report its delta —
 	// approximate when campaigns overlap, but a faithful warm/cold signal
-	// for the common one-at-a-time case.
+	// for the common one-at-a-time case. recordMemo runs under c.mu: on
+	// success in the same critical section that marks the campaign done, so
+	// a status that reads done also reads the final counters; on failure
+	// from the deferred call.
 	memoStart := s.eng.Stats()
-	defer func() {
+	recordMemo := func() {
 		memoEnd := s.eng.Stats()
-		c.mu.Lock()
 		c.memoHits = memoEnd.MemoHits - memoStart.MemoHits
 		c.memoMisses = memoEnd.MemoMisses - memoStart.MemoMisses
+	}
+	defer func() {
+		c.mu.Lock()
+		if c.state != StateDone {
+			recordMemo()
+		}
 		c.mu.Unlock()
 	}()
 
@@ -144,6 +152,7 @@ func (s *Service) runCampaign(ctx context.Context, c *campaign) error {
 	}
 	c.mu.Lock()
 	c.buckets = buckets
+	recordMemo()
 	c.state = StateDone
 	c.mu.Unlock()
 	return nil

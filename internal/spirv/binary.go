@@ -12,67 +12,78 @@ import (
 
 // EncodeWords serialises the module to SPIR-V words.
 func (m *Module) EncodeWords() []uint32 {
-	words := []uint32{Magic, m.Version, Generator, uint32(m.Bound), 0}
-	emit := func(ins *Instruction) {
-		n := 1 + len(ins.Operands)
-		if ins.Type != 0 {
-			n++
-		}
-		if ins.Result != 0 {
-			n++
-		}
-		words = append(words, uint32(n)<<16|uint32(ins.Op))
-		if ins.Type != 0 {
-			words = append(words, uint32(ins.Type))
-		}
-		if ins.Result != 0 {
-			words = append(words, uint32(ins.Result))
-		}
-		words = append(words, ins.Operands...)
+	var words []uint32
+	m.encode(func(w uint32) { words = append(words, w) })
+	return words
+}
+
+// encode is the one serializer behind EncodeWords and Fingerprint: it hands
+// emit the module's binary encoding one word at a time, header first, then
+// every instruction in layout order. Function labels and ends are
+// synthesised as words, so the walk itself allocates nothing.
+func (m *Module) encode(emit func(uint32)) {
+	for _, w := range [5]uint32{Magic, m.Version, Generator, uint32(m.Bound), 0} {
+		emit(w)
 	}
-	for _, ins := range m.Capabilities {
-		emit(ins)
+	put := func(op Opcode, typ, result ID, operands []uint32) {
+		n := 1 + len(operands)
+		if typ != 0 {
+			n++
+		}
+		if result != 0 {
+			n++
+		}
+		emit(uint32(n)<<16 | uint32(op))
+		if typ != 0 {
+			emit(uint32(typ))
+		}
+		if result != 0 {
+			emit(uint32(result))
+		}
+		for _, w := range operands {
+			emit(w)
+		}
+	}
+	ins := func(in *Instruction) { put(in.Op, in.Type, in.Result, in.Operands) }
+	for _, in := range m.Capabilities {
+		ins(in)
 	}
 	if m.MemoryModel != nil {
-		emit(m.MemoryModel)
+		ins(m.MemoryModel)
 	}
-	for _, ins := range m.EntryPoints {
-		emit(ins)
+	for _, in := range m.EntryPoints {
+		ins(in)
 	}
-	for _, ins := range m.ExecModes {
-		emit(ins)
+	for _, in := range m.ExecModes {
+		ins(in)
 	}
-	for _, ins := range m.Names {
-		emit(ins)
+	for _, in := range m.Names {
+		ins(in)
 	}
-	for _, ins := range m.Decorations {
-		emit(ins)
+	for _, in := range m.Decorations {
+		ins(in)
 	}
-	for _, ins := range m.TypesGlobals {
-		emit(ins)
+	for _, in := range m.TypesGlobals {
+		ins(in)
 	}
 	for _, fn := range m.Functions {
-		emit(fn.Def)
+		ins(fn.Def)
 		for _, p := range fn.Params {
-			emit(p)
+			ins(p)
 		}
 		for _, b := range fn.Blocks {
-			emit(NewInstr(OpLabel, 0, b.Label))
-			b.Instructions(emit)
+			put(OpLabel, 0, b.Label, nil)
+			b.Instructions(ins)
 		}
-		emit(NewInstr(OpFunctionEnd, 0, 0))
+		put(OpFunctionEnd, 0, 0, nil)
 	}
-	return words
 }
 
 // EncodeBytes serialises the module to little-endian bytes (the on-disk
 // .spv format).
 func (m *Module) EncodeBytes() []byte {
-	words := m.EncodeWords()
-	buf := make([]byte, 4*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(buf[4*i:], w)
-	}
+	var buf []byte
+	m.encode(func(w uint32) { buf = binary.LittleEndian.AppendUint32(buf, w) })
 	return buf
 }
 

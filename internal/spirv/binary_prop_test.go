@@ -1,9 +1,14 @@
 package spirv_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"spirvfuzz/internal/corpus"
+	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/testmod"
 )
@@ -76,18 +81,54 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 }
 
 // TestEncodeAllCanonicalModulesStable: the byte encodings of the canonical
-// modules are stable across clone and re-encode.
+// modules, the corpus references and fuzzed variants are stable across clone
+// and re-encode, and each module's streamed Fingerprint is exactly the
+// SHA-256 of those bytes — runner cache keys and the persistent memo's keys
+// derive from it, so it must never drift from the encoding. A module mutated
+// by hand after a fingerprint refingerprints to its new encoding once
+// invalidated.
 func TestEncodeAllCanonicalModulesStable(t *testing.T) {
+	mods := map[string]*spirv.Module{}
 	for name, m := range testmod.All() {
+		mods[name] = m
+	}
+	refs := corpus.References()
+	for _, item := range refs {
+		mods["corpus/"+item.Name] = item.Mod
+	}
+	for i := 0; i < 6; i++ {
+		item := refs[i*3%len(refs)]
+		res, err := fuzz.Fuzz(item.Mod, item.Inputs, fuzz.Options{Seed: int64(400 + i), Donors: []*spirv.Module{refs[0].Mod}})
+		if err != nil {
+			t.Fatalf("fuzz %s: %v", item.Name, err)
+		}
+		mods[fmt.Sprintf("fuzzed/%s/%d", item.Name, i)] = res.Variant
+	}
+	for name, m := range mods {
 		a := m.EncodeBytes()
 		b := m.Clone().EncodeBytes()
-		if len(a) != len(b) {
+		if !bytes.Equal(a, b) {
 			t.Fatalf("%s: clone encodes differently", name)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: clone encodes differently at byte %d", name, i)
-			}
+		if got, want := m.Fingerprint(), sha256.Sum256(a); got != want {
+			t.Fatalf("%s: Fingerprint %x != SHA-256 of EncodeBytes %x", name, got, want)
 		}
+	}
+
+	m := testmod.Diamond()
+	before := m.Fingerprint()
+	fn := m.EntryPointFunction()
+	fn.Blocks[0].Body = append(fn.Blocks[0].Body, spirv.NewInstr(spirv.OpNop, 0, 0))
+	m.Names = append(m.Names, spirv.NewInstr(spirv.OpName, 0, 0, uint32(fn.ID()), 0))
+	if m.Fingerprint() != before {
+		t.Fatal("hand mutation changed the cached fingerprint before invalidation")
+	}
+	m.InvalidateFingerprint()
+	after := m.Fingerprint()
+	if after == before {
+		t.Fatal("mutated module kept its old fingerprint after InvalidateFingerprint")
+	}
+	if want := sha256.Sum256(m.EncodeBytes()); after != want {
+		t.Fatalf("mutated module: Fingerprint %x != SHA-256 of EncodeBytes %x", after, want)
 	}
 }

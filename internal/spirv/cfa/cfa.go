@@ -193,12 +193,19 @@ type Info struct {
 
 // Analyze computes Info for fn within m.
 func Analyze(m *spirv.Module, fn *spirv.Function) *Info {
+	// Presize the maps from the counts at hand: every precondition check
+	// during replay pays for one Analyze, and rehashing growing maps was a
+	// large share of its cost.
+	defs := 0
+	for _, b := range fn.Blocks {
+		defs += 1 + len(b.Phis) + len(b.Body)
+	}
 	info := &Info{
 		Mod:         m,
 		Fn:          fn,
-		DefBlock:    make(map[spirv.ID]spirv.ID),
-		DefPos:      make(map[spirv.ID]int),
-		ModuleScope: make(map[spirv.ID]bool),
+		DefBlock:    make(map[spirv.ID]spirv.ID, defs),
+		DefPos:      make(map[spirv.ID]int, defs),
+		ModuleScope: make(map[spirv.ID]bool, len(m.TypesGlobals)+len(m.Functions)+len(fn.Params)),
 	}
 	info.G = Build(fn)
 	info.Dom = Dominators(info.G)
