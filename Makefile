@@ -36,12 +36,12 @@ test-cluster:
 	$(GO) test -count=1 -run 'TestSpirvdCluster|TestSpirvdCoordinatorLocalNodes' .
 
 # The pipelined transport gets a dedicated race pass: the bitwise-identity
-# matrix (prefetch × compression × batching × node count must all merge the
-# same buckets), lease-steal and kill-mid-prefetch fault injection with the
-# duplicate-report guard, the gzip wire accounting round trip, and the
-# jittered idle backoff ladder.
+# matrix (1 and 3 nodes must merge the same buckets as a single node),
+# lease-steal and kill-mid-prefetch fault injection with the duplicate-report
+# guard, the gzip wire accounting round trip, the /cluster/sync status codes,
+# and the jittered idle backoff ladder.
 test-transport:
-	$(GO) test -race -count=1 -run 'Pipeline|Prefetch|LeaseSteal|Transport|Backoff' ./internal/cluster/...
+	$(GO) test -race -count=1 -run 'Pipeline|Prefetch|LeaseSteal|Transport|SyncStatus|Backoff' ./internal/cluster/...
 	$(GO) test -count=1 -run 'TestSpirvdClusterKillRejoin' .
 
 # The persistent memo tier gets its own race pass: the segment/index/
@@ -86,27 +86,28 @@ baseline:
 
 # Run the reduction/resume/batching/interpreter benchmarks and fail if any
 # speedup metric (parallel reduction over serial; prefix-snapshot replay over
-# fresh replay; journal resume over a fresh campaign; batched RunAll over a
-# per-target compile loop; the register VM over the tree-walker; a warm
-# memo repeat campaign over cold)
+# fresh replay; batched RunAll over a per-target compile loop; the register
+# VM over the tree-walker; a warm memo repeat campaign over cold; 3 cluster
+# nodes over 1)
 # regresses below 0.75x its value in the committed BENCH_pr10.json
 # trajectory point — loose enough for machine noise, tight enough to catch
-# a disabled cache, a resume that silently re-runs journaled work, compile
-# sharing gone, or the VM degenerating to tree-walker speed. A second pass
+# a disabled cache, compile sharing gone, or the VM degenerating to
+# tree-walker speed. A second pass
 # guards absolute parallel-reduction time: ns/op must not blow past 1.5x
 # the recorded value. The ratio
 # metrics are the tight guards (they cancel machine speed); the absolute
 # bounds are backstops against wholesale regressions that leave the
-# internal ratios intact. Two final passes guard hit fractions: the cold
-# cache-hit fraction of BenchmarkBisectCampaign falling below 0.95x
-# baseline means bisect probes stopped reusing compile keys, and the
-# warm-hit-frac of BenchmarkMemoWarmCampaign falling below 0.95x means the
-# persistent memo tier stopped serving a warm repeat from disk. The last
-# pass guards the pipelined transport's wire economy in max mode: the
-# wire-frac of BenchmarkClusterPipeline (batched+gzipped bytes over the
-# legacy protocol's) blowing past 1.5x baseline means batching or
-# compression silently stopped shrinking the protocol — its speedup floor
-# rides in the default min-mode speedup pass like every other ratio.
+# internal ratios intact. The third pass bounds the journal resume of
+# BenchmarkServiceResumeCampaign at 1.5x its recorded time: a resume that
+# re-runs journaled work takes ten times as long. Two hit-fraction passes
+# follow: the cold cache-hit fraction of BenchmarkBisectCampaign falling
+# below 0.95x baseline means bisect probes stopped reusing compile keys,
+# and the warm-hit-frac of BenchmarkMemoWarmCampaign falling below 0.95x
+# means the persistent memo tier stopped serving a warm repeat from disk.
+# The last pass guards the pipelined transport's node scaling: the
+# node-speedup of BenchmarkClusterPipeline (1-node over 3-node time under
+# injected latency) below 0.75x baseline means prefetch or shard dispatch
+# stopped overlapping; its wire economy is bounded inside the benchmark.
 bench-compare:
 	$(GO) test -short -run '^$$' -bench 'Reduce|Replay|Resume|RunAll|InterpVM|Cluster|Bisect|Memo' -benchtime=1x -benchmem . \
 		| tee /dev/stderr | awk -f scripts/bench2json.awk > /tmp/bench-current.json
@@ -115,6 +116,9 @@ bench-compare:
 	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
 		-current /tmp/bench-current.json -metric ns/op -mode max -tolerance 1.5 \
 		-only BenchmarkRunnerParallelReduce
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
+		-current /tmp/bench-current.json -metric journal-resume-ms -mode max -tolerance 1.5 \
+		-only BenchmarkServiceResumeCampaign
 	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
 		-current /tmp/bench-current.json -metric dedup-frac -mode min -tolerance 0.95 \
 		-only BenchmarkClusterCampaign
@@ -125,7 +129,7 @@ bench-compare:
 		-current /tmp/bench-current.json -metric warm-hit-frac -mode min -tolerance 0.95 \
 		-only BenchmarkMemoWarmCampaign
 	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
-		-current /tmp/bench-current.json -metric wire-frac -mode max -tolerance 1.5 \
+		-current /tmp/bench-current.json -metric node-speedup -mode min -tolerance 0.75 \
 		-only BenchmarkClusterPipeline
 
 # CPU-profile the parallel-reduction campaign benchmark and print the top-10

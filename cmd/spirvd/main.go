@@ -41,7 +41,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -92,9 +91,6 @@ func serverMain(args []string) {
 	shardCases := fs.Int("shard-cases", 2, "coordinator only: max cases per reduce shard")
 	adaptiveShards := fs.Bool("adaptive-shards", true, "coordinator only: size shards from observed service-vs-sync time (bounded by -shard-tests/-shard-cases; results are identical either way)")
 	syncFrac := fs.Float64("sync-frac", 0.2, "coordinator only: target fraction of shard wall time spent syncing when -adaptive-shards is on")
-	prefetch := fs.Bool("prefetch", true, "worker: pipeline the transport by leasing and syncing the next shard during execution (results are identical either way)")
-	compress := fs.Bool("compress", true, "worker: gzip-negotiate request/response bodies (results are identical either way)")
-	batch := fs.Bool("batch", true, "worker: fold per-shard blob/memo/result chatter into multi-key /cluster/sync round trips; off speaks the per-endpoint legacy protocol (results are identical either way)")
 	fs.Parse(args)
 	switch *interpEngine {
 	case "vm":
@@ -116,7 +112,6 @@ func serverMain(args []string) {
 			join: *join, node: *node, storeDir: *storeDir,
 			workers: *workers, replayMB: *replayMB,
 			memoDir: *memoDir, memoMaxMB: *memoMaxMB,
-			prefetch: *prefetch, compress: *compress, batch: *batch,
 		})
 		return
 	}
@@ -134,7 +129,7 @@ func serverMain(args []string) {
 			MemoMaxBytes: int64(*memoMaxMB) << 20,
 		})
 		fatal(err)
-		handler = newMux(svc)
+		handler = service.NewMux(svc, func() any { return svc.Metrics() })
 		shutdown = func(ctx context.Context) {
 			if err := svc.Close(ctx); err != nil {
 				log.Printf("spirvd: forced drain: %v", err)
@@ -220,9 +215,6 @@ func serverMain(args []string) {
 				StoreDir:     filepath.Join(*storeDir, "nodes", name),
 				Workers:      *workers,
 				ReplayBudget: int64(*replayMB) << 20,
-				Prefetch:     *prefetch,
-				Compress:     *compress,
-				Batch:        *batch,
 			}
 			if *memoDir != "" {
 				// Per-node memo stores beside the hub's; each node syncs
@@ -261,9 +253,6 @@ type workerConfig struct {
 	replayMB  int
 	memoDir   string
 	memoMaxMB int
-	prefetch  bool
-	compress  bool
-	batch     bool
 }
 
 // workerMain runs the worker role: no listener, just a loop pulling shards
@@ -289,9 +278,6 @@ func workerMain(cfg workerConfig) {
 		ReplayBudget: int64(cfg.replayMB) << 20,
 		MemoDir:      cfg.memoDir,
 		MemoMaxBytes: int64(cfg.memoMaxMB) << 20,
-		Prefetch:     cfg.prefetch,
-		Compress:     cfg.compress,
-		Batch:        cfg.batch,
 	})
 	fatal(err)
 	defer w.Close()
@@ -300,104 +286,6 @@ func workerMain(cfg workerConfig) {
 	log.Printf("spirvd: worker %s joining %s, store %s", cfg.node, cfg.join, cfg.storeDir)
 	w.Run(ctx)
 	log.Printf("spirvd: worker %s bye", cfg.node)
-}
-
-// newMux wires the HTTP API. All payloads are JSON; errors are
-// {"error": "..."} with a matching status code.
-func newMux(svc *service.Service) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
-		var spec service.CampaignSpec
-		if err := cluster.ReadJSON(w, r, &spec); err != nil {
-			httpError(w, cluster.RequestStatus(err), err)
-			return
-		}
-		status, err := svc.CreateCampaign(spec)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, status)
-	})
-	mux.HandleFunc("GET /campaigns", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, svc.Campaigns())
-	})
-	mux.HandleFunc("GET /campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
-		status, ok := svc.Campaign(r.PathValue("id"))
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no campaign %q", r.PathValue("id")))
-			return
-		}
-		writeJSON(w, http.StatusOK, status)
-	})
-	mux.HandleFunc("GET /buckets", func(w http.ResponseWriter, r *http.Request) {
-		sets, err := svc.Buckets(r.URL.Query().Get("campaign"))
-		if err != nil {
-			httpError(w, http.StatusNotFound, err)
-			return
-		}
-		if sets == nil {
-			sets = []service.BucketSet{}
-		}
-		writeJSON(w, http.StatusOK, sets)
-	})
-	mux.HandleFunc("POST /bisect", func(w http.ResponseWriter, r *http.Request) {
-		var spec service.BisectSpec
-		if err := cluster.ReadJSON(w, r, &spec); err != nil {
-			httpError(w, cluster.RequestStatus(err), err)
-			return
-		}
-		status, err := svc.CreateBisect(spec)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, status)
-	})
-	mux.HandleFunc("GET /bisect", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, svc.BisectJobs())
-	})
-	mux.HandleFunc("GET /bisect/{id}", func(w http.ResponseWriter, r *http.Request) {
-		status, ok := svc.BisectJob(r.PathValue("id"))
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no bisect job %q", r.PathValue("id")))
-			return
-		}
-		writeJSON(w, http.StatusOK, status)
-	})
-	mux.HandleFunc("GET /bisect/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		set, err := svc.BisectResult(r.PathValue("id"))
-		if err != nil {
-			httpError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, set)
-	})
-	mux.HandleFunc("GET /reports/{hash}", func(w http.ResponseWriter, r *http.Request) {
-		blob, err := svc.ReportBlob(r.PathValue("hash"))
-		if err != nil {
-			httpError(w, http.StatusNotFound, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(blob)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, svc.Metrics())
-	})
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 func fatal(err error) {

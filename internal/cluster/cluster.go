@@ -181,7 +181,7 @@ func (s SyncStats) DedupFraction() float64 {
 	return 1 - float64(s.BytesTransferred)/float64(s.BytesReferenced)
 }
 
-// Wire bodies of the coordinator's cluster endpoints. [][]byte fields
+// Wire bodies of the coordinator's /cluster/ endpoints. [][]byte fields
 // marshal as arrays of base64 strings, which is the blob encoding on the
 // wire.
 type (
@@ -196,35 +196,16 @@ type (
 	nodeRequest struct {
 		Node string `json:"node"`
 	}
-	hasRequest struct {
-		Hashes []string `json:"hashes"`
-	}
-	hasResponse struct {
-		Has []bool `json:"has"`
-	}
-	putRequest struct {
-		Blobs [][]byte `json:"blobs"`
-	}
-	putResponse struct {
-		Hashes []string `json:"hashes"`
-	}
-	fetchRequest struct {
-		Hashes []string `json:"hashes"`
-	}
-	fetchResponse struct {
-		Blobs [][]byte `json:"blobs"`
-	}
 	okResponse struct {
 		OK bool `json:"ok"`
 	}
 
-	// syncRequest/syncResponse are the batched protocol: one POST
-	// /cluster/sync round trip folds together what the legacy protocol
-	// spreads over /blobs/has+put+fetch, /memo/keys+has+fetch+push and
-	// /cluster/result. Every field is optional; the coordinator processes
-	// pushes before the folded Result (so merged records always see their
-	// blobs) and queries last. Any /cluster/sync request also renews the
-	// node's leases, so a batched exchange doubles as a heartbeat.
+	// syncRequest/syncResponse carry all blob and memo sync and the shard
+	// result: one POST /cluster/sync round trip folds any subset of the
+	// legs below. Every field is optional; the coordinator processes pushes
+	// before the folded Result (so merged records always see their blobs)
+	// and queries last. Any /cluster/sync request also renews the node's
+	// leases, so a sync exchange doubles as a heartbeat.
 	syncRequest struct {
 		Node string `json:"node"`
 		// Blob legs: fetch by hash, offer refs (response says which to push
@@ -232,7 +213,8 @@ type (
 		BlobFetch []string  `json:"blob_fetch,omitempty"`
 		BlobOffer []BlobRef `json:"blob_offer,omitempty"`
 		BlobPush  [][]byte  `json:"blob_push,omitempty"`
-		// Memo legs, mirroring /memo/keys|fetch|has|push.
+		// Memo legs: list keys since a cursor, fetch records, offer keys
+		// (response says which to push), push records.
 		MemoSince *uint64      `json:"memo_since,omitempty"`
 		MemoFetch []string     `json:"memo_fetch,omitempty"`
 		MemoOffer []string     `json:"memo_offer,omitempty"`

@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -971,7 +974,7 @@ func (co *Coordinator) Result(res ShardResult) error {
 	}
 	c := co.campaigns[res.Campaign]
 	if c == nil {
-		return fmt.Errorf("cluster: result for unknown campaign %q", res.Campaign)
+		return badRequest("cluster: result for unknown campaign %q", res.Campaign)
 	}
 	key := fmt.Sprintf("%s/%s/%d", res.Campaign, res.Phase, res.Index)
 	delete(co.leased, key)
@@ -994,7 +997,7 @@ func (co *Coordinator) Result(res ShardResult) error {
 			}
 		}
 	default:
-		return fmt.Errorf("cluster: result with unknown phase %q", res.Phase)
+		return badRequest("cluster: result with unknown phase %q", res.Phase)
 	}
 	if dup || c.state == service.StateDone || c.state == service.StateFailed {
 		co.shardsDuplicate++
@@ -1036,7 +1039,7 @@ func (co *Coordinator) bisectResult(j *clusterBisect, res ShardResult) error {
 	key := fmt.Sprintf("%s/%s/%d", res.Campaign, res.Phase, res.Index)
 	delete(co.leased, key)
 	if res.Phase != PhaseBisect {
-		return fmt.Errorf("cluster: bisect job %s: result with phase %q", j.id, res.Phase)
+		return badRequest("cluster: bisect job %s: result with phase %q", j.id, res.Phase)
 	}
 	dup := len(res.Bisects) > 0
 	for _, out := range res.Bisects {
@@ -1320,12 +1323,13 @@ func (co *Coordinator) Metrics() Metrics {
 // MemoStore returns the coordinator's memo-sync hub store, nil without one.
 func (co *Coordinator) MemoStore() *memostore.Store { return co.memo }
 
-// SyncBatch serves one batched /cluster/sync exchange: pushes land first
-// (blobs, then memo records), then the folded shard result — so merged
-// records always find their blobs already in the store — then the node's
-// leases renew (a batched exchange doubles as a heartbeat), then the
-// queries answer. Every leg is optional; the legacy per-endpoint protocol
-// remains served for mixed-version clusters.
+// SyncBatch serves one /cluster/sync exchange: pushes land first (blobs,
+// then memo records), then the folded shard result — so merged records
+// always find their blobs already in the store — then the node's leases
+// renew (a sync exchange doubles as a heartbeat), then the queries answer.
+// Every leg is optional. A malformed leg fails with a 400 statusError, a
+// fetch of a blob the store lacks with a 404 one; any other error is a
+// store or journal failure.
 func (co *Coordinator) SyncBatch(req syncRequest) (syncResponse, error) {
 	var resp syncResponse
 	if len(req.BlobPush) > 0 {
@@ -1348,7 +1352,12 @@ func (co *Coordinator) SyncBatch(req syncRequest) (syncResponse, error) {
 	}
 	if len(req.BlobFetch) > 0 {
 		blobs, err := co.st.GetBatch(req.BlobFetch)
-		if err != nil {
+		switch {
+		case errors.Is(err, store.ErrMalformedHash):
+			return resp, &statusError{http.StatusBadRequest, err}
+		case errors.Is(err, fs.ErrNotExist):
+			return resp, &statusError{http.StatusNotFound, err}
+		case err != nil:
 			return resp, err
 		}
 		resp.Blobs = blobs
@@ -1365,22 +1374,19 @@ func (co *Coordinator) SyncBatch(req syncRequest) (syncResponse, error) {
 		}
 	}
 	if req.MemoSince != nil {
-		kr := co.memoKeys(*req.MemoSince)
-		resp.MemoOK = kr.OK
-		resp.MemoKeys = kr.Keys
-		resp.MemoMark = kr.Mark
+		resp.MemoKeys, resp.MemoMark, resp.MemoOK = co.memoKeys(*req.MemoSince)
 	}
 	if len(req.MemoFetch) > 0 {
-		fr, err := co.memoFetch(req.MemoFetch)
+		recs, err := co.memoFetch(req.MemoFetch)
 		if err != nil {
 			return resp, err
 		}
-		resp.MemoRecords = fr.Records
+		resp.MemoRecords = recs
 	}
 	if len(req.MemoOffer) > 0 {
-		hr := co.memoHas(req.MemoOffer)
-		resp.MemoWant = make([]bool, len(hr.Has))
-		for i, h := range hr.Has {
+		has := co.memoHas(req.MemoOffer)
+		resp.MemoWant = make([]bool, len(has))
+		for i, h := range has {
 			resp.MemoWant[i] = !h
 		}
 	}

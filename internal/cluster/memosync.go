@@ -2,99 +2,72 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 
 	"spirvfuzz/internal/memostore"
 )
 
-// Memo-sync wire bodies. The protocol has the same shape as blob sync —
-// hash negotiation in both directions — but over memo records instead of
-// blobs: /memo/keys lists the coordinator's record keys appended after a
-// cursor, a worker fetches only the ones its local store lacks, and pushes
-// back only new records the coordinator does not have. Records are
-// content-addressed by execution key and their payloads deterministic, so
-// put-if-absent merging is conflict-free by construction.
-type (
-	memoRecord struct {
-		K string `json:"k"` // hex execution key
-		T uint8  `json:"t"` // record kind
-		D []byte `json:"d"` // payload (base64 on the wire)
-	}
-	memoKeysRequest struct {
-		Since uint64 `json:"since"`
-	}
-	memoKeysResponse struct {
-		// OK is false when the coordinator runs without a memo store; the
-		// worker then disables sync for the session.
-		OK   bool     `json:"ok"`
-		Keys []string `json:"keys,omitempty"`
-		Mark uint64   `json:"mark"`
-	}
-	memoHasRequest struct {
-		Keys []string `json:"keys"`
-	}
-	memoHasResponse struct {
-		Has []bool `json:"has"`
-	}
-	memoFetchRequest struct {
-		Keys []string `json:"keys"`
-	}
-	memoFetchResponse struct {
-		Records []memoRecord `json:"records"`
-	}
-	memoPushRequest struct {
-		Records []memoRecord `json:"records"`
-	}
-)
+// Memo sync has the same shape as blob sync — hash negotiation in both
+// directions — but over memo records instead of blobs, and its legs ride in
+// /cluster/sync bodies: MemoSince lists the coordinator's record keys
+// appended after a cursor, a worker fetches (MemoFetch) only the ones its
+// local store lacks, and offers (MemoOffer) then pushes (MemoPush) only new
+// records the coordinator does not have. Records are content-addressed by
+// execution key and their payloads deterministic, so put-if-absent merging
+// is conflict-free by construction.
+type memoRecord struct {
+	K string `json:"k"` // hex execution key
+	T uint8  `json:"t"` // record kind
+	D []byte `json:"d"` // payload (base64 on the wire)
+}
 
 // memoKeys lists the coordinator's record keys appended after since, plus
-// the new cursor. Nil-safe: without a memo store it reports OK=false.
-func (co *Coordinator) memoKeys(since uint64) memoKeysResponse {
+// the new cursor. ok is false when the coordinator runs without a memo
+// store; the worker then disables sync for the rest of its run.
+func (co *Coordinator) memoKeys(since uint64) (keys []string, mark uint64, ok bool) {
 	if co.memo == nil {
-		return memoKeysResponse{}
+		return nil, 0, false
 	}
-	keys, mark := co.memo.KeysSince(since)
-	resp := memoKeysResponse{OK: true, Mark: mark}
-	for _, k := range keys {
-		resp.Keys = append(resp.Keys, k.String())
+	ks, mark := co.memo.KeysSince(since)
+	for _, k := range ks {
+		keys = append(keys, k.String())
 	}
-	return resp
+	return keys, mark, true
 }
 
 // memoHas answers which of the named records the coordinator already holds.
 // Unparseable keys report false (the worker's push will surface the error).
-func (co *Coordinator) memoHas(keys []string) memoHasResponse {
+func (co *Coordinator) memoHas(keys []string) []bool {
 	has := make([]bool, len(keys))
 	if co.memo == nil {
-		return memoHasResponse{Has: has}
+		return has
 	}
 	for i, s := range keys {
 		if k, err := memostore.ParseKey(s); err == nil {
 			has[i] = co.memo.Has(k)
 		}
 	}
-	return memoHasResponse{Has: has}
+	return has
 }
 
 // memoFetch returns the requested records. Keys the store no longer holds
 // (evicted between the keys listing and the fetch) are silently omitted;
 // the worker matches records by key, not by index.
-func (co *Coordinator) memoFetch(keys []string) (memoFetchResponse, error) {
-	var resp memoFetchResponse
+func (co *Coordinator) memoFetch(keys []string) ([]memoRecord, error) {
 	if co.memo == nil {
-		return resp, nil
+		return nil, nil
 	}
+	var recs []memoRecord
 	for _, s := range keys {
 		k, err := memostore.ParseKey(s)
 		if err != nil {
-			return resp, fmt.Errorf("cluster: memo fetch key %q: %w", s, err)
+			return nil, badRequest("cluster: memo fetch key %q: %w", s, err)
 		}
 		if rec, ok := co.memo.GetRecord(k); ok {
-			resp.Records = append(resp.Records, memoRecord{K: rec.Key.String(), T: rec.Kind, D: rec.Data})
+			recs = append(recs, memoRecord{K: rec.Key.String(), T: rec.Kind, D: rec.Data})
 		}
 	}
-	co.memo.AddPushed(len(resp.Records))
-	return resp, nil
+	co.memo.AddPushed(len(recs))
+	return recs, nil
 }
 
 // memoPush merges worker-pushed records put-if-absent and returns how many
@@ -107,7 +80,7 @@ func (co *Coordinator) memoPush(wrecs []memoRecord) (int, error) {
 	for _, wr := range wrecs {
 		k, err := memostore.ParseKey(wr.K)
 		if err != nil {
-			return 0, fmt.Errorf("cluster: memo push key %q: %w", wr.K, err)
+			return 0, badRequest("cluster: memo push key %q: %w", wr.K, err)
 		}
 		if co.memo.Has(k) {
 			continue
@@ -128,33 +101,24 @@ func (co *Coordinator) memoPush(wrecs []memoRecord) (int, error) {
 // list keys since the last pull cursor, fetch only the locally-missing
 // ones, merge put-if-absent. Called at join (warm start for a cold node)
 // and before each shard (picks up records other workers pushed meanwhile).
-// Batched mode folds both legs into /cluster/sync bodies. Sync errors are
-// swallowed — the memo is an optimization; every record it would have saved
-// simply re-executes. Traffic accrues into sync.
+// Sync errors are swallowed — the memo is an optimization; every record it
+// would have saved simply re-executes. Traffic accrues into sync.
 func (w *Worker) pullMemo(ctx context.Context, sync *SyncStats) {
 	if w.memo == nil || !w.memoSync {
 		return
 	}
-	var kr memoKeysResponse
-	if w.opts.Batch {
-		since := w.pullMark
-		var sr syncResponse
-		if err := w.post(ctx, "/cluster/sync", syncRequest{Node: w.opts.Node, MemoSince: &since}, &sr, sync); err != nil {
-			return
-		}
-		kr = memoKeysResponse{OK: sr.MemoOK, Keys: sr.MemoKeys, Mark: sr.MemoMark}
-	} else {
-		if err := w.post(ctx, "/memo/keys", memoKeysRequest{Since: w.pullMark}, &kr, sync); err != nil {
-			return
-		}
+	since := w.pullMark
+	var kr syncResponse
+	if err := w.post(ctx, "/cluster/sync", syncRequest{Node: w.opts.Node, MemoSince: &since}, &kr, sync); err != nil {
+		return
 	}
-	if !kr.OK {
+	if !kr.MemoOK {
 		w.memoSync = false
 		return
 	}
-	w.pullMark = kr.Mark
+	w.pullMark = kr.MemoMark
 	var missing []string
-	for _, s := range kr.Keys {
+	for _, s := range kr.MemoKeys {
 		k, err := memostore.ParseKey(s)
 		if err != nil {
 			return
@@ -166,22 +130,12 @@ func (w *Worker) pullMemo(ctx context.Context, sync *SyncStats) {
 	if len(missing) == 0 {
 		return
 	}
-	var records []memoRecord
-	if w.opts.Batch {
-		var sr syncResponse
-		if err := w.post(ctx, "/cluster/sync", syncRequest{Node: w.opts.Node, MemoFetch: missing}, &sr, sync); err != nil {
-			return
-		}
-		records = sr.MemoRecords
-	} else {
-		var fr memoFetchResponse
-		if err := w.post(ctx, "/memo/fetch", memoFetchRequest{Keys: missing}, &fr, sync); err != nil {
-			return
-		}
-		records = fr.Records
+	var fr syncResponse
+	if err := w.post(ctx, "/cluster/sync", syncRequest{Node: w.opts.Node, MemoFetch: missing}, &fr, sync); err != nil {
+		return
 	}
-	recs := make([]memostore.Record, 0, len(records))
-	for _, wr := range records {
+	recs := make([]memostore.Record, 0, len(fr.MemoRecords))
+	for _, wr := range fr.MemoRecords {
 		k, err := memostore.ParseKey(wr.K)
 		if err != nil {
 			return
@@ -198,49 +152,4 @@ func (w *Worker) pullMemo(ctx context.Context, sync *SyncStats) {
 	if _, mark := w.memo.KeysSince(w.pushMark); mark > w.pushMark {
 		w.pushMark = mark
 	}
-}
-
-// pushMemo offers the coordinator every record appended locally since the
-// last push cursor, transferring only the ones it lacks — the outbound half
-// of the negotiation. Called after each shard, once the shard's executions
-// have spilled (legacy protocol path; batched reporting folds the offer and
-// push into the result round trips instead).
-func (w *Worker) pushMemo(ctx context.Context, sync *SyncStats) {
-	if w.memo == nil || !w.memoSync {
-		return
-	}
-	w.memo.Flush()
-	keys, mark := w.memo.KeysSince(w.pushMark)
-	if len(keys) == 0 {
-		w.pushMark = mark
-		return
-	}
-	manifest := make([]string, len(keys))
-	for i, k := range keys {
-		manifest[i] = k.String()
-	}
-	var hr memoHasResponse
-	if err := w.post(ctx, "/memo/has", memoHasRequest{Keys: manifest}, &hr, sync); err != nil {
-		return
-	}
-	if len(hr.Has) != len(manifest) {
-		return
-	}
-	var recs []memoRecord
-	for i, k := range keys {
-		if hr.Has[i] {
-			continue
-		}
-		if rec, ok := w.memo.GetRecord(k); ok {
-			recs = append(recs, memoRecord{K: rec.Key.String(), T: rec.Kind, D: rec.Data})
-		}
-	}
-	if len(recs) > 0 {
-		if err := w.post(ctx, "/memo/push", memoPushRequest{Records: recs}, nil, sync); err != nil {
-			return
-		}
-		w.memo.AddPushed(len(recs))
-		sync.MemoPushed += uint64(len(recs))
-	}
-	w.pushMark = mark
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,82 +13,68 @@ import (
 	"testing"
 	"time"
 
+	"spirvfuzz/internal/memostore"
 	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/store"
 )
 
-// TestClusterPipelineIdentityMatrix is the transport property test: every
-// combination of prefetch × compression/batching × node count must produce
-// buckets bitwise-identical to the single-node service. The transport layers
-// move bytes and overlap waits; they are never allowed to change results.
+// TestClusterPipelineIdentityMatrix is the transport property test: the
+// pipelined transport (prefetch, batched gzip sync, adaptive shards) must
+// produce buckets bitwise-identical to the single-node service at any node
+// count. The transport moves bytes and overlaps waits; it is never allowed
+// to change results.
 func TestClusterPipelineIdentityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster test")
 	}
 	want := referenceBuckets(t)
-	configs := []struct {
-		name                      string
-		prefetch, compress, batch bool
-	}{
-		{"legacy", false, false, false},
-		{"prefetch", true, false, false},
-		{"compress-batch", false, true, true},
-		{"pipelined", true, true, true},
-	}
-	for _, cfg := range configs {
-		for _, nodes := range []int{1, 3} {
-			cfg, nodes := cfg, nodes
-			t.Run(fmt.Sprintf("%s-%dnode", cfg.name, nodes), func(t *testing.T) {
-				t.Parallel()
-				st, err := store.Open(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
+	for _, nodes := range []int{1, 3} {
+		nodes := nodes
+		t.Run(fmt.Sprintf("pipelined-%dnode", nodes), func(t *testing.T) {
+			t.Parallel()
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			opts := testOpts()
+			opts.AdaptiveShards = true
+			co, err := NewCoordinator(st, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+			sim, err := StartSim(co, nodes, t.TempDir(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Stop()
+			status, err := co.CreateCampaign(testSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := waitDone(func() (service.CampaignStatus, bool) { return co.Campaign(status.ID) }); err != nil {
+				t.Fatal(err)
+			}
+			if got := clusterBuckets(t, co, status.ID); !bytes.Equal(got, want) {
+				t.Fatalf("%d-node buckets differ from single-node run:\n got %s\nwant %s", nodes, got, want)
+			}
+			m := co.Metrics()
+			if m.Cluster.Sync.RoundTrips == 0 {
+				t.Fatalf("no round trips counted: %+v", m.Cluster.Sync)
+			}
+			if m.Cluster.Sync.Prefetched == 0 {
+				t.Fatalf("no shard arrived prefetched: %+v", m.Cluster.Sync)
+			}
+			if len(m.Cluster.Sizing) == 0 {
+				t.Fatalf("adaptive sizing reported no phases: %+v", m.Cluster)
+			}
+			for _, sz := range m.Cluster.Sizing {
+				if sz.Size < 1 || sz.Size > sz.MaxSize {
+					t.Fatalf("sizing out of bounds: %+v", sz)
 				}
-				defer st.Close()
-				opts := testOpts()
-				opts.AdaptiveShards = true
-				co, err := NewCoordinator(st, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer co.Close()
-				sim, err := StartSimCfg(co, SimConfig{
-					Nodes: nodes, Dir: t.TempDir(), WorkersPer: 2,
-					Worker: func(w *WorkerOptions) {
-						w.Prefetch, w.Compress, w.Batch = cfg.prefetch, cfg.compress, cfg.batch
-					},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sim.Stop()
-				status, err := co.CreateCampaign(testSpec())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := waitDone(func() (service.CampaignStatus, bool) { return co.Campaign(status.ID) }); err != nil {
-					t.Fatal(err)
-				}
-				if got := clusterBuckets(t, co, status.ID); !bytes.Equal(got, want) {
-					t.Fatalf("%s/%d-node buckets differ from single-node run:\n got %s\nwant %s", cfg.name, nodes, got, want)
-				}
-				m := co.Metrics()
-				if m.Cluster.Sync.RoundTrips == 0 {
-					t.Fatalf("no round trips counted: %+v", m.Cluster.Sync)
-				}
-				if cfg.prefetch && m.Cluster.Sync.Prefetched == 0 {
-					t.Fatalf("prefetch enabled but no shard arrived prefetched: %+v", m.Cluster.Sync)
-				}
-				if len(m.Cluster.Sizing) == 0 {
-					t.Fatalf("adaptive sizing reported no phases: %+v", m.Cluster)
-				}
-				for _, sz := range m.Cluster.Sizing {
-					if sz.Size < 1 || sz.Size > sz.MaxSize {
-						t.Fatalf("sizing out of bounds: %+v", sz)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -293,10 +280,10 @@ func TestWorkerIdleBackoff(t *testing.T) {
 }
 
 // TestTransportGzipRoundTrip drives postWire against a real coordinator mux
-// and checks the negotiated compression and its accounting: compressible
-// bodies shrink on the wire in both directions, and with compression off the
-// wire bytes equal the raw bytes (the transport must not gzip behind the
-// counters' back).
+// and checks the negotiated compression and its accounting: a compressible
+// blob push and fetch over /cluster/sync shrink on the wire in both
+// directions, and a heartbeat, below the gzip size floor both ways, crosses
+// the wire with wire bytes equal to raw bytes.
 func TestTransportGzipRoundTrip(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -314,22 +301,22 @@ func TestTransportGzipRoundTrip(t *testing.T) {
 	hc := newWorkerClient()
 	ctx := context.Background()
 	blob := bytes.Repeat([]byte("spirv-transform-sequence "), 1024) // highly compressible, ~25 KiB
+	hash := store.HashBytes(blob)
 
-	var put putResponse
 	var upSync SyncStats
-	if _, err := postWire(ctx, hc, srv.URL, "/blobs/put", putRequest{Blobs: [][]byte{blob}}, &put, true, &upSync); err != nil {
+	if _, err := postWire(ctx, hc, srv.URL, "/cluster/sync", syncRequest{Node: "w", BlobPush: [][]byte{blob}}, &syncResponse{}, &upSync); err != nil {
 		t.Fatal(err)
 	}
-	if len(put.Hashes) != 1 {
-		t.Fatalf("put returned %d hashes", len(put.Hashes))
+	if !st.HasBlob(hash) {
+		t.Fatalf("pushed blob %s not stored", hash)
 	}
 	if upSync.WireBytesOut >= upSync.RawBytesOut {
 		t.Fatalf("compressible request did not shrink: wire %d raw %d", upSync.WireBytesOut, upSync.RawBytesOut)
 	}
 
-	var fetch fetchResponse
+	var fetch syncResponse
 	var downSync SyncStats
-	if _, err := postWire(ctx, hc, srv.URL, "/blobs/fetch", fetchRequest{Hashes: put.Hashes}, &fetch, true, &downSync); err != nil {
+	if _, err := postWire(ctx, hc, srv.URL, "/cluster/sync", syncRequest{Node: "w", BlobFetch: []string{hash}}, &fetch, &downSync); err != nil {
 		t.Fatal(err)
 	}
 	if len(fetch.Blobs) != 1 || !bytes.Equal(fetch.Blobs[0], blob) {
@@ -339,22 +326,72 @@ func TestTransportGzipRoundTrip(t *testing.T) {
 		t.Fatalf("compressible response did not shrink: wire %d raw %d", downSync.WireBytesIn, downSync.RawBytesIn)
 	}
 
-	var plain fetchResponse
-	var plainSync SyncStats
-	if _, err := postWire(ctx, hc, srv.URL, "/blobs/fetch", fetchRequest{Hashes: put.Hashes}, &plain, false, &plainSync); err != nil {
+	var hbSync SyncStats
+	if _, err := postWire(ctx, hc, srv.URL, "/cluster/heartbeat", nodeRequest{Node: "w"}, &okResponse{}, &hbSync); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plain.Blobs[0], blob) {
-		t.Fatalf("uncompressed fetch differs from stored blob")
+	if hbSync.RawBytesOut >= gzipMinBytes || hbSync.RawBytesIn >= gzipMinBytes {
+		t.Fatalf("heartbeat bodies reached the gzip floor: %+v", hbSync)
 	}
-	if plainSync.WireBytesIn != plainSync.RawBytesIn || plainSync.WireBytesOut != plainSync.RawBytesOut {
-		t.Fatalf("compression off but wire != raw: %+v", plainSync)
+	if hbSync.WireBytesIn != hbSync.RawBytesIn || hbSync.WireBytesOut != hbSync.RawBytesOut {
+		t.Fatalf("heartbeat below the gzip floor but wire != raw: %+v", hbSync)
+	}
+}
+
+// TestSyncStatusCodes checks how /cluster/sync answers failing legs: a
+// fetch of a blob the coordinator lacks is a 404; a malformed leg — a bad
+// hash, a result for an unknown campaign or with an unknown phase, a bad
+// memo key — is a 400.
+func TestSyncStatusCodes(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	hub, err := memostore.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	opts := testOpts()
+	opts.Memo = hub
+	co, err := NewCoordinator(st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	created, err := co.CreateCampaign(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := co.Mux()
+
+	for _, tc := range []struct {
+		name string
+		req  syncRequest
+		want int
+	}{
+		{"missing blob", syncRequest{Node: "w", BlobFetch: []string{store.HashBytes([]byte("absent"))}}, http.StatusNotFound},
+		{"malformed hash", syncRequest{Node: "w", BlobFetch: []string{"zz"}}, http.StatusBadRequest},
+		{"unknown campaign", syncRequest{Node: "w", Result: &ShardResult{Campaign: "c999", Phase: PhaseFuzz}}, http.StatusBadRequest},
+		{"unknown phase", syncRequest{Node: "w", Result: &ShardResult{Campaign: created.ID, Phase: "polish"}}, http.StatusBadRequest},
+		{"bad memo key", syncRequest{Node: "w", MemoFetch: []string{"not-a-key"}}, http.StatusBadRequest},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("POST", "/cluster/sync", bytes.NewReader(body)))
+		if rec.Code != tc.want {
+			t.Fatalf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
+		}
 	}
 }
 
 // gzipBomb returns a multistream gzip body of a few hundred KiB that
 // inflates to 256 MiB of one JSON string, so it passes any raw-size cap of
-// MaxBodyBytes and only a cap on the decoded stream stops it.
+// service.MaxBodyBytes and only a cap on the decoded stream stops it.
 func gzipBomb(t *testing.T) []byte {
 	t.Helper()
 	// Concatenated gzip members form one valid multistream body.
@@ -371,16 +408,16 @@ func gzipBomb(t *testing.T) []byte {
 	for i := 1; i < 256; i++ {
 		bomb = append(bomb, tail...)
 	}
-	if len(bomb) >= MaxBodyBytes {
+	if len(bomb) >= service.MaxBodyBytes {
 		t.Fatalf("bomb is %d bytes on the wire; it must pass the raw cap", len(bomb))
 	}
 	return bomb
 }
 
 // TestRequestBodyBounded posts oversized bodies to the worker protocol's
-// /cluster/sync and to the coordinator's campaign and bisect endpoints: a
-// gzip bomb and a plain body over the raw cap. Both must be refused with
-// 413 after reading at most MaxBodyBytes, not buffered whole.
+// /cluster/sync: a gzip bomb and a plain body over the raw cap. Both must be
+// refused with 413 after reading at most service.MaxBodyBytes, not buffered whole.
+// The campaign API's bound is tested against both roles in cmd/spirvd.
 func TestRequestBodyBounded(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -395,7 +432,7 @@ func TestRequestBodyBounded(t *testing.T) {
 	mux := co.Mux()
 
 	bomb := gzipBomb(t)
-	plain := append([]byte(`{"node":"`), bytes.Repeat([]byte("a"), MaxBodyBytes)...)
+	plain := append([]byte(`{"node":"`), bytes.Repeat([]byte("a"), service.MaxBodyBytes)...)
 
 	for _, tc := range []struct {
 		name string
@@ -405,34 +442,32 @@ func TestRequestBodyBounded(t *testing.T) {
 		{"gzip-bomb", bomb, true},
 		{"raw-oversize", plain, false},
 	} {
-		for _, path := range []string{"/cluster/sync", "/campaigns", "/bisect"} {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			req := httptest.NewRequest("POST", path, bytes.NewReader(tc.body))
-			if tc.gzip {
-				req.Header.Set("Content-Encoding", "gzip")
-			}
-			rec := httptest.NewRecorder()
-			mux.ServeHTTP(rec, req)
-			runtime.ReadMemStats(&after)
-			if rec.Code != http.StatusRequestEntityTooLarge {
-				t.Fatalf("%s %s: status %d, want 413 (%s)", tc.name, path, rec.Code, rec.Body.String())
-			}
-			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*MaxBodyBytes {
-				t.Fatalf("%s %s: handling allocated %d MiB", tc.name, path, alloc>>20)
-			}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		req := httptest.NewRequest("POST", "/cluster/sync", bytes.NewReader(tc.body))
+		if tc.gzip {
+			req.Header.Set("Content-Encoding", "gzip")
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413 (%s)", tc.name, rec.Code, rec.Body.String())
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*service.MaxBodyBytes {
+			t.Fatalf("%s: handling allocated %d MiB", tc.name, alloc>>20)
 		}
 	}
 }
 
 // TestResponseBodyBounded is the worker side of the same cap: a coordinator
 // (here an httptest server) answering with a gzip bomb or a plain body over
-// MaxBodyBytes must make postWire fail with an error after reading at most
+// service.MaxBodyBytes must make postWire fail with an error after reading at most
 // the cap, never buffer the whole body or panic.
 func TestResponseBodyBounded(t *testing.T) {
 	bomb := gzipBomb(t)
-	plain := append([]byte(`{"node":"`), bytes.Repeat([]byte("a"), MaxBodyBytes)...)
+	plain := append([]byte(`{"node":"`), bytes.Repeat([]byte("a"), service.MaxBodyBytes)...)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if r.URL.Path == "/bomb" {
@@ -449,12 +484,12 @@ func TestResponseBodyBounded(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		var out nodeRequest
-		_, err := postWire(context.Background(), srv.Client(), srv.URL, path, nodeRequest{Node: "w"}, &out, true, nil)
+		_, err := postWire(context.Background(), srv.Client(), srv.URL, path, nodeRequest{Node: "w"}, &out, nil)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, errBodyTooLarge) {
 			t.Fatalf("%s: err %v, want %v", path, err, errBodyTooLarge)
 		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*MaxBodyBytes {
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*service.MaxBodyBytes {
 			t.Fatalf("%s: reading the response allocated %d MiB", path, alloc>>20)
 		}
 	}

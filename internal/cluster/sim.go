@@ -43,18 +43,16 @@ type SimConfig struct {
 	// WorkersPer sizes each worker's engine pool (0 = GOMAXPROCS).
 	WorkersPer int
 	// Latency, when > 0, is injected into every worker-protocol request
-	// (/cluster/, /blobs/, /memo/ paths) before it is served — a loopback
-	// stand-in for a real network round trip. Campaign-API requests are not
-	// delayed, so tests polling for completion stay fast.
+	// (/cluster/ paths) before it is served — a loopback stand-in for a real
+	// network round trip. Campaign-API requests are not delayed, so tests
+	// polling for completion stay fast.
 	Latency time.Duration
 	// Worker, when non-nil, edits each worker's options before it starts
-	// (e.g. to turn the pipelined transport off for a baseline leg).
+	// (e.g. to tighten the idle backoff).
 	Worker func(*WorkerOptions)
 }
 
-// StartSim serves co on a loopback listener and spawns n workers against it
-// with the pipelined transport on (prefetch + batched, compressed sync) —
-// the production default.
+// StartSim serves co on a loopback listener and spawns n workers against it.
 func StartSim(co *Coordinator, n int, dir string, workersPer int) (*Sim, error) {
 	return StartSimCfg(co, SimConfig{Nodes: n, Dir: dir, WorkersPer: workersPer})
 }
@@ -91,12 +89,11 @@ func StartSimCfg(co *Coordinator, cfg SimConfig) (*Sim, error) {
 }
 
 // latencyMiddleware sleeps d before serving worker-protocol requests,
-// simulating wire latency on the shard/blob/memo exchanges without slowing
+// simulating wire latency on the shard and sync exchanges without slowing
 // the campaign API the tests poll.
 func latencyMiddleware(next http.Handler, d time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		p := r.URL.Path
-		if strings.HasPrefix(p, "/cluster/") || strings.HasPrefix(p, "/blobs/") || strings.HasPrefix(p, "/memo/") {
+		if strings.HasPrefix(r.URL.Path, "/cluster/") {
 			time.Sleep(d)
 		}
 		next.ServeHTTP(w, r)
@@ -116,9 +113,6 @@ func (s *Sim) AddWorker() (string, error) {
 		Coordinator: s.URL,
 		StoreDir:    filepath.Join(s.dir, "node-"+name),
 		Workers:     s.workersPer,
-		Prefetch:    true,
-		Compress:    true,
-		Batch:       true,
 	}
 	// When the coordinator is a memo hub, give every simulated node its own
 	// memo store so the sync protocol runs for real (a rejoining node gets a

@@ -12,13 +12,15 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"spirvfuzz/internal/service"
 )
 
 // The worker↔coordinator transport. One tuned http.Transport is shared by
 // every worker client in the process: connections are kept alive and reused
 // across shards (the per-shard protocol is many small JSON posts to one
-// host, the worst case for connection churn), and the per-request bodies are
-// gzip-negotiated above a size floor. Both sides of every exchange are
+// host, the worst case for connection churn), and bodies in both directions
+// are gzip-coded above a size floor. Both sides of every exchange are
 // counted — raw JSON bytes vs bytes on the wire, and round trips — so the
 // batching and compression wins are observable in SyncStats and /metrics
 // rather than asserted.
@@ -66,7 +68,7 @@ type WireStats struct {
 	RawBytesOut  uint64 `json:"raw_bytes_out"`
 	RawBytesIn   uint64 `json:"raw_bytes_in"`
 	// CompressedBodies counts request/response bodies that crossed the wire
-	// gzip-coded (0 when compression is off or every body was tiny).
+	// gzip-coded (0 when every body was below the size floor).
 	CompressedBodies uint64 `json:"compressed_bodies"`
 }
 
@@ -98,47 +100,37 @@ func (s WireStats) Sub(o WireStats) WireStats {
 	}
 }
 
-// WireFraction is bytes-on-wire over raw JSON bytes (both directions);
-// 1 means compression bought nothing, 0 before any traffic.
-func (s WireStats) WireFraction() float64 {
-	raw := s.RawBytesOut + s.RawBytesIn
-	if raw == 0 {
-		return 0
-	}
-	return float64(s.WireBytesOut+s.WireBytesIn) / float64(raw)
-}
-
-// errBodyTooLarge reports a response body over MaxBodyBytes.
-var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
+// errBodyTooLarge reports a response body over service.MaxBodyBytes.
+var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", service.MaxBodyBytes)
 
 // readBounded reads r to EOF, failing with errBodyTooLarge as soon as it
-// yields more than MaxBodyBytes, so a runaway or decompression-bomb response
-// costs at most the cap.
+// yields more than service.MaxBodyBytes, so a runaway or decompression-bomb
+// response costs at most the cap.
 func readBounded(r io.Reader) ([]byte, error) {
-	b, err := io.ReadAll(io.LimitReader(r, MaxBodyBytes+1))
+	b, err := io.ReadAll(io.LimitReader(r, service.MaxBodyBytes+1))
 	if err != nil {
 		return nil, err
 	}
-	if len(b) > MaxBodyBytes {
+	if len(b) > service.MaxBodyBytes {
 		return nil, errBodyTooLarge
 	}
 	return b, nil
 }
 
 // postWire is the counting, compression-negotiating JSON round trip every
-// worker request goes through. The request body is gzip-coded when compress
-// is set and the body clears the size floor; Accept-Encoding advertises
-// whether a gzip response is welcome. Counters accrue into sync (when
-// non-nil) and always into the process-wide totals. Returns the HTTP status
-// (with out decoded on 200) so callers can special-case 204 no-work.
-func postWire(ctx context.Context, hc *http.Client, base, path string, body, out any, compress bool, sync *SyncStats) (int, error) {
+// worker request goes through. The request body is gzip-coded when it clears
+// the size floor, and a gzip response is always welcome. Counters accrue
+// into sync (when non-nil) and always into the process-wide totals. Returns
+// the HTTP status (with out decoded on 200) so callers can special-case 204
+// no-work.
+func postWire(ctx context.Context, hc *http.Client, base, path string, body, out any, sync *SyncStats) (int, error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
 	wire := raw
 	encoding := ""
-	if compress && len(raw) >= gzipMinBytes {
+	if len(raw) >= gzipMinBytes {
 		var buf bytes.Buffer
 		zw := gzip.NewWriter(&buf)
 		if _, err := zw.Write(raw); err != nil {
@@ -158,14 +150,7 @@ func postWire(ctx context.Context, hc *http.Client, base, path string, body, out
 	if encoding != "" {
 		req.Header.Set("Content-Encoding", encoding)
 	}
-	if compress {
-		req.Header.Set("Accept-Encoding", "gzip")
-	} else {
-		// Pin the uncompressed protocol end to end: without this the Go
-		// transport would negotiate gzip transparently and the "serial,
-		// uncompressed" baseline would silently get compression for free.
-		req.Header.Set("Accept-Encoding", "identity")
-	}
+	req.Header.Set("Accept-Encoding", "gzip")
 	resp, err := hc.Do(req)
 	if err != nil {
 		return 0, err

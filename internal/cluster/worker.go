@@ -46,22 +46,6 @@ type WorkerOptions struct {
 	Poll time.Duration
 	// PollMax caps the idle backoff; <= 0 selects 500ms.
 	PollMax time.Duration
-	// Prefetch pipelines the transport: while a shard executes, the worker
-	// concurrently requests and blob-syncs the next one, so dispatch and
-	// sync latency hide behind compute. Each in-flight shard holds its own
-	// lease (heartbeats are node-wide and renew both); a prefetched shard
-	// the worker never reports simply expires and re-queues, and a
-	// duplicate execution is dropped by the coordinator — merged results
-	// are bitwise-identical to the serial loop either way.
-	Prefetch bool
-	// Compress negotiates gzip content-coding per request (bodies above a
-	// size floor, both directions).
-	Compress bool
-	// Batch collapses per-shard has/fetch/push chatter into multi-key
-	// /cluster/sync round trips, folding the shard result into the final
-	// one. Off, the worker speaks the per-endpoint protocol unchanged —
-	// a mixed cluster needs no handshake.
-	Batch bool
 }
 
 // prefetched is a shard whose lease and blob sync already happened, plus the
@@ -199,66 +183,43 @@ func (w *Worker) Run(ctx context.Context) error {
 	// races a goroutine still reading the store (it exits promptly once ctx
 	// is canceled).
 	defer w.joinReport()
-	// pending is the shard the previous iteration prefetched, if any.
-	var pending *prefetched
+	// ahead is the shard leased and synced behind the previous execution.
+	var ahead *prefetched
 	for ctx.Err() == nil {
-		var cur *prefetched
-		if pending != nil {
-			cur, pending = pending, nil
+		cur := ahead
+		if cur != nil {
 			cur.sync.Prefetched++
-		} else {
-			p := &prefetched{}
-			start := time.Now()
-			ok, err := w.next(ctx, &p.shard, &p.sync)
-			if err != nil || !ok {
-				if !w.idleSleep(ctx) {
-					break
-				}
-				continue
+		} else if cur = w.prefetch(ctx); cur == nil {
+			// No work, or the sync failed (coordinator blip): an abandoned
+			// lease expires and the shard re-queues.
+			if !w.idleSleep(ctx) {
+				break
 			}
-			if err := w.syncShardBlobs(ctx, &p.shard, &p.sync); err != nil {
-				// Sync failed (coordinator blip): don't execute on partial
-				// inputs; the lease expires and the shard re-queues.
-				if !w.idleSleep(ctx) {
-					break
-				}
-				continue
-			}
-			p.sync.Nanos += time.Since(start).Nanoseconds()
-			cur = p
+			continue
 		}
 		w.gotWork()
 		// Pipeline: lease + sync the next shard while this one executes.
 		// The execute loop's heartbeats are node-wide, so they keep every
 		// in-flight lease alive — the executing shard, the prefetched one,
 		// and an unacknowledged report's.
-		var pf chan *prefetched
-		if w.opts.Prefetch {
-			pf = make(chan *prefetched, 1)
-			go func() { pf <- w.prefetch(ctx) }()
-		}
+		pf := make(chan *prefetched, 1)
+		go func() { pf <- w.prefetch(ctx) }()
 		res, produced := w.execute(ctx, &cur.shard, cur.sync)
 		if ctx.Err() != nil {
 			// Killed mid-shard: report nothing; the leases expire and the
 			// coordinator re-queues every in-flight shard.
 			break
 		}
-		if w.opts.Prefetch && w.opts.Batch {
-			// Fully pipelined: the report's round trips overlap the next
-			// shard's execution. At most one report is outstanding, joined
-			// before the next one starts (and before any memo-cursor use),
-			// so the Run loop's state never races the sender.
-			w.joinReport()
-			rep := w.prepareReport(&res, produced)
-			ch := make(chan reportOutcome, 1)
-			go func() { ch <- w.sendReport(ctx, rep) }()
-			w.inFlight = ch
-		} else {
-			w.report(ctx, &res, produced)
-		}
-		if pf != nil {
-			pending = <-pf
-		}
+		// The report's round trips overlap the next shard's execution. At
+		// most one report is outstanding, joined before the next one starts
+		// (and before any memo-cursor use), so the Run loop's state never
+		// races the sender.
+		w.joinReport()
+		rep := w.prepareReport(&res, produced)
+		ch := make(chan reportOutcome, 1)
+		go func() { ch <- w.sendReport(ctx, rep) }()
+		w.inFlight = ch
+		ahead = <-pf
 	}
 	return ctx.Err()
 }
@@ -307,9 +268,10 @@ func (w *Worker) applyReport(o reportOutcome) {
 	}
 }
 
-// prefetch leases and blob-syncs one shard ahead of execution. A nil return
-// means no work was pending or the sync failed; an abandoned lease expires
-// and re-queues, so dropping a prefetch is always safe.
+// prefetch leases and blob-syncs one shard, ahead of execution or (when
+// nothing was prefetched) inline. A nil return means no work was pending or
+// the sync failed; an abandoned lease expires and re-queues, so dropping a
+// prefetch is always safe.
 func (w *Worker) prefetch(ctx context.Context) *prefetched {
 	p := &prefetched{}
 	start := time.Now()
@@ -355,13 +317,13 @@ func (w *Worker) idleSleep(ctx context.Context) bool {
 // gotWork resets the idle backoff to its floor.
 func (w *Worker) gotWork() { w.idle = 0 }
 
-// speculativePushMax bounds how many produced bytes a batched report will
+// speculativePushMax bounds how many produced bytes a report will
 // push without a has-negotiation round trip first.
 const speculativePushMax = 64 << 10
 
 // next asks the coordinator for a shard; false means no work is pending.
 func (w *Worker) next(ctx context.Context, sh *Shard, sync *SyncStats) (bool, error) {
-	status, err := postWire(ctx, w.hc, w.opts.Coordinator, "/cluster/next", nodeRequest{Node: w.opts.Node}, sh, w.opts.Compress, sync)
+	status, err := postWire(ctx, w.hc, w.opts.Coordinator, "/cluster/next", nodeRequest{Node: w.opts.Node}, sh, sync)
 	if err != nil {
 		return false, err
 	}
@@ -369,24 +331,17 @@ func (w *Worker) next(ctx context.Context, sh *Shard, sync *SyncStats) (bool, er
 }
 
 // post sends a JSON request body and decodes a JSON response into out,
-// negotiating compression and accounting the traffic into sync (nil for
-// unattributed requests like heartbeats, which still count process-wide).
+// accounting the traffic into sync (nil for unattributed requests like
+// heartbeats, which still count process-wide).
 func (w *Worker) post(ctx context.Context, path string, body, out any, sync *SyncStats) error {
-	_, err := postWire(ctx, w.hc, w.opts.Coordinator, path, body, out, w.opts.Compress, sync)
+	_, err := postWire(ctx, w.hc, w.opts.Coordinator, path, body, out, sync)
 	return err
 }
 
 // syncShardBlobs pulls every blob the shard references (corpus manifest and
-// extra needs) that the local store lacks. Batched mode collapses it into a
-// single multi-key round trip; otherwise the legacy per-manifest /blobs/fetch
-// exchanges run unchanged.
+// extra needs) that the local store lacks, in one multi-key round trip.
+// Every ref counts as referenced bytes; only the missing ones transfer.
 func (w *Worker) syncShardBlobs(ctx context.Context, sh *Shard, sync *SyncStats) error {
-	if !w.opts.Batch {
-		if err := w.ensureBlobs(ctx, sh.Corpus, sync); err != nil {
-			return err
-		}
-		return w.ensureBlobs(ctx, sh.Needs, sync)
-	}
 	var missing []string
 	seen := map[string]bool{}
 	for _, refs := range [][]BlobRef{sh.Corpus, sh.Needs} {
@@ -475,39 +430,6 @@ func (w *Worker) execute(ctx context.Context, sh *Shard, pre SyncStats) (ShardRe
 	return res, produced
 }
 
-// report delivers a shard result: upload the produced blobs the coordinator
-// lacks, push new memo records, and post the result — as three legacy
-// exchanges, or folded into two batched round trips (offers, then pushes +
-// result). Delivery retries until it lands or ctx ends; re-delivery is safe
-// because the coordinator drops results whose units are already merged.
-func (w *Worker) report(ctx context.Context, res *ShardResult, produced []string) {
-	if w.opts.Batch {
-		w.reportBatch(ctx, res, produced)
-		return
-	}
-	start := time.Now()
-	if err := w.push(ctx, produced, &res.Sync); err != nil && ctx.Err() == nil && res.Error == "" {
-		res.Error = err.Error()
-	}
-	w.pushMemo(ctx, &res.Sync)
-	res.Sync.Nanos += time.Since(start).Nanoseconds()
-	for ctx.Err() == nil {
-		var ok okResponse
-		// The result round trip itself can't be billed to the result it
-		// carries; it accrues to the next shard via pendingSync.
-		if err := w.post(ctx, "/cluster/result", *res, &ok, &w.pendingSync); err == nil {
-			return
-		}
-		sleepCtx(ctx, w.opts.Poll)
-	}
-}
-
-// reportBatch is the synchronous batched delivery (Batch without Prefetch):
-// prepare, send, apply in place.
-func (w *Worker) reportBatch(ctx context.Context, res *ShardResult, produced []string) {
-	w.applyReport(w.sendReport(ctx, w.prepareReport(res, produced)))
-}
-
 // reportPrep is a report snapshot the Run loop assembles before handing the
 // delivery to a goroutine: after prepareReport, sending touches no Run-loop
 // state (the blob store and memo store are safe for concurrent readers).
@@ -520,7 +442,7 @@ type reportPrep struct {
 	start     time.Time
 }
 
-// prepareReport snapshots everything a batched report needs: the produced
+// prepareReport snapshots everything a report needs: the produced
 // blob manifest (with sizes) and the memo keys appended since the last push
 // cursor. Run loop only.
 func (w *Worker) prepareReport(res *ShardResult, produced []string) reportPrep {
@@ -722,83 +644,4 @@ func (w *Worker) decodeRefs(sh *Shard) ([]corpus.Item, error) {
 	}
 	w.refsKey, w.refs = key, refs
 	return refs, nil
-}
-
-// ensureBlobs pulls the referenced blobs the local store lacks: every ref
-// counts as referenced bytes, only the locally-missing ones transfer. This
-// is the inbound half of the hash-negotiated sync (legacy protocol).
-func (w *Worker) ensureBlobs(ctx context.Context, refs []BlobRef, sync *SyncStats) error {
-	var missing []string
-	for _, ref := range refs {
-		sync.BlobsReferenced++
-		sync.BytesReferenced += uint64(ref.Size)
-		if !w.st.HasBlob(ref.Hash) {
-			missing = append(missing, ref.Hash)
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	var fr fetchResponse
-	if err := w.post(ctx, "/blobs/fetch", fetchRequest{Hashes: missing}, &fr, sync); err != nil {
-		return err
-	}
-	if len(fr.Blobs) != len(missing) {
-		return fmt.Errorf("cluster: fetch returned %d blobs for %d hashes", len(fr.Blobs), len(missing))
-	}
-	hashes, err := w.st.PutBatch(fr.Blobs)
-	if err != nil {
-		return err
-	}
-	for i, h := range hashes {
-		if h != missing[i] {
-			return fmt.Errorf("cluster: fetched blob %s hashes to %s", missing[i], h)
-		}
-		sync.BlobsTransferred++
-		sync.BytesTransferred += uint64(len(fr.Blobs[i]))
-	}
-	return nil
-}
-
-// push uploads the produced blobs the coordinator lacks: the outbound half
-// of the sync (legacy protocol). Re-executed shards (after a rejoin or a
-// lease steal) re-push nothing — the coordinator already has every hash.
-func (w *Worker) push(ctx context.Context, hashes []string, sync *SyncStats) error {
-	manifest := dedupeHashes(hashes)
-	if len(manifest) == 0 {
-		return nil
-	}
-	for _, h := range manifest {
-		size, ok := w.st.StatBlob(h)
-		if !ok {
-			return fmt.Errorf("cluster: produced blob %s missing locally", h)
-		}
-		sync.BlobsReferenced++
-		sync.BytesReferenced += uint64(size)
-	}
-	var hr hasResponse
-	if err := w.post(ctx, "/blobs/has", hasRequest{Hashes: manifest}, &hr, sync); err != nil {
-		return err
-	}
-	if len(hr.Has) != len(manifest) {
-		return fmt.Errorf("cluster: has returned %d bits for %d hashes", len(hr.Has), len(manifest))
-	}
-	var blobs [][]byte
-	for i, h := range manifest {
-		if hr.Has[i] {
-			continue
-		}
-		data, err := w.st.GetBlob(h)
-		if err != nil {
-			return err
-		}
-		blobs = append(blobs, data)
-		sync.BlobsTransferred++
-		sync.BytesTransferred += uint64(len(data))
-	}
-	if len(blobs) == 0 {
-		return nil
-	}
-	var pr putResponse
-	return w.post(ctx, "/blobs/put", putRequest{Blobs: blobs}, &pr, sync)
 }

@@ -16,6 +16,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -110,14 +111,17 @@ func HashBytes(data []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
+// ErrMalformedHash marks a blob hash that is not 64 hex digits.
+var ErrMalformedHash = errors.New("store: malformed blob hash")
+
 // blobPath maps a hash to its on-disk location, fanned out over 256
 // two-hex-digit directories so no single directory grows unbounded.
 func (s *Store) blobPath(hash string) (string, error) {
 	if len(hash) != 2*sha256.Size {
-		return "", fmt.Errorf("store: malformed blob hash %q", hash)
+		return "", fmt.Errorf("%w %q", ErrMalformedHash, hash)
 	}
 	if _, err := hex.DecodeString(hash); err != nil {
-		return "", fmt.Errorf("store: malformed blob hash %q", hash)
+		return "", fmt.Errorf("%w %q", ErrMalformedHash, hash)
 	}
 	return filepath.Join(s.root, "blobs", hash[:2], hash), nil
 }

@@ -1,9 +1,8 @@
 // End-to-end test of the distributed deployment: a coordinator process plus
 // real worker processes over HTTP must converge on buckets bitwise-identical
 // to a standalone daemon running the same campaign — including when one
-// worker is SIGKILLed mid-reduction and a cold replacement node joins, and
-// when pipelined and legacy-protocol workers share one cluster — with the
-// hash-negotiated blob sync deduplicating most referenced bytes and the
+// worker is SIGKILLed mid-reduction and a cold replacement node joins — with
+// the hash-negotiated blob sync deduplicating most referenced bytes and the
 // transport counters (round trips, wire/raw bytes, prefetches, adaptive
 // sizing) surfaced through /metrics.
 package spirvfuzz_test
@@ -53,25 +52,16 @@ func startCoordinator(t *testing.T, bin, storeDir string, extra ...string) (*exe
 }
 
 // startWorker launches a spirvd -role worker process against the coordinator.
-func startWorker(t *testing.T, bin, coordAddr, node, storeDir string, extra ...string) *exec.Cmd {
+func startWorker(t *testing.T, bin, coordAddr, node, storeDir string) *exec.Cmd {
 	t.Helper()
-	args := append([]string{
-		"-role", "worker", "-join", "http://" + coordAddr,
-		"-node", node, "-store", storeDir, "-workers", "2",
-	}, extra...)
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(bin, "-role", "worker", "-join", "http://"+coordAddr,
+		"-node", node, "-store", storeDir, "-workers", "2")
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	return cmd
 }
-
-// legacyProtoArgs runs a worker on the pre-pipeline wire protocol: no shard
-// prefetch, no gzip, per-endpoint requests instead of batched /cluster/sync.
-// Mixing it with pipelined workers in one cluster proves the two protocols
-// interoperate against the same coordinator with identical results.
-var legacyProtoArgs = []string{"-prefetch=false", "-compress=false", "-batch=false"}
 
 func clusterMetrics(t *testing.T, bin, addr string) cluster.Metrics {
 	t.Helper()
@@ -111,9 +101,7 @@ func TestSpirvdClusterKillRejoinBitwiseIdentical(t *testing.T) {
 	workDir := t.TempDir()
 	w1 := startWorker(t, bin, addr, "w1", filepath.Join(workDir, "w1"))
 	defer w1.Process.Kill()
-	// w2 speaks the legacy protocol: a mixed-protocol cluster must still
-	// converge on the same buckets.
-	w2 := startWorker(t, bin, addr, "w2", filepath.Join(workDir, "w2"), legacyProtoArgs...)
+	w2 := startWorker(t, bin, addr, "w2", filepath.Join(workDir, "w2"))
 	defer w2.Process.Kill()
 
 	var status service.CampaignStatus
