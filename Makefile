@@ -1,9 +1,16 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test test-interp test-bisect test-daemon test-cluster test-memo test-transport bench baseline bench-compare profile
+.PHONY: ci fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport bench baseline bench-compare profile
 
 # Everything CI runs, in order; fails fast.
-ci: fmt vet build test test-interp test-bisect test-daemon test-cluster test-memo test-transport bench
+ci: fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport bench
+
+# The per-query analyses get repeated race passes over their differentials:
+# query-local availability against a full cfa.Analyze, count-once DCE
+# against the recount-per-iteration reference, and the content-keyed
+# uniforms memo, which every engine worker shares.
+test-analysis:
+	$(GO) test -race -count=3 -run 'AvailableAtMatchesInfo|DCEMatchesReference|UniformsHash' ./internal/spirv/cfa/ ./internal/opt/ ./internal/runner/
 
 # The interpreter gets repeated race passes over the VM/tree-walker
 # differential (the VM stores into cells in place and bump-allocates frame

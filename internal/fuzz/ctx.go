@@ -146,10 +146,12 @@ func (c *Context) ClaimID(id spirv.ID) {
 }
 
 // AvailableAt reports whether id can be used by the instruction at body
-// index pos of block blk in function fn (per SSA dominance rules).
+// index bodyIndex of block blk in function fn (per SSA dominance rules).
+// Preconditions ask one such question per transformation, so it uses the
+// query-local cfa.AvailableAt rather than building a cfa.Info whose maps
+// would answer only this one question.
 func (c *Context) AvailableAt(id spirv.ID, fn *spirv.Function, blk *spirv.Block, bodyIndex int) bool {
-	info := cfa.Analyze(c.Mod, fn)
-	return info.AvailableAt(id, blk.Label, info.PosOf(blk, bodyIndex))
+	return cfa.AvailableAt(c.Mod, fn, id, blk.Label, len(blk.Phis)+bodyIndex)
 }
 
 // InsertBefore inserts ins into blk.Body at index i.

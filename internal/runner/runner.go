@@ -31,9 +31,11 @@ package runner
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
-	"reflect"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +52,7 @@ const (
 	shardCount = 16
 	// defaultCacheCap bounds total cached results across all shards.
 	defaultCacheCap = 1 << 14
-	// maxUniformMemo bounds the uniforms-hash memo (entries pin their maps).
+	// maxUniformMemo bounds the uniforms-hash memo.
 	maxUniformMemo = 4096
 )
 
@@ -177,14 +179,6 @@ func (s Stats) HitRate() float64 {
 		s.MemoHits+s.SingleflightHits) / float64(total)
 }
 
-// uniEntry memoizes the hash of one uniforms map. The map itself is retained
-// so its address (the memo key) cannot be reused by a different map while the
-// entry is alive.
-type uniEntry struct {
-	ref  map[string]interp.Value
-	hash [sha256.Size]byte
-}
-
 // Engine is a memoizing, concurrency-bounded executor of target runs. It is
 // safe for concurrent use; the zero value is not valid — use New.
 type Engine struct {
@@ -198,7 +192,7 @@ type Engine struct {
 	renders     [shardCount]shard  // render layer: ("", compiled module, inputs)
 
 	uniMu   sync.Mutex
-	uniMemo map[uintptr]uniEntry
+	uniMemo map[string][sha256.Size]byte // uniformsKey -> uniforms hash
 
 	// memo is the optional persistent fifth tier (see memo.go); nil when
 	// no store is attached.
@@ -231,7 +225,7 @@ func New(workers int) *Engine {
 		sem:         make(chan struct{}, workers),
 		maxPerShard: defaultCacheCap / shardCount,
 		sharing:     true,
-		uniMemo:     make(map[uintptr]uniEntry),
+		uniMemo:     make(map[string][sha256.Size]byte),
 	}
 	for i := range e.shards {
 		e.shards[i].m = make(map[key]*entry)
@@ -738,33 +732,74 @@ func (e *Engine) keyFor(tg *target.Target, m *spirv.Module, in interp.Inputs) ke
 	return k
 }
 
-// uniformsHash returns the hash of a uniforms map, memoized by the map's
-// address: campaigns and reductions query thousands of runs against a
-// handful of long-lived input maps, so the JSON encoding runs once per map
-// instead of once per call. Entries retain the map they hashed, so an
-// address cannot be recycled by a different live map; callers must not
-// mutate a uniforms map after its first engine run (nothing in the repo
-// does — inputs are cloned before fuzzing mutates them). Uniforms that fail
-// to encode share a zero sentinel distinct from every real hash.
-func (e *Engine) uniformsHash(u map[string]interp.Value) [sha256.Size]byte {
-	p := reflect.ValueOf(u).Pointer()
-	e.uniMu.Lock()
-	if ent, ok := e.uniMemo[p]; ok {
-		e.uniMu.Unlock()
-		return ent.hash
-	}
-	e.uniMu.Unlock()
+// encodeInputs is interp.EncodeInputs; tests count its calls through it.
+var encodeInputs = interp.EncodeInputs
 
-	var h [sha256.Size]byte
-	if data, err := interp.EncodeInputs(interp.Inputs{Uniforms: u}); err == nil {
+// uniformsHash returns sha256 of the uniforms' EncodeInputs form, the hash
+// every result key and persistent memo key carries. Campaigns and
+// reductions query thousands of runs against a handful of uniform values,
+// but replay clones the inputs for every query, so the memo is keyed by
+// content (uniformsKey), not by map identity: content-equal maps share one
+// JSON encoding, and a map mutated between runs gets a fresh key. Uniforms
+// that fail to encode share a zero sentinel distinct from every real hash.
+func (e *Engine) uniformsHash(u map[string]interp.Value) [sha256.Size]byte {
+	var buf [128]byte
+	k := uniformsKey(buf[:0], u)
+	e.uniMu.Lock()
+	h, ok := e.uniMemo[string(k)]
+	e.uniMu.Unlock()
+	if ok {
+		return h
+	}
+	if data, err := encodeInputs(interp.Inputs{Uniforms: u}); err == nil {
 		h = sha256.Sum256(data)
 	}
-
 	e.uniMu.Lock()
 	if len(e.uniMemo) >= maxUniformMemo {
-		e.uniMemo = make(map[uintptr]uniEntry) // rare; drop pins and restart
+		clear(e.uniMemo) // rare; restart
 	}
-	e.uniMemo[p] = uniEntry{ref: u, hash: h}
+	e.uniMemo[string(k)] = h
 	e.uniMu.Unlock()
 	return h
+}
+
+// uniformsKey appends a compact, injective encoding of u's content to dst:
+// the names in sorted order, each length-prefixed and followed by its value.
+// Two maps with equal keys have equal EncodeInputs output.
+func uniformsKey(dst []byte, u map[string]interp.Value) []byte {
+	var nbuf [16]string
+	names := nbuf[:0]
+	for name := range u {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
+		dst = appendValueKey(dst, u[name])
+	}
+	return dst
+}
+
+// appendValueKey appends the kind and the encoded payload of v. Kinds
+// EncodeInputs rejects carry no payload: every such value fails alike.
+func appendValueKey(dst []byte, v interp.Value) []byte {
+	dst = append(dst, byte(v.Kind))
+	switch v.Kind {
+	case interp.KindBool:
+		if v.B {
+			return append(dst, 1)
+		}
+		return append(dst, 0)
+	case interp.KindInt:
+		return binary.LittleEndian.AppendUint32(dst, v.Bits)
+	case interp.KindFloat:
+		return binary.LittleEndian.AppendUint32(dst, math.Float32bits(v.F))
+	case interp.KindComposite:
+		dst = binary.AppendUvarint(dst, uint64(len(v.Elems)))
+		for _, el := range v.Elems {
+			dst = appendValueKey(dst, el)
+		}
+	}
+	return dst
 }

@@ -85,6 +85,23 @@ func TestInstructionUses(t *testing.T) {
 	}
 }
 
+// Uses and MapUses run over every instruction in DCE's use count and in
+// every id remap, so they must not allocate, string operands included.
+func TestUsesAllocatesNothing(t *testing.T) {
+	entry := spirv.NewInstr(spirv.OpEntryPoint, 0, 0, append(append([]uint32{spirv.ExecutionModelFragment, 4}, spirv.EncodeString("main")...), 2, 3)...)
+	phi := spirv.NewInstr(spirv.OpPhi, 6, 10, 7, 2, 8, 3)
+	var sum spirv.ID
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, ins := range []*spirv.Instruction{entry, phi} {
+			ins.Uses(func(id spirv.ID) { sum += id })
+			ins.MapUses(func(id spirv.ID) spirv.ID { return id })
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Uses/MapUses allocated %.0f times per run, want 0", allocs)
+	}
+}
+
 func TestMapUsesPreservesLiterals(t *testing.T) {
 	// OpCompositeExtract %f %c 0 2 — the literals 0 and 2 must survive an id
 	// remap even when they collide with id numbers.

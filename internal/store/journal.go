@@ -117,6 +117,9 @@ func (j *Journal) Replay(fn func(Record) error) error {
 	return err
 }
 
+// maxReplayBuf caps replay's read buffer.
+const maxReplayBuf = 1 << 20
+
 // replay is Replay returning the byte offset just past the last complete
 // record, which openJournal uses to truncate a torn tail.
 func (j *Journal) replay(fn func(Record) error) (int64, error) {
@@ -128,7 +131,15 @@ func (j *Journal) replay(fn func(Record) error) (int64, error) {
 		return 0, fmt.Errorf("store: journal: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	// Size the buffer to the file, capped at 1 MiB: the journal is opened on
+	// every daemon start, and most journals are far smaller than the cap.
+	// ReadBytes joins lines longer than the buffer, so the cap bounds only
+	// the buffer, not the record size.
+	size := int64(maxReplayBuf)
+	if info, err := f.Stat(); err == nil && info.Size() < size {
+		size = info.Size()
+	}
+	r := bufio.NewReaderSize(f, int(size))
 	var valid int64
 	for {
 		line, err := r.ReadBytes('\n')

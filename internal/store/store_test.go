@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -168,6 +169,53 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	}
 	if len(types) != 2 || types[0] != "complete" || types[1] != "after" {
 		t.Fatalf("post-truncate replay = %v, want [complete after]", types)
+	}
+}
+
+// TestJournalReplayLongLines pins the replay buffer's sizing: it is sized to
+// the file and capped at maxReplayBuf, and records longer than the buffer,
+// complete or torn, must replay exactly as short ones do.
+func TestJournalReplayLongLines(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", maxReplayBuf*3/2)
+	for _, data := range []string{"short", long, "tail"} {
+		if _, err := s.Journal().Append("c1", "rec", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	// A torn trailing record longer than the buffer is discarded on open.
+	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"seq":4,"type":"torn","data":"` + long); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	var lens []int
+	if err := s2.Journal().Replay(func(r Record) error { lens = append(lens, len(r.Data)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{len(`"short"`), len(long) + 2, len(`"tail"`)}; fmt.Sprint(lens) != fmt.Sprint(want) {
+		t.Fatalf("replayed data lengths %v, want %v", lens, want)
+	}
+	rec, err := s2.Journal().Append("c1", "after", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Seq != 4 {
+		t.Fatalf("resumed seq = %d, want 4", rec.Seq)
 	}
 }
 

@@ -73,6 +73,9 @@ type Mutation struct {
 // Name returns the defect's name, the unit of the mutation fingerprint.
 func (mu Mutation) Name() string { return mu.d.name }
 
+// Apply performs the miscompiling rewrite on m in place.
+func (mu Mutation) Apply(m *spirv.Module) { mu.d.scan(m, true) }
+
 // Target is one simulated toolchain from Table 2, or a historical release
 // view of one. The canonical target returned by All()/ByName() is the latest
 // release; At() resolves earlier releases to views that see only the defects
@@ -150,7 +153,7 @@ func FingerprintMutations(muts []Mutation) string {
 func SharedCompile(m *spirv.Module, muts []Mutation) (*spirv.Module, error) {
 	c := m.Clone()
 	for _, mu := range muts {
-		mu.d.scan(c, true)
+		mu.Apply(c)
 	}
 	if err := opt.Pipeline(c, opt.Standard(), 0); err != nil {
 		return nil, err
