@@ -46,9 +46,15 @@ test-cluster:
 # matrix (1 and 3 nodes must merge the same buckets as a single node),
 # lease-steal and kill-mid-prefetch fault injection with the duplicate-report
 # guard, the gzip wire accounting round trip, the /cluster/sync status codes,
-# and the jittered idle backoff ladder.
+# the jittered idle backoff ladder, the pooled gzip codec (pooled bodies
+# byte-identical to fresh coders', from concurrent subtests) and the
+# Accept-Encoding negotiation. Then the codec's per-body allocation bound,
+# which only builds without -race, and a short fuzz of /cluster/sync request
+# decoding through the pooled decoder.
 test-transport:
-	$(GO) test -race -count=1 -run 'Pipeline|Prefetch|LeaseSteal|Transport|SyncStatus|Backoff' ./internal/cluster/...
+	$(GO) test -race -count=1 -run 'Pipeline|Prefetch|LeaseSteal|Transport|SyncStatus|Backoff|Gzip|Codec|AcceptEncoding' ./internal/cluster/... ./internal/service/
+	$(GO) test -count=1 -run 'GzipAllocBound' ./internal/service/
+	$(GO) test -run '^$$' -fuzz=FuzzSyncRequest -fuzztime=10s ./internal/cluster/
 	$(GO) test -count=1 -run 'TestSpirvdClusterKillRejoin' .
 
 # The persistent memo tier gets its own race pass: the segment/index/

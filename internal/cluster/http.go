@@ -1,11 +1,11 @@
 package cluster
 
 import (
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"spirvfuzz/internal/service"
@@ -112,12 +112,42 @@ func writeWire(w http.ResponseWriter, r *http.Request, v any) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") && len(data) >= gzipMinBytes {
+	if len(data) >= gzipMinBytes && acceptsGzip(r.Header) {
 		w.Header().Set("Content-Encoding", "gzip")
-		zw := gzip.NewWriter(w)
-		zw.Write(data)
-		zw.Close()
+		service.WriteGzip(w, data)
 		return
 	}
 	w.Write(data)
+}
+
+// acceptsGzip reports whether the Accept-Encoding codings of h, across all
+// its header lines, name gzip, matched case-insensitively as a whole token,
+// and never refuse it with a weight of q=0 (RFC 9110 §12.5.3). An
+// unreadable weight counts as a refusal. Clients that only admit gzip
+// through "*" or "x-gzip" get identity replies.
+func acceptsGzip(h http.Header) bool {
+	accepted := false
+	for _, line := range h.Values("Accept-Encoding") {
+		for _, coding := range strings.Split(line, ",") {
+			name, params, _ := strings.Cut(coding, ";")
+			if !strings.EqualFold(strings.TrimSpace(name), "gzip") {
+				continue
+			}
+			q := 1.0
+			for _, param := range strings.Split(params, ";") {
+				key, val, _ := strings.Cut(param, "=")
+				if strings.EqualFold(strings.TrimSpace(key), "q") {
+					var err error
+					if q, err = strconv.ParseFloat(strings.TrimSpace(val), 64); err != nil {
+						q = 0
+					}
+				}
+			}
+			if !(q > 0) {
+				return false
+			}
+			accepted = true
+		}
+	}
+	return accepted
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -335,6 +336,82 @@ func TestTransportGzipRoundTrip(t *testing.T) {
 	}
 	if hbSync.WireBytesIn != hbSync.RawBytesIn || hbSync.WireBytesOut != hbSync.RawBytesOut {
 		t.Fatalf("heartbeat below the gzip floor but wire != raw: %+v", hbSync)
+	}
+}
+
+// TestWriteWireAcceptEncoding is the coordinator's side of compression
+// negotiation, driven through its handler: a response above the gzip floor
+// is gzip-coded exactly when the request's Accept-Encoding codings, across
+// all its header lines, name gzip in any case — never with a weight of 0,
+// never by a longer token that merely contains it. Either way the body
+// decodes to the same blob.
+func TestWriteWireAcceptEncoding(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	co, err := NewCoordinator(st, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	mux := co.Mux()
+	blob := bytes.Repeat([]byte("spirv-transform-sequence "), 1024)
+	hash, err := st.PutBlob(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch, err := json.Marshal(syncRequest{Node: "w", BlobFetch: []string{hash}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		accept []string
+		gzip   bool
+	}{
+		{nil, false},
+		{[]string{"gzip"}, true},
+		{[]string{"GZip"}, true},
+		{[]string{"identity, gzip"}, true},
+		{[]string{"br;q=1.0, gzip;q=0.5"}, true},
+		{[]string{"deflate", "gzip"}, true},
+		{[]string{"gzip;q=0"}, false},
+		{[]string{"gzip ; Q=0.000"}, false},
+		{[]string{"gzip;q=0, *"}, false},
+		{[]string{"deflate", "gzip;q=0"}, false},
+		{[]string{"gzip;q=abc"}, false},
+		{[]string{"x-gzip-foo"}, false},
+		{[]string{"deflate, br"}, false},
+		{[]string{""}, false},
+	} {
+		req := httptest.NewRequest("POST", "/cluster/sync", bytes.NewReader(fetch))
+		for _, line := range tc.accept {
+			req.Header.Add("Accept-Encoding", line)
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%q: status %d (%s)", tc.accept, rec.Code, rec.Body.String())
+		}
+		body := rec.Body.Bytes()
+		if got := rec.Header().Get("Content-Encoding"); (got == "gzip") != tc.gzip || (got != "gzip" && got != "") {
+			t.Fatalf("%q: Content-Encoding %q, want gzip %v", tc.accept, got, tc.gzip)
+		}
+		if tc.gzip {
+			zr, err := gzip.NewReader(bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("%q: %v", tc.accept, err)
+			}
+			if body, err = io.ReadAll(zr); err != nil {
+				t.Fatalf("%q: %v", tc.accept, err)
+			}
+		}
+		var resp syncResponse
+		if err := json.Unmarshal(body, &resp); err != nil || len(resp.Blobs) != 1 || !bytes.Equal(resp.Blobs[0], blob) {
+			t.Fatalf("%q: response does not carry the blob (err %v)", tc.accept, err)
+		}
 	}
 }
 

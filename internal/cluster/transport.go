@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -132,11 +131,7 @@ func postWire(ctx context.Context, hc *http.Client, base, path string, body, out
 	encoding := ""
 	if len(raw) >= gzipMinBytes {
 		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(raw); err != nil {
-			return 0, err
-		}
-		if err := zw.Close(); err != nil {
+		if err := service.WriteGzip(&buf, raw); err != nil {
 			return 0, err
 		}
 		wire = buf.Bytes()
@@ -162,11 +157,12 @@ func postWire(ctx context.Context, hc *http.Client, base, path string, body, out
 	}
 	respRaw := respWire
 	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(bytes.NewReader(respWire))
+		zr, err := service.OpenGzipReader(bytes.NewReader(respWire))
 		if err != nil {
 			return 0, fmt.Errorf("cluster: %s: bad gzip response: %w", path, err)
 		}
 		respRaw, err = readBounded(zr)
+		zr.Release()
 		if err != nil {
 			return 0, fmt.Errorf("cluster: %s: bad gzip response: %w", path, err)
 		}

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bufio"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
+	"sync"
 )
 
 // MaxBodyBytes caps every HTTP body a spirvd process reads, both as sent and
@@ -23,15 +26,71 @@ const MaxBodyBytes = 16 << 20
 // decoded, fails with *http.MaxBytesError.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(body)
-		if err != nil {
-			return fmt.Errorf("bad gzip request body: %w", err)
-		}
-		body = http.MaxBytesReader(w, zr, MaxBodyBytes)
-		defer body.Close()
+	if !strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
+		return json.NewDecoder(body).Decode(v)
 	}
-	return json.NewDecoder(body).Decode(v)
+	zr, err := OpenGzipReader(body)
+	if err != nil {
+		return fmt.Errorf("bad gzip request body: %w", err)
+	}
+	// Deferred calls run last-in first-out: the cap that wraps the decoder
+	// is closed before the decoder goes back to the pool.
+	defer zr.Release()
+	decoded := http.MaxBytesReader(w, zr, MaxBodyBytes)
+	defer decoded.Close()
+	return json.NewDecoder(decoded).Decode(v)
+}
+
+// Every gzip-coded HTTP body a spirvd process sends or reads goes through
+// one pool of encoders and one of decoders. A deflate compressor carries
+// ~0.8 MiB of hash chains and window and an inflater a 32 KiB window, so
+// with a fresh coder per body, coder set-up rather than the bodies would be
+// the bulk of what a cluster allocates. Reset restores a pooled coder to
+// the state of a fresh one, so pooled bodies are byte-identical to
+// gzip.NewWriter's at the same level.
+var (
+	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+	gzipReaders = sync.Pool{New: func() any { return new(GzipReader) }}
+)
+
+// WriteGzip writes data to dst as one gzip member at DefaultCompression.
+// The pooled writer goes back to the pool whether or not dst failed; it
+// keeps its reference to dst until its next use.
+func WriteGzip(dst io.Writer, data []byte) error {
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(dst)
+	if _, err := zw.Write(data); err != nil {
+		return err
+	}
+	return zw.Close()
+}
+
+// GzipReader is a pooled gzip decoder (multistream, like gzip.NewReader's)
+// with its own read buffer over the source.
+type GzipReader struct {
+	gzip.Reader
+	src bufio.Reader
+}
+
+// OpenGzipReader takes a decoder from the pool and points it at src, whose
+// gzip header it reads. On success the caller owns the decoder until it
+// calls Release; on a bad header it is already back in the pool.
+func OpenGzipReader(src io.Reader) (*GzipReader, error) {
+	zr := gzipReaders.Get().(*GzipReader)
+	zr.src.Reset(src)
+	if err := zr.Reset(&zr.src); err != nil {
+		zr.Release()
+		return nil, err
+	}
+	return zr, nil
+}
+
+// Release drops the decoder's reference to its source and returns it to
+// the pool; neither it nor anything still wrapping it may be read after.
+func (zr *GzipReader) Release() {
+	zr.src.Reset(nil)
+	gzipReaders.Put(zr)
 }
 
 // RequestStatus is the status answering a request whose body ReadJSON
