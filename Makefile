@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport bench baseline bench-compare profile
+.PHONY: ci fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport test-e2ebench bench baseline bench-compare profile
 
 # Everything CI runs, in order; fails fast.
-ci: fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport bench
+ci: fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport test-e2ebench bench
 
 # The per-query analyses get repeated race passes over their differentials:
 # query-local availability against a full cfa.Analyze, count-once DCE
@@ -29,17 +29,24 @@ test-bisect:
 
 # The daemon's durability layers get a dedicated race pass on top of the
 # repo-wide one: -shuffle varies the journal/queue interleavings between
-# runs, which is where torn-tail and drain races would hide.
+# runs, which is where torn-tail and drain races would hide. Then repeated
+# runs of the recovery tests: a create whose record cannot be journaled
+# lists no job, and a recovered campaign reports the status it had.
 test-daemon:
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./internal/service/... ./internal/store/...
+	$(GO) test -race -count=3 -run 'FailsWithoutJournal|RecoversDoneCampaign' ./internal/service/
 
-# The distributed layer gets the same treatment, plus the real-process
-# cluster e2e: a coordinator with worker processes (one SIGKILLed and
-# replaced mid-campaign) must merge to buckets bitwise-identical to a
-# standalone daemon's.
+# The distributed layer gets the same treatment, plus repeated runs of the
+# tests of the journal both roles share (a store one role started, the
+# other finishes; forged shard results refused unjournaled; no job listed
+# whose create was not journaled), plus the real-process cluster e2e: a
+# coordinator with worker processes (one SIGKILLed and replaced
+# mid-campaign) must merge to buckets bitwise-identical to a standalone
+# daemon's.
 test-cluster:
 	$(GO) test -race -shuffle=on ./internal/cluster/...
+	$(GO) test -race -count=3 -run 'JournalPortableAcrossRoles|RejectsForgedResults|FailsWithoutJournal|KilledMidMerge' ./internal/cluster/
 	$(GO) test -count=1 -run 'TestSpirvdCluster|TestSpirvdCoordinatorLocalNodes' .
 
 # The pipelined transport gets a dedicated race pass: the bitwise-identity
@@ -66,6 +73,12 @@ test-memo:
 	$(GO) test -race -shuffle=on ./internal/memostore/...
 	$(GO) test -race -count=50 -run 'Flight' ./internal/memostore/
 	$(GO) test -race -count=1 -run 'Memo' ./internal/runner/... ./internal/service/... ./internal/cluster/...
+
+# The benchmark is its own module: vet it and run its tests, which drive
+# both spirvd roles through its daemon interface and read the reduction
+# records back from their journals.
+test-e2ebench:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -27,10 +27,11 @@
 //     transferred/referenced bytes) is tracked per shard and reported in
 //     coordinator /metrics.
 //
-// Workers hold no durable campaign state: the coordinator journals every
-// completed shard in its write-ahead journal, re-queues shards whose lease
-// expired (node killed mid-shard), and on restart replays the journal and
-// re-dispatches only the missing shards.
+// Workers hold no durable campaign state. The coordinator records every
+// unit of a shard result through the same journaled service.Machine a
+// standalone daemon uses — so either role can resume the other's store —
+// re-queues shards whose lease expired (node killed mid-shard), and on
+// restart replays the journal and re-dispatches only the missing units.
 package cluster
 
 import (
@@ -49,9 +50,9 @@ import (
 // Shard phases, in pipeline order. PhaseBisect shards belong to bisection
 // jobs (one shard per case group), not campaigns.
 const (
-	PhaseFuzz   = "fuzz"
-	PhaseReduce = "reduce"
-	PhaseBisect = "bisect"
+	PhaseFuzz   = service.PhaseFuzz
+	PhaseReduce = service.PhaseReduce
+	PhaseBisect = service.PhaseBisect
 )
 
 // BlobRef names a blob by content hash and size. Manifests of BlobRefs are
@@ -92,13 +93,6 @@ func (s *Shard) Key() string {
 	return fmt.Sprintf("%s/%s/%d", s.Campaign, s.Phase, s.Index)
 }
 
-// TestResult is one fuzz-phase step result: test Index was generated and
-// classified, finding Bugs (artifacts pushed to the coordinator by hash).
-type TestResult struct {
-	Index int              `json:"index"`
-	Bugs  []service.BugRef `json:"bugs,omitempty"`
-}
-
 // ShardResult is a worker's report for one executed shard.
 type ShardResult struct {
 	Campaign  string `json:"campaign"`
@@ -108,8 +102,10 @@ type ShardResult struct {
 	ProcToken string `json:"proc_token"`
 	// Error marks a deterministic shard failure; re-dispatching would fail
 	// identically, so the coordinator fails the campaign.
-	Error   string                  `json:"error,omitempty"`
-	Tests   []TestResult            `json:"tests,omitempty"`
+	Error string `json:"error,omitempty"`
+	// Tests carries fuzz-phase results; their artifacts were pushed to the
+	// coordinator by hash, and the coordinator sets their Node.
+	Tests   []service.TestDone      `json:"tests,omitempty"`
 	Reduced []service.ReducedRec    `json:"reduced,omitempty"`
 	Bisects []service.BisectOutcome `json:"bisects,omitempty"`
 	// Sync is this shard's blob-sync delta (both directions, as accounted by

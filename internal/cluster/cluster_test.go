@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -321,7 +322,7 @@ func TestCoordinatorResumeTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"seq":999999,"campaign":"c001","type":"cluster_shard_done","data":{"phase":"redu`); err != nil {
+	if _, err := f.WriteString(`{"seq":999999,"campaign":"c001","type":"reduced","data":{"case":"c0`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -388,6 +389,7 @@ func TestCoordinatorKilledMidMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Stop()
+	done, _ := co.Campaign(status.ID)
 	co.Close()
 	st.Close()
 
@@ -400,12 +402,12 @@ func TestCoordinatorKilledMidMerge(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
 	kept := lines[:0]
 	for _, ln := range lines {
-		if strings.Contains(ln, recCampaignDone) {
+		if strings.Contains(ln, `"type":"campaign_done"`) {
 			continue
 		}
 		kept = append(kept, ln)
 	}
-	out := strings.Join(kept, "\n") + "\n" + `{"seq":999999,"campaign":"c001","type":"cluster_camp`
+	out := strings.Join(kept, "\n") + "\n" + `{"seq":999999,"campaign":"c001","type":"campaign_do`
 	if err := os.WriteFile(jpath, []byte(out), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -427,8 +429,29 @@ func TestCoordinatorKilledMidMerge(t *testing.T) {
 	if !ok || cst.State != service.StateDone {
 		t.Fatalf("campaign did not re-merge from the journal: %+v", cst)
 	}
+	if !reflect.DeepEqual(withoutRunCounters(cst), withoutRunCounters(done)) {
+		t.Fatalf("status changed across the restart:\n got %+v\nwant %+v", cst, done)
+	}
 	if got := clusterBuckets(t, co2, status.ID); !bytes.Equal(got, want) {
 		t.Fatalf("re-merged buckets differ from single-node run:\n got %s\nwant %s", got, want)
+	}
+
+	// A second restart serves the campaign from the re-merge's checkpoint,
+	// with the same status.
+	co2.Close()
+	st2.Close()
+	st3, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	co3, err := NewCoordinator(st3, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co3.Close()
+	if cst, _ := co3.Campaign(status.ID); !reflect.DeepEqual(withoutRunCounters(cst), withoutRunCounters(done)) {
+		t.Fatalf("status changed across a checkpoint restart:\n got %+v\nwant %+v", cst, done)
 	}
 }
 

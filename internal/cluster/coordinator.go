@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -18,48 +17,6 @@ import (
 	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/store"
 )
-
-// Coordinator journal record types. Like the single-node service, the
-// journal is the sole source of truth: shard results are journaled before
-// they count, so a coordinator killed at any point replays the journal and
-// re-dispatches exactly the shards that never landed.
-const (
-	recCampaignCreated = "cluster_campaign_created" // data: CampaignSpec (normalized)
-	recShardDone       = "cluster_shard_done"       // data: shardDoneRec
-	recCampaignDone    = "cluster_campaign_done"    // data: campaignDoneRec
-	recCampaignFailed  = "cluster_campaign_failed"  // data: campaignFailedRec
-	// Bisection-job records; journaled — like the job's shard results — under
-	// the job's own ID ("b001", ...).
-	recBisectCreated = "cluster_bisect_created" // data: bisectCreatedRec
-	recBisectDone    = "cluster_bisect_done"    // data: bisectDoneRec
-	recBisectFailed  = "cluster_bisect_failed"  // data: campaignFailedRec
-)
-
-// shardDoneRec journals one merged shard result.
-type shardDoneRec struct {
-	Phase   string                  `json:"phase"`
-	Index   int                     `json:"index"`
-	Node    string                  `json:"node,omitempty"`
-	Tests   []TestResult            `json:"tests,omitempty"`
-	Reduced []service.ReducedRec    `json:"reduced,omitempty"`
-	Bisects []service.BisectOutcome `json:"bisects,omitempty"`
-}
-
-type bisectCreatedRec struct {
-	Campaign string `json:"campaign"`
-}
-
-type bisectDoneRec struct {
-	BisectBuckets int `json:"bisect_buckets"`
-}
-
-type campaignDoneRec struct {
-	Buckets int `json:"buckets"`
-}
-
-type campaignFailedRec struct {
-	Error string `json:"error"`
-}
 
 // Options configures a Coordinator.
 type Options struct {
@@ -177,127 +134,19 @@ type ShardSizing struct {
 	Resizes uint64  `json:"resizes"`
 }
 
-// clusterCampaign is the coordinator's in-memory state of one campaign,
-// derived from the journal exactly like the single-node service's campaign.
-type clusterCampaign struct {
-	id     string
-	spec   service.CampaignSpec
-	state  string
-	corpus []BlobRef // ordered manifest; index i is reference i
-
-	testsDone map[int][]service.BugRef
-
-	cases    []service.ReduceCase // set when the fuzz phase completes
-	caseNode map[string]string    // case -> node that fuzzed its test (locality hint)
-	reduced  map[string]service.ReducedRec
-
-	buckets []service.Bucket
-	errMsg  string
-
-	skippedTests      int
-	skippedReductions int
-}
-
-// clusterBisect is the coordinator's in-memory state of one bisection job.
-// Its case list is derived from the finished campaign's merged records in
-// the canonical selection order, so sharding is deterministic and the merged
-// result set is bitwise-identical to a single-node run's.
-type clusterBisect struct {
-	id    string
-	camp  *clusterCampaign
-	state string
-
-	recs     []service.ReducedRec // case group source, selection order
-	cases    []service.ReduceCase
-	outcomes map[string]service.BisectOutcome
-	set      *service.BisectSet
-	errMsg   string
-	skipped  int
-}
-
-func (b *clusterBisect) status() service.BisectStatus {
-	st := service.BisectStatus{
-		ID:           b.id,
-		Campaign:     b.camp.id,
-		State:        b.state,
-		CasesTotal:   len(b.recs),
-		CasesDone:    len(b.outcomes),
-		SkippedCases: b.skipped,
-		Error:        b.errMsg,
-	}
-	if b.set != nil {
-		// Recovered from the checkpoint without re-listing the cases.
-		st.CasesTotal = len(b.set.Outcomes)
-		st.CasesDone = len(b.set.Outcomes)
-	}
-	return st
-}
-
-func (c *clusterCampaign) status() service.CampaignStatus {
-	st := service.CampaignStatus{
-		ID:                c.id,
-		State:             c.state,
-		Spec:              c.spec,
-		TestsDone:         len(c.testsDone),
-		ReduceTotal:       len(c.cases),
-		Reduced:           len(c.reduced),
-		Buckets:           len(c.buckets),
-		SkippedTests:      c.skippedTests,
-		SkippedReductions: c.skippedReductions,
-		Error:             c.errMsg,
-	}
-	for _, bugs := range c.testsDone {
-		st.Bugs += len(bugs)
-	}
-	return st
-}
-
-// workUnit is the queue's granularity: one fuzz test index, one reduction
-// case, or one bisect case group. The queue is unit-granular so shard
-// boundaries are a *dispatch-time* decision — adaptive sizing can cut
-// differently-sized shards from the same queue, and an expired lease's units
-// simply rejoin it. Completeness is always derived from merged records, so
-// no geometry choice can change the merged result.
-type workUnit struct {
-	c     *clusterCampaign
-	b     *clusterBisect
-	phase string
-	// index is the fuzz test index, or the position of the case in the
-	// canonical selection order for reduce/bisect units.
-	index    int
-	locality string // preferred node, best-effort
-}
-
-func (u *workUnit) ownerID() string {
-	if u.b != nil {
-		return u.b.id
-	}
-	return u.c.id
-}
-
 // shardState is a leased in-flight shard: the units it was cut from, who
 // holds it, and when the lease expires.
 type shardState struct {
-	c        *clusterCampaign
-	b        *clusterBisect
+	job      string
 	phase    string
 	index    int // first unit's index; the wire Shard.Index and key suffix
-	units    []*workUnit
+	units    []*service.Unit
 	node     string    // leased to
 	deadline time.Time // lease expiry
 }
 
-// ownerID is the job ID shard keys and wire shards carry: the bisection
-// job's for bisect shards, the campaign's otherwise.
-func (ss *shardState) ownerID() string {
-	if ss.b != nil {
-		return ss.b.id
-	}
-	return ss.c.id
-}
-
 func (ss *shardState) key() string {
-	return fmt.Sprintf("%s/%s/%d", ss.ownerID(), ss.phase, ss.index)
+	return fmt.Sprintf("%s/%s/%d", ss.job, ss.phase, ss.index)
 }
 
 // ClusterStats is the cluster block of coordinator /metrics.
@@ -322,16 +171,12 @@ type ClusterStats struct {
 // MergeStats aggregate of the latest per-node engine snapshots; Bisect is
 // the sum of per-node bisection-engine snapshots.
 type Metrics struct {
-	Campaigns      int          `json:"campaigns"`
-	CampaignsDone  int          `json:"campaigns_done"`
-	BisectJobs     int          `json:"bisect_jobs"`
-	BisectJobsDone int          `json:"bisect_jobs_done"`
-	JobsSkipped    uint64       `json:"jobs_skipped"`
-	Runner         runner.Stats `json:"runner"`
-	Replay         replay.Stats `json:"replay"`
-	Bisect         bisect.Stats `json:"bisect"`
-	Store          store.Stats  `json:"store"`
-	Cluster        ClusterStats `json:"cluster"`
+	service.Tally
+	Runner  runner.Stats `json:"runner"`
+	Replay  replay.Stats `json:"replay"`
+	Bisect  bisect.Stats `json:"bisect"`
+	Store   store.Stats  `json:"store"`
+	Cluster ClusterStats `json:"cluster"`
 	// Memo is the coordinator memo-sync hub's snapshot (its Pulled/Pushed
 	// are the hub's side of worker sync traffic); nil without a memo store.
 	Memo *memostore.Stats `json:"memo,omitempty"`
@@ -346,54 +191,54 @@ type nodeState struct {
 	bisect    bisect.Stats
 }
 
-// Coordinator owns the authoritative store and campaign state of a cluster
-// and serves both the campaign API and the worker protocol. It executes
-// nothing itself: all fuzzing and reduction happens on workers; the
-// coordinator shards, dispatches, journals, and merges.
+// Coordinator serves a cluster's campaigns: the shared service.Machine
+// holds their journaled state in the coordinator's store, and the
+// coordinator leases the units it hands out to workers. It executes nothing
+// itself: all fuzzing, reduction and bisection happens on workers; the
+// coordinator shards, dispatches, and records.
 type Coordinator struct {
+	*service.Machine
 	st   *store.Store
 	opts Options
 	memo *memostore.Store // nil without Options.Memo
 
-	mu           sync.Mutex
-	campaigns    map[string]*clusterCampaign
-	order        []string
-	nextID       int
-	bisects      map[string]*clusterBisect
-	bisectOrder  []string
-	nextBisectID int
-	nodes        map[string]*nodeState
-	queue        []*workUnit            // pending units, FIFO
-	leased       map[string]*shardState // shard key -> in flight
-	sizers       map[string]*phaseSizer // phase -> adaptive sizing state
+	mu     sync.Mutex
+	corpus []BlobRef // ordered manifest; index i is reference i
+	nodes  map[string]*nodeState
+	queue  []*service.Unit        // pending units, FIFO
+	leased map[string]*shardState // shard key -> in flight
+	sizers map[string]*phaseSizer // phase -> adaptive sizing state
 
 	shardsDispatched uint64
 	shardsCompleted  uint64
 	shardsRequeued   uint64
 	shardsDuplicate  uint64
-	skipped          uint64
 	sync             SyncStats
 }
 
 // NewCoordinator builds a coordinator over an open store, replays the
-// journal, and re-queues every shard of every unfinished campaign that has
-// no journaled result. The caller keeps ownership of the store until Close.
+// journal, and queues every unit of every unfinished job that has no
+// journaled result. The caller keeps ownership of the store until Close.
 func NewCoordinator(st *store.Store, opts Options) (*Coordinator, error) {
 	opts.normalize()
-	co := &Coordinator{
-		st:           st,
-		opts:         opts,
-		memo:         opts.Memo,
-		campaigns:    make(map[string]*clusterCampaign),
-		nextID:       1,
-		bisects:      make(map[string]*clusterBisect),
-		nextBisectID: 1,
-		nodes:        make(map[string]*nodeState),
-		leased:       make(map[string]*shardState),
-		sizers:       make(map[string]*phaseSizer),
-	}
-	if err := co.recover(); err != nil {
+	m, units, err := service.NewMachine(st, nil)
+	if err != nil {
 		return nil, err
+	}
+	co := &Coordinator{
+		Machine: m,
+		st:      st,
+		opts:    opts,
+		memo:    opts.Memo,
+		nodes:   make(map[string]*nodeState),
+		leased:  make(map[string]*shardState),
+		sizers:  make(map[string]*phaseSizer),
+	}
+	co.enqueue(units)
+	if len(units) > 0 {
+		if err := co.ensureCorpus(); err != nil {
+			return nil, err
+		}
 	}
 	return co, nil
 }
@@ -403,197 +248,13 @@ func (co *Coordinator) Close() error {
 	return co.st.Journal().Sync()
 }
 
-func newClusterCampaign(id string, spec service.CampaignSpec) *clusterCampaign {
-	return &clusterCampaign{
-		id:        id,
-		spec:      spec,
-		state:     service.StatePending,
-		testsDone: make(map[int][]service.BugRef),
-		caseNode:  make(map[string]string),
-		reduced:   make(map[string]service.ReducedRec),
-	}
-}
-
-// recover rebuilds campaign and shard state from the journal, then
-// re-activates unfinished campaigns: journaled shards are counted as
-// skipped work, the rest re-enters the dispatch queue.
-func (co *Coordinator) recover() error {
-	err := co.st.Journal().Replay(func(r store.Record) error {
-		switch r.Type {
-		case recBisectCreated, recBisectDone, recBisectFailed:
-			return co.recoverBisect(r)
-		case recShardDone:
-			// Bisect shard results are journaled under the job's ID.
-			if j := co.bisects[r.Campaign]; j != nil {
-				var rec shardDoneRec
-				if err := json.Unmarshal(r.Data, &rec); err != nil {
-					return err
-				}
-				for _, out := range rec.Bisects {
-					j.outcomes[out.Case] = out
-				}
-				return nil
-			}
-		}
-		c := co.campaigns[r.Campaign]
-		if c == nil && r.Type != recCampaignCreated {
-			return fmt.Errorf("cluster: journal references unknown campaign %q", r.Campaign)
-		}
-		switch r.Type {
-		case recCampaignCreated:
-			if c != nil {
-				return fmt.Errorf("cluster: campaign %q created twice", r.Campaign)
-			}
-			var spec service.CampaignSpec
-			if err := json.Unmarshal(r.Data, &spec); err != nil {
-				return fmt.Errorf("cluster: campaign %q spec: %w", r.Campaign, err)
-			}
-			c = newClusterCampaign(r.Campaign, spec)
-			co.campaigns[r.Campaign] = c
-			co.order = append(co.order, r.Campaign)
-		case recShardDone:
-			var rec shardDoneRec
-			if err := json.Unmarshal(r.Data, &rec); err != nil {
-				return err
-			}
-			co.applyShard(c, rec)
-		case recCampaignDone:
-			// The bucket checkpoint is saved before campaign_done is
-			// journaled; if it is nonetheless missing, the campaign stays
-			// pending and the bucket build re-runs from the journaled shards.
-			var set service.BucketSet
-			ok, err := co.st.LoadCheckpoint("buckets-"+r.Campaign, &set)
-			if err != nil || !ok {
-				break
-			}
-			c.buckets = set.Buckets
-			c.state = service.StateDone
-		case recCampaignFailed:
-			var rec campaignFailedRec
-			if err := json.Unmarshal(r.Data, &rec); err != nil {
-				return err
-			}
-			c.state = service.StateFailed
-			c.errMsg = rec.Error
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, id := range co.order {
-		var n int
-		if _, scanErr := fmt.Sscanf(id, "c%d", &n); scanErr == nil && n >= co.nextID {
-			co.nextID = n + 1
-		}
-	}
-	for _, id := range co.bisectOrder {
-		var n int
-		if _, scanErr := fmt.Sscanf(id, "b%d", &n); scanErr == nil && n >= co.nextBisectID {
-			co.nextBisectID = n + 1
-		}
-	}
-	// Re-activate unfinished campaigns. Journal-satisfied steps become skip
-	// counters (the cluster analogue of the service's checkpoint-reuse
-	// metric); everything else re-enters the queue.
-	for _, id := range co.order {
-		c := co.campaigns[id]
-		if c.state != service.StatePending {
-			continue
-		}
-		c.skippedTests = len(c.testsDone)
-		c.skippedReductions = len(c.reduced)
-		co.skipped += uint64(c.skippedTests + c.skippedReductions)
-		if err := co.activate(c); err != nil {
-			return err
-		}
-	}
-	// Re-activate unfinished bisect jobs the same way.
-	for _, id := range co.bisectOrder {
-		j := co.bisects[id]
-		if j.state != service.StatePending {
-			continue
-		}
-		j.skipped = len(j.outcomes)
-		co.skipped += uint64(j.skipped)
-		if err := co.activateBisect(j); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recoverBisect applies one bisect-job journal record during recovery.
-func (co *Coordinator) recoverBisect(r store.Record) error {
-	j := co.bisects[r.Campaign]
-	if j == nil && r.Type != recBisectCreated {
-		return fmt.Errorf("cluster: journal references unknown bisect job %q", r.Campaign)
-	}
-	switch r.Type {
-	case recBisectCreated:
-		if j != nil {
-			return fmt.Errorf("cluster: bisect job %q created twice", r.Campaign)
-		}
-		var rec bisectCreatedRec
-		if err := json.Unmarshal(r.Data, &rec); err != nil {
-			return fmt.Errorf("cluster: bisect job %q spec: %w", r.Campaign, err)
-		}
-		camp := co.campaigns[rec.Campaign]
-		if camp == nil {
-			return fmt.Errorf("cluster: bisect job %q references unknown campaign %q", r.Campaign, rec.Campaign)
-		}
-		j = &clusterBisect{
-			id:       r.Campaign,
-			camp:     camp,
-			state:    service.StatePending,
-			outcomes: make(map[string]service.BisectOutcome),
-		}
-		co.bisects[r.Campaign] = j
-		co.bisectOrder = append(co.bisectOrder, r.Campaign)
-	case recBisectDone:
-		var set service.BisectSet
-		ok, err := co.st.LoadCheckpoint("bisect-"+r.Campaign, &set)
-		if err != nil || !ok {
-			break // stays pending; recovery rebuilds from journaled verdicts
-		}
-		j.set = &set
-		j.state = service.StateDone
-	case recBisectFailed:
-		var rec campaignFailedRec
-		if err := json.Unmarshal(r.Data, &rec); err != nil {
-			return err
-		}
-		j.state = service.StateFailed
-		j.errMsg = rec.Error
-	}
-	return nil
-}
-
-// applyShard merges one journaled or freshly-reported shard result into the
-// campaign state. Records are deterministic, so merging a duplicate is
-// idempotent. Caller holds co.mu (or is in single-threaded recovery).
-func (co *Coordinator) applyShard(c *clusterCampaign, rec shardDoneRec) {
-	switch rec.Phase {
-	case PhaseFuzz:
-		for _, tr := range rec.Tests {
-			c.testsDone[tr.Index] = tr.Bugs
-			for _, bug := range tr.Bugs {
-				c.caseNode[service.CaseName(c.id, bug)] = rec.Node
-			}
-		}
-	case PhaseReduce:
-		for _, rr := range rec.Reduced {
-			c.reduced[rr.Case] = rr
-		}
-	}
-}
-
 // ensureCorpus builds (or idempotently rebuilds, after a restart) the
-// campaign's ordered corpus manifest: every reference item encoded and
-// stored as a blob. Encoding is deterministic, so the manifest — and with it
-// every shard payload — is identical across coordinator restarts.
-func (co *Coordinator) ensureCorpus(c *clusterCampaign) error {
-	if c.corpus != nil {
+// ordered corpus manifest every shard carries: each reference item encoded
+// and stored as a blob. Encoding is deterministic, so the manifest — and with
+// it every shard payload — is identical across coordinator restarts. Caller
+// holds co.mu (or is in construction).
+func (co *Coordinator) ensureCorpus() error {
+	if co.corpus != nil {
 		return nil
 	}
 	refs := corpus.References()
@@ -609,175 +270,53 @@ func (co *Coordinator) ensureCorpus(c *clusterCampaign) error {
 		}
 		manifest = append(manifest, BlobRef{Hash: hash, Size: int64(len(data))})
 	}
-	c.corpus = manifest
+	co.corpus = manifest
 	return nil
 }
 
-// activate moves a pending campaign to its current phase and enqueues every
-// unit without a journaled result. Caller holds co.mu (or recovery).
-func (co *Coordinator) activate(c *clusterCampaign) error {
-	if err := co.ensureCorpus(c); err != nil {
-		return err
+// CreateCampaign validates, journals, and queues a new campaign. IDs follow
+// the single-node service's scheme (c001, c002, ...), so case names — which
+// embed the campaign ID — match a single-node run of the same spec.
+func (co *Coordinator) CreateCampaign(spec service.CampaignSpec) (service.CampaignStatus, error) {
+	if spec.CrossBucketPrecheck {
+		// Each pre-check verdict depends on every minimized variant before it
+		// in selection order — inherently serial, so sharding it would break
+		// the bitwise-identical-merge guarantee.
+		return service.CampaignStatus{}, fmt.Errorf("cluster: cross_bucket_precheck is serial and not cluster-shardable")
 	}
-	if len(c.testsDone) < c.spec.Tests {
-		c.state = service.StateFuzzing
-		for i := 0; i < c.spec.Tests; i++ {
-			if _, ok := c.testsDone[i]; !ok {
-				co.enqueue(&workUnit{c: c, phase: PhaseFuzz, index: i})
-			}
-		}
-		return nil
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if err := co.ensureCorpus(); err != nil {
+		return service.CampaignStatus{}, err
 	}
-	return co.enterReduce(c)
-}
-
-// enterReduce runs the deterministic selection over the merged fuzz records
-// and enqueues the missing reduction cases; with nothing left to reduce it
-// goes straight to bucketing.
-func (co *Coordinator) enterReduce(c *clusterCampaign) error {
-	c.cases = service.SelectReductions(c.id, c.spec, c.testsDone)
-	if len(c.reduced) >= len(c.cases) {
-		return co.finish(c)
-	}
-	c.state = service.StateReducing
-	for i, rc := range c.cases {
-		if _, ok := c.reduced[rc.Name]; ok {
-			continue
-		}
-		// Prefer the node that fuzzed the case: it already holds the
-		// sequence blob, so the sync manifest dedupes fully.
-		co.enqueue(&workUnit{c: c, phase: PhaseReduce, index: i, locality: c.caseNode[rc.Name]})
-	}
-	return nil
-}
-
-// finish builds the merged buckets, checkpoints them, and journals
-// completion — the same build the single-node service runs, over records in
-// the same canonical order.
-func (co *Coordinator) finish(c *clusterCampaign) error {
-	c.state = service.StateBucketing
-	buckets, err := service.BuildBuckets(c.id, c.spec, c.cases, c.reduced)
+	status, units, err := co.StartCampaign(spec)
 	if err != nil {
-		return err
+		return service.CampaignStatus{}, err
 	}
-	set := service.BucketSet{Campaign: c.id, Buckets: buckets}
-	if err := co.st.SaveCheckpoint("buckets-"+c.id, set); err != nil {
-		return err
-	}
-	if _, err := co.st.Journal().Append(c.id, recCampaignDone, campaignDoneRec{Buckets: len(buckets)}); err != nil {
-		return err
-	}
-	if err := co.st.Journal().Sync(); err != nil {
-		return err
-	}
-	c.buckets = buckets
-	c.state = service.StateDone
-	return nil
+	co.enqueue(units)
+	return status, nil
 }
 
-// activateBisect lists the finished campaign's reduced cases in canonical
-// selection order and enqueues every bisect shard (one per case group)
-// without journaled verdicts. Caller holds co.mu (or recovery).
-func (co *Coordinator) activateBisect(j *clusterBisect) error {
-	c := j.camp
-	if len(c.testsDone) < c.spec.Tests {
-		return fmt.Errorf("cluster: bisect job %s: campaign %s has unmerged tests", j.id, c.id)
-	}
-	j.cases = service.SelectReductions(c.id, c.spec, c.testsDone)
-	j.recs = make([]service.ReducedRec, len(j.cases))
-	for i, rc := range j.cases {
-		rec, ok := c.reduced[rc.Name]
-		if !ok {
-			return fmt.Errorf("cluster: bisect job %s: campaign %s case %s not reduced", j.id, c.id, rc.Name)
-		}
-		j.recs[i] = rec
-	}
-	if len(j.outcomes) >= len(j.recs) {
-		return co.finishBisect(j)
-	}
-	j.state = service.StateBisecting
-	for i, rec := range j.recs {
-		if _, ok := j.outcomes[rec.Case]; ok {
-			continue
-		}
-		// Prefer the node that fuzzed the case: its store already holds the
-		// campaign corpus and likely the report blob.
-		co.enqueue(&workUnit{c: c, b: j, phase: PhaseBisect, index: i, locality: c.caseNode[rec.Case]})
-	}
-	return nil
-}
-
-// finishBisect assembles the merged result set, checkpoints it, and journals
-// completion — the same BuildBisectSet the single-node service runs, over
-// records in the same canonical order, so the sharded set is bitwise-
-// identical to a standalone run's. The transform-signal bucket count is
-// rebuilt from the merged records rather than read off the campaign.
-func (co *Coordinator) finishBisect(j *clusterBisect) error {
-	c := j.camp
-	buckets, err := service.BuildBuckets(c.id, c.spec, j.cases, c.reduced)
+// CreateBisect validates, journals, and queues a bisection job over a
+// finished campaign, one unit per case.
+func (co *Coordinator) CreateBisect(spec service.BisectSpec) (service.BisectStatus, error) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	status, units, err := co.StartBisect(spec)
 	if err != nil {
-		return err
+		return service.BisectStatus{}, err
 	}
-	set, err := service.BuildBisectSet(j.id, c.id, j.cases, c.reduced, j.outcomes, len(buckets))
-	if err != nil {
-		return err
-	}
-	if err := co.st.SaveCheckpoint("bisect-"+j.id, set); err != nil {
-		return err
-	}
-	if _, err := co.st.Journal().Append(j.id, recBisectDone, bisectDoneRec{BisectBuckets: set.BisectBuckets}); err != nil {
-		return err
-	}
-	if err := co.st.Journal().Sync(); err != nil {
-		return err
-	}
-	j.set = &set
-	j.state = service.StateDone
-	return nil
+	co.enqueue(units)
+	return status, nil
 }
 
-// failBisect marks a bisect job failed, journals it, and drops its shards.
-func (co *Coordinator) failBisect(j *clusterBisect, msg string) {
-	j.state = service.StateFailed
-	j.errMsg = msg
-	co.st.Journal().Append(j.id, recBisectFailed, campaignFailedRec{Error: msg})
-	kept := co.queue[:0]
-	for _, u := range co.queue {
-		if u.b != j {
-			kept = append(kept, u)
-		}
+// enqueue appends units to the dispatch queue. The queue holds pointers:
+// Next removes units from its middle, and a unit is a few hundred bytes.
+// Caller holds co.mu (or is in construction).
+func (co *Coordinator) enqueue(units []service.Unit) {
+	for i := range units {
+		co.queue = append(co.queue, &units[i])
 	}
-	co.queue = kept
-	for k, ss := range co.leased {
-		if ss.b == j {
-			delete(co.leased, k)
-		}
-	}
-}
-
-// fail marks a campaign failed, journals it, and drops its queued shards.
-func (co *Coordinator) fail(c *clusterCampaign, msg string) {
-	c.state = service.StateFailed
-	c.errMsg = msg
-	// Best-effort: an unjournaled failure leaves the campaign resumable,
-	// which is the safer outcome.
-	co.st.Journal().Append(c.id, recCampaignFailed, campaignFailedRec{Error: msg})
-	kept := co.queue[:0]
-	for _, u := range co.queue {
-		if u.c != c {
-			kept = append(kept, u)
-		}
-	}
-	co.queue = kept
-	for k, ss := range co.leased {
-		if ss.c == c {
-			delete(co.leased, k)
-		}
-	}
-}
-
-func (co *Coordinator) enqueue(u *workUnit) {
-	co.queue = append(co.queue, u)
 }
 
 // sweepLeases re-queues the units of every leased shard whose deadline
@@ -865,31 +404,30 @@ func (co *Coordinator) Next(node string) (Shard, bool) {
 	}
 	pick := 0
 	for i, u := range co.queue {
-		if u.locality == node {
+		if u.Node == node {
 			pick = i
 			break
 		}
 	}
 	first := co.queue[pick]
-	units := []*workUnit{first}
+	units := []*service.Unit{first}
 	co.queue = append(co.queue[:pick], co.queue[pick+1:]...)
-	target := co.targetShardSize(first.phase)
+	target := co.targetShardSize(first.Phase)
 	for len(units) < target && pick < len(co.queue) {
 		u := co.queue[pick]
-		if u.c != first.c || u.b != first.b || u.phase != first.phase {
+		if u.Job != first.Job || u.Phase != first.Phase {
 			break
 		}
-		if u.phase == PhaseFuzz && u.index != units[len(units)-1].index+1 {
+		if u.Phase == PhaseFuzz && u.Index != units[len(units)-1].Index+1 {
 			break
 		}
 		units = append(units, u)
 		co.queue = append(co.queue[:pick], co.queue[pick+1:]...)
 	}
 	ss := &shardState{
-		c:        first.c,
-		b:        first.b,
-		phase:    first.phase,
-		index:    first.index,
+		job:      first.Job,
+		phase:    first.Phase,
+		index:    first.Index,
 		units:    units,
 		node:     node,
 		deadline: now.Add(co.opts.LeaseTTL),
@@ -898,30 +436,28 @@ func (co *Coordinator) Next(node string) (Shard, bool) {
 	co.shardsDispatched++
 
 	sh := Shard{
-		Campaign: ss.ownerID(),
+		Campaign: ss.job,
 		Phase:    ss.phase,
 		Index:    ss.index,
-		Spec:     ss.c.spec,
-		Corpus:   ss.c.corpus,
+		Spec:     first.Spec,
+		Corpus:   co.corpus,
 	}
 	switch ss.phase {
 	case PhaseFuzz:
-		sh.Lo = units[0].index
-		sh.Hi = units[len(units)-1].index + 1
+		sh.Lo = units[0].Index
+		sh.Hi = units[len(units)-1].Index + 1
 	case PhaseReduce:
 		for _, u := range units {
-			rc := ss.c.cases[u.index]
-			sh.Cases = append(sh.Cases, rc)
-			if size, ok := co.st.StatBlob(rc.Bug.SeqHash); ok {
-				sh.Needs = append(sh.Needs, BlobRef{Hash: rc.Bug.SeqHash, Size: size})
+			sh.Cases = append(sh.Cases, u.Case)
+			if size, ok := co.st.StatBlob(u.Case.Bug.SeqHash); ok {
+				sh.Needs = append(sh.Needs, BlobRef{Hash: u.Case.Bug.SeqHash, Size: size})
 			}
 		}
 	case PhaseBisect:
 		for _, u := range units {
-			rec := ss.b.recs[u.index]
-			sh.Recs = append(sh.Recs, rec)
-			if size, ok := co.st.StatBlob(rec.ReportHash); ok {
-				sh.Needs = append(sh.Needs, BlobRef{Hash: rec.ReportHash, Size: size})
+			sh.Recs = append(sh.Recs, u.Rec)
+			if size, ok := co.st.StatBlob(u.Rec.ReportHash); ok {
+				sh.Needs = append(sh.Needs, BlobRef{Hash: u.Rec.ReportHash, Size: size})
 			}
 		}
 	}
@@ -949,14 +485,13 @@ func (co *Coordinator) observeShard(res ShardResult, units int) {
 	ps.retarget(co.opts.SyncFraction, max)
 }
 
-// Result merges a worker's shard result: journal first, then apply, then
-// advance the campaign phase if the shard completed it. Duplicate results —
-// a slow or prefetching node finishing a shard that was re-queued and
-// completed elsewhere — are acknowledged and dropped; both executions
-// produced identical records, so either journaling order yields the same
-// campaign. Because shard geometry is a dispatch-time decision, duplicates
-// are detected against the merged records (is every unit of this result
-// already merged?), never against shard indices.
+// Result records a worker's shard result, one unit at a time through the
+// Machine, which validates every unit against its job's current phase before
+// journaling any: a unit outside it is a 400 and records nothing. A
+// duplicate — a slow or prefetching node finishing a shard that was
+// re-queued and completed elsewhere — is acknowledged and dropped; both
+// executions produced identical records. Units of the next phase re-enter
+// the dispatch queue.
 func (co *Coordinator) Result(res ShardResult) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -969,264 +504,61 @@ func (co *Coordinator) Result(res ShardResult) error {
 		ns.bisect = res.Bisect
 	}
 	co.sync.add(res.Sync)
-	if j := co.bisects[res.Campaign]; j != nil {
-		return co.bisectResult(j, res)
-	}
-	c := co.campaigns[res.Campaign]
-	if c == nil {
-		return badRequest("cluster: result for unknown campaign %q", res.Campaign)
-	}
 	key := fmt.Sprintf("%s/%s/%d", res.Campaign, res.Phase, res.Index)
-	delete(co.leased, key)
-	dup := false
-	switch res.Phase {
-	case PhaseFuzz:
-		dup = len(res.Tests) > 0
-		for _, tr := range res.Tests {
-			if _, ok := c.testsDone[tr.Index]; !ok {
-				dup = false
-				break
-			}
-		}
-	case PhaseReduce:
-		dup = len(res.Reduced) > 0 && len(c.cases) > 0
-		for _, rr := range res.Reduced {
-			if _, ok := c.reduced[rr.Case]; !ok {
-				dup = false
-				break
-			}
-		}
-	default:
+	var next []service.Unit
+	var err error
+	switch {
+	case res.Phase != PhaseFuzz && res.Phase != PhaseReduce && res.Phase != PhaseBisect:
 		return badRequest("cluster: result with unknown phase %q", res.Phase)
+	case res.Error != "":
+		err = co.Fail(res.Campaign, fmt.Sprintf("shard %s on %s: %s", key, res.Node, res.Error))
+	case res.Phase == PhaseFuzz:
+		for i := range res.Tests {
+			res.Tests[i].Node = res.Node
+		}
+		next, err = co.RecordTests(res.Campaign, res.Tests)
+	case res.Phase == PhaseReduce:
+		next, err = co.RecordReduced(res.Campaign, res.Reduced)
+	default:
+		next, err = co.RecordBisected(res.Campaign, res.Bisects)
 	}
-	if dup || c.state == service.StateDone || c.state == service.StateFailed {
+	switch {
+	case errors.Is(err, service.ErrInvalidRecord):
+		// A refused result releases no lease: its holder may be executing
+		// the shard honestly.
+		return &statusError{http.StatusBadRequest, err}
+	case errors.Is(err, service.ErrDuplicate):
+		delete(co.leased, key)
 		co.shardsDuplicate++
 		return nil
-	}
-	if res.Error != "" {
-		co.fail(c, fmt.Sprintf("shard %s on %s: %s", key, res.Node, res.Error))
+	case err != nil:
+		// Not recorded: the lease stays and expires into a re-dispatch.
+		return err
+	case res.Error != "":
+		co.drop(res.Campaign)
 		return nil
 	}
-	rec := shardDoneRec{Phase: res.Phase, Index: res.Index, Node: res.Node, Tests: res.Tests, Reduced: res.Reduced}
-	if _, err := co.st.Journal().Append(c.id, recShardDone, rec); err != nil {
-		return err
-	}
-	co.applyShard(c, rec)
-	co.shardsCompleted++
-	co.observeShard(res, len(res.Tests)+len(res.Reduced))
-
-	switch res.Phase {
-	case PhaseFuzz:
-		if len(c.testsDone) >= c.spec.Tests {
-			if err := co.enterReduce(c); err != nil {
-				co.fail(c, err.Error())
-			}
-		}
-	case PhaseReduce:
-		if len(c.reduced) >= len(c.cases) {
-			if err := co.finish(c); err != nil {
-				co.fail(c, err.Error())
-			}
-		}
-	}
-	return nil
-}
-
-// bisectResult merges one bisect shard result under the job's ID: journal
-// first, then apply verdicts, then finish the job when every case is merged.
-// Caller holds co.mu.
-func (co *Coordinator) bisectResult(j *clusterBisect, res ShardResult) error {
-	key := fmt.Sprintf("%s/%s/%d", res.Campaign, res.Phase, res.Index)
 	delete(co.leased, key)
-	if res.Phase != PhaseBisect {
-		return badRequest("cluster: bisect job %s: result with phase %q", j.id, res.Phase)
-	}
-	dup := len(res.Bisects) > 0
-	for _, out := range res.Bisects {
-		if _, ok := j.outcomes[out.Case]; !ok {
-			dup = false
-			break
-		}
-	}
-	if dup || j.state == service.StateDone || j.state == service.StateFailed {
-		co.shardsDuplicate++
-		return nil
-	}
-	if res.Error != "" {
-		co.failBisect(j, fmt.Sprintf("shard %s on %s: %s", key, res.Node, res.Error))
-		return nil
-	}
-	rec := shardDoneRec{Phase: res.Phase, Index: res.Index, Node: res.Node, Bisects: res.Bisects}
-	if _, err := co.st.Journal().Append(j.id, recShardDone, rec); err != nil {
-		return err
-	}
-	for _, out := range rec.Bisects {
-		j.outcomes[out.Case] = out
-	}
 	co.shardsCompleted++
-	co.observeShard(res, len(res.Bisects))
-	if len(j.outcomes) >= len(j.recs) {
-		if err := co.finishBisect(j); err != nil {
-			co.failBisect(j, err.Error())
-		}
-	}
+	co.observeShard(res, len(res.Tests)+len(res.Reduced)+len(res.Bisects))
+	co.enqueue(next)
 	return nil
 }
 
-// CreateBisect validates, journals, and activates a bisection job over a
-// finished campaign. IDs follow the single-node service's scheme (b001,
-// b002, ...).
-func (co *Coordinator) CreateBisect(spec service.BisectSpec) (service.BisectStatus, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if spec.Campaign == "" {
-		return service.BisectStatus{}, fmt.Errorf("cluster: bisect needs a campaign ID")
-	}
-	c := co.campaigns[spec.Campaign]
-	if c == nil {
-		return service.BisectStatus{}, fmt.Errorf("cluster: no campaign %q", spec.Campaign)
-	}
-	if c.state != service.StateDone {
-		return service.BisectStatus{}, fmt.Errorf("cluster: campaign %s is %s; bisection needs a finished campaign", c.id, c.state)
-	}
-	id := fmt.Sprintf("b%03d", co.nextBisectID)
-	co.nextBisectID++
-	j := &clusterBisect{
-		id:       id,
-		camp:     c,
-		state:    service.StatePending,
-		outcomes: make(map[string]service.BisectOutcome),
-	}
-	co.bisects[id] = j
-	co.bisectOrder = append(co.bisectOrder, id)
-	if _, err := co.st.Journal().Append(id, recBisectCreated, bisectCreatedRec{Campaign: c.id}); err != nil {
-		return service.BisectStatus{}, err
-	}
-	if err := co.st.Journal().Sync(); err != nil {
-		return service.BisectStatus{}, err
-	}
-	if err := co.activateBisect(j); err != nil {
-		return service.BisectStatus{}, err
-	}
-	return j.status(), nil
-}
-
-// BisectJob returns the status of one bisection job.
-func (co *Coordinator) BisectJob(id string) (service.BisectStatus, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j := co.bisects[id]
-	if j == nil {
-		return service.BisectStatus{}, false
-	}
-	return j.status(), true
-}
-
-// BisectJobs returns all bisection-job statuses in creation order.
-func (co *Coordinator) BisectJobs() []service.BisectStatus {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	out := make([]service.BisectStatus, 0, len(co.bisectOrder))
-	for _, id := range co.bisectOrder {
-		out = append(out, co.bisects[id].status())
-	}
-	return out
-}
-
-// BisectResult returns the merged result set of a finished bisection job.
-func (co *Coordinator) BisectResult(id string) (service.BisectSet, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j := co.bisects[id]
-	if j == nil {
-		return service.BisectSet{}, fmt.Errorf("cluster: no bisect job %q", id)
-	}
-	if j.set == nil {
-		return service.BisectSet{}, fmt.Errorf("cluster: bisect job %s is %s, not done", id, j.state)
-	}
-	return *j.set, nil
-}
-
-// CreateCampaign validates, journals, and activates a new campaign. IDs
-// follow the single-node service's scheme (c001, c002, ...), so case names
-// — which embed the campaign ID — match a single-node run of the same spec.
-func (co *Coordinator) CreateCampaign(spec service.CampaignSpec) (service.CampaignStatus, error) {
-	if err := spec.Normalize(); err != nil {
-		return service.CampaignStatus{}, err
-	}
-	if spec.CrossBucketPrecheck {
-		// Each pre-check verdict depends on every minimized variant before it
-		// in selection order — inherently serial, so sharding it would break
-		// the bitwise-identical-merge guarantee.
-		return service.CampaignStatus{}, fmt.Errorf("cluster: cross_bucket_precheck is serial and not cluster-shardable")
-	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	id := fmt.Sprintf("c%03d", co.nextID)
-	co.nextID++
-	c := newClusterCampaign(id, spec)
-	co.campaigns[id] = c
-	co.order = append(co.order, id)
-	if _, err := co.st.Journal().Append(id, recCampaignCreated, spec); err != nil {
-		return service.CampaignStatus{}, err
-	}
-	if err := co.st.Journal().Sync(); err != nil {
-		return service.CampaignStatus{}, err
-	}
-	if err := co.activate(c); err != nil {
-		return service.CampaignStatus{}, err
-	}
-	return c.status(), nil
-}
-
-// Campaign returns the status of one campaign.
-func (co *Coordinator) Campaign(id string) (service.CampaignStatus, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	c := co.campaigns[id]
-	if c == nil {
-		return service.CampaignStatus{}, false
-	}
-	return c.status(), true
-}
-
-// Campaigns returns all campaign statuses in creation order.
-func (co *Coordinator) Campaigns() []service.CampaignStatus {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	out := make([]service.CampaignStatus, 0, len(co.order))
-	for _, id := range co.order {
-		out = append(out, co.campaigns[id].status())
-	}
-	return out
-}
-
-// Buckets mirrors service.Buckets: the merged recommended reports of every
-// finished campaign, or of one campaign when id is non-empty.
-func (co *Coordinator) Buckets(id string) ([]service.BucketSet, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	ids := co.order
-	if id != "" {
-		if co.campaigns[id] == nil {
-			return nil, fmt.Errorf("cluster: no campaign %q", id)
-		}
-		ids = []string{id}
-	}
-	var out []service.BucketSet
-	for _, cid := range ids {
-		c := co.campaigns[cid]
-		set := service.BucketSet{Campaign: cid, Buckets: append([]service.Bucket(nil), c.buckets...)}
-		if id != "" || len(set.Buckets) > 0 {
-			out = append(out, set)
+// drop removes a failed job's queued units and leases. Caller holds co.mu.
+func (co *Coordinator) drop(job string) {
+	kept := co.queue[:0]
+	for _, u := range co.queue {
+		if u.Job != job {
+			kept = append(kept, u)
 		}
 	}
-	return out, nil
-}
-
-// ReportBlob returns the raw reduced-report blob stored under hash.
-func (co *Coordinator) ReportBlob(hash string) ([]byte, error) {
-	return co.st.GetBlob(hash)
+	co.queue = kept
+	for k, ss := range co.leased {
+		if ss.job == job {
+			delete(co.leased, k)
+		}
+	}
 }
 
 // Metrics returns the cluster-wide counter snapshot. Engine stats are the
@@ -1260,11 +592,11 @@ func (co *Coordinator) Metrics() Metrics {
 		rep.Sessions += ns.replay.Sessions
 	}
 	m := Metrics{
-		JobsSkipped: co.skipped,
-		Runner:      runner.MergeStats(groups),
-		Replay:      rep,
-		Bisect:      bis,
-		Store:       co.st.Stats(),
+		Tally:  co.Tally(),
+		Runner: runner.MergeStats(groups),
+		Replay: rep,
+		Bisect: bis,
+		Store:  co.st.Stats(),
 		Cluster: ClusterStats{
 			Nodes:             len(co.nodes),
 			ShardsDispatched:  co.shardsDispatched,
@@ -1300,18 +632,6 @@ func (co *Coordinator) Metrics() Metrics {
 			SyncMS:  ps.syncNanos / 1e6,
 			Resizes: ps.resizes,
 		})
-	}
-	for _, id := range co.order {
-		m.Campaigns++
-		if co.campaigns[id].state == service.StateDone {
-			m.CampaignsDone++
-		}
-	}
-	for _, id := range co.bisectOrder {
-		m.BisectJobs++
-		if co.bisects[id].state == service.StateDone {
-			m.BisectJobsDone++
-		}
 	}
 	if co.memo != nil {
 		ms := co.memo.Stats()

@@ -585,7 +585,7 @@ func (w *Worker) executeInner(ctx context.Context, sh *Shard, res *ShardResult) 
 			if err != nil {
 				return produced, err
 			}
-			res.Tests = append(res.Tests, TestResult{Index: i, Bugs: bugs})
+			res.Tests = append(res.Tests, service.TestDone{Index: i, Bugs: bugs})
 			for _, bug := range bugs {
 				produced = append(produced, bug.SeqHash, bug.VariantHash)
 			}

@@ -40,6 +40,12 @@ func (e *Engine) SetMemoStore(ms *memostore.Store) { e.memo = ms }
 // MemoStore returns the attached memo store, or nil.
 func (e *Engine) MemoStore() *memostore.Store { return e.memo }
 
+// MemoCounts returns the MemoHits and MemoMisses counters of Stats without
+// taking its snapshot of every cache shard.
+func (e *Engine) MemoCounts() (hits, misses uint64) {
+	return e.memoHits.Load(), e.memoMisses.Load()
+}
+
 // resultMemoKey derives the persistent key for a result-layer execution
 // from the in-memory key's content (target name+version, module
 // fingerprint, grid, uniforms hash).

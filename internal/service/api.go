@@ -64,13 +64,15 @@ type CampaignSpec struct {
 	CrossBucketPrecheck bool `json:"cross_bucket_precheck,omitempty"`
 }
 
-// Campaign states, in pipeline order. Bisect jobs reuse StatePending,
-// StateDone and StateFailed and add StateBisecting as their running state.
+// Campaign states, in pipeline order. A recovered job is pending until
+// recovery resumes it; bucketing happens inside the record that completes
+// the reduce phase, so a campaign goes from reducing straight to done.
+// Bisect jobs reuse StatePending, StateDone and StateFailed and add
+// StateBisecting as their running state.
 const (
 	StatePending   = "pending"
 	StateFuzzing   = "fuzzing"
 	StateReducing  = "reducing"
-	StateBucketing = "bucketing"
 	StateBisecting = "bisecting"
 	StateDone      = "done"
 	StateFailed    = "failed"
@@ -255,27 +257,32 @@ type Report struct {
 	Transformations json.RawMessage `json:"transformations"`
 }
 
-// Metrics is the daemon-wide counter snapshot (GET /metrics).
-type Metrics struct {
+// Tally is the job count block both spirvd roles report in GET /metrics.
+type Tally struct {
 	Campaigns     int `json:"campaigns"`
 	CampaignsDone int `json:"campaigns_done"`
-	// Bisection-job counters; Bisect holds the probe/compile stats of the
-	// shared bisection engine.
-	BisectJobs     int          `json:"bisect_jobs"`
-	BisectJobsDone int          `json:"bisect_jobs_done"`
-	Bisect         bisect.Stats `json:"bisect"`
+	// Bisection-job counters.
+	BisectJobs     int `json:"bisect_jobs"`
+	BisectJobsDone int `json:"bisect_jobs_done"`
+	// ReductionsCovered sums CoveredReductions across campaigns: reductions
+	// skipped by the cross-bucket pre-check.
+	ReductionsCovered int `json:"reductions_covered"`
+	// JobsSkipped counts pipeline steps satisfied from the journal instead of
+	// re-running — >0 after a resume proves checkpoint reuse.
+	JobsSkipped uint64 `json:"jobs_skipped"`
+}
+
+// Metrics is the daemon-wide counter snapshot (GET /metrics).
+type Metrics struct {
+	Tally
+	// Bisect holds the probe/compile stats of the shared bisection engine.
+	Bisect bisect.Stats `json:"bisect"`
 	// Job-queue counters.
 	JobsSubmitted uint64 `json:"jobs_submitted"`
 	JobsCompleted uint64 `json:"jobs_completed"`
 	JobsFailed    uint64 `json:"jobs_failed"`
 	JobsRetried   uint64 `json:"jobs_retried"`
 	JobsDropped   uint64 `json:"jobs_dropped"`
-	// JobsSkipped counts pipeline steps satisfied from the journal instead of
-	// re-running — >0 after a resume proves checkpoint reuse.
-	JobsSkipped uint64 `json:"jobs_skipped"`
-	// ReductionsCovered sums CoveredReductions across campaigns: reductions
-	// skipped by the cross-bucket pre-check.
-	ReductionsCovered int `json:"reductions_covered"`
 	// Subsystem counters.
 	Runner runner.Stats `json:"runner"`
 	Replay replay.Stats `json:"replay"`

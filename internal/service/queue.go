@@ -37,6 +37,9 @@ type Job struct {
 	MaxAttempts int
 	// Backoff is the initial retry delay (default 25ms), doubled per attempt.
 	Backoff time.Duration
+	// Done, when set, is called with the job's final error after its last
+	// attempt. A job dropped before it ran never calls it.
+	Done func(err error)
 }
 
 // Handle tracks one submitted job.
@@ -234,6 +237,9 @@ func (q *Queue) run(h *Handle) {
 		q.failed.Add(1)
 	} else {
 		q.completed.Add(1)
+	}
+	if h.job.Done != nil {
+		h.job.Done(h.err)
 	}
 	close(h.done)
 }

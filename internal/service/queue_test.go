@@ -69,6 +69,7 @@ func TestQueueBoundedRetry(t *testing.T) {
 	defer q.Drain(context.Background())
 	boom := errors.New("boom")
 	var calls atomic.Int64
+	var done []error // appended by the worker before the handle completes
 	h := q.Submit(Job{
 		Label:   "doomed",
 		Backoff: time.Millisecond,
@@ -76,12 +77,16 @@ func TestQueueBoundedRetry(t *testing.T) {
 			calls.Add(1)
 			return boom
 		},
+		Done: func(err error) { done = append(done, err) },
 	})
 	if err := h.Wait(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if n := calls.Load(); n != defaultMaxAttempts {
 		t.Fatalf("job ran %d times, want %d", n, defaultMaxAttempts)
+	}
+	if len(done) != 1 || !errors.Is(done[0], boom) {
+		t.Fatalf("Done saw %v, want boom once after the last attempt", done)
 	}
 	if st := q.Stats(); st.Failed != 1 || st.Retries != uint64(defaultMaxAttempts-1) {
 		t.Fatalf("stats %+v", st)

@@ -2,36 +2,19 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"spirvfuzz/internal/bisect"
+	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/memostore"
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
+	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/store"
 )
 
-// Journal record types. The journal is the single source of truth for what
-// completed; everything else (status counters, buckets) is derived.
-const (
-	recCampaignCreated = "campaign_created" // data: CampaignSpec (normalized)
-	recTestDone        = "test_done"        // data: testDoneRec
-	recReduced         = "reduced"          // data: reducedRec
-	recCampaignDone    = "campaign_done"    // data: campaignDoneRec
-	recCampaignFailed  = "campaign_failed"  // data: campaignFailedRec
-	// Bisection-job records; journaled under the job's own ID ("b001", ...)
-	// in the record's campaign field.
-	recBisectCreated = "bisect_created" // data: bisectCreatedRec
-	recCaseBisected  = "case_bisected"  // data: BisectOutcome
-	recBisectDone    = "bisect_done"    // data: bisectDoneRec
-	recBisectFailed  = "bisect_failed"  // data: campaignFailedRec
-)
-
-// BugRef is one (test, target) bug finding as journaled in a testDoneRec.
+// BugRef is one (test, target) bug finding as journaled in a TestDone.
 // The sequence and variant are referenced by blob hash, so the record is
 // small and the artifacts deduplicate across re-runs.
 type BugRef struct {
@@ -41,140 +24,6 @@ type BugRef struct {
 	Seed        int64  `json:"seed"`
 	SeqHash     string `json:"seq_hash"`
 	VariantHash string `json:"variant_hash"`
-}
-
-// testDoneRec journals one generated-and-classified test (possibly bug-free).
-type testDoneRec struct {
-	Index int      `json:"index"`
-	Bugs  []BugRef `json:"bugs,omitempty"`
-}
-
-type campaignDoneRec struct {
-	Buckets int `json:"buckets"`
-}
-
-type campaignFailedRec struct {
-	Error string `json:"error"`
-}
-
-// bisectCreatedRec journals a new bisection job and the campaign it targets.
-type bisectCreatedRec struct {
-	Campaign string `json:"campaign"`
-}
-
-type bisectDoneRec struct {
-	BisectBuckets int `json:"bisect_buckets"`
-}
-
-// bisectJob is the in-memory state of one bisection job, derived from the
-// journal exactly like a campaign.
-type bisectJob struct {
-	id       string
-	campaign string
-
-	mu       sync.Mutex
-	state    string
-	total    int                      // cases to bisect; 0 until the job lists them
-	outcomes map[string]BisectOutcome // case name -> journaled verdict
-	set      *BisectSet               // non-nil once done
-	skipped  int
-	errMsg   string
-}
-
-func newBisectJob(id, campaign string) *bisectJob {
-	return &bisectJob{
-		id:       id,
-		campaign: campaign,
-		state:    StatePending,
-		outcomes: make(map[string]BisectOutcome),
-	}
-}
-
-func (j *bisectJob) setState(state string) {
-	j.mu.Lock()
-	j.state = state
-	j.mu.Unlock()
-}
-
-func (j *bisectJob) status() BisectStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return BisectStatus{
-		ID:           j.id,
-		Campaign:     j.campaign,
-		State:        j.state,
-		CasesTotal:   j.total,
-		CasesDone:    len(j.outcomes),
-		SkippedCases: j.skipped,
-		Error:        j.errMsg,
-	}
-}
-
-// campaign is the in-memory state of one campaign, derived from the journal.
-type campaign struct {
-	id   string
-	spec CampaignSpec
-
-	mu        sync.Mutex
-	state     string
-	testsDone map[int][]BugRef      // index -> journaled bug refs
-	reduced   map[string]ReducedRec // case name -> journaled reduction
-	buckets   []Bucket
-	errMsg    string
-	// reduceTotal is set once the reduce stage selects its cases.
-	reduceTotal       int
-	skippedTests      int
-	skippedReductions int
-	// memoHits/memoMisses are the engine's memo-counter deltas over this
-	// campaign's run window (observability only; see CampaignStatus).
-	memoHits   uint64
-	memoMisses uint64
-}
-
-func newCampaign(id string, spec CampaignSpec) *campaign {
-	return &campaign{
-		id:        id,
-		spec:      spec,
-		state:     StatePending,
-		testsDone: make(map[int][]BugRef),
-		reduced:   make(map[string]ReducedRec),
-	}
-}
-
-func (c *campaign) setState(state string) {
-	c.mu.Lock()
-	c.state = state
-	c.mu.Unlock()
-}
-
-func (c *campaign) status() CampaignStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := CampaignStatus{
-		ID:                c.id,
-		State:             c.state,
-		Spec:              c.spec,
-		TestsDone:         len(c.testsDone),
-		ReduceTotal:       c.reduceTotal,
-		Reduced:           len(c.reduced),
-		Buckets:           len(c.buckets),
-		SkippedTests:      c.skippedTests,
-		SkippedReductions: c.skippedReductions,
-		Error:             c.errMsg,
-		MemoHits:          c.memoHits,
-		MemoMisses:        c.memoMisses,
-	}
-	for _, bugs := range c.testsDone {
-		st.Bugs += len(bugs)
-	}
-	// Derived from the records rather than counted, so the number survives a
-	// restart without extra recovery bookkeeping.
-	for _, rec := range c.reduced {
-		if rec.CoveredBy != "" {
-			st.CoveredReductions++
-		}
-	}
-	return st
 }
 
 // Options configures a Service.
@@ -196,454 +45,112 @@ type Options struct {
 	MemoMaxBytes int64
 }
 
-// Service owns the campaign pipeline: a job queue over the shared execution
-// engine, with all durable state in the store. It is safe for concurrent use.
+// Service runs the campaign pipeline in process: the shared Machine holds
+// the journaled state, and every unit it hands out runs as a job on a queue
+// over the shared execution engine. It is safe for concurrent use.
 type Service struct {
+	*Machine
 	st    *store.Store
 	eng   *runner.Engine
 	reng  *replay.Engine
 	beng  *bisect.Engine
 	memo  *memostore.Store // nil without Options.MemoDir
 	queue *Queue
+	// modules builds the reference and donor modules every step reads, once,
+	// on the first step: a restart that runs nothing never pays for them.
+	modules func() ([]corpus.Item, []*spirv.Module)
 
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	mu           sync.Mutex
-	campaigns    map[string]*campaign
-	order        []string
-	nextID       int
-	bisects      map[string]*bisectJob
-	bisectOrder  []string
-	nextBisectID int
-
-	pipelines sync.WaitGroup
-	skipped   atomic.Uint64 // journal-satisfied steps (tests + reductions + bisections)
 }
 
 // New builds a service over an open store, replays the journal to recover
-// campaign state, and resumes every unfinished campaign. The caller keeps
-// ownership of the store until Close, which closes it.
+// campaign and bisection-job state, and resumes every unfinished job. The
+// caller keeps ownership of the store until Close, which closes it.
 func New(st *store.Store, opts Options) (*Service, error) {
-	ctx, cancel := context.WithCancel(context.Background())
-	workers := opts.Workers
 	budget := opts.ReplayBudget
 	if budget <= 0 {
 		budget = replay.DefaultBudget
 	}
-	eng := runner.New(workers)
-	// The memo store attaches before recovery: resumed pipelines start
-	// executing immediately and must see the warm tier.
+	eng := runner.New(opts.Workers)
+	// The memo store attaches before recovery: resumed jobs start executing
+	// immediately and must see the warm tier.
 	var memo *memostore.Store
 	if opts.MemoDir != "" {
 		var err error
 		memo, err = memostore.Open(opts.MemoDir, opts.MemoMaxBytes)
 		if err != nil {
-			cancel()
 			return nil, fmt.Errorf("service: memo store: %w", err)
 		}
 		eng.SetMemoStore(memo)
 	}
-	s := &Service{
-		st:           st,
-		eng:          eng,
-		reng:         replay.NewEngine(budget),
-		beng:         bisect.New(eng),
-		memo:         memo,
-		queue:        NewQueue(ctx, eng.Workers()),
-		ctx:          ctx,
-		cancel:       cancel,
-		campaigns:    make(map[string]*campaign),
-		nextID:       1,
-		bisects:      make(map[string]*bisectJob),
-		nextBisectID: 1,
-	}
-	if err := s.recover(); err != nil {
-		cancel()
-		s.queue.Drain(context.Background())
+	m, units, err := NewMachine(st, eng.MemoCounts)
+	if err != nil {
 		if memo != nil {
 			memo.Close()
 		}
 		return nil, err
 	}
-	// Resume unfinished campaigns in creation order: their journaled steps
-	// are skipped, the remainder recomputed (deterministically, so buckets
-	// end up identical to an uninterrupted run).
-	for _, id := range s.order {
-		c := s.campaigns[id]
-		c.mu.Lock()
-		resume := c.state == StatePending
-		c.mu.Unlock()
-		if resume {
-			s.start(c)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	s := &Service{
+		Machine: m,
+		st:      st,
+		eng:     eng,
+		reng:    replay.NewEngine(budget),
+		beng:    bisect.New(eng),
+		memo:    memo,
+		queue:   NewQueue(ctx, eng.Workers()),
+		modules: sync.OnceValues(func() ([]corpus.Item, []*spirv.Module) {
+			return corpus.References(), corpus.Donors()
+		}),
+		ctx:    ctx,
+		cancel: cancel,
 	}
-	// Bisect jobs resume the same way; journaled case verdicts are skipped.
-	for _, id := range s.bisectOrder {
-		j := s.bisects[id]
-		j.mu.Lock()
-		resume := j.state == StatePending
-		j.mu.Unlock()
-		if resume {
-			s.startBisect(j)
-		}
-	}
+	// Journaled steps are skipped; the rest is recomputed deterministically,
+	// so resumed jobs end bitwise-identical to uninterrupted ones.
+	s.submit(units)
 	return s, nil
 }
 
-// recover rebuilds campaign and bisect-job state from the journal.
-func (s *Service) recover() error {
-	err := s.st.Journal().Replay(func(r store.Record) error {
-		switch r.Type {
-		case recBisectCreated, recCaseBisected, recBisectDone, recBisectFailed:
-			// Bisect records are journaled under the job's own ID.
-			return s.recoverBisect(r)
-		}
-		c := s.campaigns[r.Campaign]
-		if c == nil && r.Type != recCampaignCreated {
-			return fmt.Errorf("service: journal references unknown campaign %q", r.Campaign)
-		}
-		switch r.Type {
-		case recCampaignCreated:
-			if c != nil {
-				return fmt.Errorf("service: campaign %q created twice", r.Campaign)
-			}
-			var spec CampaignSpec
-			if err := json.Unmarshal(r.Data, &spec); err != nil {
-				return fmt.Errorf("service: campaign %q spec: %w", r.Campaign, err)
-			}
-			c = newCampaign(r.Campaign, spec)
-			s.campaigns[r.Campaign] = c
-			s.order = append(s.order, r.Campaign)
-		case recTestDone:
-			var rec testDoneRec
-			if err := json.Unmarshal(r.Data, &rec); err != nil {
-				return err
-			}
-			c.testsDone[rec.Index] = rec.Bugs
-		case recReduced:
-			var rec ReducedRec
-			if err := json.Unmarshal(r.Data, &rec); err != nil {
-				return err
-			}
-			c.reduced[rec.Case] = rec
-		case recCampaignDone:
-			// The bucket checkpoint is saved before campaign_done is
-			// journaled; if it is nonetheless missing the campaign resumes
-			// and rebuilds it from the reduced records.
-			var set BucketSet
-			ok, err := s.st.LoadCheckpoint(bucketCheckpoint(r.Campaign), &set)
-			if err != nil || !ok {
-				c.state = StatePending
-				break
-			}
-			c.buckets = set.Buckets
-			c.state = StateDone
-		case recCampaignFailed:
-			var rec campaignFailedRec
-			if err := json.Unmarshal(r.Data, &rec); err != nil {
-				return err
-			}
-			c.state = StateFailed
-			c.errMsg = rec.Error
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// Seed the ID counters past every recovered campaign and bisect job.
-	for _, id := range s.order {
-		var n int
-		if _, scanErr := fmt.Sscanf(id, "c%d", &n); scanErr == nil && n >= s.nextID {
-			s.nextID = n + 1
-		}
-	}
-	for _, id := range s.bisectOrder {
-		var n int
-		if _, scanErr := fmt.Sscanf(id, "b%d", &n); scanErr == nil && n >= s.nextBisectID {
-			s.nextBisectID = n + 1
-		}
-	}
-	return nil
-}
-
-// recoverBisect applies one bisect-job journal record during recovery.
-func (s *Service) recoverBisect(r store.Record) error {
-	j := s.bisects[r.Campaign]
-	if j == nil && r.Type != recBisectCreated {
-		return fmt.Errorf("service: journal references unknown bisect job %q", r.Campaign)
-	}
-	switch r.Type {
-	case recBisectCreated:
-		if j != nil {
-			return fmt.Errorf("service: bisect job %q created twice", r.Campaign)
-		}
-		var rec bisectCreatedRec
-		if err := json.Unmarshal(r.Data, &rec); err != nil {
-			return fmt.Errorf("service: bisect job %q spec: %w", r.Campaign, err)
-		}
-		j = newBisectJob(r.Campaign, rec.Campaign)
-		s.bisects[r.Campaign] = j
-		s.bisectOrder = append(s.bisectOrder, r.Campaign)
-	case recCaseBisected:
-		var out BisectOutcome
-		if err := json.Unmarshal(r.Data, &out); err != nil {
-			return err
-		}
-		j.outcomes[out.Case] = out
-	case recBisectDone:
-		// The result checkpoint is saved before bisect_done is journaled; if
-		// it is nonetheless missing the job resumes and rebuilds it from the
-		// journaled verdicts.
-		var set BisectSet
-		ok, err := s.st.LoadCheckpoint(bisectCheckpoint(r.Campaign), &set)
-		if err != nil || !ok {
-			j.state = StatePending
-			break
-		}
-		j.set = &set
-		j.total = len(set.Outcomes)
-		j.state = StateDone
-	case recBisectFailed:
-		var rec campaignFailedRec
-		if err := json.Unmarshal(r.Data, &rec); err != nil {
-			return err
-		}
-		j.state = StateFailed
-		j.errMsg = rec.Error
-	}
-	return nil
-}
-
-func bucketCheckpoint(campaignID string) string { return "buckets-" + campaignID }
-func bisectCheckpoint(jobID string) string      { return "bisect-" + jobID }
-
-// CreateCampaign validates and journals a new campaign and starts its
-// pipeline. The returned status is the initial snapshot.
+// CreateCampaign validates and journals a new campaign and queues its
+// tests. The returned status is the initial snapshot.
 func (s *Service) CreateCampaign(spec CampaignSpec) (CampaignStatus, error) {
-	if err := spec.Normalize(); err != nil {
-		return CampaignStatus{}, err
-	}
-	s.mu.Lock()
 	if err := s.ctx.Err(); err != nil {
-		s.mu.Unlock()
 		return CampaignStatus{}, fmt.Errorf("service: shutting down: %w", err)
 	}
-	id := fmt.Sprintf("c%03d", s.nextID)
-	s.nextID++
-	c := newCampaign(id, spec)
-	s.campaigns[id] = c
-	s.order = append(s.order, id)
-	s.mu.Unlock()
-	if _, err := s.st.Journal().Append(id, recCampaignCreated, spec); err != nil {
+	status, units, err := s.StartCampaign(spec)
+	if err != nil {
 		return CampaignStatus{}, err
 	}
-	if err := s.st.Journal().Sync(); err != nil {
-		return CampaignStatus{}, err
-	}
-	s.start(c)
-	return c.status(), nil
-}
-
-// start launches the pipeline goroutine for a campaign.
-func (s *Service) start(c *campaign) {
-	s.pipelines.Add(1)
-	go func() {
-		defer s.pipelines.Done()
-		err := s.runCampaign(s.ctx, c)
-		switch {
-		case err == nil:
-			// runCampaign journaled campaign_done and set the state.
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
-			errors.Is(err, ErrDrained), errors.Is(err, ErrQueueClosed):
-			// Interrupted, not broken: leave the journal as-is so a restarted
-			// daemon resumes from the completed steps.
-		default:
-			c.mu.Lock()
-			c.state = StateFailed
-			c.errMsg = err.Error()
-			c.mu.Unlock()
-			// Best-effort: a failure to journal the failure leaves the
-			// campaign resumable, which is the safer outcome.
-			s.st.Journal().Append(c.id, recCampaignFailed, campaignFailedRec{Error: err.Error()})
-		}
-	}()
+	s.submit(units)
+	return status, nil
 }
 
 // CreateBisect validates and journals a new bisection job over a finished
-// campaign and starts it. The returned status is the initial snapshot.
+// campaign and queues its cases. The returned status is the initial
+// snapshot.
 func (s *Service) CreateBisect(spec BisectSpec) (BisectStatus, error) {
-	if spec.Campaign == "" {
-		return BisectStatus{}, fmt.Errorf("service: bisect needs a campaign")
-	}
-	s.mu.Lock()
 	if err := s.ctx.Err(); err != nil {
-		s.mu.Unlock()
 		return BisectStatus{}, fmt.Errorf("service: shutting down: %w", err)
 	}
-	c := s.campaigns[spec.Campaign]
-	s.mu.Unlock()
-	if c == nil {
-		return BisectStatus{}, fmt.Errorf("service: no campaign %q", spec.Campaign)
-	}
-	c.mu.Lock()
-	state := c.state
-	c.mu.Unlock()
-	if state != StateDone {
-		return BisectStatus{}, fmt.Errorf("service: campaign %s is %s; bisection needs a finished campaign", spec.Campaign, state)
-	}
-	s.mu.Lock()
-	id := fmt.Sprintf("b%03d", s.nextBisectID)
-	s.nextBisectID++
-	j := newBisectJob(id, spec.Campaign)
-	s.bisects[id] = j
-	s.bisectOrder = append(s.bisectOrder, id)
-	s.mu.Unlock()
-	if _, err := s.st.Journal().Append(id, recBisectCreated, bisectCreatedRec{Campaign: spec.Campaign}); err != nil {
+	status, units, err := s.StartBisect(spec)
+	if err != nil {
 		return BisectStatus{}, err
 	}
-	if err := s.st.Journal().Sync(); err != nil {
-		return BisectStatus{}, err
-	}
-	s.startBisect(j)
-	return j.status(), nil
-}
-
-// startBisect launches the pipeline goroutine for a bisection job.
-func (s *Service) startBisect(j *bisectJob) {
-	s.pipelines.Add(1)
-	go func() {
-		defer s.pipelines.Done()
-		err := s.runBisect(s.ctx, j)
-		switch {
-		case err == nil:
-			// runBisect journaled bisect_done and set the state.
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
-			errors.Is(err, ErrDrained), errors.Is(err, ErrQueueClosed):
-			// Interrupted, not broken: the journaled verdicts resume.
-		default:
-			j.mu.Lock()
-			j.state = StateFailed
-			j.errMsg = err.Error()
-			j.mu.Unlock()
-			s.st.Journal().Append(j.id, recBisectFailed, campaignFailedRec{Error: err.Error()})
-		}
-	}()
-}
-
-// BisectJob returns the status of one bisection job.
-func (s *Service) BisectJob(id string) (BisectStatus, bool) {
-	s.mu.Lock()
-	j := s.bisects[id]
-	s.mu.Unlock()
-	if j == nil {
-		return BisectStatus{}, false
-	}
-	return j.status(), true
-}
-
-// BisectJobs returns all bisection-job statuses in creation order.
-func (s *Service) BisectJobs() []BisectStatus {
-	s.mu.Lock()
-	ids := append([]string(nil), s.bisectOrder...)
-	s.mu.Unlock()
-	out := make([]BisectStatus, 0, len(ids))
-	for _, id := range ids {
-		if st, ok := s.BisectJob(id); ok {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
-// BisectResult returns a finished bisection job's result set.
-func (s *Service) BisectResult(id string) (BisectSet, error) {
-	s.mu.Lock()
-	j := s.bisects[id]
-	s.mu.Unlock()
-	if j == nil {
-		return BisectSet{}, fmt.Errorf("service: no bisect job %q", id)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.set == nil {
-		return BisectSet{}, fmt.Errorf("service: bisect job %s is %s, not done", id, j.state)
-	}
-	return *j.set, nil
-}
-
-// Campaign returns the status of one campaign.
-func (s *Service) Campaign(id string) (CampaignStatus, bool) {
-	s.mu.Lock()
-	c := s.campaigns[id]
-	s.mu.Unlock()
-	if c == nil {
-		return CampaignStatus{}, false
-	}
-	return c.status(), true
-}
-
-// Campaigns returns all campaign statuses in creation order.
-func (s *Service) Campaigns() []CampaignStatus {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	out := make([]CampaignStatus, 0, len(ids))
-	for _, id := range ids {
-		if st, ok := s.Campaign(id); ok {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
-// Buckets returns the recommended reports of every finished campaign, in
-// creation order. With a non-empty id it returns just that campaign's set
-// (empty until the campaign is done).
-func (s *Service) Buckets(id string) ([]BucketSet, error) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	if id != "" {
-		s.mu.Lock()
-		c := s.campaigns[id]
-		s.mu.Unlock()
-		if c == nil {
-			return nil, fmt.Errorf("service: no campaign %q", id)
-		}
-		ids = []string{id}
-	}
-	var out []BucketSet
-	for _, cid := range ids {
-		s.mu.Lock()
-		c := s.campaigns[cid]
-		s.mu.Unlock()
-		c.mu.Lock()
-		set := BucketSet{Campaign: cid, Buckets: append([]Bucket(nil), c.buckets...)}
-		c.mu.Unlock()
-		if id != "" || len(set.Buckets) > 0 {
-			out = append(out, set)
-		}
-	}
-	return out, nil
-}
-
-// ReportBlob returns the raw reduced-report blob stored under hash.
-func (s *Service) ReportBlob(hash string) ([]byte, error) {
-	return s.st.GetBlob(hash)
+	s.submit(units)
+	return status, nil
 }
 
 // Metrics returns the daemon-wide counter snapshot.
 func (s *Service) Metrics() Metrics {
 	qs := s.queue.Stats()
 	m := Metrics{
+		Tally:         s.Tally(),
 		JobsSubmitted: qs.Submitted,
 		JobsCompleted: qs.Completed,
 		JobsFailed:    qs.Failed,
 		JobsRetried:   qs.Retries,
 		JobsDropped:   qs.Dropped,
-		JobsSkipped:   s.skipped.Load(),
 		Runner:        s.eng.Stats(),
 		Replay:        s.reng.Stats(),
 		Store:         s.st.Stats(),
@@ -653,32 +160,18 @@ func (s *Service) Metrics() Metrics {
 		ms := s.memo.Stats()
 		m.Memo = &ms
 	}
-	for _, st := range s.Campaigns() {
-		m.Campaigns++
-		if st.State == StateDone {
-			m.CampaignsDone++
-		}
-		m.ReductionsCovered += st.CoveredReductions
-	}
-	for _, st := range s.BisectJobs() {
-		m.BisectJobs++
-		if st.State == StateDone {
-			m.BisectJobsDone++
-		}
-	}
 	return m
 }
 
 // Close drains the service: job intake stops, pending jobs are dropped
 // (their steps are journal-resumable), in-flight jobs finish — or are
-// canceled when ctx expires — pipelines exit, and the store is synced and
-// closed. Returns ctx.Err() if the drain was forced.
+// canceled when ctx expires — and the store is synced and closed. Returns
+// ctx.Err() if the drain was forced.
 func (s *Service) Close(ctx context.Context) error {
 	forced := s.queue.Drain(ctx)
 	s.cancel()
-	s.pipelines.Wait()
 	if s.memo != nil {
-		// After the pipelines stop: Close flushes the spill queue and
+		// After the jobs stop: Close flushes the spill queue and
 		// checkpoints the index so the next daemon warm-starts cheaply.
 		if err := s.memo.Close(); err != nil && forced == nil {
 			forced = err

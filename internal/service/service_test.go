@@ -289,7 +289,7 @@ func TestServiceRecoversDoneCampaign(t *testing.T) {
 	}
 	defer s2.Close(context.Background())
 	got, ok := s2.Campaign(status.ID)
-	if !ok || got.State != StateDone || got.Buckets != status.Buckets {
+	if !ok || !reflect.DeepEqual(withoutRunCounters(got), withoutRunCounters(status)) {
 		t.Fatalf("recovered campaign: %+v (want %+v)", got, status)
 	}
 	after, err := s2.Buckets(status.ID)
@@ -313,6 +313,81 @@ func TestServiceRecoversDoneCampaign(t *testing.T) {
 	}
 	if fin := waitCampaign(t, s2, st3.ID, 2*time.Minute); fin.State != StateDone {
 		t.Fatalf("post-recovery campaign: %+v", fin)
+	}
+}
+
+// withoutRunCounters zeroes the status fields that describe one process's
+// run rather than the campaign: the journal-skip and memo counters.
+func withoutRunCounters(st CampaignStatus) CampaignStatus {
+	st.SkippedTests, st.SkippedReductions = 0, 0
+	st.MemoHits, st.MemoMisses = 0, 0
+	return st
+}
+
+// TestCreateFailsWithoutJournal: a create whose record cannot be journaled
+// fails and registers nothing, so no job is listed that would never run.
+func TestCreateFailsWithoutJournal(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	status, err := s.CreateCampaign(CampaignSpec{Tests: 4, Targets: []string{"Mesa", "SwiftShader"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitCampaign(t, s, status.ID, 2*time.Minute); fin.State != StateDone {
+		t.Fatalf("campaign: %+v", fin)
+	}
+	if err := st.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateCampaign(CampaignSpec{Tests: 4}); err == nil {
+		t.Fatal("campaign created without a journal")
+	}
+	if got := s.Campaigns(); len(got) != 1 {
+		t.Fatalf("unjournaled campaign listed: %+v", got)
+	}
+	if _, err := s.CreateBisect(BisectSpec{Campaign: status.ID}); err == nil {
+		t.Fatal("bisect job created without a journal")
+	}
+	if got := s.BisectJobs(); len(got) != 0 {
+		t.Fatalf("unjournaled bisect job listed: %+v", got)
+	}
+}
+
+// TestRecoveryRejectsUnknownRecord: replay knows exactly the records both
+// roles write; a store holding any other type — such as a coordinator
+// shard record from before the roles shared one journal — fails to open
+// with an error that names it.
+func TestRecoveryRejectsUnknownRecord(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := CampaignSpec{Tests: 4}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Journal().Append("c001", recCampaignCreated, spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Journal().Append("c001", "cluster_shard_done", map[string]any{"phase": "fuzz"}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, err := New(st2, Options{}); err == nil || !strings.Contains(err.Error(), `"cluster_shard_done"`) {
+		t.Fatalf("recovery over an unknown record: %v", err)
 	}
 }
 
