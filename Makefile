@@ -31,11 +31,12 @@ test-bisect:
 # repo-wide one: -shuffle varies the journal/queue interleavings between
 # runs, which is where torn-tail and drain races would hide. Then repeated
 # runs of the recovery tests: a create whose record cannot be journaled
-# lists no job, and a recovered campaign reports the status it had.
+# lists no job, a recovered campaign reports the status it had, and a
+# campaign that finds no bugs still finishes, bisects and recovers.
 test-daemon:
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./internal/service/... ./internal/store/...
-	$(GO) test -race -count=3 -run 'FailsWithoutJournal|RecoversDoneCampaign' ./internal/service/
+	$(GO) test -race -count=3 -run 'FailsWithoutJournal|RecoversDoneCampaign|CampaignWithoutBugs' ./internal/service/
 
 # The distributed layer gets the same treatment, plus repeated runs of the
 # tests of the journal both roles share (a store one role started, the

@@ -47,14 +47,6 @@ import (
 	"spirvfuzz/internal/spirv"
 )
 
-// Shard phases, in pipeline order. PhaseBisect shards belong to bisection
-// jobs (one shard per case group), not campaigns.
-const (
-	PhaseFuzz   = service.PhaseFuzz
-	PhaseReduce = service.PhaseReduce
-	PhaseBisect = service.PhaseBisect
-)
-
 // BlobRef names a blob by content hash and size. Manifests of BlobRefs are
 // how shards describe their inputs: the size lets both sides account
 // referenced bytes without transferring anything.

@@ -240,7 +240,7 @@ func TestClusterKillRejoin(t *testing.T) {
 	for victim == "" && time.Now().Before(deadline) {
 		co.mu.Lock()
 		for _, ss := range co.leased {
-			if ss.phase == PhaseReduce {
+			if ss.phase == service.PhaseReduce {
 				victim = ss.node
 				break
 			}

@@ -373,7 +373,7 @@ func (co *Coordinator) Heartbeat(node string) {
 // observations in — the sizer's current target, never above the maximum.
 func (co *Coordinator) targetShardSize(phase string) int {
 	max := co.opts.ShardCases
-	if phase == PhaseFuzz {
+	if phase == service.PhaseFuzz {
 		max = co.opts.ShardTests
 	}
 	if !co.opts.AdaptiveShards {
@@ -418,7 +418,7 @@ func (co *Coordinator) Next(node string) (Shard, bool) {
 		if u.Job != first.Job || u.Phase != first.Phase {
 			break
 		}
-		if u.Phase == PhaseFuzz && u.Index != units[len(units)-1].Index+1 {
+		if u.Phase == service.PhaseFuzz && u.Index != units[len(units)-1].Index+1 {
 			break
 		}
 		units = append(units, u)
@@ -443,17 +443,17 @@ func (co *Coordinator) Next(node string) (Shard, bool) {
 		Corpus:   co.corpus,
 	}
 	switch ss.phase {
-	case PhaseFuzz:
+	case service.PhaseFuzz:
 		sh.Lo = units[0].Index
 		sh.Hi = units[len(units)-1].Index + 1
-	case PhaseReduce:
+	case service.PhaseReduce:
 		for _, u := range units {
 			sh.Cases = append(sh.Cases, u.Case)
 			if size, ok := co.st.StatBlob(u.Case.Bug.SeqHash); ok {
 				sh.Needs = append(sh.Needs, BlobRef{Hash: u.Case.Bug.SeqHash, Size: size})
 			}
 		}
-	case PhaseBisect:
+	case service.PhaseBisect:
 		for _, u := range units {
 			sh.Recs = append(sh.Recs, u.Rec)
 			if size, ok := co.st.StatBlob(u.Rec.ReportHash); ok {
@@ -479,7 +479,7 @@ func (co *Coordinator) observeShard(res ShardResult, units int) {
 	}
 	ps.observe(units, res.ServiceNanos, res.Sync.Nanos)
 	max := co.opts.ShardCases
-	if res.Phase == PhaseFuzz {
+	if res.Phase == service.PhaseFuzz {
 		max = co.opts.ShardTests
 	}
 	ps.retarget(co.opts.SyncFraction, max)
@@ -508,16 +508,16 @@ func (co *Coordinator) Result(res ShardResult) error {
 	var next []service.Unit
 	var err error
 	switch {
-	case res.Phase != PhaseFuzz && res.Phase != PhaseReduce && res.Phase != PhaseBisect:
+	case res.Phase != service.PhaseFuzz && res.Phase != service.PhaseReduce && res.Phase != service.PhaseBisect:
 		return badRequest("cluster: result with unknown phase %q", res.Phase)
 	case res.Error != "":
 		err = co.Fail(res.Campaign, fmt.Sprintf("shard %s on %s: %s", key, res.Node, res.Error))
-	case res.Phase == PhaseFuzz:
+	case res.Phase == service.PhaseFuzz:
 		for i := range res.Tests {
 			res.Tests[i].Node = res.Node
 		}
 		next, err = co.RecordTests(res.Campaign, res.Tests)
-	case res.Phase == PhaseReduce:
+	case res.Phase == service.PhaseReduce:
 		next, err = co.RecordReduced(res.Campaign, res.Reduced)
 	default:
 		next, err = co.RecordBisected(res.Campaign, res.Bisects)
@@ -528,7 +528,7 @@ func (co *Coordinator) Result(res ShardResult) error {
 		// the shard honestly.
 		return &statusError{http.StatusBadRequest, err}
 	case errors.Is(err, service.ErrDuplicate):
-		delete(co.leased, key)
+		co.release(key)
 		co.shardsDuplicate++
 		return nil
 	case err != nil:
@@ -538,11 +538,28 @@ func (co *Coordinator) Result(res ShardResult) error {
 		co.drop(res.Campaign)
 		return nil
 	}
-	delete(co.leased, key)
+	co.release(key)
 	co.shardsCompleted++
 	co.observeShard(res, len(res.Tests)+len(res.Reduced)+len(res.Bisects))
 	co.enqueue(next)
 	return nil
+}
+
+// release ends the lease on key, if any, and re-queues the shard's units the
+// Machine still needs: a result may record only part of the shard whose key
+// it names, and the lease is what would have re-dispatched the rest. Caller
+// holds co.mu.
+func (co *Coordinator) release(key string) {
+	ss := co.leased[key]
+	if ss == nil {
+		return
+	}
+	delete(co.leased, key)
+	for _, u := range ss.units {
+		if co.Missing(*u) {
+			co.queue = append(co.queue, u)
+		}
+	}
 }
 
 // drop removes a failed job's queued units and leases. Caller holds co.mu.
@@ -617,7 +634,7 @@ func (co *Coordinator) Metrics() Metrics {
 	for _, phase := range phases {
 		ps := co.sizers[phase]
 		max := co.opts.ShardCases
-		if phase == PhaseFuzz {
+		if phase == service.PhaseFuzz {
 			max = co.opts.ShardTests
 		}
 		size := ps.size

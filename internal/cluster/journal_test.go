@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -217,7 +218,7 @@ func (w *honestWorker) runWhile(cond func() bool) {
 		}
 		res := ShardResult{Campaign: sh.Campaign, Phase: sh.Phase, Index: sh.Index, Node: "honest"}
 		switch sh.Phase {
-		case PhaseFuzz:
+		case service.PhaseFuzz:
 			targets, err := service.ResolveTargets(sh.Spec.Targets)
 			if err != nil {
 				w.t.Fatal(err)
@@ -229,7 +230,7 @@ func (w *honestWorker) runWhile(cond func() bool) {
 				}
 				res.Tests = append(res.Tests, service.TestDone{Index: i, Bugs: bugs})
 			}
-		case PhaseReduce:
+		case service.PhaseReduce:
 			for _, rc := range sh.Cases {
 				rec, err := service.ReduceStep(ctx, w.env, sh.Campaign, sh.Spec, w.refs, rc)
 				if err != nil {
@@ -250,8 +251,11 @@ func (w *honestWorker) runWhile(cond func() bool) {
 // their campaign's current phase through SyncBatch: a test index past the
 // spec, a negative one, a reduction while the campaign still fuzzes, and a
 // reduction of a case the selection did not pick. Each must be a 400 that
-// journals nothing and releases no lease, and the campaign must still
-// finish, from honest results, with the reference buckets.
+// journals nothing and releases no lease. An empty or partial result naming
+// a leased shard is accepted, and the shard's unrecorded units go back to
+// the queue, since nothing else would re-dispatch them if their holder died.
+// The campaign must still finish, from honest results, with the reference
+// buckets.
 func TestCoordinatorRejectsForgedResults(t *testing.T) {
 	want := referenceBuckets(t)
 	dir := t.TempDir()
@@ -293,17 +297,57 @@ func TestCoordinatorRejectsForgedResults(t *testing.T) {
 	}
 	// A refused result also leaves the lease of the shard it names alone.
 	leased, _ := co.Next("victim")
-	forge("test index past the spec", ShardResult{Phase: PhaseFuzz, Index: leased.Index, Tests: []service.TestDone{{Index: spec.Tests}}})
+	forge("test index past the spec", ShardResult{Phase: service.PhaseFuzz, Index: leased.Index, Tests: []service.TestDone{{Index: spec.Tests}}})
 	co.mu.Lock()
 	_, held := co.leased[leased.Key()]
 	co.mu.Unlock()
 	if !held {
 		t.Fatalf("refused result released the lease of shard %s", leased.Key())
 	}
-	forge("negative test index", ShardResult{Phase: PhaseFuzz, Tests: []service.TestDone{{Index: -1}}})
-	forge("reduction while fuzzing", ShardResult{Phase: PhaseReduce, Reduced: []service.ReducedRec{{Case: id + "/seed0/Mesa"}}})
+	forge("negative test index", ShardResult{Phase: service.PhaseFuzz, Tests: []service.TestDone{{Index: -1}}})
+	forge("reduction while fuzzing", ShardResult{Phase: service.PhaseReduce, Reduced: []service.ReducedRec{{Case: id + "/seed0/Mesa"}}})
 
 	w := newHonestWorker(t, co, st)
+	requeued := func(what string, sh Shard, res ShardResult, want []int) {
+		t.Helper()
+		res.Campaign, res.Phase, res.Index, res.Node = id, sh.Phase, sh.Index, "forger"
+		if _, err := co.SyncBatch(syncRequest{Result: &res}); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		if _, held := co.leased[sh.Key()]; held {
+			t.Fatalf("%s: lease of shard %s kept", what, sh.Key())
+		}
+		var got []int
+		for _, u := range co.queue {
+			if u.Job == id && u.Phase == service.PhaseFuzz && u.Index >= sh.Lo && u.Index < sh.Hi {
+				got = append(got, u.Index)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: queued tests %v of shard %s, want %v", what, got, sh.Key(), want)
+		}
+	}
+	requeued("empty result", leased, ShardResult{}, []int{leased.Lo, leased.Lo + 1})
+	// The partial result's test is fuzzed before its shard is leased, so
+	// the lease cannot expire in between.
+	co.mu.Lock()
+	next := co.queue[0].Index
+	co.mu.Unlock()
+	targets, err := service.ResolveTargets(status.Spec.Targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bugs, err := service.FuzzStep(context.Background(), w.env, status.Spec, targets, w.refs, corpus.Donors(), next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, _ := co.Next("victim")
+	if partial.Lo != next || partial.Hi != next+2 {
+		t.Fatalf("leased shard [%d, %d), want [%d, %d)", partial.Lo, partial.Hi, next, next+2)
+	}
+	requeued("partial result", partial, ShardResult{Tests: []service.TestDone{{Index: next, Bugs: bugs}}}, []int{next + 1})
 	w.runWhile(func() bool {
 		cst, _ := co.Campaign(id)
 		return cst.State == service.StateFuzzing
@@ -311,7 +355,7 @@ func TestCoordinatorRejectsForgedResults(t *testing.T) {
 	if cst, _ := co.Campaign(id); cst.State != service.StateReducing || cst.TestsDone != spec.Tests {
 		t.Fatalf("after the fuzz phase: %+v", cst)
 	}
-	forge("unselected case", ShardResult{Phase: PhaseReduce, Reduced: []service.ReducedRec{{Case: id + "/seed999999/Mesa"}}})
+	forge("unselected case", ShardResult{Phase: service.PhaseReduce, Reduced: []service.ReducedRec{{Case: id + "/seed999999/Mesa"}}})
 	w.runWhile(func() bool {
 		cst, _ := co.Campaign(id)
 		return cst.State == service.StateReducing

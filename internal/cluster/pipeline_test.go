@@ -197,7 +197,7 @@ func TestClusterLeaseStealDuplicateDropped(t *testing.T) {
 	for !stolen && time.Now().Before(deadline) {
 		co.mu.Lock()
 		for _, ss := range co.leased {
-			if ss.phase == PhaseReduce {
+			if ss.phase == service.PhaseReduce {
 				ss.deadline = time.Now().Add(-time.Second)
 				co.sweepLeases(time.Now())
 				stolen = true
@@ -450,7 +450,7 @@ func TestSyncStatusCodes(t *testing.T) {
 	}{
 		{"missing blob", syncRequest{Node: "w", BlobFetch: []string{store.HashBytes([]byte("absent"))}}, http.StatusNotFound},
 		{"malformed hash", syncRequest{Node: "w", BlobFetch: []string{"zz"}}, http.StatusBadRequest},
-		{"unknown campaign", syncRequest{Node: "w", Result: &ShardResult{Campaign: "c999", Phase: PhaseFuzz}}, http.StatusBadRequest},
+		{"unknown campaign", syncRequest{Node: "w", Result: &ShardResult{Campaign: "c999", Phase: service.PhaseFuzz}}, http.StatusBadRequest},
 		{"unknown phase", syncRequest{Node: "w", Result: &ShardResult{Campaign: created.ID, Phase: "polish"}}, http.StatusBadRequest},
 		{"bad memo key", syncRequest{Node: "w", MemoFetch: []string{"not-a-key"}}, http.StatusBadRequest},
 	} {

@@ -573,7 +573,7 @@ func (w *Worker) executeInner(ctx context.Context, sh *Shard, res *ShardResult) 
 	}
 	env := service.Env{Eng: w.eng, Reng: w.reng, Blobs: w.st}
 	switch sh.Phase {
-	case PhaseFuzz:
+	case service.PhaseFuzz:
 		targets, err := service.ResolveTargets(sh.Spec.Targets)
 		if err != nil {
 			return nil, err
@@ -591,7 +591,7 @@ func (w *Worker) executeInner(ctx context.Context, sh *Shard, res *ShardResult) 
 			}
 		}
 		return produced, nil
-	case PhaseReduce:
+	case service.PhaseReduce:
 		var produced []string
 		for _, rc := range sh.Cases {
 			rec, err := service.ReduceStep(ctx, env, sh.Campaign, sh.Spec, refs, rc)
@@ -602,7 +602,7 @@ func (w *Worker) executeInner(ctx context.Context, sh *Shard, res *ShardResult) 
 			produced = append(produced, rec.ReportHash)
 		}
 		return produced, nil
-	case PhaseBisect:
+	case service.PhaseBisect:
 		for _, rec := range sh.Recs {
 			out, err := service.BisectStep(ctx, env, w.beng, refs, rec)
 			if err != nil {

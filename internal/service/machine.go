@@ -107,8 +107,8 @@ type campaign struct {
 	state     string
 	testsDone map[int][]BugRef      // index -> journaled bug refs
 	caseNode  map[string]string     // case -> node that fuzzed its test
-	cases     []ReduceCase          // selection; set once every test is done
-	selected  map[string]bool       // names in cases
+	cases     []ReduceCase          // selection, possibly empty
+	selected  map[string]bool       // names in cases; non-nil once selection ran
 	reduced   map[string]ReducedRec // case name -> journaled reduction
 	buckets   []Bucket
 	errMsg    string
@@ -170,11 +170,16 @@ type bisectJob struct {
 func (j *bisectJob) status() BisectStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	total := len(j.cases)
+	if j.set != nil {
+		// A job recovered done never lists its cases.
+		total = len(j.set.Outcomes)
+	}
 	return BisectStatus{
 		ID:           j.id,
 		Campaign:     j.camp.id,
 		State:        j.state,
-		CasesTotal:   len(j.cases),
+		CasesTotal:   total,
 		CasesDone:    len(j.outcomes),
 		SkippedCases: j.skipped,
 		Error:        j.errMsg,
@@ -267,7 +272,6 @@ func NewMachine(st *store.Store, memo func() (hits, misses uint64)) (*Machine, [
 	for _, id := range m.bisectOrder {
 		j := m.bisects[id]
 		if j.state != StatePending {
-			j.list() // for the status's case count only
 			continue
 		}
 		j.skipped = len(j.outcomes)
@@ -428,7 +432,7 @@ func (j *bisectJob) list() error {
 	c := j.camp
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cases == nil {
+	if c.selected == nil {
 		return fmt.Errorf("service: bisect job %s: campaign %s has unrecorded tests", j.id, c.id)
 	}
 	reduced := make(map[string]ReducedRec, len(c.cases))
@@ -450,7 +454,7 @@ func terminal(state string) bool { return state == StateDone || state == StateFa
 // recovery.
 func (m *Machine) activate(c *campaign, now memoCounts) []Unit {
 	c.memoBase = now
-	if c.cases != nil {
+	if c.selected != nil {
 		return m.enterReduce(c, now)
 	}
 	c.state = StateFuzzing
@@ -751,6 +755,33 @@ func (m *Machine) RecordBisected(id string, outs []BisectOutcome) ([]Unit, error
 		m.finishBisect(j)
 	}
 	return nil, nil
+}
+
+// Missing reports whether u's job is unfinished and has no record of u.
+func (m *Machine) Missing(u Unit) bool {
+	if u.Phase == PhaseBisect {
+		j := m.bisectJob(u.Job)
+		if j == nil {
+			return false
+		}
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		_, ok := j.outcomes[u.Rec.Case]
+		return !ok && !terminal(j.state)
+	}
+	c := m.campaign(u.Job)
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var ok bool
+	if u.Phase == PhaseFuzz {
+		_, ok = c.testsDone[u.Index]
+	} else {
+		_, ok = c.reduced[u.Case.Name]
+	}
+	return !ok && !terminal(c.state)
 }
 
 // Fail marks campaign or bisection job id failed, journaling it

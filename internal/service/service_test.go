@@ -316,6 +316,63 @@ func TestServiceRecoversDoneCampaign(t *testing.T) {
 	}
 }
 
+// TestCampaignWithoutBugs: a campaign that finds no bugs selects nothing to
+// reduce, yet its selection is made. It finishes with no buckets, a
+// bisection over it finishes with an empty set, and a restart that lost the
+// bucket checkpoint rebuilds it instead of waiting on the fuzz phase.
+func TestCampaignWithoutBugs(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := New(st1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := s1.CreateCampaign(CampaignSpec{Tests: 1, Targets: []string{"Mesa"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status = waitCampaign(t, s1, status.ID, time.Minute)
+	if status.State != StateDone || status.Bugs != 0 || status.ReduceTotal != 0 {
+		t.Fatalf("campaign: %+v", status)
+	}
+	job, err := s1.CreateBisect(BisectSpec{Campaign: status.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job = waitBisect(t, s1, job.ID, time.Minute)
+	if job.State != StateDone || job.CasesTotal != 0 {
+		t.Fatalf("bisect job: %+v", job)
+	}
+	set, err := s1.BisectResult(job.ID)
+	if err != nil || len(set.Outcomes) != 0 {
+		t.Fatalf("bisect set %+v: %v", set, err)
+	}
+	s1.Close(context.Background())
+
+	if err := os.Remove(filepath.Join(dir, "checkpoints", "buckets-"+status.ID+".json")); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(st2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close(context.Background())
+	got := waitCampaign(t, s2, status.ID, time.Minute)
+	if !reflect.DeepEqual(withoutRunCounters(got), withoutRunCounters(status)) {
+		t.Fatalf("recovered campaign: %+v (want %+v)", got, status)
+	}
+	if got, _ := s2.BisectJob(job.ID); !reflect.DeepEqual(got, job) {
+		t.Fatalf("recovered bisect job: %+v (want %+v)", got, job)
+	}
+}
+
 // withoutRunCounters zeroes the status fields that describe one process's
 // run rather than the campaign: the journal-skip and memo counters.
 func withoutRunCounters(st CampaignStatus) CampaignStatus {
