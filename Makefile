@@ -1,16 +1,21 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport test-e2ebench bench baseline bench-compare profile
+.PHONY: ci fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport test-e2ebench bench bench-compare profile
 
 # Everything CI runs, in order; fails fast.
 ci: fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport test-e2ebench bench
 
 # The per-query analyses get repeated race passes over their differentials:
-# query-local availability against a full cfa.Analyze, count-once DCE
-# against the recount-per-iteration reference, and the content-keyed
-# uniforms memo, which every engine worker shares.
+# query-local availability against a full cfa.Analyze, the index-based CFG
+# and dominators against the map-keyed references, count-once DCE against
+# the recount-per-iteration reference (also on ids past the module's
+# bound), the optimizer's pinned output digest, dead-block elimination on
+# a dangling branch target, and the content-keyed uniforms memo, which
+# every engine worker shares. Then a short fuzz of the CFG differential
+# over decoded functions of up to 64 blocks.
 test-analysis:
-	$(GO) test -race -count=3 -run 'AvailableAtMatchesInfo|DCEMatchesReference|UniformsHash' ./internal/spirv/cfa/ ./internal/opt/ ./internal/runner/
+	$(GO) test -race -count=3 -run 'AvailableAtMatchesInfo|GraphMatchesReference|DCEMatchesReference|DCEIdsAboveBound|OutputPinned|DeadBlocksDanglingTarget|UniformsHash' ./internal/spirv/cfa/ ./internal/opt/ ./internal/runner/
+	$(GO) test -run '^$$' -fuzz=FuzzGraphMatchesReference -fuzztime=10s ./internal/spirv/cfa/
 
 # The interpreter gets repeated race passes over the VM/tree-walker
 # differential (the VM stores into cells in place and bump-allocates frame
@@ -103,13 +108,6 @@ test:
 # cold/warm ratio the guards below care about.
 bench:
 	$(GO) test -short -run '^$$' -bench . -benchtime=1x -benchmem -p 1 ./...
-
-# Regenerate BENCH_baseline.json from a fresh -short benchmark pass so perf
-# regressions can be diffed against a committed reference.
-baseline:
-	$(GO) test -short -run '^$$' -bench . -benchtime=1x -benchmem -p 1 ./... \
-		| awk -f scripts/bench2json.awk > BENCH_baseline.json
-	@echo wrote BENCH_baseline.json
 
 # Run the reduction/resume/batching/interpreter benchmarks and fail if any
 # speedup metric (parallel reduction over serial; prefix-snapshot replay over

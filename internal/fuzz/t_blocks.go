@@ -205,12 +205,7 @@ func (t *MoveBlockDown) Precondition(c *Context) bool {
 	if i < 1 || i+1 >= len(fn.Blocks) {
 		return false
 	}
-	next := fn.Blocks[i+1]
-	dom := cfa.Dominators(cfa.Build(fn))
-	if idom, reachable := dom.Idom[next.Label]; reachable && idom == b.Label {
-		return false
-	}
-	return true
+	return cfa.Dominators(cfa.Build(fn)).Idom[i+1] != int32(i)
 }
 
 // Apply swaps the blocks.

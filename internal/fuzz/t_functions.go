@@ -227,13 +227,15 @@ func hasLoopTransitively(m *spirv.Module, fn *spirv.Function) bool {
 // insideLoop reports whether block lies inside some loop construct of fn:
 // a loop header dominates it and the loop's merge block does not.
 func insideLoop(fn *spirv.Function, block *spirv.Block) bool {
-	dom := cfa.Dominators(cfa.Build(fn))
-	for _, b := range fn.Blocks {
+	g := cfa.Build(fn)
+	dom := cfa.Dominators(g)
+	bi := g.Index(block.Label)
+	for hi, b := range fn.Blocks {
 		if b.Merge == nil || b.Merge.Op != spirv.OpLoopMerge {
 			continue
 		}
-		mergeBlk := spirv.ID(b.Merge.Operands[0])
-		if dom.Dominates(b.Label, block.Label) && !dom.Dominates(mergeBlk, block.Label) {
+		mergeBlk := g.Index(spirv.ID(b.Merge.Operands[0]))
+		if dom.Dominates(hi, bi) && !dom.Dominates(mergeBlk, bi) {
 			return true
 		}
 	}
@@ -554,8 +556,7 @@ func (t *PropagateInstructionUp) Precondition(c *Context) bool {
 	if loc == nil || loc.Index != 0 || !movable(loc.Instr.Op) {
 		return false
 	}
-	g := cfa.Build(loc.Fn)
-	preds := uniqueIDs(g.Preds[loc.Block.Label])
+	preds := predLabels(loc.Fn, loc.Block)
 	if len(preds) == 0 {
 		return false
 	}
@@ -612,8 +613,7 @@ func (t *PropagateInstructionUp) Precondition(c *Context) bool {
 // Apply performs the propagation.
 func (t *PropagateInstructionUp) Apply(c *Context) {
 	loc := c.FindInstruction(t.Instr)
-	g := cfa.Build(loc.Fn)
-	preds := uniqueIDs(g.Preds[loc.Block.Label])
+	preds := predLabels(loc.Fn, loc.Block)
 	phiValueFor := func(id spirv.ID, pred spirv.ID) spirv.ID {
 		for _, phi := range loc.Block.Phis {
 			if phi.Result != id {
@@ -648,17 +648,20 @@ func (t *PropagateInstructionUp) Apply(c *Context) {
 		spirv.NewInstr(spirv.OpPhi, loc.Instr.Type, loc.Instr.Result, phiOps...))
 }
 
-// uniqueIDs removes duplicates preserving order.
-func uniqueIDs(ids []spirv.ID) []spirv.ID {
-	seen := make(map[spirv.ID]bool, len(ids))
-	out := ids[:0:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+// predLabels returns the labels of b's predecessors in block order, each
+// once. Predecessor lists are in block order, so the duplicates a block
+// branching twice to b leaves are adjacent.
+func predLabels(fn *spirv.Function, b *spirv.Block) []spirv.ID {
+	g := cfa.Build(fn)
+	var labels []spirv.ID
+	prev := int32(-1)
+	for _, p := range g.Preds(g.Index(b.Label)) {
+		if p != prev {
+			labels = append(labels, fn.Blocks[p].Label)
+			prev = p
 		}
 	}
-	return out
+	return labels
 }
 
 func init() {

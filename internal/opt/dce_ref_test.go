@@ -182,3 +182,23 @@ func mustRun(t *testing.T, p opt.Pass, m *spirv.Module) bool {
 	}
 	return ch
 }
+
+// TestDCEIdsAboveBound runs opt.DCE on modules whose Bound understates
+// their ids (invalid, but decodable): the id-indexed counts must grow, not
+// panic, and reach the reference's module.
+func TestDCEIdsAboveBound(t *testing.T) {
+	donors := corpus.Donors()
+	for _, item := range corpus.References() {
+		res, err := fuzz.Fuzz(item.Mod, item.Inputs, fuzz.Options{Seed: 1, Donors: donors, EnableRecommendations: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bound := range []spirv.ID{0, 1, res.Variant.Bound / 2} {
+			got, want := res.Variant.Clone(), res.Variant.Clone()
+			got.Bound, want.Bound = bound, bound
+			if ch, refCh := mustRun(t, opt.DCE(), got), referenceDCE(want); ch != refCh || !bytes.Equal(got.EncodeBytes(), want.EncodeBytes()) {
+				t.Fatalf("%s at bound %d: DCE differs from the reference (changed %v vs %v)", item.Name, bound, ch, refCh)
+			}
+		}
+	}
+}

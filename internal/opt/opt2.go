@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/spirv/cfa"
 )
@@ -11,25 +13,25 @@ func EliminateDeadBlocks() Pass {
 	return Pass{Name: "eliminate-dead-blocks", Run: func(m *spirv.Module) (bool, error) {
 		changed := false
 		for _, fn := range m.Functions {
-			reach := cfa.Build(fn).Reachable()
-			if len(reach) == len(fn.Blocks) {
+			g := cfa.Build(fn)
+			reach := g.Reachable()
+			if !slices.Contains(reach, false) {
 				continue
 			}
-			removed := make(map[spirv.ID]bool)
 			kept := fn.Blocks[:0]
-			for _, b := range fn.Blocks {
-				if reach[b.Label] {
+			for i, b := range fn.Blocks {
+				if reach[i] {
 					kept = append(kept, b)
-				} else {
-					removed[b.Label] = true
 				}
 			}
 			fn.Blocks = kept
+			// g still indexes the blocks as they were: a ϕ edge is pruned
+			// when its parent was one of the removed blocks.
 			for _, b := range fn.Blocks {
 				for _, phi := range b.Phis {
 					ops := phi.Operands[:0]
 					for i := 0; i+1 < len(phi.Operands); i += 2 {
-						if !removed[spirv.ID(phi.Operands[i+1])] {
+						if p := g.Index(spirv.ID(phi.Operands[i+1])); p < 0 || reach[p] {
 							ops = append(ops, phi.Operands[i], phi.Operands[i+1])
 						}
 					}
@@ -51,16 +53,24 @@ func EliminateDeadBlocks() Pass {
 // becomes removable stays removable and the fixpoint is the one a recount
 // per sweep reaches. Sweeps run back to front, so a dead chain laid out in
 // definition order goes in one sweep.
+//
+// The use counts and the set of ids that still exist are slices indexed by
+// id, sized by the module's Bound; an id at or above Bound (an invalid
+// module) grows them.
 func DCE() Pass {
 	return Pass{Name: "dce", Run: func(m *spirv.Module) (bool, error) {
-		uses := make(map[spirv.ID]int)
+		uses := make([]int32, m.Bound)
 		m.ForEachInstruction(func(ins *spirv.Instruction) {
 			switch ins.Op {
 			case spirv.OpName, spirv.OpMemberName, spirv.OpDecorate, spirv.OpMemberDecorate:
 				return // debug info does not keep values alive
 			}
-			ins.Uses(func(id spirv.ID) { uses[id]++ })
+			ins.Uses(func(id spirv.ID) {
+				uses = growTo(uses, id)
+				uses[id]++
+			})
 		})
+		// Every id released was counted above, so it is in range.
 		release := func(id spirv.ID) { uses[id]-- }
 		// sweep drops the removable instructions of list, keeping order.
 		sweep := func(list []*spirv.Instruction, removable func(*spirv.Instruction) bool) ([]*spirv.Instruction, bool) {
@@ -80,12 +90,13 @@ func DCE() Pass {
 			clear(list[n:])
 			return list[:n], true
 		}
+		unused := func(id spirv.ID) bool { return int(id) >= len(uses) || uses[id] == 0 }
 		deadBody := func(ins *spirv.Instruction) bool {
-			return ins.Result != 0 && uses[ins.Result] == 0 &&
+			return ins.Result != 0 && unused(ins.Result) &&
 				!ins.Op.HasSideEffects() && ins.Op != spirv.OpVariable
 		}
 		// ϕs with unused results are removable too.
-		deadPhi := func(phi *spirv.Instruction) bool { return uses[phi.Result] == 0 }
+		deadPhi := func(phi *spirv.Instruction) bool { return unused(phi.Result) }
 		changedAny := false
 		for changed := true; changed; {
 			changed = false
@@ -106,21 +117,25 @@ func DCE() Pass {
 		}
 		if changedAny {
 			// Drop names/decorations for ids that no longer exist.
-			exists := make(map[spirv.ID]bool)
+			exists := make([]bool, m.Bound)
+			mark := func(id spirv.ID) {
+				exists = growTo(exists, id)
+				exists[id] = true
+			}
 			m.ForEachInstruction(func(ins *spirv.Instruction) {
 				if ins.Result != 0 {
-					exists[ins.Result] = true
+					mark(ins.Result)
 				}
 			})
 			for _, fn := range m.Functions {
 				for _, b := range fn.Blocks {
-					exists[b.Label] = true
+					mark(b.Label)
 				}
 			}
 			filter := func(list []*spirv.Instruction) []*spirv.Instruction {
 				kept := list[:0]
 				for _, ins := range list {
-					if exists[spirv.ID(ins.Operands[0])] {
+					if id := ins.Operands[0]; int(id) < len(exists) && exists[id] {
 						kept = append(kept, ins)
 					}
 				}
@@ -131,6 +146,14 @@ func DCE() Pass {
 		}
 		return changedAny, nil
 	}}
+}
+
+// growTo returns s extended, if need be, so that id indexes it.
+func growTo[T any](s []T, id spirv.ID) []T {
+	if int(id) < len(s) {
+		return s
+	}
+	return append(s, make([]T, int(id)+1-len(s))...)
 }
 
 // cseKey builds a structural key for a pure instruction.
@@ -183,39 +206,24 @@ func BlockLayout() Pass {
 	return Pass{Name: "block-layout", Run: func(m *spirv.Module) (bool, error) {
 		changed := false
 		for _, fn := range m.Functions {
+			// The reachable blocks are laid out in RPO exactly when RPO
+			// lists them in ascending block order.
 			rpo := cfa.Build(fn).ReversePostOrder()
-			pos := make(map[spirv.ID]int, len(rpo))
-			for i, l := range rpo {
-				pos[l] = i
-			}
-			inOrder := true
-			prev := -1
-			for _, b := range fn.Blocks {
-				p, reachable := pos[b.Label]
-				if !reachable {
-					continue
-				}
-				if p < prev {
-					inOrder = false
-					break
-				}
-				prev = p
-			}
-			if inOrder {
+			if slices.IsSorted(rpo) {
 				continue
 			}
-			var reachableBlocks, orphans []*spirv.Block
-			byLabel := make(map[spirv.ID]*spirv.Block, len(fn.Blocks))
-			for _, b := range fn.Blocks {
-				byLabel[b.Label] = b
-				if _, ok := pos[b.Label]; !ok {
-					orphans = append(orphans, b)
+			blocks := make([]*spirv.Block, 0, len(fn.Blocks))
+			placed := make([]bool, len(fn.Blocks))
+			for _, i := range rpo {
+				blocks = append(blocks, fn.Blocks[i])
+				placed[i] = true
+			}
+			for i, b := range fn.Blocks {
+				if !placed[i] {
+					blocks = append(blocks, b)
 				}
 			}
-			for _, l := range rpo {
-				reachableBlocks = append(reachableBlocks, byLabel[l])
-			}
-			fn.Blocks = append(reachableBlocks, orphans...)
+			fn.Blocks = blocks
 			changed = true
 		}
 		return changed, nil
@@ -248,15 +256,18 @@ func MergeBlocks() Pass {
 						continue
 					}
 					succ := b.Term.IDOperand(0)
-					sb := fn.Block(succ)
-					if sb == nil || sb == b || len(g.Preds[succ]) != 1 || len(sb.Phis) != 0 || reserved[succ] {
+					idx := g.Index(succ)
+					if idx < 0 {
+						continue
+					}
+					sb := fn.Blocks[idx]
+					if sb == b || len(g.Preds(idx)) != 1 || len(sb.Phis) != 0 || reserved[succ] {
 						continue
 					}
 					// Splice successor into b and drop it.
 					b.Body = append(b.Body, sb.Body...)
 					b.Merge = sb.Merge
 					b.Term = sb.Term
-					idx := fn.BlockIndex(succ)
 					fn.Blocks = append(fn.Blocks[:idx], fn.Blocks[idx+1:]...)
 					// ϕs in b's new successors referred to the dropped label.
 					for _, s := range b.Successors() {

@@ -1,6 +1,9 @@
 package opt_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"spirvfuzz/internal/corpus"
@@ -70,6 +73,35 @@ func TestPipelineOnFuzzedVariants(t *testing.T) {
 				t.Fatalf("%s seed %d: optimization changed the image", item.Name, seed)
 			}
 		}
+	}
+}
+
+// TestStandardPipelineOutputPinned pins the standard pipeline's output on
+// fuzzed variants of every corpus reference, built as in
+// TestPipelineOnFuzzedVariants: the digest of the encoded outputs must not
+// move when an analysis the passes use is reimplemented. Regenerate the
+// constant only for a deliberate change to what a pass emits.
+func TestStandardPipelineOutputPinned(t *testing.T) {
+	const want = "b46a337b15c6be47118fce6c9df687653179994a0e868e786a0d7a30555ec9a8"
+	donors := corpus.Donors()
+	h := sha256.New()
+	for _, item := range corpus.References() {
+		for seed := int64(0); seed < 8; seed++ {
+			res, err := fuzz.Fuzz(item.Mod, item.Inputs, fuzz.Options{Seed: seed, Donors: donors, EnableRecommendations: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := res.Variant.Clone()
+			if err := opt.Pipeline(o, opt.Standard(), 0); err != nil {
+				t.Fatalf("%s seed %d: pipeline: %v", item.Name, seed, err)
+			}
+			out := o.EncodeBytes()
+			binary.Write(h, binary.LittleEndian, uint64(len(out)))
+			h.Write(out)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("optimized outputs digest %s, want %s", got, want)
 	}
 }
 
@@ -251,6 +283,27 @@ func findIntConst(m *spirv.Module, v int64) (spirv.ID, bool) {
 		}
 	}
 	return 0, false
+}
+
+// TestEliminateDeadBlocksDanglingTarget covers an invalid module whose
+// entry branches to a label that names no block: the function's other
+// block is unreachable and must go, even though the set of labels reached
+// (the entry and the dangling target) is as large as the block list.
+func TestEliminateDeadBlocksDanglingTarget(t *testing.T) {
+	m := testmod.Diamond()
+	fn := m.EntryPointFunction()
+	entry, tail := fn.Blocks[0], fn.Blocks[len(fn.Blocks)-1]
+	entry.Merge = nil
+	entry.Term = spirv.NewInstr(spirv.OpBranch, 0, 0, uint32(m.FreshID()))
+	tail.Phis = nil
+	fn.Blocks = []*spirv.Block{entry, tail}
+	changed, err := opt.EliminateDeadBlocks().Run(m)
+	if err != nil || !changed {
+		t.Fatalf("changed=%t err=%v", changed, err)
+	}
+	if len(fn.Blocks) != 1 || fn.Blocks[0] != entry {
+		t.Fatalf("%d blocks left, want the entry alone", len(fn.Blocks))
+	}
 }
 
 func TestMergeBlocksUndoesSplit(t *testing.T) {

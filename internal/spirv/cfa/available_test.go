@@ -47,8 +47,8 @@ func TestAvailableAtMatchesInfo(t *testing.T) {
 				for _, fn := range m.Functions {
 					info := cfa.Analyze(m, fn)
 					reach := info.G.Reachable()
-					for _, b := range fn.Blocks {
-						if !reach[b.Label] {
+					for bi, b := range fn.Blocks {
+						if !reach[bi] {
 							unreachable++
 						}
 						for pos := 0; pos <= len(b.Phis)+len(b.Body); pos++ {

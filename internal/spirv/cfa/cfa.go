@@ -4,51 +4,116 @@
 // validator, optimizer and transformations all share.
 package cfa
 
-import "spirvfuzz/internal/spirv"
+import (
+	"slices"
 
-// CFG is the control-flow graph of one function.
+	"spirvfuzz/internal/spirv"
+)
+
+// CFG is the control-flow graph of one function over block indices: block i
+// is Fn.Blocks[i], and the entry is block 0. Each label is resolved to its
+// index once, when the graph is built. Edges are stored as flat arrays
+// (compressed sparse rows), so a graph costs a handful of allocations
+// however many blocks it has.
 type CFG struct {
-	Fn    *spirv.Function
-	Succs map[spirv.ID][]spirv.ID
-	Preds map[spirv.ID][]spirv.ID
+	Fn *spirv.Function
+	// The successors of block i are succ[succOff[i]:succOff[i+1]], in
+	// terminator order, with -1 for a target that names no block.
+	succOff, succ []int32
+	// The predecessors of block i are pred[predOff[i]:predOff[i+1]], in
+	// block order, once per edge: a block that branches to i from both arms
+	// of a conditional is listed twice.
+	predOff, pred []int32
+	// byLabel holds label<<32 | index for every block, sorted, so Index is
+	// a binary search. Of two blocks with one label, the first wins, as in
+	// spirv.Function.Block.
+	byLabel []uint64
 }
 
 // Build computes the CFG of fn.
 func Build(fn *spirv.Function) *CFG {
-	g := &CFG{
-		Fn:    fn,
-		Succs: make(map[spirv.ID][]spirv.ID, len(fn.Blocks)),
-		Preds: make(map[spirv.ID][]spirv.ID, len(fn.Blocks)),
+	n := len(fn.Blocks)
+	g := &CFG{Fn: fn, byLabel: make([]uint64, n)}
+	edges := 0
+	for i, b := range fn.Blocks {
+		g.byLabel[i] = uint64(b.Label)<<32 | uint64(i)
+		b.ForEachSuccessor(func(spirv.ID) { edges++ })
 	}
-	for _, b := range fn.Blocks {
-		succs := b.Successors()
-		g.Succs[b.Label] = succs
-		if _, ok := g.Preds[b.Label]; !ok {
-			g.Preds[b.Label] = nil
-		}
-		for _, s := range succs {
-			g.Preds[s] = append(g.Preds[s], b.Label)
+	slices.Sort(g.byLabel)
+	buf := make([]int32, 2*(n+1)+2*edges)
+	g.succOff, g.succ = buf[:n+1], buf[n+1:n+1+edges]
+	buf = buf[n+1+edges:]
+	g.predOff, g.pred = buf[:n+1], buf[n+1:]
+	e := 0
+	for i, b := range fn.Blocks {
+		g.succOff[i] = int32(e)
+		b.ForEachSuccessor(func(label spirv.ID) {
+			s := g.Index(label)
+			g.succ[e] = int32(s)
+			e++
+			if s >= 0 {
+				g.predOff[s+1]++
+			}
+		})
+	}
+	g.succOff[n] = int32(e)
+	// Counting sort of the edges by target. predOff[i] serves as block i's
+	// fill cursor, which leaves it at block i+1's start; shifting the
+	// offsets up by one then restores the starts. Sources are visited in
+	// block order, so each predecessor list comes out in block order.
+	for i := 1; i <= n; i++ {
+		g.predOff[i] += g.predOff[i-1]
+	}
+	g.pred = g.pred[:g.predOff[n]]
+	for i := range n {
+		for _, s := range g.Succs(i) {
+			if s >= 0 {
+				g.pred[g.predOff[s]] = int32(i)
+				g.predOff[s]++
+			}
 		}
 	}
+	copy(g.predOff[1:], g.predOff[:n])
+	g.predOff[0] = 0
 	return g
 }
 
-// Reachable returns the set of blocks reachable from the entry block.
-func (g *CFG) Reachable() map[spirv.ID]bool {
-	seen := make(map[spirv.ID]bool, len(g.Fn.Blocks))
-	if len(g.Fn.Blocks) == 0 {
+// Len returns the number of blocks.
+func (g *CFG) Len() int { return len(g.succOff) - 1 }
+
+// Index returns the index of the block labelled label, or -1.
+func (g *CFG) Index(label spirv.ID) int {
+	i, _ := slices.BinarySearch(g.byLabel, uint64(label)<<32)
+	if i < len(g.byLabel) && g.byLabel[i]>>32 == uint64(label) {
+		return int(uint32(g.byLabel[i]))
+	}
+	return -1
+}
+
+// Succs returns the successor indices of block i, -1 for a target that
+// names no block. The slice aliases the graph.
+func (g *CFG) Succs(i int) []int32 { return g.succ[g.succOff[i]:g.succOff[i+1]] }
+
+// Preds returns the predecessor indices of block i in block order, once
+// per edge. The slice aliases the graph.
+func (g *CFG) Preds(i int) []int32 { return g.pred[g.predOff[i]:g.predOff[i+1]] }
+
+// Reachable reports, per block index, whether the block is reachable from
+// the entry.
+func (g *CFG) Reachable() []bool {
+	n := g.Len()
+	seen := make([]bool, n)
+	if n == 0 {
 		return seen
 	}
-	stack := []spirv.ID{g.Fn.Entry().Label}
+	seen[0] = true
+	stack := make([]int32, 1, n)
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		for _, s := range g.Succs[b] {
-			if !seen[s] {
+		for _, s := range g.Succs(int(b)) {
+			if s >= 0 && !seen[s] {
+				seen[s] = true
 				stack = append(stack, s)
 			}
 		}
@@ -56,65 +121,73 @@ func (g *CFG) Reachable() map[spirv.ID]bool {
 	return seen
 }
 
-// ReversePostOrder returns the reachable blocks in reverse post-order. The
-// DFS visits successors in reverse declaration order, which yields the
-// conventional layout order (then-arm before else-arm before merge) — the
-// order builders and compilers naturally emit, so a module laid out
-// naturally is already in RPO.
-func (g *CFG) ReversePostOrder() []spirv.ID {
-	var post []spirv.ID
-	seen := make(map[spirv.ID]bool)
-	var dfs func(b spirv.ID)
-	dfs = func(b spirv.ID) {
-		seen[b] = true
-		succs := g.Succs[b]
-		for i := len(succs) - 1; i >= 0; i-- {
-			if s := succs[i]; !seen[s] && g.Fn.Block(s) != nil {
-				dfs(s)
-			}
+// ReversePostOrder returns the indices of the reachable blocks in reverse
+// post-order. The DFS visits successors in reverse declaration order, which
+// yields the conventional layout order (then-arm before else-arm before
+// merge) — the order builders and compilers naturally emit, so a module laid
+// out naturally is already in RPO.
+func (g *CFG) ReversePostOrder() []int32 {
+	n := g.Len()
+	if n == 0 {
+		return nil
+	}
+	// An explicit DFS stack of (block, next edge), the edge cursor counting
+	// down from the block's last successor; a block is marked when pushed,
+	// so each is pushed at most once.
+	type frame struct{ b, next int32 }
+	stack := make([]frame, 1, n)
+	stack[0] = frame{0, g.succOff[1]}
+	seen := make([]bool, n)
+	seen[0] = true
+	post := make([]int32, 0, n)
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next == g.succOff[top.b] {
+			post = append(post, top.b)
+			stack = stack[:len(stack)-1]
+			continue
 		}
-		post = append(post, b)
+		top.next--
+		if s := g.succ[top.next]; s >= 0 && !seen[s] {
+			seen[s] = true
+			stack = append(stack, frame{s, g.succOff[s+1]})
+		}
 	}
-	if len(g.Fn.Blocks) > 0 {
-		dfs(g.Fn.Entry().Label)
-	}
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
+	slices.Reverse(post)
 	return post
 }
 
 // DomTree is the dominator tree of a function's reachable blocks.
 type DomTree struct {
-	// Idom maps each reachable non-entry block to its immediate dominator.
-	Idom map[spirv.ID]spirv.ID
-	// Entry is the function's entry block label.
-	Entry spirv.ID
-	// rpoIndex orders blocks for the CHK intersection walk.
-	rpoIndex map[spirv.ID]int
+	// Idom holds each block's immediate dominator by index: the entry's is
+	// itself (0), an unreachable block's is -1.
+	Idom []int32
 }
 
 // Dominators computes the dominator tree with the Cooper-Harvey-Kennedy
 // iterative algorithm over reverse post-order.
 func Dominators(g *CFG) *DomTree {
+	n := g.Len()
 	rpo := g.ReversePostOrder()
-	idx := make(map[spirv.ID]int, len(rpo))
-	for i, b := range rpo {
-		idx[b] = i
+	buf := make([]int32, 2*n)
+	d := &DomTree{Idom: buf[:n]}
+	pos := buf[n:] // RPO position, ordering blocks for the intersection walk
+	for i := range buf {
+		buf[i] = -1
 	}
-	d := &DomTree{Idom: make(map[spirv.ID]spirv.ID, len(rpo)), rpoIndex: idx}
 	if len(rpo) == 0 {
 		return d
 	}
-	entry := rpo[0]
-	d.Entry = entry
-	d.Idom[entry] = entry
-	intersect := func(a, b spirv.ID) spirv.ID {
+	for i, b := range rpo {
+		pos[b] = int32(i)
+	}
+	d.Idom[0] = 0
+	intersect := func(a, b int32) int32 {
 		for a != b {
-			for idx[a] > idx[b] {
+			for pos[a] > pos[b] {
 				a = d.Idom[a]
 			}
-			for idx[b] > idx[a] {
+			for pos[b] > pos[a] {
 				b = d.Idom[b]
 			}
 		}
@@ -123,18 +196,18 @@ func Dominators(g *CFG) *DomTree {
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo[1:] {
-			var newIdom spirv.ID
-			for _, p := range g.Preds[b] {
-				if _, ok := d.Idom[p]; !ok {
+			newIdom := int32(-1)
+			for _, p := range g.Preds(int(b)) {
+				if d.Idom[p] < 0 {
 					continue // predecessor not yet processed or unreachable
 				}
-				if newIdom == 0 {
+				if newIdom < 0 {
 					newIdom = p
 				} else {
 					newIdom = intersect(p, newIdom)
 				}
 			}
-			if newIdom != 0 && d.Idom[b] != newIdom {
+			if newIdom >= 0 && d.Idom[b] != newIdom {
 				d.Idom[b] = newIdom
 				changed = true
 			}
@@ -143,33 +216,31 @@ func Dominators(g *CFG) *DomTree {
 	return d
 }
 
-// Dominates reports whether block a dominates block b (reflexively).
-// Unreachable blocks dominate nothing and are dominated only by themselves.
-func (d *DomTree) Dominates(a, b spirv.ID) bool {
+// Dominates reports whether block index a dominates block index b
+// (reflexively). Unreachable blocks dominate nothing and are dominated only
+// by themselves; a negative index (no such block) is neither.
+func (d *DomTree) Dominates(a, b int) bool {
+	if a < 0 || b < 0 {
+		return false
+	}
 	if a == b {
 		return true
 	}
-	cur, ok := d.Idom[b]
-	if !ok {
-		return false
-	}
-	for {
-		if cur == a {
+	for cur := d.Idom[b]; cur >= 0; {
+		if int(cur) == a {
 			return true
 		}
-		if cur == d.Entry {
-			return false
-		}
-		next, ok := d.Idom[cur]
-		if !ok || next == cur {
+		next := d.Idom[cur]
+		if next == cur { // the entry
 			return false
 		}
 		cur = next
 	}
+	return false
 }
 
 // StrictlyDominates reports whether a strictly dominates b.
-func (d *DomTree) StrictlyDominates(a, b spirv.ID) bool {
+func (d *DomTree) StrictlyDominates(a, b int) bool {
 	return a != b && d.Dominates(a, b)
 }
 
@@ -257,7 +328,7 @@ func (info *Info) AvailableAt(id spirv.ID, blk spirv.ID, pos int) bool {
 		}
 		return info.DefPos[id] < pos
 	}
-	return info.Dom.StrictlyDominates(db, blk)
+	return info.Dom.StrictlyDominates(info.G.Index(db), info.G.Index(blk))
 }
 
 // AvailableAt answers Info.AvailableAt for one query without building an
@@ -367,23 +438,21 @@ func strictlyDominates(fn *spirv.Function, a, b int) bool {
 }
 
 // BlockOrderRespectsDominance reports whether the function's syntactic block
-// order satisfies the SPIR-V rule: the entry block appears first, and every
-// block appears before all blocks it dominates... i.e. each block appears
-// after every block that strictly dominates it. Unreachable blocks may
-// appear anywhere after the entry.
+// order satisfies the SPIR-V rule: each block appears after every block that
+// strictly dominates it. Unreachable blocks may appear anywhere after the
+// entry.
 func BlockOrderRespectsDominance(fn *spirv.Function) bool {
-	g := Build(fn)
-	dom := Dominators(g)
-	seen := make(map[spirv.ID]bool, len(fn.Blocks))
-	for i, b := range fn.Blocks {
-		if i == 0 && len(fn.Blocks) > 0 && b.Label != fn.Entry().Label {
+	return Dominators(Build(fn)).RespectsBlockOrder()
+}
+
+// RespectsBlockOrder is BlockOrderRespectsDominance for a dominator tree
+// already built: every reachable block after the entry must come after its
+// immediate dominator, and so, by induction, after all its dominators.
+func (d *DomTree) RespectsBlockOrder() bool {
+	for i := 1; i < len(d.Idom); i++ {
+		if d.Idom[i] > int32(i) {
 			return false
 		}
-		idom, reachable := dom.Idom[b.Label]
-		if reachable && b.Label != dom.Entry && !seen[idom] {
-			return false
-		}
-		seen[b.Label] = true
 	}
 	return true
 }

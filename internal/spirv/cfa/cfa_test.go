@@ -31,24 +31,35 @@ func fnOf(t *testing.T, blocks ...[]spirv.ID) *spirv.Function {
 	return f
 }
 
+// labelsOf maps block indices of f to their labels, -1 to 0.
+func labelsOf(f *spirv.Function, idx []int32) []spirv.ID {
+	labels := make([]spirv.ID, len(idx))
+	for i, b := range idx {
+		if b >= 0 {
+			labels[i] = f.Blocks[b].Label
+		}
+	}
+	return labels
+}
+
 func TestCFGAndReachability(t *testing.T) {
 	// 1 -> (2, 3); 2 -> 4; 3 -> 4; 4 halt; 5 orphan.
 	f := fnOf(t, []spirv.ID{1, 2, 3}, []spirv.ID{2, 4}, []spirv.ID{3, 4}, []spirv.ID{4}, []spirv.ID{5, 4})
 	g := cfa.Build(f)
-	if !reflect.DeepEqual(g.Succs[1], []spirv.ID{2, 3}) {
-		t.Fatalf("succs(1) = %v", g.Succs[1])
+	if got := labelsOf(f, g.Succs(g.Index(1))); !reflect.DeepEqual(got, []spirv.ID{2, 3}) {
+		t.Fatalf("succs(1) = %v", got)
 	}
-	preds := g.Preds[4]
-	if len(preds) != 3 { // 2, 3 and the orphan 5
+	preds := labelsOf(f, g.Preds(g.Index(4)))
+	if !reflect.DeepEqual(preds, []spirv.ID{2, 3, 5}) { // 2, 3 and the orphan 5, in block order
 		t.Fatalf("preds(4) = %v", preds)
 	}
 	reach := g.Reachable()
 	for _, b := range []spirv.ID{1, 2, 3, 4} {
-		if !reach[b] {
+		if !reach[g.Index(b)] {
 			t.Errorf("block %d should be reachable", b)
 		}
 	}
-	if reach[5] {
+	if reach[g.Index(5)] {
 		t.Error("orphan block 5 must be unreachable")
 	}
 }
@@ -64,36 +75,39 @@ func TestDominators(t *testing.T) {
 		[]spirv.ID{5, 2, 6},
 		[]spirv.ID{6},
 	)
-	d := cfa.Dominators(cfa.Build(f))
+	g := cfa.Build(f)
+	d := cfa.Dominators(g)
+	dominates := func(a, b spirv.ID) bool { return d.Dominates(g.Index(a), g.Index(b)) }
 	want := map[spirv.ID]spirv.ID{2: 1, 3: 2, 4: 2, 5: 2, 6: 5}
 	for b, idom := range want {
-		if d.Idom[b] != idom {
-			t.Errorf("idom(%d) = %d, want %d", b, d.Idom[b], idom)
+		if got := f.Blocks[d.Idom[g.Index(b)]].Label; got != idom {
+			t.Errorf("idom(%d) = %d, want %d", b, got, idom)
 		}
 	}
-	if !d.Dominates(1, 6) || !d.Dominates(2, 6) || !d.Dominates(5, 6) {
+	if !dominates(1, 6) || !dominates(2, 6) || !dominates(5, 6) {
 		t.Error("1, 2, 5 must dominate 6")
 	}
-	if d.Dominates(3, 5) || d.Dominates(4, 5) {
+	if dominates(3, 5) || dominates(4, 5) {
 		t.Error("3 and 4 must not dominate 5")
 	}
-	if !d.Dominates(3, 3) {
+	if !dominates(3, 3) {
 		t.Error("dominance is reflexive")
 	}
-	if d.StrictlyDominates(3, 3) {
+	if d.StrictlyDominates(g.Index(3), g.Index(3)) {
 		t.Error("strict dominance is irreflexive")
 	}
 	// Unreachable blocks are dominated by nothing else.
 	f2 := fnOf(t, []spirv.ID{1}, []spirv.ID{9})
-	d2 := cfa.Dominators(cfa.Build(f2))
-	if d2.Dominates(1, 9) {
+	g2 := cfa.Build(f2)
+	d2 := cfa.Dominators(g2)
+	if d2.Dominates(g2.Index(1), g2.Index(9)) {
 		t.Error("unreachable block must not be dominated by entry")
 	}
 }
 
 func TestReversePostOrder(t *testing.T) {
 	f := fnOf(t, []spirv.ID{1, 2, 3}, []spirv.ID{2, 4}, []spirv.ID{3, 4}, []spirv.ID{4})
-	rpo := cfa.Build(f).ReversePostOrder()
+	rpo := labelsOf(f, cfa.Build(f).ReversePostOrder())
 	if rpo[0] != 1 || rpo[len(rpo)-1] != 4 {
 		t.Fatalf("rpo = %v", rpo)
 	}

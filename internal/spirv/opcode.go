@@ -134,7 +134,11 @@ type Signature struct {
 	Variadic []OperandKind
 }
 
-var signatures = map[Opcode]Signature{
+// signatures is indexed by opcode; a supported opcode has a non-empty Name.
+// Every supported opcode is below 256 (OpUnreachable is the largest), so a
+// lookup is one bounds check instead of a map probe, and an opcode added
+// past 255 fails to compile here.
+var signatures = [256]Signature{
 	OpNop:                  {Name: "OpNop"},
 	OpUndef:                {Name: "OpUndef", HasType: true, HasResult: true},
 	OpName:                 {Name: "OpName", Fixed: []OperandKind{KindID, KindString}},
@@ -236,17 +240,21 @@ func binarySig(name string) Signature {
 }
 
 var opcodeByName = func() map[string]Opcode {
-	m := make(map[string]Opcode, len(signatures))
+	m := make(map[string]Opcode)
 	for op, sig := range signatures {
-		m[sig.Name] = op
+		if sig.Name != "" {
+			m[sig.Name] = Opcode(op)
+		}
 	}
 	return m
 }()
 
 // Sig returns the signature of op; ok is false for unsupported opcodes.
 func Sig(op Opcode) (Signature, bool) {
-	s, ok := signatures[op]
-	return s, ok
+	if int(op) >= len(signatures) || signatures[op].Name == "" {
+		return Signature{}, false
+	}
+	return signatures[op], true
 }
 
 // OpcodeByName returns the opcode with the given "OpXxx" name.
@@ -257,7 +265,7 @@ func OpcodeByName(name string) (Opcode, bool) {
 
 // String returns the "OpXxx" name of the opcode.
 func (op Opcode) String() string {
-	if s, ok := signatures[op]; ok {
+	if s, ok := Sig(op); ok {
 		return s.Name
 	}
 	return fmt.Sprintf("Op?%d", uint16(op))

@@ -1,6 +1,8 @@
 package validate
 
 import (
+	"slices"
+
 	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/spirv/cfa"
 )
@@ -49,21 +51,21 @@ func (v *validator) checkFunction(fn *spirv.Function) error {
 	if len(fn.Entry().Phis) != 0 {
 		return errf("block.entry-phi", "entry block %%%d has ϕ instructions", fn.Entry().Label)
 	}
-	g := cfa.Build(fn)
-	if len(g.Preds[fn.Entry().Label]) != 0 {
+	info := cfa.Analyze(m, fn)
+	if len(info.G.Preds(0)) != 0 {
 		return errf("block.entry-pred", "entry block %%%d has predecessors", fn.Entry().Label)
 	}
-	if !cfa.BlockOrderRespectsDominance(fn) {
+	if !info.Dom.RespectsBlockOrder() {
 		return errf("block.order", "block order of function %%%d violates dominance ordering", fn.ID())
 	}
-	info := cfa.Analyze(m, fn)
-	if err := v.checkPhis(fn, g, info); err != nil {
+	reach := info.G.Reachable()
+	if err := v.checkPhis(fn, info, reach); err != nil {
 		return err
 	}
-	if err := v.checkAvailability(fn, info); err != nil {
+	if err := v.checkAvailability(fn, info, reach); err != nil {
 		return err
 	}
-	if err := v.checkStructured(fn, g, info); err != nil {
+	if err := v.checkStructured(fn, info, reach); err != nil {
 		return err
 	}
 	for _, b := range fn.Blocks {
@@ -81,9 +83,9 @@ func (v *validator) checkFunction(fn *spirv.Function) error {
 
 // checkPhis verifies each ϕ covers exactly the block's predecessors, with
 // values of the ϕ's type that are available at the end of each predecessor.
-func (v *validator) checkPhis(fn *spirv.Function, g *cfa.CFG, info *cfa.Info) error {
-	reach := g.Reachable()
-	for _, b := range fn.Blocks {
+func (v *validator) checkPhis(fn *spirv.Function, info *cfa.Info, reach []bool) error {
+	g := info.G
+	for bi, b := range fn.Blocks {
 		for _, phi := range b.Phis {
 			if len(phi.Operands)%2 != 0 {
 				return errf("phi.pairs", "ϕ %%%d has odd operand count", phi.Result)
@@ -95,27 +97,21 @@ func (v *validator) checkPhis(fn *spirv.Function, g *cfa.CFG, info *cfa.Info) er
 					return errf("phi.duplicate-parent", "ϕ %%%d lists parent %%%d twice", phi.Result, parent)
 				}
 				parents[parent] = true
-				isPred := false
-				for _, p := range g.Preds[b.Label] {
-					if p == parent {
-						isPred = true
-						break
-					}
-				}
-				if !isPred {
+				pi := g.Index(parent)
+				if pi < 0 || !slices.Contains(g.Preds(bi), int32(pi)) {
 					return errf("phi.non-pred", "ϕ %%%d parent %%%d is not a predecessor of %%%d", phi.Result, parent, b.Label)
 				}
 				if got := v.m.TypeOf(val); got != phi.Type {
 					return errf("phi.value-type", "ϕ %%%d value %%%d has type %%%d, want %%%d", phi.Result, val, got, phi.Type)
 				}
 				// The value must be available at the end of the parent block.
-				pb := fn.Block(parent)
-				if reach[parent] && !info.AvailableAt(val, parent, len(pb.Phis)+len(pb.Body)) {
+				pb := fn.Blocks[pi]
+				if reach[pi] && !info.AvailableAt(val, parent, len(pb.Phis)+len(pb.Body)) {
 					return errf("phi.value-avail", "ϕ %%%d value %%%d is not available at end of parent %%%d", phi.Result, val, parent)
 				}
 			}
-			if reach[b.Label] && len(parents) != len(g.Preds[b.Label]) {
-				return errf("phi.coverage", "ϕ %%%d covers %d parents, block %%%d has %d predecessors", phi.Result, len(parents), b.Label, len(g.Preds[b.Label]))
+			if reach[bi] && len(parents) != len(g.Preds(bi)) {
+				return errf("phi.coverage", "ϕ %%%d covers %d parents, block %%%d has %d predecessors", phi.Result, len(parents), b.Label, len(g.Preds(bi)))
 			}
 		}
 	}
@@ -124,10 +120,9 @@ func (v *validator) checkPhis(fn *spirv.Function, g *cfa.CFG, info *cfa.Info) er
 
 // checkAvailability verifies every id use in reachable blocks respects SSA
 // dominance (ϕ uses were checked separately).
-func (v *validator) checkAvailability(fn *spirv.Function, info *cfa.Info) error {
-	reach := cfa.Build(fn).Reachable()
-	for _, b := range fn.Blocks {
-		if !reach[b.Label] {
+func (v *validator) checkAvailability(fn *spirv.Function, info *cfa.Info, reach []bool) error {
+	for bi, b := range fn.Blocks {
+		if !reach[bi] {
 			// Uses in unreachable blocks still need definitions to exist,
 			// but dominance is vacuous there (SPIR-V shares this rule).
 			var missing error
@@ -189,9 +184,9 @@ func (v *validator) checkAvailability(fn *spirv.Function, info *cfa.Info) error 
 //   - a block ending in OpBranchConditional or OpSwitch must either carry a
 //     merge instruction, or target (as a structured exit) the merge or
 //     continue block of some loop header that dominates it.
-func (v *validator) checkStructured(fn *spirv.Function, g *cfa.CFG, info *cfa.Info) error {
-	loopExits := make(map[spirv.ID][]spirv.ID) // loop header -> {merge, continue}
-	for _, b := range fn.Blocks {
+func (v *validator) checkStructured(fn *spirv.Function, info *cfa.Info, reach []bool) error {
+	loopExits := make(map[int][]spirv.ID) // loop header index -> {merge, continue}
+	for bi, b := range fn.Blocks {
 		if b.Merge == nil {
 			continue
 		}
@@ -204,12 +199,11 @@ func (v *validator) checkStructured(fn *spirv.Function, g *cfa.CFG, info *cfa.In
 			if fn.Block(cb) == nil {
 				return errf("struct.continue-target", "continue target %%%d of block %%%d is not a block", cb, b.Label)
 			}
-			loopExits[b.Label] = []spirv.ID{mb, cb}
+			loopExits[bi] = []spirv.ID{mb, cb}
 		}
 	}
-	reach := g.Reachable()
-	for _, b := range fn.Blocks {
-		if !reach[b.Label] {
+	for bi, b := range fn.Blocks {
+		if !reach[bi] {
 			continue
 		}
 		op := b.Term.Op
@@ -222,7 +216,7 @@ func (v *validator) checkStructured(fn *spirv.Function, g *cfa.CFG, info *cfa.In
 		// Permitted if a successor is a structured exit of a dominating loop.
 		ok := false
 		for header, exits := range loopExits {
-			if !info.Dom.Dominates(header, b.Label) {
+			if !info.Dom.Dominates(header, bi) {
 				continue
 			}
 			for _, s := range b.Successors() {

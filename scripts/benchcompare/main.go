@@ -7,7 +7,7 @@
 //
 //	go test -short -run '^$' -bench . -benchtime=1x ./... \
 //	    | awk -f scripts/bench2json.awk > /tmp/bench.json
-//	go run ./scripts/benchcompare -baseline BENCH_pr4.json -current /tmp/bench.json
+//	go run ./scripts/benchcompare -baseline BENCH_pr10.json -current /tmp/bench.json
 //
 // By default every benchmark that reports a "speedup" metric is checked —
 // today among others the reduction benchmarks (BenchmarkRunnerParallelReduce
@@ -50,7 +50,7 @@ func load(path string) (metrics, error) {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_pr4.json", "committed baseline metrics JSON")
+	baselinePath := flag.String("baseline", "BENCH_pr10.json", "committed baseline metrics JSON")
 	currentPath := flag.String("current", "", "current metrics JSON (required)")
 	metric := flag.String("metric", "speedup", "metric to guard across benchmarks")
 	tolerance := flag.Float64("tolerance", 0.75, "allowed current/baseline ratio bound (minimum in -mode min, maximum in -mode max)")
