@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport test-e2ebench bench bench-compare profile
+.PHONY: ci fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport test-experiments test-e2ebench bench bench-compare profile
 
 # Everything CI runs, in order; fails fast.
-ci: fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport test-e2ebench bench
+ci: fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport test-experiments test-e2ebench bench
 
 # The per-query analyses get repeated race passes over their differentials:
 # query-local availability against a full cfa.Analyze, the index-based CFG
@@ -79,6 +79,13 @@ test-memo:
 	$(GO) test -race -shuffle=on ./internal/memostore/...
 	$(GO) test -race -count=50 -run 'Flight' ./internal/memostore/
 	$(GO) test -race -count=1 -run 'Memo' ./internal/runner/... ./internal/service/... ./internal/cluster/...
+
+# gfauto's experiments run on the service's step functions: repeated race
+# passes over the pinned digest of the paper tables' text (at 1 and 4
+# workers) and the campaign-determinism test (the three campaigns and their
+# reduction records identical at 1, 4, 16 and GOMAXPROCS workers).
+test-experiments:
+	$(GO) test -race -count=3 -run 'ExperimentsOutputPinned|CampaignDeterministicAcrossWorkers' ./internal/experiments/
 
 # The benchmark is its own module: vet it and run its tests, which drive
 # both spirvd roles through its daemon interface and read the reduction

@@ -30,7 +30,6 @@ import (
 	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/experiments"
 	"spirvfuzz/internal/fuzz"
-	"spirvfuzz/internal/harness"
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/reduce"
 	"spirvfuzz/internal/replay"
@@ -64,6 +63,20 @@ func sharedCampaigns(b *testing.B) *experiments.Campaigns {
 		b.Fatal(campaignErr)
 	}
 	return campaignData
+}
+
+// bugSequence loads a campaign bug's transformation sequence from its blob.
+func bugSequence(b *testing.B, blobs service.BlobStore, bug service.BugRef) []fuzz.Transformation {
+	b.Helper()
+	data, err := blobs.GetBlob(bug.SeqHash)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts, err := fuzz.UnmarshalSequence(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ts
 }
 
 // BenchmarkTable3BugFinding regenerates Table 3: distinct bug signatures per
@@ -299,21 +312,26 @@ func BenchmarkAblationDedupIgnoreList(b *testing.B) {
 	}
 	var cases []redCase
 	perSig := map[string]int{}
-	for _, o := range c.Fuzz.BugOutcomes {
-		if o.Signature == target.MiscompilationSignature {
-			continue
-		}
-		key := o.Target + "|" + o.Signature
-		if perSig[key] >= 2 {
-			continue
-		}
-		perSig[key]++
-		tg := target.ByName(o.Target)
-		interesting := reduce.ForOutcome(tg, o.Original, o.Inputs, o.Signature)
-		r := reduce.Reduce(o.Original, o.Inputs, o.Transformations, interesting)
-		cases = append(cases, redCase{r.Sequence, o.Signature})
-		if len(cases) >= 30 {
-			break
+	refs := corpus.References()
+tests:
+	for i := 0; i < c.Fuzz.Spec.Tests; i++ {
+		item := refs[i%len(refs)]
+		for _, bug := range c.Fuzz.Tests[i] {
+			if bug.Signature == target.MiscompilationSignature {
+				continue
+			}
+			key := bug.Target + "|" + bug.Signature
+			if perSig[key] >= 2 {
+				continue
+			}
+			perSig[key]++
+			tg := target.ByName(bug.Target)
+			interesting := reduce.ForOutcome(tg, item.Mod, item.Inputs, bug.Signature)
+			r := reduce.Reduce(item.Mod, item.Inputs, bugSequence(b, c.Env.Blobs, bug), interesting)
+			cases = append(cases, redCase{r.Sequence, bug.Signature})
+			if len(cases) >= 30 {
+				break tests
+			}
 		}
 	}
 	if len(cases) < 5 {
@@ -429,7 +447,6 @@ func BenchmarkAblationChunkedVsLinearReduction(b *testing.B) {
 // metrics.
 func BenchmarkRunnerParallelReduce(b *testing.B) {
 	refs := corpus.References()
-	targets := target.All()
 	donors := corpus.Donors()
 	tests := 50
 	workers := runtime.GOMAXPROCS(0)
@@ -437,27 +454,36 @@ func BenchmarkRunnerParallelReduce(b *testing.B) {
 		workers = 4
 	}
 
+	spec := service.CampaignSpec{Tests: tests}
+	if err := spec.Normalize(); err != nil {
+		b.Fatal(err)
+	}
 	leg := func(eng *runner.Engine, ddWorkers int, reng *replay.Engine) (time.Duration, [][]int) {
 		start := time.Now()
-		res, err := harness.CampaignEngine(eng, harness.ToolSpirvFuzz, tests, 2, refs, targets, donors)
+		env := service.Env{Eng: eng, Reng: reng, Blobs: &service.MemBlobs{}}
+		camp, err := experiments.RunCampaign(context.Background(), env, spec, refs, donors)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var kept [][]int
 		perSig := map[string]int{}
-		for _, o := range res.BugOutcomes {
-			if len(o.Transformations) == 0 {
-				continue
+		for i := 0; i < tests; i++ {
+			item := refs[i%len(refs)]
+			for _, bug := range camp.Tests[i] {
+				key := bug.Target + "|" + bug.Signature
+				if perSig[key] >= 1 {
+					continue
+				}
+				ts := bugSequence(b, env.Blobs, bug)
+				if len(ts) == 0 {
+					continue
+				}
+				perSig[key]++
+				tg := target.ByName(bug.Target)
+				interesting := reduce.ForOutcomeOn(eng, tg, item.Mod, item.Inputs, bug.Signature)
+				r := reduce.ReduceParallelReplay(item.Mod, item.Inputs, ts, interesting, ddWorkers, reng)
+				kept = append(kept, r.Kept)
 			}
-			key := o.Target + "|" + o.Signature
-			if perSig[key] >= 1 {
-				continue
-			}
-			perSig[key]++
-			tg := target.ByName(o.Target)
-			interesting := reduce.ForOutcomeOn(eng, tg, o.Original, o.Inputs, o.Signature)
-			r := reduce.ReduceParallelReplay(o.Original, o.Inputs, o.Transformations, interesting, ddWorkers, reng)
-			kept = append(kept, r.Kept)
 		}
 		if len(kept) == 0 {
 			b.Fatal("campaign produced no reducible crash outcomes")
@@ -1396,7 +1422,6 @@ func BenchmarkInterpVM(b *testing.B) {
 // the distinct (target, first-bad) bucket count the dedup signal yields.
 func BenchmarkBisectCampaign(b *testing.B) {
 	refs := corpus.References()
-	targets := target.All()
 	donors := corpus.Donors()
 	tests := 40
 	if testing.Short() {
@@ -1406,26 +1431,36 @@ func BenchmarkBisectCampaign(b *testing.B) {
 	if workers < 4 {
 		workers = 4
 	}
-	res, err := harness.CampaignEngine(runner.New(workers), harness.ToolSpirvFuzz, tests, 2, refs, targets, donors)
+	spec := service.CampaignSpec{Tests: tests}
+	if err := spec.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	env := service.Env{Eng: runner.New(workers), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+	camp, err := experiments.RunCampaign(context.Background(), env, spec, refs, donors)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var cases []bisect.Case
 	perSig := map[string]int{}
-	for _, o := range res.BugOutcomes {
-		key := o.Target + "|" + o.Signature
-		if perSig[key] >= 2 {
-			continue
+	for i := 0; i < tests; i++ {
+		item := refs[i%len(refs)]
+		for _, bug := range camp.Tests[i] {
+			key := bug.Target + "|" + bug.Signature
+			if perSig[key] >= 2 {
+				continue
+			}
+			perSig[key]++
+			// Replaying the sequence rebuilds the variant and its inputs.
+			variant, _ := fuzz.ReplayContext(item.Mod, item.Inputs, bugSequence(b, env.Blobs, bug))
+			cases = append(cases, bisect.Case{
+				Target:         bug.Target,
+				Signature:      bug.Signature,
+				Original:       item.Mod,
+				OriginalInputs: item.Inputs,
+				Variant:        variant.Mod,
+				Inputs:         variant.Inputs,
+			})
 		}
-		perSig[key]++
-		cases = append(cases, bisect.Case{
-			Target:         o.Target,
-			Signature:      o.Signature,
-			Original:       o.Original,
-			OriginalInputs: o.Inputs,
-			Variant:        o.Variant,
-			Inputs:         o.VariantInputs,
-		})
 	}
 	if len(cases) < 5 {
 		b.Fatalf("campaign produced only %d bisectable cases", len(cases))

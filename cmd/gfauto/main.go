@@ -22,13 +22,11 @@ import (
 	"spirvfuzz/internal/cluster"
 	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/experiments"
-	"spirvfuzz/internal/harness"
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/memostore"
 	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/store"
-	"spirvfuzz/internal/target"
 )
 
 func main() {
@@ -95,7 +93,7 @@ func main() {
 		defer func() { fatal(c.Memo.Close()) }()
 	}
 	if !*asJSON {
-		st := c.Engine.Stats()
+		st := c.Env.Eng.Stats()
 		fmt.Printf("gfauto: campaigns done in %v (%d workers, %d target runs, %.0f%% cache hit rate)\n",
 			time.Since(start).Round(time.Millisecond), st.Workers, st.Misses, 100*st.HitRate())
 		fmt.Printf("gfauto: shared compiles: %d compiled, %d shared (%.0f%% of compile lookups)\n",
@@ -160,7 +158,7 @@ func main() {
 			Memo      *memostore.Stats         `json:"memo,omitempty"`
 			Cluster   *cluster.ClusterStats    `json:"cluster,omitempty"`
 			Wire      *cluster.WireStats       `json:"wire,omitempty"`
-		}{campaignSummaries(c), c.Engine.Stats(), c.BisectStats(), memoStats, probeCluster, probeWire}, "", "  ")
+		}{campaignSummaries(c), c.Env.Eng.Stats(), c.Bisect.Stats(), memoStats, probeCluster, probeWire}, "", "  ")
 		fatal(err)
 		fmt.Println(string(out))
 	}
@@ -185,7 +183,7 @@ func main() {
 		fatal(err)
 		fmt.Println(experiments.RenderWild(rep))
 	}
-	if rst := c.Replay.Stats(); rst.Queries > 0 {
+	if rst := c.Env.Reng.Stats(); rst.Queries > 0 {
 		fmt.Printf("gfauto: replay cache: %d ddmin queries, %.0f%% prefix hits, mean suffix %.1f of %.1f transformations (%.0f%% replay work saved), %d snapshots (%.1f MiB), %d evictions\n",
 			rst.Queries, 100*rst.HitRate(), rst.MeanSuffix(), rst.MeanRequested(),
 			100*rst.SavedFraction(), rst.Snapshots, float64(rst.Bytes)/(1<<20), rst.Evictions)
@@ -197,31 +195,14 @@ func main() {
 // configuration, so scripted consumers can treat one-shot gfauto runs and
 // daemon campaigns uniformly.
 func campaignSummaries(c *experiments.Campaigns) []service.CampaignStatus {
-	var targets []string
-	for _, tg := range target.All() {
-		targets = append(targets, tg.Name)
-	}
-	seedBases := map[harness.Tool]int64{
-		harness.ToolSpirvFuzzSimple: 1 << 32,
-		harness.ToolGlslFuzz:        2 << 32,
-	}
 	var out []service.CampaignStatus
-	for _, res := range []*harness.CampaignResult{c.Fuzz, c.Simple, c.Glsl} {
-		if res == nil {
-			continue
-		}
+	for _, camp := range []*experiments.Campaign{c.Fuzz, c.Simple, c.Glsl} {
 		out = append(out, service.CampaignStatus{
-			ID:    string(res.Tool),
-			State: service.StateDone,
-			Spec: service.CampaignSpec{
-				Tool:            string(res.Tool),
-				Tests:           res.Tests,
-				SeedBase:        seedBases[res.Tool],
-				Targets:         targets,
-				CapPerSignature: c.Config.CapPerSignature,
-			},
-			TestsDone: res.Tests,
-			Bugs:      len(res.BugOutcomes),
+			ID:        camp.Spec.Tool,
+			State:     service.StateDone,
+			Spec:      camp.Spec,
+			TestsDone: camp.Spec.Tests,
+			Bugs:      camp.Bugs(),
 		})
 	}
 	return out

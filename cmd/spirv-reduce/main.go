@@ -100,8 +100,7 @@ func main() {
 	if *reportDir != "" {
 		o := &harness.Outcome{
 			Tool: harness.ToolSpirvFuzz, Target: tg.Name, Reference: *in, Seed: 0,
-			Signature: sig, Original: mod, Variant: res.Variant, Inputs: inputs,
-			Transformations: res.Sequence,
+			Signature: sig, Original: mod, Inputs: inputs,
 		}
 		fatal(harness.ExportBugReport(*reportDir, o, res))
 		fmt.Printf("spirv-reduce: bug-report bundle written to %s\n", *reportDir)

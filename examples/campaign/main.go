@@ -1,69 +1,83 @@
-// Campaign runs a miniature end-to-end evaluation: a fuzzing campaign over
-// all nine simulated targets, reduction of every crash bug found, and
-// transformation-type deduplication — the Table 4 pipeline at small scale.
+// Campaign runs a miniature end-to-end evaluation on the campaign steps
+// spirvd runs: a fuzzing campaign over all nine simulated targets,
+// reduction of the crash bugs found, and transformation-type deduplication
+// — the Table 4 pipeline at small scale, in-process.
 //
 //	go run ./examples/campaign
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"spirvfuzz/internal/core"
 	"spirvfuzz/internal/corpus"
-	"spirvfuzz/internal/dedup"
-	"spirvfuzz/internal/fuzz"
-	"spirvfuzz/internal/harness"
-	"spirvfuzz/internal/reduce"
+	"spirvfuzz/internal/experiments"
+	"spirvfuzz/internal/replay"
+	"spirvfuzz/internal/runner"
+	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/target"
 )
 
 func main() {
-	const tests = 60
-	fmt.Printf("campaign: %d spirv-fuzz tests against %d targets...\n", tests, len(target.All()))
-	res, err := harness.Campaign(harness.ToolSpirvFuzz, tests, 1, corpus.References(), target.All(), corpus.Donors())
-	if err != nil {
-		log.Fatal(err)
+	ctx := context.Background()
+	refs := corpus.References()
+	env := service.Env{Eng: runner.New(0), Reng: replay.NewEngine(replay.DefaultBudget), Blobs: &service.MemBlobs{}}
+	spec := service.CampaignSpec{Tests: 60, CapPerSignature: 2}
+	check(spec.Normalize())
+
+	fmt.Printf("campaign: %d spirv-fuzz tests against %d targets...\n", spec.Tests, len(spec.Targets))
+	camp, err := experiments.RunCampaign(ctx, env, spec, refs, corpus.Donors())
+	check(err)
+	sigs := map[string]map[string]bool{}
+	for _, bugs := range camp.Tests {
+		for _, bug := range bugs {
+			if sigs[bug.Target] == nil {
+				sigs[bug.Target] = map[string]bool{}
+			}
+			sigs[bug.Target][bug.Signature] = true
+		}
 	}
-	for _, tg := range target.All() {
-		if n := len(res.Signatures[tg.Name]); n > 0 {
-			fmt.Printf("  %-14s %d distinct signatures\n", tg.Name, n)
+	for _, name := range spec.Targets {
+		if n := len(sigs[name]); n > 0 {
+			fmt.Printf("  %-14s %d distinct signatures\n", name, n)
 		}
 	}
 
 	fmt.Println("\ncampaign: reducing crash bugs (capped at 2 per signature)...")
-	perSig := map[string]int{}
-	var cases []dedup.Case
-	for i, o := range res.BugOutcomes {
-		if o.Signature == target.MiscompilationSignature {
+	var cases []service.ReduceCase
+	reduced := map[string]service.ReducedRec{}
+	for _, rc := range service.SelectReductions("example", spec, camp.Tests) {
+		if rc.Bug.Signature == target.MiscompilationSignature {
 			continue
 		}
-		key := o.Target + "|" + o.Signature
-		if perSig[key] >= 2 {
-			continue
-		}
-		perSig[key]++
-		tg := target.ByName(o.Target)
-		interesting := reduce.ForOutcome(tg, o.Original, o.Inputs, o.Signature)
-		r := reduce.Reduce(o.Original, o.Inputs, o.Transformations, interesting)
-		fmt.Printf("  %-14s %-55q  %2d -> %2d transformations, delta %d\n",
-			o.Target, clip(o.Signature, 52), len(o.Transformations), len(r.Sequence), r.Delta)
-		cases = append(cases, dedup.Case{
-			Name:      fmt.Sprintf("%s/case%d", o.Target, i),
-			Sequence:  r.Sequence,
-			Signature: o.Signature,
-		})
+		rec, err := service.ReduceStep(ctx, env, "example", spec, refs, rc)
+		check(err)
+		fmt.Printf("  %-14s %-55q  %2d transformations kept in %3d queries, delta %d\n",
+			rc.Bug.Target, clip(rc.Bug.Signature, 52), rec.KeptLen, rec.Queries, rec.Delta)
+		cases = append(cases, rc)
+		reduced[rc.Name] = rec
 	}
 
-	fmt.Println("\ncampaign: deduplication recommendations (Figure 6):")
-	recommended := dedup.Recommend(cases)
-	ignore := fuzz.SupportingTypes()
-	for _, c := range recommended {
-		fmt.Printf("  %-28s types=%v\n", c.Name, core.SortedTypes(core.TypeSet(c.Sequence, ignore)))
+	fmt.Println("\ncampaign: deduplication buckets per target (Figure 6):")
+	buckets, err := service.BuildBuckets("example", spec, cases, reduced)
+	check(err)
+	covered := map[string]bool{}
+	dups := 0
+	for _, b := range buckets {
+		fmt.Printf("  %-34s types=%v\n", b.Case, b.Types)
+		key := b.Target + "|" + b.Signature
+		if covered[key] {
+			dups++
+		}
+		covered[key] = true
 	}
-	distinct, dups := dedup.Score(recommended)
+	truth := map[string]bool{}
+	for _, rc := range cases {
+		truth[rc.Bug.Target+"|"+rc.Bug.Signature] = true
+	}
 	fmt.Printf("\ncampaign: %d cases, %d ground-truth signatures; %d reports covering %d distinct (%d duplicates)\n",
-		len(cases), dedup.SignatureCount(cases), len(recommended), distinct, dups)
+		len(cases), len(truth), len(buckets), len(covered), dups)
 }
 
 func clip(s string, n int) string {
@@ -71,4 +85,10 @@ func clip(s string, n int) string {
 		return s
 	}
 	return s[:n-1] + "…"
+}
+
+func check(err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
 }

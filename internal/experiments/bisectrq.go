@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"spirvfuzz/internal/bisect"
 	"spirvfuzz/internal/dedup"
-	"spirvfuzz/internal/reduce"
+	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/target"
 )
 
@@ -36,53 +37,32 @@ type BisectRQResult struct {
 	Stats bisect.Stats
 }
 
-// BisectRQ reduces the Table 4 corpus (crash bugs, NVIDIA excluded, capped
-// per signature), bisects every reduced case over its target's release
-// history, and scores the three dedup signals on identical inputs. All three
-// recommendations and every bisection verdict are deterministic, so the
-// table is reproducible at any worker count or cache temperature.
+// BisectRQ runs service.BisectStep over the reduced Table 4 corpus (crash
+// bugs, NVIDIA excluded, capped per signature): every case is bisected over
+// its target's release history, in selection order, and the three dedup
+// signals are scored on identical inputs. All three recommendations and
+// every bisection verdict are deterministic, so the table is reproducible at
+// any worker count or cache temperature.
 func BisectRQ(c *Campaigns) (*BisectRQResult, error) {
-	capPer := c.Config.withDefaults().CapPerSignature
-	eng := c.engine()
-	beng := c.bisectEngine()
+	recs, err := c.reduceCases(selected(c.Fuzz, table4Bug))
+	if err != nil {
+		return nil, err
+	}
 	var cases []dedup.BisectCase
 	exact := 0
-	perSig := map[string]int{}
-	for i, o := range c.Fuzz.BugOutcomes {
-		if o.Target == "NVIDIA" || o.Signature == target.MiscompilationSignature {
-			continue
-		}
-		key := o.Target + "|" + dedup.Key(o.Signature)
-		if perSig[key] >= capPer {
-			continue
-		}
-		perSig[key]++
-		tg := target.ByName(o.Target)
-		interesting := reduce.ForOutcomeOn(eng, tg, o.Original, o.Inputs, o.Signature)
-		r := reduce.ReduceParallelReplay(o.Original, o.Inputs, o.Transformations, interesting, eng.Workers(), c.replayEngine())
-		res, err := beng.Bisect(bisect.Case{
-			Target:         o.Target,
-			Signature:      o.Signature,
-			Original:       o.Original,
-			OriginalInputs: o.Inputs,
-			Variant:        r.Variant,
-			Inputs:         r.Inputs,
-		})
+	for _, rec := range recs {
+		out, err := service.BisectStep(context.TODO(), c.Env, c.Bisect, c.refs, rec)
 		if err != nil {
-			return nil, fmt.Errorf("bisect RQ: case %d: %w", i, err)
+			return nil, fmt.Errorf("bisect RQ: %w", err)
 		}
-		if res.FirstBad == target.IntroductionOf(o.Target, o.Signature) {
+		if out.FirstBad == target.IntroductionOf(rec.Target, rec.Signature) {
 			exact++
 		}
-		cases = append(cases, dedup.BisectCase{
-			Case: dedup.Case{
-				Name:      fmt.Sprintf("%s/seed%d/%d", o.Target, o.Seed, i),
-				Sequence:  r.Sequence,
-				Signature: o.Signature,
-			},
-			Target:   o.Target,
-			FirstBad: res.FirstBad,
-		})
+		dc, err := c.dedupCase(rec)
+		if err != nil {
+			return nil, err
+		}
+		cases = append(cases, dedup.BisectCase{Case: dc, Target: rec.Target, FirstBad: out.FirstBad})
 	}
 
 	plain := make([]dedup.Case, len(cases))
@@ -117,7 +97,7 @@ func BisectRQ(c *Campaigns) (*BisectRQResult, error) {
 			score("bisect", toPlain(dedup.RecommendBisect(cases))),
 			score("intersection", toPlain(dedup.RecommendIntersection(cases))),
 		},
-		Stats: beng.Stats(),
+		Stats: c.Bisect.Stats(),
 	}, nil
 }
 

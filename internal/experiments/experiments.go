@@ -1,21 +1,35 @@
 // Package experiments regenerates the paper's tables and figures (Section
 // 4): Table 3 and Figure 7 (bug-finding ability, RQ1), the reduction-quality
-// medians (RQ2), and Table 4 (deduplication effectiveness, RQ3). The
-// absolute numbers depend on the simulated targets' injected defects; the
-// comparative shape is what reproduces the paper's findings.
+// medians (RQ2), Table 4 (deduplication effectiveness, RQ3), the bisection
+// RQ and the Section 5 report export. The absolute numbers depend on the
+// simulated targets' injected defects; the comparative shape is what
+// reproduces the paper's findings.
+//
+// The campaigns run on internal/service's step functions, the ones spirvd
+// journals: FuzzStep per test, SelectReductions, ReduceStep and BisectStep,
+// over an in-memory blob store. gfauto is one-shot, so it shares the steps
+// but not the daemon's journal.
 package experiments
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 
 	"spirvfuzz/internal/bisect"
 	"spirvfuzz/internal/corpus"
+	"spirvfuzz/internal/dedup"
+	"spirvfuzz/internal/fuzz"
+	"spirvfuzz/internal/glslfuzz"
 	"spirvfuzz/internal/harness"
 	"spirvfuzz/internal/memostore"
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
+	"spirvfuzz/internal/service"
+	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/stats"
 	"spirvfuzz/internal/target"
 )
@@ -68,62 +82,79 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Campaigns runs the three tool configurations over all targets.
+// Campaign is one tool configuration's campaign in the journal's shape: the
+// spec it ran and, per test index, the bugs the test found, in target order.
+type Campaign struct {
+	Spec  service.CampaignSpec
+	Tests map[int][]service.BugRef
+}
+
+// Bugs counts the campaign's (test, target) bug findings.
+func (c *Campaign) Bugs() int {
+	n := 0
+	for _, bugs := range c.Tests {
+		n += len(bugs)
+	}
+	return n
+}
+
+// groupSignatures returns the distinct signatures found on target tg within
+// each of groups disjoint, consecutive test groups (Table 3's median/MWU
+// populations); one group gives the campaign's whole signature set.
+func (c *Campaign) groupSignatures(tg string, groups int) []map[string]bool {
+	if groups <= 0 {
+		groups = 1
+	}
+	sets := make([]map[string]bool, groups)
+	for g := range sets {
+		sets[g] = map[string]bool{}
+	}
+	size := (c.Spec.Tests + groups - 1) / groups
+	for i := 0; i < c.Spec.Tests; i++ {
+		g := min(i/size, groups-1)
+		for _, bug := range c.Tests[i] {
+			if bug.Target == tg {
+				sets[g][bug.Signature] = true
+			}
+		}
+	}
+	return sets
+}
+
+// signatures returns the distinct signatures the campaign found on tg.
+func (c *Campaign) signatures(tg string) map[string]bool {
+	return c.groupSignatures(tg, 1)[0]
+}
+
+// Campaigns holds the three tool configurations' campaigns over all targets
+// and the reductions the experiments made of them.
 type Campaigns struct {
 	Config Config
-	// Engine is the shared execution engine; downstream experiments (RQ2,
-	// Table 4, report export) reuse it so reductions hit the campaign's
-	// result cache.
-	Engine *runner.Engine
-	// Replay is the shared prefix-snapshot replay engine; reductions across
-	// all experiments share its byte budget and statistics.
-	Replay *replay.Engine
-	// Bisect is the shared bisection engine (lazy; probes route through
-	// Engine so bisections hit the campaign's caches).
+	// Env is what the service's steps run on: the execution engine every
+	// campaign, reduction and bisection shares, the prefix-snapshot replay
+	// engine every reduction shares, and the in-memory blob store holding
+	// the sequences, variants and reports.
+	Env service.Env
+	// Bisect is the bisection engine; its probes route through Env.Eng.
 	Bisect *bisect.Engine
-	// Memo is the persistent execution memo store attached to Engine when
+	// Memo is the persistent execution memo store attached to Env.Eng when
 	// Config.MemoDir is set; nil otherwise. The caller that finished with
 	// the campaigns closes it (gfauto does).
 	Memo   *memostore.Store
-	Fuzz   *harness.CampaignResult // spirv-fuzz
-	Simple *harness.CampaignResult // spirv-fuzz-simple
-	Glsl   *harness.CampaignResult // glsl-fuzz
+	Fuzz   *Campaign // spirv-fuzz
+	Simple *Campaign // spirv-fuzz-simple
+	Glsl   *Campaign // glsl-fuzz
+	refs   []corpus.Item
+
+	mu      sync.Mutex
+	reduced map[string]service.ReducedRec // by case name
 }
 
-// engine returns the shared engine, falling back to a fresh one when the
-// Campaigns value was assembled by hand (tests do this).
-func (c *Campaigns) engine() *runner.Engine {
-	if c.Engine == nil {
-		c.Engine = runner.New(c.Config.Workers)
-	}
-	return c.Engine
-}
-
-// replayEngine returns the shared replay engine, building it from the config
-// on first use (hand-assembled Campaigns values included).
-func (c *Campaigns) replayEngine() *replay.Engine {
-	if c.Replay == nil {
-		c.Replay = replay.NewEngine(c.Config.replayBudget())
-	}
-	return c.Replay
-}
-
-// bisectEngine returns the shared bisection engine, building it over the
-// shared runner engine on first use.
-func (c *Campaigns) bisectEngine() *bisect.Engine {
-	if c.Bisect == nil {
-		c.Bisect = bisect.New(c.engine())
-	}
-	return c.Bisect
-}
-
-// BisectStats reports the bisection counters accumulated so far (zero if no
-// bisection RQ ran); gfauto -json embeds them.
-func (c *Campaigns) BisectStats() bisect.Stats {
-	if c.Bisect == nil {
-		return bisect.Stats{}
-	}
-	return c.Bisect.Stats()
+// seedBases offsets each tool's test seeds so the configurations draw from
+// disjoint seed ranges, as in the paper.
+var seedBases = map[harness.Tool]int64{
+	harness.ToolSpirvFuzzSimple: 1 << 32,
+	harness.ToolGlslFuzz:        2 << 32,
 }
 
 // RunCampaigns executes the three campaigns of Section 4.1. The campaigns are
@@ -132,11 +163,14 @@ func (c *Campaigns) BisectStats() bisect.Stats {
 // — every campaign runs the same reference originals on the same targets.
 func RunCampaigns(cfg Config) (*Campaigns, error) {
 	cfg = cfg.withDefaults()
-	refs := corpus.References()
-	targets := target.All()
-	donors := corpus.Donors()
 	eng := runner.New(cfg.Workers)
-	c := &Campaigns{Config: cfg, Engine: eng, Replay: replay.NewEngine(cfg.replayBudget())}
+	c := &Campaigns{
+		Config:  cfg,
+		Env:     service.Env{Eng: eng, Reng: replay.NewEngine(cfg.replayBudget()), Blobs: &service.MemBlobs{}},
+		Bisect:  bisect.New(eng),
+		refs:    corpus.References(),
+		reduced: map[string]service.ReducedRec{},
+	}
 	if cfg.MemoDir != "" {
 		memo, err := memostore.Open(cfg.MemoDir, int64(cfg.MemoMaxMB)<<20)
 		if err != nil {
@@ -145,30 +179,163 @@ func RunCampaigns(cfg Config) (*Campaigns, error) {
 		c.Memo = memo
 		eng.SetMemoStore(memo)
 	}
-	results := []struct {
-		tool harness.Tool
-		into **harness.CampaignResult
-	}{
-		{harness.ToolSpirvFuzz, &c.Fuzz},
-		{harness.ToolSpirvFuzzSimple, &c.Simple},
-		{harness.ToolGlslFuzz, &c.Glsl},
+	var names []string
+	for _, tg := range target.All() {
+		names = append(names, tg.Name)
 	}
-	errs := make([]error, len(results))
+	donors := corpus.Donors()
+	tools := []harness.Tool{harness.ToolSpirvFuzz, harness.ToolSpirvFuzzSimple, harness.ToolGlslFuzz}
+	camps := make([]*Campaign, len(tools))
+	errs := make([]error, len(tools))
 	var wg sync.WaitGroup
-	for i, r := range results {
+	for i, tool := range tools {
+		spec := service.CampaignSpec{
+			Tool:            string(tool),
+			Tests:           cfg.Tests,
+			SeedBase:        seedBases[tool],
+			Targets:         names,
+			CapPerSignature: cfg.CapPerSignature,
+		}
 		wg.Add(1)
-		go func(i int, tool harness.Tool, into **harness.CampaignResult) {
+		go func() {
 			defer wg.Done()
-			*into, errs[i] = harness.CampaignEngine(eng, tool, cfg.Tests, cfg.Groups, refs, targets, donors)
-		}(i, r.tool, r.into)
+			camps[i], errs[i] = RunCampaign(context.TODO(), c.Env, spec, c.refs, donors)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	c.Fuzz, c.Simple, c.Glsl = camps[0], camps[1], camps[2]
+	return c, nil
+}
+
+// RunCampaign runs spec's tests on env's engine pool and keeps each test's
+// bugs by index. spirv-fuzz tests run service.FuzzStep, exactly as spirvd
+// runs them; glsl-fuzz, which the service refuses, runs glslStep. Every step
+// is deterministic in its test index, so results are identical for any
+// worker count.
+func RunCampaign(ctx context.Context, env service.Env, spec service.CampaignSpec, refs []corpus.Item, donors []*spirv.Module) (*Campaign, error) {
+	targets, err := service.ResolveTargets(spec.Targets)
+	if err != nil {
+		return nil, err
+	}
+	step := func(i int) ([]service.BugRef, error) {
+		return service.FuzzStep(ctx, env, spec, targets, refs, donors, i)
+	}
+	if spec.Tool == string(harness.ToolGlslFuzz) {
+		step = func(i int) ([]service.BugRef, error) {
+			return glslStep(ctx, env.Eng, spec, targets, refs, i)
 		}
 	}
-	return c, nil
+	bugs := make([][]service.BugRef, spec.Tests)
+	errs := make([]error, spec.Tests)
+	if err := env.Eng.DoCtx(ctx, spec.Tests, func(i int) { bugs[i], errs[i] = step(i) }); err != nil {
+		return nil, err
+	}
+	camp := &Campaign{Spec: spec, Tests: make(map[int][]service.BugRef, spec.Tests)}
+	for i := range bugs {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		camp.Tests[i] = bugs[i]
+	}
+	return camp, nil
+}
+
+// glslStep is FuzzStep for glsl-fuzz: it generates test i (seed SeedBase + i
+// over reference i mod len(refs)) and classifies the variant against every
+// target. A glsl-fuzz variant is a function of its reference and seed, not
+// of a transformation sequence, so its bugs carry no blob hashes; RQ2
+// regenerates the variants it reduces.
+func glslStep(ctx context.Context, eng *runner.Engine, spec service.CampaignSpec, targets []*target.Target, refs []corpus.Item, i int) ([]service.BugRef, error) {
+	item := refs[i%len(refs)]
+	seed := spec.SeedBase + int64(i)
+	res := glslfuzz.Fuzz(item.Mod, item.Inputs, glslfuzz.Options{Seed: seed})
+	sigs, err := harness.ClassifyAllCtx(ctx, eng, targets, item.Mod, res.Variant, item.Inputs, item.Inputs)
+	if err != nil {
+		return nil, err
+	}
+	var bugs []service.BugRef
+	for ti, tg := range targets {
+		if sigs[ti] != "" {
+			bugs = append(bugs, service.BugRef{Target: tg.Name, Signature: sigs[ti], Reference: item.Name, Seed: seed})
+		}
+	}
+	return bugs, nil
+}
+
+// selected returns the campaign's reduction cases, service.SelectReductions
+// at the configured cap, that keep accepts, in selection order. When keep
+// depends only on a bug's target and signature, the selection's cap key,
+// filtering the selection equals selecting from the filtered bugs.
+func selected(camp *Campaign, keep func(service.BugRef) bool) []service.ReduceCase {
+	var out []service.ReduceCase
+	for _, rc := range service.SelectReductions(camp.Spec.Tool, camp.Spec, camp.Tests) {
+		if keep(rc.Bug) {
+			out = append(out, rc)
+		}
+	}
+	return out
+}
+
+// reduceCases returns the records of the spirv-fuzz campaign's cases, in
+// order. Each case is reduced by service.ReduceStep, at the pinned
+// service.ReduceWaveWidth, so its record, query count included, is the one
+// spirvd journals for it. A case is reduced the first time an experiment
+// needs it and never again; the missing ones run concurrently on the
+// engine's pool.
+func (c *Campaigns) reduceCases(cases []service.ReduceCase) ([]service.ReducedRec, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var todo []service.ReduceCase
+	for _, rc := range cases {
+		if _, ok := c.reduced[rc.Name]; !ok {
+			todo = append(todo, rc)
+		}
+	}
+	ctx := context.TODO()
+	recs := make([]service.ReducedRec, len(todo))
+	errs := make([]error, len(todo))
+	c.Env.Eng.DoCtx(ctx, len(todo), func(i int) {
+		recs[i], errs[i] = service.ReduceStep(ctx, c.Env, c.Fuzz.Spec.Tool, c.Fuzz.Spec, c.refs, todo[i])
+	})
+	for i, rc := range todo {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		c.reduced[rc.Name] = recs[i]
+	}
+	out := make([]service.ReducedRec, len(cases))
+	for i, rc := range cases {
+		out[i] = c.reduced[rc.Name]
+	}
+	return out, nil
+}
+
+// must unwraps a result of the in-memory pipeline behind RQ2 and Table 4,
+// which has no failure to report: every case comes from the campaign's own
+// corpus and blob store, and nothing cancels its context.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// dedupCase is a reduced case as the deduplicator takes it, its minimized
+// sequence read from the case's report blob.
+func (c *Campaigns) dedupCase(rec service.ReducedRec) (dedup.Case, error) {
+	blob, err := c.Env.Blobs.GetBlob(rec.ReportHash)
+	if err != nil {
+		return dedup.Case{}, err
+	}
+	var rep service.Report
+	if err := json.Unmarshal(blob, &rep); err != nil {
+		return dedup.Case{}, fmt.Errorf("experiments: report of %s: %w", rec.Case, err)
+	}
+	seq, err := fuzz.UnmarshalSequence(rep.Transformations)
+	return dedup.Case{Name: rec.Case, Sequence: seq, Signature: rec.Signature}, err
 }
 
 // Table3Row is one row of Table 3.
@@ -185,15 +352,15 @@ type Table3Row struct {
 func Table3(c *Campaigns) []Table3Row {
 	var rows []Table3Row
 	totalFuzz, totalSimple, totalGlsl := map[string]bool{}, map[string]bool{}, map[string]bool{}
-	names := targetNames(c)
-	groups := len(c.Fuzz.GroupSignatures[names[0]])
+	groups := max(c.Config.Groups, 1)
 	allGroupFuzz := make([]float64, groups)
 	allGroupSimple := make([]float64, groups)
 	allGroupGlsl := make([]float64, groups)
-	for _, name := range names {
-		gf := toF(c.Fuzz.GroupSignatures[name])
-		gs := toF(c.Simple.GroupSignatures[name])
-		gg := toF(c.Glsl.GroupSignatures[name])
+	for _, tg := range target.All() {
+		name := tg.Name
+		gf := groupCounts(c.Fuzz, name, groups)
+		gs := groupCounts(c.Simple, name, groups)
+		gg := groupCounts(c.Glsl, name, groups)
 		for i := range gf {
 			allGroupFuzz[i] += gf[i]
 			allGroupSimple[i] += gs[i]
@@ -201,24 +368,25 @@ func Table3(c *Campaigns) []Table3Row {
 		}
 		_, confSimple := stats.MannWhitneyU(gf, gs)
 		_, confGlsl := stats.MannWhitneyU(gf, gg)
+		fuzzSigs, simpleSigs, glslSigs := c.Fuzz.signatures(name), c.Simple.signatures(name), c.Glsl.signatures(name)
 		rows = append(rows, Table3Row{
 			Target:       name,
-			TotalFuzz:    len(c.Fuzz.Signatures[name]),
-			TotalSimple:  len(c.Simple.Signatures[name]),
-			TotalGlsl:    len(c.Glsl.Signatures[name]),
+			TotalFuzz:    len(fuzzSigs),
+			TotalSimple:  len(simpleSigs),
+			TotalGlsl:    len(glslSigs),
 			MedFuzz:      stats.Median(gf),
 			MedSimple:    stats.Median(gs),
 			MedGlsl:      stats.Median(gg),
 			ConfVsSimple: confSimple,
 			ConfVsGlsl:   confGlsl,
 		})
-		for s := range c.Fuzz.Signatures[name] {
+		for s := range fuzzSigs {
 			totalFuzz[name+"|"+s] = true
 		}
-		for s := range c.Simple.Signatures[name] {
+		for s := range simpleSigs {
 			totalSimple[name+"|"+s] = true
 		}
-		for s := range c.Glsl.Signatures[name] {
+		for s := range glslSigs {
 			totalGlsl[name+"|"+s] = true
 		}
 	}
@@ -273,8 +441,9 @@ type Figure7Segment struct {
 func Figure7(c *Campaigns) []Figure7Segment {
 	var out []Figure7Segment
 	allF, allS, allG := map[string]bool{}, map[string]bool{}, map[string]bool{}
-	for _, name := range targetNames(c) {
-		f, s, g := c.Fuzz.Signatures[name], c.Simple.Signatures[name], c.Glsl.Signatures[name]
+	for _, tg := range target.All() {
+		name := tg.Name
+		f, s, g := c.Fuzz.signatures(name), c.Simple.signatures(name), c.Glsl.signatures(name)
 		out = append(out, Figure7Segment{Target: name, Counts: stats.VennCounts3(f, s, g)})
 		for k := range f {
 			allF[name+"|"+k] = true
@@ -304,20 +473,13 @@ func RenderFigure7(segs []Figure7Segment) string {
 	return sb.String()
 }
 
-func targetNames(c *Campaigns) []string {
-	names := make([]string, 0, len(c.Fuzz.Signatures))
-	for _, tg := range target.All() {
-		if _, ok := c.Fuzz.Signatures[tg.Name]; ok {
-			names = append(names, tg.Name)
-		}
-	}
-	return names // already in Table 2 order
-}
-
-func toF(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
+// groupCounts is the per-group distinct-signature count of camp on tg, as
+// Mann-Whitney U input.
+func groupCounts(camp *Campaign, tg string, groups int) []float64 {
+	sets := camp.groupSignatures(tg, groups)
+	out := make([]float64, len(sets))
+	for g, set := range sets {
+		out[g] = float64(len(set))
 	}
 	return out
 }

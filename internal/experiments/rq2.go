@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"spirvfuzz/internal/spirv"
-
 	"spirvfuzz/internal/glslfuzz"
 	"spirvfuzz/internal/reduce"
+	"spirvfuzz/internal/service"
+	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/stats"
 	"spirvfuzz/internal/target"
 )
@@ -34,57 +34,61 @@ var rq2Targets = map[string]bool{
 	"AMD-LLPC": true, "spirv-opt": true, "spirv-opt-old": true, "SwiftShader": true,
 }
 
-// RQ2 reduces the crash-bug outcomes of both tools and compares delta sizes.
-// Reductions run on the campaigns' shared engine: ddmin probes are evaluated
-// in parallel and memoized, so outcomes of the same signature — whose
-// reductions revisit many identical intermediate variants — get cheaper as
-// the experiment proceeds.
-func RQ2(c *Campaigns) *RQ2Result {
-	res := &RQ2Result{}
-	capPer := c.Config.withDefaults().CapPerSignature
-	eng := c.engine()
+// RQ2 reduces the crash bugs both tools found on the RQ2 targets, capped per
+// signature, and compares delta sizes. spirv-fuzz cases are the campaign's
+// shared reductions (reduceCases); each selected glsl-fuzz variant is
+// regenerated from its reference and seed and reduced by the glsl-fuzz
+// reducer.
+func RQ2(c *Campaigns) *RQ2Result { return must(rq2(c)) }
 
-	perSig := map[string]int{}
-	for _, o := range c.Fuzz.BugOutcomes {
-		if !rq2Targets[o.Target] || o.Signature == target.MiscompilationSignature {
-			continue
+func rq2(c *Campaigns) (*RQ2Result, error) {
+	res := &RQ2Result{}
+	crash := func(b service.BugRef) bool {
+		return rq2Targets[b.Target] && b.Signature != target.MiscompilationSignature
+	}
+	cases := selected(c.Fuzz, crash)
+	recs, err := c.reduceCases(cases)
+	if err != nil {
+		return nil, err
+	}
+	for i, rec := range recs {
+		bug := cases[i].Bug
+		item, err := service.FindRef(c.refs, bug.Reference)
+		if err != nil {
+			return nil, err
 		}
-		key := o.Target + "|" + o.Signature
-		if perSig[key] >= capPer {
-			continue
+		blob, err := c.Env.Blobs.GetBlob(bug.VariantHash)
+		if err != nil {
+			return nil, err
 		}
-		perSig[key]++
-		tg := target.ByName(o.Target)
-		interesting := reduce.ForOutcomeOn(eng, tg, o.Original, o.Inputs, o.Signature)
-		r := reduce.ReduceParallelReplay(o.Original, o.Inputs, o.Transformations, interesting, eng.Workers(), c.replayEngine())
-		res.FuzzDeltas = append(res.FuzzDeltas, r.Delta)
-		res.FuzzUnreduced = append(res.FuzzUnreduced, o.Variant.InstructionCount()-o.Original.InstructionCount())
+		variant, err := spirv.DecodeBytes(blob)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: variant of %s: %w", rec.Case, err)
+		}
+		res.FuzzDeltas = append(res.FuzzDeltas, rec.Delta)
+		res.FuzzUnreduced = append(res.FuzzUnreduced, variant.InstructionCount()-item.Mod.InstructionCount())
 	}
 
-	perSig = map[string]int{}
-	for _, o := range c.Glsl.BugOutcomes {
-		if !rq2Targets[o.Target] || o.Signature == target.MiscompilationSignature {
-			continue
+	for _, rc := range selected(c.Glsl, crash) {
+		bug := rc.Bug
+		item, err := service.FindRef(c.refs, bug.Reference)
+		if err != nil {
+			return nil, err
 		}
-		key := o.Target + "|" + o.Signature
-		if perSig[key] >= capPer {
-			continue
-		}
-		perSig[key]++
-		tg := target.ByName(o.Target)
-		check := reduce.CrashInterestingnessOn(eng, tg, o.Inputs, o.Signature)
+		gen := glslfuzz.Fuzz(item.Mod, item.Inputs, glslfuzz.Options{Seed: bug.Seed})
+		check := reduce.CrashInterestingnessOn(c.Env.Eng, target.ByName(bug.Target), item.Inputs, bug.Signature)
 		// glsl-fuzz never modifies inputs, so adapt the two-argument test.
-		_, variant := glslfuzz.Reduce(o.Original, o.Inputs, o.Instances,
-			func(m *spirv.Module) bool { return check(m, o.Inputs) })
-		res.GlslDeltas = append(res.GlslDeltas, variant.InstructionCount()-o.Original.InstructionCount())
-		res.GlslUnreduced = append(res.GlslUnreduced, o.Variant.InstructionCount()-o.Original.InstructionCount())
+		_, variant := glslfuzz.Reduce(item.Mod, item.Inputs, gen.Instances,
+			func(m *spirv.Module) bool { return check(m, item.Inputs) })
+		res.GlslDeltas = append(res.GlslDeltas, variant.InstructionCount()-item.Mod.InstructionCount())
+		res.GlslUnreduced = append(res.GlslUnreduced, gen.Variant.InstructionCount()-item.Mod.InstructionCount())
 	}
 
 	res.MedianFuzz = stats.MedianInts(res.FuzzDeltas)
 	res.MedianGlsl = stats.MedianInts(res.GlslDeltas)
 	res.MedianFuzzUnreduced = stats.MedianInts(res.FuzzUnreduced)
 	res.MedianGlslUnreduced = stats.MedianInts(res.GlslUnreduced)
-	return res
+	return res, nil
 }
 
 // RenderRQ2 formats the RQ2 findings.

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"spirvfuzz/internal/dedup"
-	"spirvfuzz/internal/reduce"
+	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/target"
 )
 
@@ -19,33 +19,31 @@ type Table4Row struct {
 	Dups     int // recommended tests that duplicate an already-covered signature
 }
 
-// Table4 runs the deduplication experiment: crash-bug outcomes are reduced
-// (capped per signature), grouped per target, and fed to the Figure 6
-// algorithm; recommendations are scored against the ground-truth crash
-// signatures. As in the paper, the NVIDIA target is excluded and only crash
-// bugs are considered (crash signatures are the reliable ground truth).
-func Table4(c *Campaigns) []Table4Row {
-	capPer := c.Config.withDefaults().CapPerSignature
-	eng := c.engine()
+// table4Bug reports whether a bug belongs to the Table 4 corpus: as in the
+// paper, the NVIDIA target is excluded and only crash bugs are considered
+// (crash signatures are the reliable ground truth).
+func table4Bug(b service.BugRef) bool {
+	return b.Target != "NVIDIA" && b.Signature != target.MiscompilationSignature
+}
+
+// Table4 runs the deduplication experiment: the Table 4 corpus's cases are
+// reduced (capped per signature), grouped per target, and fed to the Figure
+// 6 algorithm; recommendations are scored against the ground-truth crash
+// signatures.
+func Table4(c *Campaigns) []Table4Row { return must(table4(c)) }
+
+func table4(c *Campaigns) ([]Table4Row, error) {
+	recs, err := c.reduceCases(selected(c.Fuzz, table4Bug))
+	if err != nil {
+		return nil, err
+	}
 	perTarget := map[string][]dedup.Case{}
-	perSig := map[string]int{}
-	for i, o := range c.Fuzz.BugOutcomes {
-		if o.Target == "NVIDIA" || o.Signature == target.MiscompilationSignature {
-			continue
+	for _, rec := range recs {
+		dc, err := c.dedupCase(rec)
+		if err != nil {
+			return nil, err
 		}
-		key := o.Target + "|" + o.Signature
-		if perSig[key] >= capPer {
-			continue
-		}
-		perSig[key]++
-		tg := target.ByName(o.Target)
-		interesting := reduce.ForOutcomeOn(eng, tg, o.Original, o.Inputs, o.Signature)
-		r := reduce.ReduceParallelReplay(o.Original, o.Inputs, o.Transformations, interesting, eng.Workers(), c.replayEngine())
-		perTarget[o.Target] = append(perTarget[o.Target], dedup.Case{
-			Name:      fmt.Sprintf("%s/seed%d/%d", o.Target, o.Seed, i),
-			Sequence:  r.Sequence,
-			Signature: o.Signature,
-		})
+		perTarget[rec.Target] = append(perTarget[rec.Target], dc)
 	}
 	var rows []Table4Row
 	total := Table4Row{Target: "Total"}
@@ -72,7 +70,7 @@ func Table4(c *Campaigns) []Table4Row {
 		total.Dups += row.Dups
 	}
 	rows = append(rows, total)
-	return rows
+	return rows, nil
 }
 
 // RenderTable4 formats Table 4 as text.

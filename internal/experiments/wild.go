@@ -7,6 +7,7 @@ import (
 
 	"spirvfuzz/internal/harness"
 	"spirvfuzz/internal/reduce"
+	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/target"
 )
 
@@ -22,34 +23,50 @@ type WildReport struct {
 	Dirs            []string
 }
 
-// ExportWildReports reduces the first outcome of every distinct (target,
-// signature) pair in the spirv-fuzz campaign and writes a bug-report bundle
-// for each under dir/<target>/<n>/.
+// ExportWildReports writes a bug-report bundle under dir/<target>/bugNN/ for
+// the first bug of every distinct (target, signature) pair in the spirv-fuzz
+// campaign, reduced like every other case (reduceCases). Selection keeps the
+// first bug of every pair, so these are selected cases.
 func ExportWildReports(c *Campaigns, dir string) (*WildReport, error) {
-	rep := &WildReport{}
 	seen := map[string]bool{}
-	perTarget := map[string]int{}
-	eng := c.engine()
-	for _, o := range c.Fuzz.BugOutcomes {
-		key := o.Target + "|" + o.Signature
-		if seen[key] {
-			continue
-		}
+	firsts := selected(c.Fuzz, func(b service.BugRef) bool {
+		key := b.Target + "|" + b.Signature
+		first := !seen[key]
 		seen[key] = true
-		tg := target.ByName(o.Target)
-		interesting := reduce.ForOutcomeOn(eng, tg, o.Original, o.Inputs, o.Signature)
-		r := reduce.ReduceParallelReplay(o.Original, o.Inputs, o.Transformations, interesting, eng.Workers(), c.replayEngine())
-		perTarget[o.Target]++
-		out := filepath.Join(dir, o.Target, fmt.Sprintf("bug%02d", perTarget[o.Target]))
+		return first
+	})
+	recs, err := c.reduceCases(firsts)
+	if err != nil {
+		return nil, err
+	}
+	rep := &WildReport{}
+	perTarget := map[string]int{}
+	for i, rec := range recs {
+		bug := firsts[i].Bug
+		fc, item, err := service.MinimizedVariant(c.Env, c.refs, rec)
+		if err != nil {
+			return nil, err
+		}
+		dc, err := c.dedupCase(rec)
+		if err != nil {
+			return nil, err
+		}
+		perTarget[bug.Target]++
+		out := filepath.Join(dir, bug.Target, fmt.Sprintf("bug%02d", perTarget[bug.Target]))
+		o := &harness.Outcome{
+			Tool: harness.ToolSpirvFuzz, Target: bug.Target, Reference: bug.Reference, Seed: bug.Seed,
+			Signature: bug.Signature, Original: item.Mod, Inputs: item.Inputs,
+		}
+		r := &reduce.Result{Sequence: dc.Sequence, Variant: fc.Mod, Inputs: fc.Inputs, Delta: rec.Delta}
 		if err := harness.ExportBugReport(out, o, r); err != nil {
 			return nil, err
 		}
 		rep.Dirs = append(rep.Dirs, out)
 		rep.Reports++
 		switch {
-		case o.Signature == target.MiscompilationSignature:
+		case bug.Signature == target.MiscompilationSignature:
 			rep.Miscompilations++
-		case strings.Contains(o.Signature, "invalid SPIR-V"):
+		case strings.Contains(bug.Signature, "invalid SPIR-V"):
 			rep.InvalidEmits++
 		default:
 			rep.Crashes++

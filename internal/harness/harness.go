@@ -1,16 +1,14 @@
-// Package harness is the gfauto analogue (Section 3.2): it runs fuzzing
-// campaigns against the simulated targets, classifies outcomes into crash
-// signatures and miscompilations, drives reduction, and aggregates the
-// statistics the paper's tables report.
+// Package harness holds the gfauto pieces (Section 3.2) that campaign steps
+// and tools share: the tool configurations under evaluation, the
+// classification of an original/variant pair into a bug signature, and
+// bug-report export. The campaign pipeline itself is the step functions of
+// internal/service, which spirvd and gfauto's experiments both run.
 package harness
 
 import (
 	"context"
 	"fmt"
 
-	"spirvfuzz/internal/corpus"
-	"spirvfuzz/internal/fuzz"
-	"spirvfuzz/internal/glslfuzz"
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/spirv"
@@ -27,60 +25,6 @@ const (
 	ToolGlslFuzz        Tool = "glsl-fuzz"
 )
 
-// Outcome is the result of running one generated test on one target.
-type Outcome struct {
-	Tool      Tool
-	Target    string
-	Reference string
-	Seed      int64
-	// Signature is empty when no bug was found; otherwise a crash signature
-	// or target.MiscompilationSignature.
-	Signature string
-	// Variant and the original inputs, kept for reduction experiments.
-	Original *spirv.Module
-	Variant  *spirv.Module
-	Inputs   interp.Inputs
-	// VariantInputs are the inputs the variant executes on; they differ from
-	// Inputs when input-modifying transformations were applied.
-	VariantInputs interp.Inputs
-	// Transformations is the spirv-fuzz sequence (nil for glsl-fuzz).
-	Transformations []fuzz.Transformation
-	// Instances is the glsl-fuzz instance list (nil for spirv-fuzz).
-	Instances []glslfuzz.Instance
-}
-
-// Bug reports whether the outcome found a bug.
-func (o *Outcome) Bug() bool { return o.Signature != "" }
-
-// classify compares the behaviour of the original and the variant on the
-// target per Figure 1 / Theorem 2.6 and returns the bug signature, or "".
-// Target runs route through eng, so the per-test original executions — the
-// same (reference, target) pair for every test that drew that reference —
-// are answered from the engine's cache after the first.
-func classify(eng *runner.Engine, tg *target.Target, original, variant *spirv.Module, origIn, varIn interp.Inputs) (string, error) {
-	return ClassifyCtx(context.Background(), eng, tg, original, variant, origIn, varIn)
-}
-
-// ClassifyCtx compares the behaviour of an original and a variant on a
-// target per Figure 1 / Theorem 2.6 and returns the bug signature, or "".
-// It is the classification primitive behind campaigns, exported for the
-// spirvd job pipeline; a canceled ctx aborts between (not within) the two
-// target runs and returns ctx.Err().
-func ClassifyCtx(ctx context.Context, eng *runner.Engine, tg *target.Target, original, variant *spirv.Module, origIn, varIn interp.Inputs) (string, error) {
-	origImg, origCrash, err := eng.RunCtx(ctx, tg, original, origIn)
-	if err != nil {
-		return "", err
-	}
-	if origCrash != nil {
-		return "", fmt.Errorf("harness: original crashes on %s: %s", tg.Name, origCrash.Signature)
-	}
-	varImg, varCrash, err := eng.RunCtx(ctx, tg, variant, varIn)
-	if err != nil {
-		return "", err
-	}
-	return decide(tg, origImg, varImg, varCrash), nil
-}
-
 // decide turns one target's original/variant observations into a signature.
 func decide(tg *target.Target, origImg, varImg *interp.Image, varCrash *target.Crash) string {
 	if varCrash != nil {
@@ -92,13 +36,13 @@ func decide(tg *target.Target, origImg, varImg *interp.Image, varCrash *target.C
 	return ""
 }
 
-// ClassifyAllCtx classifies one original/variant pair against every target
-// in one batch: the original runs through eng.RunAllCtx, then the variant,
-// so the engine hashes each module once and compiles and renders each
-// distinct compiled-module class once for the whole target set. The returned
-// signatures are indexed like targets and bitwise identical to calling
-// ClassifyCtx once per target. An original that crashes is an error, as in
-// ClassifyCtx, reporting the first crashing target in target order.
+// ClassifyAllCtx compares the behaviour of an original and a variant on
+// every target per Figure 1 / Theorem 2.6 and returns the bug signatures,
+// indexed like targets ("" where the target shows no bug). The original runs
+// through eng.RunAllCtx, then the variant, so the engine hashes each module
+// once and compiles and renders each distinct compiled-module class once for
+// the whole target set. An original that crashes is an error, reporting the
+// first crashing target in target order.
 func ClassifyAllCtx(ctx context.Context, eng *runner.Engine, targets []*target.Target, original, variant *spirv.Module, origIn, varIn interp.Inputs) ([]string, error) {
 	orig, err := eng.RunAllCtx(ctx, targets, original, origIn)
 	if err != nil {
@@ -118,193 +62,4 @@ func ClassifyAllCtx(ctx context.Context, eng *runner.Engine, targets []*target.T
 		sigs[i] = decide(tg, orig[i].Img, vars[i].Img, vars[i].Crash)
 	}
 	return sigs, nil
-}
-
-// RunOne generates one test with the given tool and seed from the reference
-// item, runs it on the target, and classifies the outcome.
-func RunOne(tool Tool, item corpus.Item, seed int64, tg *target.Target, donors []*spirv.Module) (*Outcome, error) {
-	return RunOneEngine(runner.New(1), tool, item, seed, tg, donors)
-}
-
-// RunOneEngine is RunOne with target executions routed through eng.
-func RunOneEngine(eng *runner.Engine, tool Tool, item corpus.Item, seed int64, tg *target.Target, donors []*spirv.Module) (*Outcome, error) {
-	out, err := generate(tool, item, seed, donors)
-	if err != nil {
-		return nil, err
-	}
-	out.Target = tg.Name
-	sig, err := classify(eng, tg, item.Mod, out.Variant, item.Inputs, out.VariantInputs)
-	if err != nil {
-		return nil, err
-	}
-	out.Signature = sig
-	return out, nil
-}
-
-// generate runs the tool once and returns the unclassified outcome (Target
-// and Signature unset): the variant does not depend on the target, so one
-// generation serves a whole multi-target classification.
-func generate(tool Tool, item corpus.Item, seed int64, donors []*spirv.Module) (*Outcome, error) {
-	out := &Outcome{
-		Tool:      tool,
-		Reference: item.Name,
-		Seed:      seed,
-		Original:  item.Mod,
-		Inputs:    item.Inputs,
-	}
-	switch tool {
-	case ToolSpirvFuzz, ToolSpirvFuzzSimple:
-		// Campaigns are throughput-bound, so each test gets a moderate pass
-		// budget — the regime where the recommendations strategy pays off
-		// (with an unbounded budget both configurations saturate the same
-		// opportunities).
-		res, err := fuzz.Fuzz(item.Mod, item.Inputs, fuzz.Options{
-			Seed:                  seed,
-			Donors:                donors,
-			EnableRecommendations: tool == ToolSpirvFuzz,
-			MinPasses:             5,
-			MaxPasses:             14,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out.Variant = res.Variant
-		out.VariantInputs = res.Inputs
-		out.Transformations = res.Transformations
-	case ToolGlslFuzz:
-		res := glslfuzz.Fuzz(item.Mod, item.Inputs, glslfuzz.Options{Seed: seed})
-		out.Variant = res.Variant
-		out.VariantInputs = item.Inputs
-		out.Instances = res.Instances
-	default:
-		return nil, fmt.Errorf("harness: unknown tool %q", tool)
-	}
-	return out, nil
-}
-
-// CampaignResult aggregates one tool's campaign over all targets.
-type CampaignResult struct {
-	Tool Tool
-	// Signatures[target] is the set of distinct bug signatures observed.
-	Signatures map[string]map[string]bool
-	// GroupSignatures[target][g] is the distinct-signature count within
-	// disjoint test group g (Table 3's median/MWU populations).
-	GroupSignatures map[string][]int
-	// BugOutcomes holds every bug-finding outcome, for reduction and
-	// deduplication experiments.
-	BugOutcomes []*Outcome
-	// Tests is the number of generated tests.
-	Tests int
-}
-
-// Campaign runs tests tests with the tool, each executed against every
-// target, splitting the tests into groups disjoint groups for statistics.
-// Each test uses reference refs[seed mod len(refs)] with a distinct seed
-// offset by the tool's hash so tool configurations use disjoint seeds, as in
-// the paper. Work is spread over a private GOMAXPROCS-sized engine; use
-// CampaignEngine to share one engine (and its result cache) across
-// campaigns.
-func Campaign(tool Tool, tests, groups int, refs []corpus.Item, targets []*target.Target, donors []*spirv.Module) (*CampaignResult, error) {
-	return CampaignEngine(runner.New(0), tool, tests, groups, refs, targets, donors)
-}
-
-// CampaignEngine is Campaign with generation and classification fanned out
-// on eng's worker pool and every target execution memoized by eng: each
-// reference module is compiled and rendered once per target for the whole
-// campaign instead of once per generated test. Results are identical to the
-// serial path for any worker count — tests are merged in index order and
-// target execution is deterministic.
-func CampaignEngine(eng *runner.Engine, tool Tool, tests, groups int, refs []corpus.Item, targets []*target.Target, donors []*spirv.Module) (*CampaignResult, error) {
-	return CampaignEngineCtx(context.Background(), eng, tool, tests, groups, refs, targets, donors)
-}
-
-// CampaignEngineCtx is CampaignEngine with cancellation: a done ctx stops
-// dispatching tests onto the worker pool and returns ctx.Err() once in-
-// flight tests finish, rather than draining the whole campaign.
-func CampaignEngineCtx(ctx context.Context, eng *runner.Engine, tool Tool, tests, groups int, refs []corpus.Item, targets []*target.Target, donors []*spirv.Module) (*CampaignResult, error) {
-	if groups <= 0 {
-		groups = 1
-	}
-	res := &CampaignResult{
-		Tool:            tool,
-		Signatures:      make(map[string]map[string]bool),
-		GroupSignatures: make(map[string][]int),
-		Tests:           tests,
-	}
-	groupSets := make(map[string][]map[string]bool)
-	for _, tg := range targets {
-		res.Signatures[tg.Name] = make(map[string]bool)
-		groupSets[tg.Name] = make([]map[string]bool, groups)
-		for g := range groupSets[tg.Name] {
-			groupSets[tg.Name][g] = make(map[string]bool)
-		}
-	}
-	seedBase := int64(0)
-	switch tool {
-	case ToolSpirvFuzzSimple:
-		seedBase = 1 << 32
-	case ToolGlslFuzz:
-		seedBase = 2 << 32
-	}
-	groupSize := (tests + groups - 1) / groups
-
-	// Tests are independent — generate and classify them on the engine's
-	// worker pool, then merge in index order so results stay deterministic.
-	perTest := make([][]*Outcome, tests)
-	errs := make([]error, tests)
-	doErr := eng.DoCtx(ctx, tests, func(i int) {
-		item := refs[i%len(refs)]
-		seed := seedBase + int64(i)
-		// Generate once, classify against every target in one batch (the
-		// variant does not depend on the target, and the batch compiles
-		// and renders each distinct compiled module once).
-		gen, err := generate(tool, item, seed, donors)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		sigs, err := ClassifyAllCtx(ctx, eng, targets, gen.Original, gen.Variant, gen.Inputs, gen.VariantInputs)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		for j, tg := range targets {
-			if sigs[j] == "" {
-				continue
-			}
-			perTest[i] = append(perTest[i], &Outcome{
-				Tool: tool, Target: tg.Name, Reference: item.Name, Seed: seed,
-				Original: gen.Original, Variant: gen.Variant,
-				Inputs: gen.Inputs, VariantInputs: gen.VariantInputs,
-				Transformations: gen.Transformations,
-				Instances:       gen.Instances,
-				Signature:       sigs[j],
-			})
-		}
-	})
-	if doErr != nil {
-		return nil, doErr
-	}
-	for i := 0; i < tests; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		g := i / groupSize
-		if g >= groups {
-			g = groups - 1
-		}
-		for _, o := range perTest[i] {
-			res.Signatures[o.Target][o.Signature] = true
-			groupSets[o.Target][g][o.Signature] = true
-			res.BugOutcomes = append(res.BugOutcomes, o)
-		}
-	}
-	for _, tg := range targets {
-		counts := make([]int, groups)
-		for g, set := range groupSets[tg.Name] {
-			counts[g] = len(set)
-		}
-		res.GroupSignatures[tg.Name] = counts
-	}
-	return res, nil
 }

@@ -1,85 +1,112 @@
 package harness_test
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/dedup"
+	"spirvfuzz/internal/experiments"
 	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/harness"
+	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/reduce"
+	"spirvfuzz/internal/replay"
+	"spirvfuzz/internal/runner"
+	"spirvfuzz/internal/service"
+	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/target"
 )
 
-func smallCampaign(t *testing.T, tool harness.Tool, tests int) *harness.CampaignResult {
+// outcome is one bug of a fixture campaign with its artifacts loaded.
+type outcome struct {
+	harness.Outcome
+	Variant         *spirv.Module
+	VariantInputs   interp.Inputs
+	Transformations []fuzz.Transformation
+}
+
+// campaignOutcomes runs a spirv-fuzz campaign of tests tests through
+// experiments.RunCampaign and returns its bugs in campaign order (tests in
+// index order, each test's bugs in target order), artifacts loaded from the
+// campaign's sequence blobs.
+func campaignOutcomes(t *testing.T, tests int) []outcome {
 	t.Helper()
-	res, err := harness.Campaign(tool, tests, 4, corpus.References(), target.All(), corpus.Donors())
+	refs := corpus.References()
+	env := service.Env{Eng: runner.New(0), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+	spec := service.CampaignSpec{Tests: tests}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	camp, err := experiments.RunCampaign(context.Background(), env, spec, refs, corpus.Donors())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
-}
-
-func TestCampaignFindsBugs(t *testing.T) {
-	res := smallCampaign(t, harness.ToolSpirvFuzz, 30)
-	totalSigs := 0
-	for _, sigs := range res.Signatures {
-		totalSigs += len(sigs)
-	}
-	if totalSigs < 5 {
-		t.Fatalf("campaign of 30 tests found only %d signatures across all targets", totalSigs)
-	}
-	if len(res.BugOutcomes) == 0 {
-		t.Fatal("no bug outcomes recorded")
-	}
-	// Group counts must partition sensibly.
-	for tgt, groups := range res.GroupSignatures {
-		if len(groups) != 4 {
-			t.Fatalf("%s: %d groups, want 4", tgt, len(groups))
+	var out []outcome
+	for i := 0; i < tests; i++ {
+		item := refs[i%len(refs)]
+		for _, bug := range camp.Tests[i] {
+			seqData, err := env.Blobs.GetBlob(bug.SeqHash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, err := fuzz.UnmarshalSequence(seqData)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Replaying the sequence rebuilds the variant and its inputs
+			// (TestCampaignOutcomesReplay checks the variant against its
+			// blob).
+			fc, _ := fuzz.ReplayContext(item.Mod, item.Inputs, ts)
+			out = append(out, outcome{
+				Outcome: harness.Outcome{
+					Tool: harness.ToolSpirvFuzz, Target: bug.Target, Reference: bug.Reference, Seed: bug.Seed,
+					Signature: bug.Signature, Original: item.Mod, Inputs: item.Inputs,
+				},
+				Variant: fc.Mod, VariantInputs: fc.Inputs, Transformations: ts,
+			})
 		}
 	}
+	return out
 }
 
-func TestCampaignOutcomesReplay(t *testing.T) {
-	res := smallCampaign(t, harness.ToolSpirvFuzz, 15)
-	for _, o := range res.BugOutcomes[:min(len(res.BugOutcomes), 5)] {
-		replayed, _ := fuzz.Replay(o.Original, o.Inputs, o.Transformations)
-		if replayed.String() != o.Variant.String() {
-			t.Fatalf("outcome %s/%d does not replay", o.Target, o.Seed)
+// TestCampaignDeterministic runs the same spirv-fuzz campaign twice on
+// fresh GOMAXPROCS-worker engines and requires identical bugs, blob hashes
+// included, on the same (test, target) pairs.
+func TestCampaignDeterministic(t *testing.T) {
+	run := func() *experiments.Campaign {
+		env := service.Env{Eng: runner.New(0), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+		spec := service.CampaignSpec{Tests: 20}
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
 		}
+		camp, err := experiments.RunCampaign(context.Background(), env, spec, corpus.References(), corpus.Donors())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return camp
 	}
-}
-
-func TestGlslFuzzCampaignRuns(t *testing.T) {
-	res := smallCampaign(t, harness.ToolGlslFuzz, 30)
-	// The baseline must find *some* bugs (it shares several defect triggers)
-	// but must find nothing on the spirv-opt targets (its features never
-	// reach the optimizer-only defects) — the Table 3 shape.
-	total := 0
-	for _, sigs := range res.Signatures {
-		total += len(sigs)
+	a, b := run(), run()
+	if a.Bugs() == 0 {
+		t.Fatal("campaign found no bugs; determinism check is vacuous")
 	}
-	if total == 0 {
-		t.Fatal("baseline found nothing at all")
-	}
-	if n := len(res.Signatures["spirv-opt"]); n > 0 {
-		t.Errorf("glsl-fuzz found %d spirv-opt signatures; expected 0 (Table 3 shape)", n)
+	if !reflect.DeepEqual(a.Tests, b.Tests) {
+		t.Fatalf("campaign results differ between runs:\n%+v\nvs\n%+v", a.Tests, b.Tests)
 	}
 }
 
 func TestReduceCrashOutcome(t *testing.T) {
-	res := smallCampaign(t, harness.ToolSpirvFuzz, 20)
-	var crashOutcome *harnessOutcome
-	for _, o := range res.BugOutcomes {
-		if o.Signature != target.MiscompilationSignature && len(o.Transformations) > 3 {
-			crashOutcome = &harnessOutcome{o}
+	var o *outcome
+	for _, cand := range campaignOutcomes(t, 20) {
+		if cand.Signature != target.MiscompilationSignature && len(cand.Transformations) > 3 {
+			o = &cand
 			break
 		}
 	}
-	if crashOutcome == nil {
+	if o == nil {
 		t.Skip("no crash outcome in small campaign")
 	}
-	o := crashOutcome.o
 	tg := target.ByName(o.Target)
 	interesting := reduce.ForOutcome(tg, o.Original, o.Inputs, o.Signature)
 	if !interesting(o.Variant, o.VariantInputs) {
@@ -108,14 +135,11 @@ func TestReduceCrashOutcome(t *testing.T) {
 	}
 }
 
-type harnessOutcome struct{ o *harness.Outcome }
-
 func TestReduceMiscompilationOutcome(t *testing.T) {
-	res := smallCampaign(t, harness.ToolSpirvFuzz, 40)
-	var mis *harness.Outcome
-	for _, o := range res.BugOutcomes {
+	var mis *outcome
+	for _, o := range campaignOutcomes(t, 40) {
 		if o.Signature == target.MiscompilationSignature {
-			mis = o
+			mis = &o
 			break
 		}
 	}
@@ -137,9 +161,8 @@ func TestReduceMiscompilationOutcome(t *testing.T) {
 }
 
 func TestDedupOnReducedCases(t *testing.T) {
-	res := smallCampaign(t, harness.ToolSpirvFuzz, 40)
 	var cases []dedup.Case
-	for i, o := range res.BugOutcomes {
+	for i, o := range campaignOutcomes(t, 40) {
 		if o.Signature == target.MiscompilationSignature || len(o.Transformations) == 0 {
 			continue
 		}
@@ -186,38 +209,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// TestCampaignDeterministic: the parallel campaign must produce identical
-// results across runs (merging is by test index).
-func TestCampaignDeterministic(t *testing.T) {
-	a := smallCampaign(t, harness.ToolSpirvFuzz, 20)
-	b := smallCampaign(t, harness.ToolSpirvFuzz, 20)
-	if len(a.BugOutcomes) != len(b.BugOutcomes) {
-		t.Fatalf("outcome counts differ: %d vs %d", len(a.BugOutcomes), len(b.BugOutcomes))
-	}
-	for i := range a.BugOutcomes {
-		x, y := a.BugOutcomes[i], b.BugOutcomes[i]
-		if x.Target != y.Target || x.Seed != y.Seed || x.Signature != y.Signature {
-			t.Fatalf("outcome %d differs: %s/%d/%q vs %s/%d/%q",
-				i, x.Target, x.Seed, x.Signature, y.Target, y.Seed, y.Signature)
-		}
-	}
-	for tgt, sigs := range a.Signatures {
-		if len(sigs) != len(b.Signatures[tgt]) {
-			t.Fatalf("%s: signature sets differ", tgt)
-		}
-		for s := range sigs {
-			if !b.Signatures[tgt][s] {
-				t.Fatalf("%s: signature %q missing in second run", tgt, s)
-			}
-		}
-	}
 }

@@ -13,6 +13,20 @@ import (
 	"spirvfuzz/internal/spirv/asm"
 )
 
+// Outcome identifies the bug a report is about: the tool and test that found
+// it, the target and signature it shows, and the original the variant was
+// derived from.
+type Outcome struct {
+	Tool      Tool
+	Target    string
+	Reference string
+	Seed      int64
+	// Signature is a crash signature or target.MiscompilationSignature.
+	Signature string
+	Original  *spirv.Module
+	Inputs    interp.Inputs
+}
+
 // ExportBugReport writes a self-contained bug-report bundle for a reduced
 // bug (Section 2.1, "Bug reports and regression tests"): given the 1-minimal
 // sequence T1..Tn, the pairs most useful for reporting are (P0, Pn) — the

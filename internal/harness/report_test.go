@@ -15,11 +15,10 @@ import (
 )
 
 func TestExportBugReport(t *testing.T) {
-	res := smallCampaign(t, harness.ToolSpirvFuzz, 25)
-	var o *harness.Outcome
-	for _, cand := range res.BugOutcomes {
+	var o *outcome
+	for _, cand := range campaignOutcomes(t, 25) {
 		if cand.Signature != target.MiscompilationSignature && len(cand.Transformations) > 2 {
-			o = cand
+			o = &cand
 			break
 		}
 	}
@@ -31,7 +30,7 @@ func TestExportBugReport(t *testing.T) {
 	r := reduce.Reduce(o.Original, o.Inputs, o.Transformations, interesting)
 
 	dir := t.TempDir()
-	if err := harness.ExportBugReport(dir, o, r); err != nil {
+	if err := harness.ExportBugReport(dir, &o.Outcome, r); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{"original.spvasm", "reduced_variant.spvasm", "penultimate.spvasm", "inputs.json", "transformations.json", "README.md"} {

@@ -2,21 +2,70 @@ package reduce_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
 	"spirvfuzz/internal/corpus"
+	"spirvfuzz/internal/experiments"
 	"spirvfuzz/internal/fuzz"
-	"spirvfuzz/internal/harness"
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/reduce"
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
+	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/spirv/validate"
 	"spirvfuzz/internal/target"
 	"spirvfuzz/internal/testmod"
 )
+
+// crashBug is a crash bug found by a fixture campaign: the reference it was
+// fuzzed from and the transformation sequence that triggers it.
+type crashBug struct {
+	Target, Signature string
+	Original          *spirv.Module
+	Inputs            interp.Inputs
+	Transformations   []fuzz.Transformation
+}
+
+// crashOutcome runs a 40-test spirv-fuzz campaign on a 4-worker engine and
+// returns its first crash bug whose sequence has more than four
+// transformations.
+func crashOutcome(t *testing.T) crashBug {
+	t.Helper()
+	refs := corpus.References()
+	env := service.Env{Eng: runner.New(4), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+	spec := service.CampaignSpec{Tests: 40}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	camp, err := experiments.RunCampaign(context.Background(), env, spec, refs, corpus.Donors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < spec.Tests; i++ {
+		for _, bug := range camp.Tests[i] {
+			if bug.Signature == target.MiscompilationSignature {
+				continue
+			}
+			data, err := env.Blobs.GetBlob(bug.SeqHash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, err := fuzz.UnmarshalSequence(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ts) > 4 {
+				item := refs[i%len(refs)]
+				return crashBug{bug.Target, bug.Signature, item.Mod, item.Inputs, ts}
+			}
+		}
+	}
+	t.Fatal("no crash outcome with a nontrivial sequence")
+	return crashBug{}
+}
 
 func TestCrashInterestingness(t *testing.T) {
 	sw := target.ByName("SwiftShader")
@@ -174,21 +223,7 @@ func TestForOutcomeDispatch(t *testing.T) {
 // (workers=1, caching disabled). The prefix cache must change replay cost
 // only, never results.
 func TestReduceReplayDeterministicGrid(t *testing.T) {
-	res, err := harness.CampaignEngine(runner.New(4), harness.ToolSpirvFuzz, 40, 2,
-		corpus.References(), target.All(), corpus.Donors())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var outcome *harness.Outcome
-	for _, o := range res.BugOutcomes {
-		if o.Signature != target.MiscompilationSignature && len(o.Transformations) > 4 {
-			outcome = o
-			break
-		}
-	}
-	if outcome == nil {
-		t.Fatal("no crash outcome with a nontrivial sequence")
-	}
+	outcome := crashOutcome(t)
 	tg := target.ByName(outcome.Target)
 
 	baselineEng := runner.New(1)

@@ -9,14 +9,64 @@ import (
 	"testing"
 
 	"spirvfuzz/internal/corpus"
-	"spirvfuzz/internal/harness"
+	"spirvfuzz/internal/experiments"
+	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/reduce"
+	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
+	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/target"
 	"spirvfuzz/internal/testmod"
 )
+
+// crashBug is a crash bug found by a fixture campaign: the reference it was
+// fuzzed from and the transformation sequence that triggers it.
+type crashBug struct {
+	Target, Signature string
+	Original          *spirv.Module
+	Inputs            interp.Inputs
+	Transformations   []fuzz.Transformation
+}
+
+// crashOutcome runs a 40-test spirv-fuzz campaign on a 4-worker engine and
+// returns its first crash bug whose sequence has more than four
+// transformations.
+func crashOutcome(t *testing.T) crashBug {
+	t.Helper()
+	refs := corpus.References()
+	env := service.Env{Eng: runner.New(4), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+	spec := service.CampaignSpec{Tests: 40}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	camp, err := experiments.RunCampaign(context.Background(), env, spec, refs, corpus.Donors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < spec.Tests; i++ {
+		for _, bug := range camp.Tests[i] {
+			if bug.Signature == target.MiscompilationSignature {
+				continue
+			}
+			data, err := env.Blobs.GetBlob(bug.SeqHash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, err := fuzz.UnmarshalSequence(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ts) > 4 {
+				item := refs[i%len(refs)]
+				return crashBug{bug.Target, bug.Signature, item.Mod, item.Inputs, ts}
+			}
+		}
+	}
+	t.Fatal("no crash outcome with a nontrivial sequence")
+	return crashBug{}
+}
 
 func TestRunMemoizes(t *testing.T) {
 	eng := runner.New(2)
@@ -143,35 +193,30 @@ func TestCacheCorrectness(t *testing.T) {
 	}
 }
 
-// TestCampaignDeterministicAcrossWorkers runs the same small campaign at 1,
-// 4 and 16 workers and requires identical outcomes: same bug signatures on
-// the same (test, target) pairs in the same order.
+// TestCampaignDeterministicAcrossWorkers runs the same spirv-fuzz campaign
+// on 1-, 4- and 16-worker engines and requires identical bugs, blob hashes
+// included, on the same (test, target) pairs.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	type bug struct {
-		Target, Reference, Signature string
-		Seed                         int64
-	}
-	var baseline []bug
+	var baseline map[int][]service.BugRef
 	for _, workers := range []int{1, 4, 16} {
-		eng := runner.New(workers)
-		res, err := harness.CampaignEngine(eng, harness.ToolSpirvFuzz, 25, 2,
-			corpus.References(), target.All(), corpus.Donors())
+		env := service.Env{Eng: runner.New(workers), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+		spec := service.CampaignSpec{Tests: 25}
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		camp, err := experiments.RunCampaign(context.Background(), env, spec, corpus.References(), corpus.Donors())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		var bugs []bug
-		for _, o := range res.BugOutcomes {
-			bugs = append(bugs, bug{o.Target, o.Reference, o.Signature, o.Seed})
-		}
 		if baseline == nil {
-			baseline = bugs
-			if len(baseline) == 0 {
+			baseline = camp.Tests
+			if camp.Bugs() == 0 {
 				t.Fatal("campaign found no bugs; determinism check is vacuous")
 			}
 			continue
 		}
-		if !reflect.DeepEqual(bugs, baseline) {
-			t.Fatalf("workers=%d: outcomes differ from 1-worker baseline:\n%v\nvs\n%v", workers, bugs, baseline)
+		if !reflect.DeepEqual(camp.Tests, baseline) {
+			t.Fatalf("workers=%d: results differ from the 1-worker baseline:\n%+v\nvs\n%+v", workers, camp.Tests, baseline)
 		}
 	}
 }
@@ -179,22 +224,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 // TestReductionDeterministicAcrossWorkers reduces a real crash outcome at 1,
 // 4 and 16 workers and requires bitwise-identical kept indices.
 func TestReductionDeterministicAcrossWorkers(t *testing.T) {
-	eng := runner.New(4)
-	res, err := harness.CampaignEngine(eng, harness.ToolSpirvFuzz, 40, 2,
-		corpus.References(), target.All(), corpus.Donors())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var outcome *harness.Outcome
-	for _, o := range res.BugOutcomes {
-		if o.Signature != target.MiscompilationSignature && len(o.Transformations) > 4 {
-			outcome = o
-			break
-		}
-	}
-	if outcome == nil {
-		t.Fatal("no crash outcome with a nontrivial sequence")
-	}
+	outcome := crashOutcome(t)
 	tg := target.ByName(outcome.Target)
 	var baseline []int
 	for _, workers := range []int{1, 4, 16} {

@@ -36,7 +36,8 @@ type CampaignSpec struct {
 	// Tests is the number of generated tests; required.
 	Tests int `json:"tests"`
 	// SeedBase offsets the per-test seeds (test i uses SeedBase + i). When 0,
-	// the tool's harness offset is used so configurations draw disjoint seeds.
+	// the tool's offset in gfauto's experiments is used, so configurations
+	// draw disjoint seeds.
 	SeedBase int64 `json:"seed_base,omitempty"`
 	// Targets restricts the campaign to the named targets; empty selects all
 	// Table 2 targets.
@@ -92,7 +93,7 @@ func (sp *CampaignSpec) Normalize() error {
 		return fmt.Errorf("service: tests must be in [1, 1000000], got %d", sp.Tests)
 	}
 	if sp.SeedBase == 0 && sp.Tool == string(harness.ToolSpirvFuzzSimple) {
-		sp.SeedBase = 1 << 32 // the harness offset for the simple configuration
+		sp.SeedBase = 1 << 32 // gfauto's offset for the simple configuration
 	}
 	if sp.CapPerSignature == 0 {
 		sp.CapPerSignature = 2

@@ -141,7 +141,7 @@ func (s *Service) reducePrechecked(ctx context.Context, id string) error {
 		if tg == nil {
 			return fmt.Errorf("service: unknown target %q", rc.Bug.Target)
 		}
-		item, err := findRef(refs, rc.Bug.Reference)
+		item, err := FindRef(refs, rc.Bug.Reference)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
 	"spirvfuzz/internal/bisect"
@@ -17,6 +18,7 @@ import (
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/spirv"
+	"spirvfuzz/internal/store"
 	"spirvfuzz/internal/target"
 )
 
@@ -37,6 +39,38 @@ import (
 type BlobStore interface {
 	PutBlob(data []byte) (string, error)
 	GetBlob(hash string) ([]byte, error)
+}
+
+// MemBlobs is an in-memory BlobStore for one-shot runs that need no
+// durability (gfauto's experiments, examples, benchmarks). Blobs are keyed by
+// store.HashBytes, so they hash as they would in a daemon's store. The zero
+// value is ready to use.
+type MemBlobs struct {
+	mu    sync.Mutex
+	blobs map[string][]byte
+}
+
+// PutBlob stores data under its content hash.
+func (b *MemBlobs) PutBlob(data []byte) (string, error) {
+	hash := store.HashBytes(data)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.blobs == nil {
+		b.blobs = map[string][]byte{}
+	}
+	b.blobs[hash] = data
+	return hash, nil
+}
+
+// GetBlob returns the blob stored under hash.
+func (b *MemBlobs) GetBlob(hash string) ([]byte, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	data, ok := b.blobs[hash]
+	if !ok {
+		return nil, fmt.Errorf("service: no blob %s", hash)
+	}
+	return data, nil
 }
 
 // Env bundles the execution machinery behind the pipeline steps.
@@ -81,8 +115,8 @@ func CaseName(campaignID string, bug BugRef) string {
 	return fmt.Sprintf("%s/seed%d/%s", campaignID, bug.Seed, bug.Target)
 }
 
-// findRef returns the reference-corpus item with the given name.
-func findRef(refs []corpus.Item, name string) (*corpus.Item, error) {
+// FindRef returns the reference-corpus item with the given name.
+func FindRef(refs []corpus.Item, name string) (*corpus.Item, error) {
 	for i := range refs {
 		if refs[i].Name == name {
 			return &refs[i], nil
@@ -120,6 +154,10 @@ func FuzzStep(ctx context.Context, env Env, spec CampaignSpec, targets []*target
 	}
 	item := refs[i%len(refs)]
 	seed := spec.SeedBase + int64(i)
+	// Campaigns are throughput-bound, so each test gets a moderate pass
+	// budget — the regime where the recommendations strategy pays off (with
+	// an unbounded budget both configurations saturate the same
+	// opportunities).
 	res, err := fuzz.Fuzz(item.Mod, item.Inputs, fuzz.Options{
 		Seed:                  seed,
 		Donors:                donors,
@@ -205,7 +243,7 @@ func ReduceStep(ctx context.Context, env Env, campaignID string, spec CampaignSp
 	if tg == nil {
 		return ReducedRec{}, fmt.Errorf("service: unknown target %q", rc.Bug.Target)
 	}
-	item, err := findRef(refs, rc.Bug.Reference)
+	item, err := FindRef(refs, rc.Bug.Reference)
 	if err != nil {
 		return ReducedRec{}, err
 	}
@@ -285,7 +323,7 @@ func MinimizedVariant(env Env, refs []corpus.Item, rec ReducedRec) (*fuzz.Contex
 	if err := json.Unmarshal(blob, &rep); err != nil {
 		return nil, nil, fmt.Errorf("service: report %s: %w", rec.ReportHash, err)
 	}
-	item, err := findRef(refs, rep.Reference)
+	item, err := FindRef(refs, rep.Reference)
 	if err != nil {
 		return nil, nil, err
 	}
