@@ -82,10 +82,14 @@ test-memo:
 
 # gfauto's experiments run on the service's step functions: repeated race
 # passes over the pinned digest of the paper tables' text (at 1 and 4
-# workers) and the campaign-determinism test (the three campaigns and their
-# reduction records identical at 1, 4, 16 and GOMAXPROCS workers).
+# workers), the campaign-determinism test (the three campaigns and their
+# reduction records identical at 1, 4, 16 and GOMAXPROCS workers) and the
+# 1-minimality of every reduction the experiments make. Then a short fuzz
+# of what the reducer relies on (Definition 2.5): any subsequence of a
+# fuzzed sequence replays without a panic to a valid module.
 test-experiments:
-	$(GO) test -race -count=3 -run 'ExperimentsOutputPinned|CampaignDeterministicAcrossWorkers' ./internal/experiments/
+	$(GO) test -race -count=3 -run 'ExperimentsOutputPinned|CampaignDeterministicAcrossWorkers|ReducedCasesOneMinimal' ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz=FuzzReplaySubsequence -fuzztime=10s ./internal/fuzz/
 
 # The benchmark is its own module: vet it and run its tests, which drive
 # both spirvd roles through its daemon interface and read the reduction

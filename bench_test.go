@@ -65,6 +65,28 @@ func sharedCampaigns(b *testing.B) *experiments.Campaigns {
 	return campaignData
 }
 
+// ddmin runs the serial delta-debugging loop and fails b on an error.
+func ddmin(b *testing.B, n int, test core.Interestingness) ([]int, core.ReduceStats) {
+	b.Helper()
+	kept, st, err := core.Reduce(context.Background(), n, test, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return kept, st
+}
+
+// reduceSerial reduces seq against the bug signature on tg serially, with
+// target runs on a fresh one-worker engine.
+func reduceSerial(b *testing.B, original *spirv.Module, in interp.Inputs, seq []fuzz.Transformation, signature string, tg *target.Target) *reduce.Result {
+	b.Helper()
+	interesting := reduce.ForOutcomeOn(runner.New(1), tg, original, in, signature)
+	r, err := reduce.ReduceParallelReplayCtx(context.Background(), original, in, seq, interesting, 1, replay.NewEngine(replay.DefaultBudget))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 // bugSequence loads a campaign bug's transformation sequence from its blob.
 func bugSequence(b *testing.B, blobs service.BlobStore, bug service.BugRef) []fuzz.Transformation {
 	b.Helper()
@@ -175,8 +197,7 @@ func BenchmarkFigure3DontInlineDelta(b *testing.B) {
 		if crash == nil || len(applied) != len(seq) {
 			b.Fatal("Figure 3 crash did not trigger")
 		}
-		interesting := reduce.CrashInterestingness(sw, in, crash.Signature)
-		r := reduce.Reduce(original, in, seq, interesting)
+		r := reduceSerial(b, original, in, seq, crash.Signature, sw)
 		seqLen, delta = len(r.Sequence), r.Variant.InstructionCount()-original.InstructionCount()
 	}
 	b.ReportMetric(float64(seqLen), "reduced-transformations")
@@ -215,13 +236,11 @@ func BenchmarkFigure5Reduction(b *testing.B) {
 	seq := bblang.Figure4Sequence()
 	var kept []int
 	for i := 0; i < b.N; i++ {
-		var st core.ReduceStats
-		kept, st = core.Reduce(len(seq), func(keep []int) bool {
+		kept, _ = ddmin(b, len(seq), func(keep []int) bool {
 			c := bblang.NewContext(prog.Clone(), input)
 			core.ApplySubsequence(c, seq, keep)
 			return bblang.Figure5Bug(c.Prog)
 		})
-		_ = st
 	}
 	if len(kept) != 3 || kept[0] != 0 || kept[1] != 1 || kept[2] != 4 {
 		b.Fatalf("kept %v, want [0 1 4] (T1, T2, T5)", kept)
@@ -325,9 +344,7 @@ tests:
 				continue
 			}
 			perSig[key]++
-			tg := target.ByName(bug.Target)
-			interesting := reduce.ForOutcome(tg, item.Mod, item.Inputs, bug.Signature)
-			r := reduce.Reduce(item.Mod, item.Inputs, bugSequence(b, c.Env.Blobs, bug), interesting)
+			r := reduceSerial(b, item.Mod, item.Inputs, bugSequence(b, c.Env.Blobs, bug), bug.Signature, target.ByName(bug.Target))
 			cases = append(cases, redCase{r.Sequence, bug.Signature})
 			if len(cases) >= 30 {
 				break tests
@@ -412,7 +429,7 @@ func BenchmarkAblationChunkedVsLinearReduction(b *testing.B) {
 	}
 	var chunked, linear int
 	for i := 0; i < b.N; i++ {
-		_, st := core.Reduce(n, test)
+		_, st := ddmin(b, n, test)
 		chunked = st.Queries
 		// Naive linear: try removing each element once, repeatedly.
 		keep := make([]int, n)
@@ -481,7 +498,10 @@ func BenchmarkRunnerParallelReduce(b *testing.B) {
 				perSig[key]++
 				tg := target.ByName(bug.Target)
 				interesting := reduce.ForOutcomeOn(eng, tg, item.Mod, item.Inputs, bug.Signature)
-				r := reduce.ReduceParallelReplay(item.Mod, item.Inputs, ts, interesting, ddWorkers, reng)
+				r, err := reduce.ReduceParallelReplayCtx(context.Background(), item.Mod, item.Inputs, ts, interesting, ddWorkers, reng)
+				if err != nil {
+					b.Fatal(err)
+				}
 				kept = append(kept, r.Kept)
 			}
 		}
@@ -820,10 +840,13 @@ func buildReplayScenario() (*replayScenario, error) {
 	// chaff removal can strip preconditions of a few mid transformations, so
 	// the full sequence's counts overstate what kept candidates reach.
 	sess := replay.NewSession(base, baseIn, seq)
-	kept, _ := core.Reduce(len(seq), func(keep []int) bool {
+	kept, _, err := core.Reduce(context.Background(), len(seq), func(keep []int) bool {
 		sess.Replay(keep)
 		return sc.containsAll(keep)
-	})
+	}, 1)
+	if err != nil {
+		return nil, err
+	}
 	ctx, _ := sess.Replay(kept)
 	sc.kept = kept
 	sc.fns = len(ctx.Mod.Functions)
@@ -874,16 +897,16 @@ func sharedReplayScenario(b *testing.B) *replayScenario {
 // reduceLeg runs the full reduction pipeline — ddmin over sess.Replay, the
 // AddFunction shrink pass over ReplayOverride/Commit, and the final kept
 // replay — against one replay engine, and returns wall time, kept indices,
-// and total queries. This is ReduceParallelReplay's exact serial control
+// and total queries. This is ReduceParallelReplayCtx's exact serial control
 // flow, with the interestingness check replaced by a structural one so the
 // measured cost is variant materialization.
 func (sc *replayScenario) reduceLeg(reng *replay.Engine) (time.Duration, []int, int) {
 	sess := reng.NewSession(sc.base, sc.inputs, sc.ts)
 	start := time.Now()
-	kept, st := core.Reduce(len(sc.ts), func(keep []int) bool {
+	kept, st, _ := core.Reduce(context.Background(), len(sc.ts), func(keep []int) bool {
 		sess.Replay(keep)
 		return sc.containsAll(keep)
-	})
+	}, 1)
 	queries := st.Queries
 	queries += reduce.ShrinkAddFunctionsForTest(sess, kept, sc.shrinkOK)
 	sess.Replay(kept)
@@ -1308,7 +1331,7 @@ func BenchmarkAblationSplitBlockIndependence(b *testing.B) {
 			&fuzz.SplitBlock{Anchor: sIDfine, Fresh: mFine.Bound},
 			&fuzz.SplitBlock{Anchor: tID, Fresh: mFine.Bound + 1},
 		}
-		kept, _ := core.Reduce(len(seqFine), func(keep []int) bool {
+		kept, _ := ddmin(b, len(seqFine), func(keep []int) bool {
 			ctx, _ := fuzz.ReplaySubsequenceContext(mFine, in, seqFine, keep)
 			return bugFine(ctx.Mod)
 		})
@@ -1331,7 +1354,7 @@ func BenchmarkAblationSplitBlockIndependence(b *testing.B) {
 			}
 			return false
 		}
-		kept2, _ := core.Reduce(len(seqFlawed), func(keep []int) bool {
+		kept2, _ := ddmin(b, len(seqFlawed), func(keep []int) bool {
 			ctx, _ := fuzz.ReplaySubsequenceContext(mFlawed, in, seqFlawed, keep)
 			return bugFlawed(ctx.Mod)
 		})

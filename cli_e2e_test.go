@@ -94,6 +94,21 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("reduce output: %s", out)
 	}
 
+	// A variant that ScaleUniform keeps equivalent on its own, co-modified
+	// inputs triggers no bug: signature detection must run it on those
+	// inputs, and spirv-reduce must say there is nothing to reduce.
+	run(t, tool("spirv-fuzz"), 0, "-in", "corpus:gradient1", "-seed", "13",
+		"-o", in("synced.spvasm"), "-transformations", in("synced.json"))
+	if synced, err := os.ReadFile(in("synced.json")); err != nil || !strings.Contains(string(synced), `"ScaleUniform"`) {
+		t.Fatalf("gradient1 seed 13 no longer emits ScaleUniform (%v)", err)
+	}
+	out = run(t, tool("spirv-reduce"), 1,
+		"-in", "corpus:gradient1", "-transformations", in("synced.json"), "-target", "SwiftShader",
+		"-o", in("synced-reduced.spvasm"), "-reduced-transformations", in("synced-reduced.json"))
+	if !strings.Contains(out, "triggers no bug") {
+		t.Fatalf("input-synced reduce output: %s", out)
+	}
+
 	// 3. The reduced variant still crashes with the same signature; the
 	// original does not.
 	out = run(t, tool("spirv-run"), 3, "-in", in("reduced.spvasm"), "-target", "SwiftShader")

@@ -5,22 +5,29 @@
 //	    -transformations seq.json -target SwiftShader [-signature SIG] \
 //	    -o reduced.spvasm -reduced-transformations reduced.json
 //
-// When -signature is omitted, the tool first runs the full variant on the
-// target and uses whatever bug signature appears (crash signature or
-// "miscompilation").
+// When -signature is omitted, the tool first classifies the variant (the
+// sequence replayed onto the original, executed on the inputs that replay
+// produces) against the target and uses whatever bug signature appears
+// (crash signature or "miscompilation"). The reduction is the campaign
+// pipeline's own step, service.ReduceStep, so a case reduces here exactly
+// as it does in spirvd or gfauto.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"spirvfuzz/internal/cli"
+	"spirvfuzz/internal/core"
+	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/harness"
-	"spirvfuzz/internal/reduce"
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
+	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/spirv/asm"
 	"spirvfuzz/internal/target"
 )
@@ -34,7 +41,7 @@ func main() {
 	out := flag.String("o", "reduced.spvasm", "output reduced variant")
 	seqOut := flag.String("reduced-transformations", "reduced.json", "output minimized sequence")
 	reportDir := flag.String("report-dir", "", "also export a full bug-report bundle (Section 2.1) to this directory")
-	workers := flag.Int("workers", 0, "concurrent ddmin queries; 0 means GOMAXPROCS (results are identical for any value)")
+	workers := flag.Int("workers", 0, "concurrent target runs; 0 means GOMAXPROCS (results are identical for any value)")
 	replayMB := flag.Int64("replay-cache-mb", 64, "prefix-snapshot replay cache budget in MiB; 0 disables incremental replay (results are identical either way)")
 	flag.Parse()
 
@@ -56,53 +63,50 @@ func main() {
 	seq, err := fuzz.UnmarshalSequence(data)
 	fatal(err)
 
-	eng := runner.New(*workers)
+	ctx := context.Background()
+	env := service.Env{Eng: runner.New(*workers), Reng: replay.NewEngine(*replayMB << 20), Blobs: &service.MemBlobs{}}
+	refs := []corpus.Item{{Name: *in, Mod: mod, Inputs: inputs}}
 	sig := *signature
 	if sig == "" {
-		variant, _ := fuzz.Replay(mod, inputs, seq)
-		origImg, origCrash := eng.Run(tg, mod, inputs)
-		if origCrash != nil {
-			fatal(fmt.Errorf("original already crashes on %s: %s", tg.Name, origCrash.Signature))
-		}
-		img, crash := eng.Run(tg, variant, inputs)
-		switch {
-		case crash != nil:
-			sig = crash.Signature
-		case tg.CanRender && img != nil && !img.Equal(origImg):
-			sig = target.MiscompilationSignature
-		default:
+		variant, _ := fuzz.ReplayContext(mod, inputs, seq)
+		sigs, err := harness.ClassifyAllCtx(ctx, env.Eng, []*target.Target{tg}, mod, variant.Mod, inputs, variant.Inputs)
+		fatal(err)
+		if sig = sigs[0]; sig == "" {
 			fatal(fmt.Errorf("variant triggers no bug on %s; nothing to reduce", tg.Name))
 		}
 		fmt.Printf("spirv-reduce: detected signature %q\n", sig)
 	}
 
-	interesting := reduce.ForOutcomeOn(eng, tg, mod, inputs, sig)
-	full, _ := fuzz.Replay(mod, inputs, seq)
-	if !interesting(full, inputs) {
+	seqHash, err := env.Blobs.PutBlob(data)
+	fatal(err)
+	bug := service.BugRef{Target: tg.Name, Signature: sig, Reference: *in, SeqHash: seqHash}
+	rec, err := service.ReduceStep(ctx, env, "spirv-reduce", service.CampaignSpec{}, refs,
+		service.ReduceCase{Name: service.CaseName("spirv-reduce", bug), Bug: bug})
+	if errors.Is(err, core.ErrNotInteresting) {
 		fatal(fmt.Errorf("full sequence does not trigger signature %q on %s; check -signature", sig, tg.Name))
 	}
-	reng := replay.NewEngine(*replayMB << 20)
-	res := reduce.ReduceParallelReplay(mod, inputs, seq, interesting, eng.Workers(), reng)
-	fatal(asm.SaveModule(res.Variant, *out))
-	outSeq, err := fuzz.MarshalSequence(res.Sequence)
 	fatal(err)
-	fatal(os.WriteFile(*seqOut, outSeq, 0o644))
-	st := eng.Stats()
+	st := env.Eng.Stats()
 	fmt.Printf("spirv-reduce: %d -> %d transformations in %d queries; delta %d instructions\n",
-		len(seq), len(res.Sequence), res.Queries, res.Delta)
+		len(seq), rec.KeptLen, rec.Queries, rec.Delta)
 	fmt.Printf("spirv-reduce: %d workers, %d target runs, %.0f%% cache hit rate\n",
 		st.Workers, st.Misses, 100*st.HitRate())
-	if rst := reng.Stats(); rst.Queries > 0 {
+	if rst := env.Reng.Stats(); rst.Queries > 0 {
 		fmt.Printf("spirv-reduce: replay cache: %.0f%% prefix hits, mean suffix %.1f of %.1f transformations (%.0f%% replay work saved), %d snapshots (%.1f MiB), %d evictions\n",
 			100*rst.HitRate(), rst.MeanSuffix(), rst.MeanRequested(), 100*rst.SavedFraction(),
 			rst.Snapshots, float64(rst.Bytes)/(1<<20), rst.Evictions)
 	}
+
+	fc, _, err := service.MinimizedVariant(env, refs, rec)
+	fatal(err)
+	fatal(asm.SaveModule(fc.Mod, *out))
+	_, reduced, err := service.LoadReport(env.Blobs, rec.ReportHash)
+	fatal(err)
+	outSeq, err := fuzz.MarshalSequence(reduced)
+	fatal(err)
+	fatal(os.WriteFile(*seqOut, outSeq, 0o644))
 	if *reportDir != "" {
-		o := &harness.Outcome{
-			Tool: harness.ToolSpirvFuzz, Target: tg.Name, Reference: *in, Seed: 0,
-			Signature: sig, Original: mod, Inputs: inputs,
-		}
-		fatal(harness.ExportBugReport(*reportDir, o, res))
+		fatal(service.ExportBugReport(*reportDir, env, refs, harness.ToolSpirvFuzz, rec))
 		fmt.Printf("spirv-reduce: bug-report bundle written to %s\n", *reportDir)
 	}
 }

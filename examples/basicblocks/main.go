@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,7 +55,10 @@ func main() {
 		core.ApplySubsequence(c, seq, keep)
 		return bblang.Figure5Bug(c.Prog)
 	}
-	kept, st := core.Reduce(len(seq), interesting)
+	kept, st, err := core.Reduce(context.Background(), len(seq), interesting, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  kept transformations: %v (after %d interestingness queries)\n", labels(kept), st.Queries)
 
 	final := bblang.NewContext(prog.Clone(), input)

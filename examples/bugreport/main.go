@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -14,6 +15,8 @@ import (
 	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/reduce"
+	"spirvfuzz/internal/replay"
+	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/target"
 	"spirvfuzz/internal/testmod"
@@ -50,8 +53,11 @@ func main() {
 	}
 	fmt.Printf("SwiftShader crash: %s\n\n", crash.Signature)
 
-	interesting := reduce.CrashInterestingness(sw, in, crash.Signature)
-	r := reduce.Reduce(original, in, applied, interesting)
+	interesting := reduce.ForOutcomeOn(runner.New(1), sw, original, in, crash.Signature)
+	r, err := reduce.ReduceParallelReplayCtx(context.Background(), original, in, applied, interesting, 1, replay.NewEngine(replay.DefaultBudget))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Reduced from %d to %d transformation(s); ", len(applied), len(r.Sequence))
 	fmt.Printf("original %d instructions, reduced variant %d.\n\n",
 		original.InstructionCount(), r.Variant.InstructionCount())

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -94,9 +95,12 @@ func main() {
 		})
 		return found
 	}
-	kept, _ := core.Reduce(len(seq), func(keep []int) bool {
+	kept, _, err := core.Reduce(context.Background(), len(seq), func(keep []int) bool {
 		c2, _ := fuzz.ReplaySubsequenceContext(item.Mod, item.Inputs, seq, keep)
 		return bug(c2.Mod)
-	})
+	}, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("reduction against a load-triggered bug keeps %d of %d transformations\n", len(kept), len(seq))
 }

@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"log"
 
-	"spirvfuzz/internal/core"
 	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/fuzz"
-	"spirvfuzz/internal/reduce"
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/service"
@@ -54,21 +52,26 @@ func main() {
 	fmt.Printf("  variant: %d instructions (original %d), %d transformations\n\n",
 		variant.InstructionCount(), item.Mod.InstructionCount(), len(seq))
 
+	// The campaign's reduce step delta-debugs the sequence and stores the
+	// minimized one in a report blob.
 	fmt.Println("quickstart: reducing with delta debugging (Section 3.4)...")
-	tg := target.ByName(bug.Target)
-	interesting := reduce.ForOutcome(tg, item.Mod, item.Inputs, bug.Signature)
-	r := reduce.Reduce(item.Mod, item.Inputs, seq, interesting)
+	rec, err := service.ReduceStep(context.Background(), env, "quickstart", spec, refs,
+		service.ReduceCase{Name: service.CaseName("quickstart", *bug), Bug: *bug})
+	check(err)
+	reduced, _, err := service.MinimizedVariant(env, refs, rec)
+	check(err)
+	_, minimized, err := service.LoadReport(env.Blobs, rec.ReportHash)
+	check(err)
 	fmt.Printf("  %d -> %d transformations in %d interestingness queries\n",
-		len(seq), len(r.Sequence), r.Queries)
+		len(seq), rec.KeptLen, rec.Queries)
 	fmt.Printf("  reduced variant: %d instructions; delta vs original: %d instructions\n\n",
-		r.Variant.InstructionCount(), r.Delta)
+		reduced.Mod.InstructionCount(), rec.Delta)
 
 	fmt.Println("quickstart: the minimized transformation sequence:")
-	for i, t := range r.Sequence {
+	for i, t := range minimized {
 		fmt.Printf("  T%d: %s\n", i+1, t.Type())
 	}
-	types := core.SortedTypes(core.TypeSet(r.Sequence, fuzz.SupportingTypes()))
-	fmt.Printf("\nquickstart: deduplication type set (supporting types ignored): %v\n", types)
+	fmt.Printf("\nquickstart: deduplication type set (supporting types ignored): %v\n", rec.Types)
 	fmt.Println("quickstart: report the bug as the pair (original, reduced variant) — both")
 	fmt.Println("compute the same image, yet the target treats them differently.")
 }

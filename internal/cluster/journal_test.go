@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -366,6 +367,61 @@ func TestCoordinatorRejectsForgedResults(t *testing.T) {
 	}
 	if got := clusterBuckets(t, co, id); !bytes.Equal(got, want) {
 		t.Fatalf("buckets differ from single-node run:\n got %s\nwant %s", got, want)
+	}
+
+	// A forged bug passes the index check: its test_done names a signature
+	// the sequence does not trigger. The worker that reduces the selected
+	// case reports the error instead of crashing, the campaign fails naming
+	// the case, and the coordinator and its workers finish the next campaign.
+	fstatus, err := co.CreateCampaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fid := fstatus.ID
+	sh, ok := co.Next("forger")
+	if !ok || sh.Campaign != fid || sh.Phase != service.PhaseFuzz {
+		t.Fatalf("leased %+v, want a fuzz shard of %s", sh, fid)
+	}
+	// The forged record claims, for the shard's first test, the first real
+	// bug of the spec under a signature nothing crashes with.
+	var bug service.BugRef
+	for i := 0; i < spec.Tests && bug.SeqHash == ""; i++ {
+		bugs, err := service.FuzzStep(context.Background(), w.env, fstatus.Spec, targets, w.refs, corpus.Donors(), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bugs) > 0 {
+			bug = bugs[0]
+		}
+	}
+	if bug.SeqHash == "" {
+		t.Fatal("the spec finds no bug to forge")
+	}
+	bug.Seed, bug.Signature = fstatus.Spec.SeedBase+int64(sh.Lo), "no such crash"
+	forged := service.CaseName(fid, bug)
+	res := ShardResult{Campaign: fid, Phase: sh.Phase, Index: sh.Index, Node: "forger"}
+	for i := sh.Lo; i < sh.Hi; i++ {
+		res.Tests = append(res.Tests, service.TestDone{Index: i})
+	}
+	res.Tests[0].Bugs = []service.BugRef{bug}
+	if _, err := co.SyncBatch(syncRequest{Result: &res}); err != nil {
+		t.Fatalf("forged bug: %v", err)
+	}
+	sim, err := StartSim(co, 2, t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Stop()
+	err = waitDone(func() (service.CampaignStatus, bool) { return co.Campaign(fid) })
+	if err == nil || !strings.Contains(err.Error(), forged) {
+		t.Fatalf("campaign with a forged bug: %v, want a failure naming %s", err, forged)
+	}
+	again, err := co.CreateCampaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := waitDone(func() (service.CampaignStatus, bool) { return co.Campaign(again.ID) }); err != nil {
+		t.Fatalf("campaign after the forged one: %v", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
@@ -116,42 +118,61 @@ func TestReduceFindsMinimalSubset(t *testing.T) {
 		}
 		return found == len(needed)
 	}
-	got, stats := core.Reduce(120, test)
+	got, stats := reduce(t, 120, test)
 	if !reflect.DeepEqual(got, needed) {
 		t.Fatalf("Reduce = %v, want %v", got, needed)
-	}
-	if stats.Initial != 120 || stats.Final != 3 {
-		t.Fatalf("stats = %+v", stats)
 	}
 	if stats.Queries == 0 {
 		t.Fatal("stats.Queries = 0")
 	}
 }
 
+// reduce runs core.Reduce serially and fails the test on an error.
+func reduce(t *testing.T, n int, test core.Interestingness) ([]int, core.ReduceStats) {
+	t.Helper()
+	kept, stats, err := core.Reduce(context.Background(), n, test, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kept, stats
+}
+
 func TestReduceEmptyAndSingleton(t *testing.T) {
-	got, _ := core.Reduce(0, func(keep []int) bool { return true })
-	if len(got) != 0 {
-		t.Fatalf("Reduce(0) = %v", got)
+	got, stats := reduce(t, 0, func(keep []int) bool { return true })
+	if len(got) != 0 || stats.Queries != 1 {
+		t.Fatalf("Reduce(0) = %v after %d queries", got, stats.Queries)
 	}
 	// A single necessary transformation is kept.
-	got, _ = core.Reduce(1, func(keep []int) bool { return len(keep) == 1 })
+	got, _ = reduce(t, 1, func(keep []int) bool { return len(keep) == 1 })
 	if !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("Reduce(1) = %v", got)
 	}
 	// A single unnecessary transformation is removed.
-	got, _ = core.Reduce(1, func(keep []int) bool { return true })
+	got, _ = reduce(t, 1, func(keep []int) bool { return true })
 	if len(got) != 0 {
 		t.Fatalf("Reduce(1, always) = %v", got)
 	}
 }
 
-func TestReducePanicsOnUninterestingInput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// TestReduceRejectsUninterestingInput: a full sequence that fails the test
+// is an error after exactly one query, at every length and worker count,
+// the empty sequence included.
+func TestReduceRejectsUninterestingInput(t *testing.T) {
+	for _, n := range []int{0, 1, 4} {
+		for _, workers := range []int{1, 4} {
+			queries := 0
+			kept, stats, err := core.Reduce(context.Background(), n, func(keep []int) bool {
+				queries++
+				return false
+			}, workers)
+			if !errors.Is(err, core.ErrNotInteresting) {
+				t.Fatalf("n=%d workers=%d: err = %v, want ErrNotInteresting", n, workers, err)
+			}
+			if queries != 1 || stats.Queries != 1 || kept != nil {
+				t.Fatalf("n=%d workers=%d: %d queries (stats %d), kept %v", n, workers, queries, stats.Queries, kept)
+			}
 		}
-	}()
-	core.Reduce(4, func(keep []int) bool { return false })
+	}
 }
 
 func TestReduceOneMinimalProperty(t *testing.T) {
@@ -179,7 +200,7 @@ func TestReduceOneMinimalProperty(t *testing.T) {
 			}
 			return true
 		}
-		got, _ := core.Reduce(n, test)
+		got, _ := reduce(t, n, test)
 		if len(got) != len(req) {
 			return false
 		}
@@ -206,7 +227,7 @@ func TestReduceNonMonotone(t *testing.T) {
 	// A non-monotone test (parity) must still terminate with a 1-minimal
 	// result, even though it is not globally minimal.
 	test := func(keep []int) bool { return len(keep)%2 == 1 }
-	got, _ := core.Reduce(7, test)
+	got, _ := reduce(t, 7, test)
 	if len(got)%2 != 1 {
 		t.Fatalf("result %v does not satisfy the test", got)
 	}

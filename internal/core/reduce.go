@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -14,6 +15,11 @@ import (
 // image mismatch).
 type Interestingness func(keep []int) bool
 
+// ErrNotInteresting is returned by Reduce when the full sequence fails the
+// interestingness test: there is no bug to reduce. Callers wrap it with the
+// name of the case they reduce.
+var ErrNotInteresting = errors.New("core: the full sequence does not pass the interestingness test")
+
 // ReduceStats records the work performed by a reduction.
 type ReduceStats struct {
 	// Queries is the serial-equivalent number of interestingness-test
@@ -25,9 +31,6 @@ type ReduceStats struct {
 	// a committed removal before noticing it was superseded. Scheduling-
 	// dependent; kept out of Queries so Queries stays deterministic.
 	Speculative int
-	// Initial and Final are the sequence lengths before and after reduction.
-	Initial int
-	Final   int
 }
 
 // Reduce runs the delta-debugging loop of Section 3.4 over a transformation
@@ -41,60 +44,40 @@ type ReduceStats struct {
 // test still passes without it. When no chunk of size c can be removed, c is
 // halved; reduction terminates when no chunk of size 1 can be removed.
 //
-// test must hold for the full sequence; Reduce panics otherwise since a
-// reduction of an uninteresting sequence indicates a harness bug.
-func Reduce(n int, test Interestingness) ([]int, ReduceStats) {
-	return ReduceParallel(n, test, 1)
-}
-
-// ReduceParallel is Reduce with speculative chunk evaluation: within one
-// backwards scan, up to workers candidate chunks are tested concurrently,
-// and the successful removal earliest in scan order is committed. Later
-// speculative results were computed against a sequence that the commit just
-// changed, so they are discarded and the scan resumes exactly where serial
-// Reduce would — the kept indices are therefore bitwise-identical to serial
-// Reduce for every worker count. test must be safe for concurrent calls when
+// The full sequence is always tested first, also when n is 0. If it fails,
+// Reduce returns ErrNotInteresting after that one query.
+//
+// Within one backwards scan, up to workers candidate chunks are tested
+// concurrently, and the successful removal earliest in scan order is
+// committed. Later speculative results were computed against a sequence that
+// the commit just changed, so they are discarded and the scan resumes exactly
+// where a serial scan would: the kept indices and Queries are identical for
+// every worker count. test must be safe for concurrent calls when
 // workers > 1. At most workers-1 extra queries are spent per committed
 // removal; a speculative candidate whose wave already holds a success earlier
 // in scan order is skipped without a query, since its result would be
 // discarded either way.
-func ReduceParallel(n int, test Interestingness, workers int) ([]int, ReduceStats) {
-	keep, stats, _ := ReduceParallelCtx(context.Background(), n, test, workers)
-	return keep, stats
-}
-
-// ReduceParallelCtx is ReduceParallel with cancellation: once ctx is done,
-// no further interestingness query is issued — speculative wave goroutines
-// that have not started skip their query — and the reduction returns the
-// keep-set as reduced so far together with ctx.Err(). A partial keep-set is
-// still a valid (merely non-minimal) interesting sequence, so callers may
-// either discard it or report it as a best-effort reduction. With a
-// never-canceled ctx the result is bitwise-identical to ReduceParallel.
-func ReduceParallelCtx(ctx context.Context, n int, test Interestingness, workers int) ([]int, ReduceStats, error) {
+//
+// Once ctx is done, no further query is issued, and Reduce returns the
+// keep-set as reduced so far together with ctx.Err(). That keep-set is still
+// interesting, merely not 1-minimal.
+func Reduce(ctx context.Context, n int, test Interestingness, workers int) ([]int, ReduceStats, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	stats := ReduceStats{Initial: n}
+	var stats ReduceStats
 	keep := make([]int, n)
 	for i := range keep {
 		keep[i] = i
 	}
-	if n == 0 {
-		return keep, stats, ctx.Err()
-	}
 	if err := ctx.Err(); err != nil {
-		stats.Final = len(keep)
 		return keep, stats, err
 	}
 	stats.Queries++
 	if !test(keep) {
-		panic("core: Reduce invoked on a sequence that does not pass the interestingness test")
+		return nil, stats, ErrNotInteresting
 	}
-	first := n / 2
-	if first < 1 {
-		first = 1
-	}
-	for c := first; c >= 1; c /= 2 {
+	for c := max(n/2, 1); c >= 1; c /= 2 {
 		for removedAny := true; removedAny; {
 			removedAny = false
 			// Chunks are laid out backwards from the end of the current
@@ -103,7 +86,6 @@ func ReduceParallelCtx(ctx context.Context, n int, test Interestingness, workers
 			// of the current keep slice.
 			for end := len(keep); end > 0; {
 				if err := ctx.Err(); err != nil {
-					stats.Final = len(keep)
 					return keep, stats, err
 				}
 				ends := waveEnds(end, c, workers)
@@ -121,7 +103,7 @@ func ReduceParallelCtx(ctx context.Context, n int, test Interestingness, workers
 				// up to and including the committed success are always fully
 				// evaluated (a skip requires a strictly earlier success), so
 				// this count is deterministic at every worker count and equal
-				// to what serial Reduce would have spent. Queries issued past
+				// to what a serial scan would have spent. Queries issued past
 				// the commit depend on goroutine scheduling — a later
 				// candidate may or may not observe the success in time to
 				// skip — so they are tracked separately as Speculative and
@@ -150,7 +132,6 @@ func ReduceParallelCtx(ctx context.Context, n int, test Interestingness, workers
 			}
 		}
 	}
-	stats.Final = len(keep)
 	return keep, stats, ctx.Err()
 }
 
@@ -181,7 +162,7 @@ func chunkStart(end, c int) int {
 // and skip it. Positions before the eventual commit are never skipped — a
 // skip requires a strictly earlier success, and the commit is the earliest —
 // so the candidates that decide the outcome are always fully evaluated,
-// exactly as in serial Reduce. A done ctx likewise skips queries that have
+// exactly as in a serial scan. A done ctx likewise skips queries that have
 // not started (the caller returns ctx.Err() right after the wave).
 func runWave(ctx context.Context, keep []int, ends []int, c int, test Interestingness, cands [][]int, okay []bool) int {
 	eval := func(i int) {

@@ -62,7 +62,7 @@ func TestReduceExactQueryCounts(t *testing.T) {
 				queries++
 				return containsAll(keep, tc.keep)
 			}
-			kept, st := Reduce(tc.n, test)
+			kept, st := serial(t, tc.n, test)
 			if len(kept) != tc.final {
 				t.Errorf("final length %d, want %d (kept %v)", len(kept), tc.final, kept)
 			}
@@ -93,7 +93,7 @@ func TestReduceRescanReachesOneMinimality(t *testing.T) {
 			}
 		}
 		test := func(keep []int) bool { return containsAll(keep, want) }
-		kept, st := Reduce(n, test)
+		kept, _ := serial(t, n, test)
 		if !reflect.DeepEqual(kept, append([]int{}, want...)) && len(kept) != len(want) {
 			t.Fatalf("n=%d want %v got %v", n, want, kept)
 		}
@@ -103,15 +103,12 @@ func TestReduceRescanReachesOneMinimality(t *testing.T) {
 				t.Fatalf("n=%d: not 1-minimal, index %d removable from %v", n, kept[drop], kept)
 			}
 		}
-		if st.Initial != n || st.Final != len(kept) {
-			t.Fatalf("stats mismatch: %+v vs n=%d kept=%d", st, n, len(kept))
-		}
 	}
 }
 
 // TestReduceParallelMatchesSerial is the determinism guarantee of the
-// speculative mode: for every worker count the kept indices are
-// bitwise-identical to serial Reduce, including on non-monotone tests where
+// speculative mode: for every worker count the kept indices and Queries are
+// bitwise-identical to a serial reduction, including on non-monotone tests where
 // speculative evaluation observes states serial reduction never visits.
 func TestReduceParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -151,7 +148,7 @@ func TestReduceParallelMatchesSerial(t *testing.T) {
 			if !test(initial(n)) {
 				continue
 			}
-			serialKept, _ := Reduce(n, test)
+			serialKept, serialSt := serial(t, n, test)
 			for _, workers := range []int{1, 4, 16} {
 				var mu sync.Mutex // the crafted tests share no state, but be explicit
 				concTest := func(keep []int) bool {
@@ -159,12 +156,15 @@ func TestReduceParallelMatchesSerial(t *testing.T) {
 					defer mu.Unlock()
 					return test(keep)
 				}
-				kept, st := ReduceParallel(n, concTest, workers)
+				kept, st, err := Reduce(context.Background(), n, concTest, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !reflect.DeepEqual(kept, serialKept) {
 					t.Fatalf("test %d n=%d workers=%d: kept %v, serial %v", ti, n, workers, kept, serialKept)
 				}
-				if st.Final != len(kept) || st.Initial != n {
-					t.Fatalf("stats mismatch %+v", st)
+				if st.Queries != serialSt.Queries {
+					t.Fatalf("test %d n=%d workers=%d: %d queries, serial %d", ti, n, workers, st.Queries, serialSt.Queries)
 				}
 			}
 		}
@@ -180,18 +180,21 @@ func TestReduceParallelQueryOverhead(t *testing.T) {
 	n := 32
 	want := []int{3, 17}
 	test := func(keep []int) bool { return containsAll(keep, want) }
-	_, serial := Reduce(n, test)
-	if serial.Speculative != 0 {
-		t.Fatalf("serial reduction reported %d speculative queries", serial.Speculative)
+	_, serialSt := serial(t, n, test)
+	if serialSt.Speculative != 0 {
+		t.Fatalf("serial reduction reported %d speculative queries", serialSt.Speculative)
 	}
 	for _, workers := range []int{4, 16} {
-		kept, par := ReduceParallel(n, test, workers)
+		kept, par, err := Reduce(context.Background(), n, test, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(kept) != len(want) {
 			t.Fatalf("workers=%d kept %v", workers, kept)
 		}
-		if par.Queries != serial.Queries {
+		if par.Queries != serialSt.Queries {
 			t.Fatalf("workers=%d: parallel reported %d queries, serial %d — report hashes would diverge",
-				workers, par.Queries, serial.Queries)
+				workers, par.Queries, serialSt.Queries)
 		}
 		removals := n - len(want) // upper bound on committed removals
 		if par.Speculative > removals*(workers-1) {
@@ -199,6 +202,16 @@ func TestReduceParallelQueryOverhead(t *testing.T) {
 				workers, par.Speculative, removals*(workers-1))
 		}
 	}
+}
+
+// serial runs Reduce with one worker and fails the test on an error.
+func serial(t *testing.T, n int, test Interestingness) ([]int, ReduceStats) {
+	t.Helper()
+	kept, st, err := Reduce(context.Background(), n, test, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kept, st
 }
 
 func initial(n int) []int {
@@ -210,31 +223,19 @@ func initial(n int) []int {
 }
 
 // TestReduceParallelCtxCancellation: a canceled context stops the reduction
-// between waves, the returned keep-set is still interesting (best-effort,
-// not 1-minimal), and a background context reproduces ReduceParallel
-// bitwise.
+// between waves, and the returned keep-set is still interesting (best-effort,
+// not 1-minimal).
 func TestReduceParallelCtxCancellation(t *testing.T) {
 	needed := []int{2, 17, 40, 77}
 	test := func(keep []int) bool { return containsAll(keep, needed) }
-
-	// Uncanceled: identical to the ctx-less API.
-	want, wantSt := ReduceParallel(100, test, 3)
-	got, gotSt, err := ReduceParallelCtx(context.Background(), 100, test, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Query counts are timing-dependent with workers > 1 (speculative skip
-	// races); the kept indices are the determinism contract.
-	if !reflect.DeepEqual(want, got) || gotSt.Final != wantSt.Final {
-		t.Fatalf("ctx variant diverged: %v vs %v", got, want)
-	}
+	_, wantSt := serial(t, 100, test)
 
 	// Cancel after a fixed query budget: the reduction must stop issuing
 	// queries almost immediately and return a still-interesting keep-set.
 	ctx, cancel := context.WithCancel(context.Background())
 	var queries atomic.Int64
 	budget := int64(wantSt.Queries / 3)
-	kept, st, err := ReduceParallelCtx(ctx, 100, func(keep []int) bool {
+	kept, st, err := Reduce(ctx, 100, func(keep []int) bool {
 		if queries.Add(1) == budget {
 			cancel()
 		}
@@ -254,7 +255,7 @@ func TestReduceParallelCtxCancellation(t *testing.T) {
 	// Canceled before the start: full keep-set, error, no queries.
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
-	kept, st, err = ReduceParallelCtx(pre, 10, func(keep []int) bool { return true }, 2)
+	kept, st, err = Reduce(pre, 10, func(keep []int) bool { return true }, 2)
 	if err == nil || len(kept) != 10 || st.Queries != 0 {
 		t.Fatalf("pre-canceled: kept=%v queries=%d err=%v", kept, st.Queries, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/harness"
+	"spirvfuzz/internal/reduce"
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/service"
@@ -207,4 +208,50 @@ func TestEachCaseReducedOnce(t *testing.T) {
 	if len(c.reduced) != len(table4Cases)+extra {
 		t.Fatalf("after export: %d reductions, want %d", len(c.reduced), len(table4Cases)+extra)
 	}
+}
+
+// TestReducedCasesOneMinimal checks every reduction gfauto's experiments
+// make (RQ2, Table 4 and the Section 5 export) against its own
+// interestingness test: the minimized sequence still triggers the bug, and
+// dropping any single one of its transformations makes it stop.
+func TestReducedCasesOneMinimal(t *testing.T) {
+	c, err := RunCampaigns(Config{Tests: 120, Groups: 6, CapPerSignature: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	Table4(c)
+	RQ2(c)
+	if _, err := ExportWildReports(c, t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	kept := 0
+	for _, rec := range c.reduced {
+		rep, seq, err := service.LoadReport(c.Env.Blobs, rec.ReportHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		item, err := service.FindRef(c.refs, rep.Reference)
+		if err != nil {
+			t.Fatal(err)
+		}
+		interesting := reduce.ForOutcomeOn(c.Env.Eng, target.ByName(rec.Target), item.Mod, item.Inputs, rec.Signature)
+		all := make([]int, len(seq))
+		for i := range all {
+			all[i] = i
+		}
+		if fc, _ := fuzz.ReplaySubsequenceContext(item.Mod, item.Inputs, seq, all); !interesting(fc.Mod, fc.Inputs) {
+			t.Fatalf("%s: the minimized sequence no longer triggers %q", rec.Case, rec.Signature)
+		}
+		for drop := range seq {
+			keep := append(append([]int{}, all[:drop]...), all[drop+1:]...)
+			if fc, _ := fuzz.ReplaySubsequenceContext(item.Mod, item.Inputs, seq, keep); interesting(fc.Mod, fc.Inputs) {
+				t.Errorf("%s: not 1-minimal: T%d (%s) is removable", rec.Case, drop+1, seq[drop].Type())
+			}
+		}
+		kept += len(seq)
+	}
+	if len(c.reduced) == 0 {
+		t.Fatal("no reductions to check")
+	}
+	t.Logf("%d cases, %d kept transformations", len(c.reduced), kept)
 }

@@ -13,7 +13,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -22,7 +21,6 @@ import (
 	"spirvfuzz/internal/bisect"
 	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/dedup"
-	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/glslfuzz"
 	"spirvfuzz/internal/harness"
 	"spirvfuzz/internal/memostore"
@@ -326,15 +324,7 @@ func must[T any](v T, err error) T {
 // dedupCase is a reduced case as the deduplicator takes it, its minimized
 // sequence read from the case's report blob.
 func (c *Campaigns) dedupCase(rec service.ReducedRec) (dedup.Case, error) {
-	blob, err := c.Env.Blobs.GetBlob(rec.ReportHash)
-	if err != nil {
-		return dedup.Case{}, err
-	}
-	var rep service.Report
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return dedup.Case{}, fmt.Errorf("experiments: report of %s: %w", rec.Case, err)
-	}
-	seq, err := fuzz.UnmarshalSequence(rep.Transformations)
+	_, seq, err := service.LoadReport(c.Env.Blobs, rec.ReportHash)
 	return dedup.Case{Name: rec.Case, Sequence: seq, Signature: rec.Signature}, err
 }
 

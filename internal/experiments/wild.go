@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"spirvfuzz/internal/harness"
-	"spirvfuzz/internal/reduce"
 	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/target"
 )
@@ -43,22 +42,9 @@ func ExportWildReports(c *Campaigns, dir string) (*WildReport, error) {
 	perTarget := map[string]int{}
 	for i, rec := range recs {
 		bug := firsts[i].Bug
-		fc, item, err := service.MinimizedVariant(c.Env, c.refs, rec)
-		if err != nil {
-			return nil, err
-		}
-		dc, err := c.dedupCase(rec)
-		if err != nil {
-			return nil, err
-		}
 		perTarget[bug.Target]++
 		out := filepath.Join(dir, bug.Target, fmt.Sprintf("bug%02d", perTarget[bug.Target]))
-		o := &harness.Outcome{
-			Tool: harness.ToolSpirvFuzz, Target: bug.Target, Reference: bug.Reference, Seed: bug.Seed,
-			Signature: bug.Signature, Original: item.Mod, Inputs: item.Inputs,
-		}
-		r := &reduce.Result{Sequence: dc.Sequence, Variant: fc.Mod, Inputs: fc.Inputs, Delta: rec.Delta}
-		if err := harness.ExportBugReport(out, o, r); err != nil {
+		if err := service.ExportBugReport(out, c.Env, c.refs, harness.ToolSpirvFuzz, rec); err != nil {
 			return nil, err
 		}
 		rep.Dirs = append(rep.Dirs, out)

@@ -1,8 +1,9 @@
 // Package harness holds the gfauto pieces (Section 3.2) that campaign steps
-// and tools share: the tool configurations under evaluation, the
-// classification of an original/variant pair into a bug signature, and
-// bug-report export. The campaign pipeline itself is the step functions of
-// internal/service, which spirvd and gfauto's experiments both run.
+// and tools share: the tool configurations under evaluation and the
+// classification of an original/variant pair into a bug signature. The
+// campaign pipeline itself, bug-report export included, is the step
+// functions of internal/service, which spirvd, spirv-reduce and gfauto's
+// experiments all run.
 package harness
 
 import (

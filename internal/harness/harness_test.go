@@ -9,7 +9,6 @@ import (
 	"spirvfuzz/internal/dedup"
 	"spirvfuzz/internal/experiments"
 	"spirvfuzz/internal/fuzz"
-	"spirvfuzz/internal/harness"
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/reduce"
 	"spirvfuzz/internal/replay"
@@ -21,10 +20,24 @@ import (
 
 // outcome is one bug of a fixture campaign with its artifacts loaded.
 type outcome struct {
-	harness.Outcome
-	Variant         *spirv.Module
-	VariantInputs   interp.Inputs
-	Transformations []fuzz.Transformation
+	Target, Signature string
+	Original          *spirv.Module
+	Inputs            interp.Inputs
+	Variant           *spirv.Module
+	VariantInputs     interp.Inputs
+	Transformations   []fuzz.Transformation
+}
+
+// reduceOutcome builds o's interestingness test on a fresh engine and
+// reduces o's sequence serially against it.
+func reduceOutcome(t *testing.T, o *outcome) (*reduce.Result, reduce.Interestingness) {
+	t.Helper()
+	interesting := reduce.ForOutcomeOn(runner.New(1), target.ByName(o.Target), o.Original, o.Inputs, o.Signature)
+	r, err := reduce.ReduceParallelReplayCtx(context.Background(), o.Original, o.Inputs, o.Transformations, interesting, 1, replay.NewEngine(replay.DefaultBudget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, interesting
 }
 
 // campaignOutcomes runs a spirv-fuzz campaign of tests tests through
@@ -60,10 +73,7 @@ func campaignOutcomes(t *testing.T, tests int) []outcome {
 			// blob).
 			fc, _ := fuzz.ReplayContext(item.Mod, item.Inputs, ts)
 			out = append(out, outcome{
-				Outcome: harness.Outcome{
-					Tool: harness.ToolSpirvFuzz, Target: bug.Target, Reference: bug.Reference, Seed: bug.Seed,
-					Signature: bug.Signature, Original: item.Mod, Inputs: item.Inputs,
-				},
+				Target: bug.Target, Signature: bug.Signature, Original: item.Mod, Inputs: item.Inputs,
 				Variant: fc.Mod, VariantInputs: fc.Inputs, Transformations: ts,
 			})
 		}
@@ -107,12 +117,10 @@ func TestReduceCrashOutcome(t *testing.T) {
 	if o == nil {
 		t.Skip("no crash outcome in small campaign")
 	}
-	tg := target.ByName(o.Target)
-	interesting := reduce.ForOutcome(tg, o.Original, o.Inputs, o.Signature)
+	r, interesting := reduceOutcome(t, o)
 	if !interesting(o.Variant, o.VariantInputs) {
 		t.Fatal("unreduced variant not interesting")
 	}
-	r := reduce.Reduce(o.Original, o.Inputs, o.Transformations, interesting)
 	if len(r.Sequence) > len(o.Transformations) {
 		t.Fatal("reduction grew the sequence")
 	}
@@ -146,12 +154,10 @@ func TestReduceMiscompilationOutcome(t *testing.T) {
 	if mis == nil {
 		t.Skip("no miscompilation in small campaign")
 	}
-	tg := target.ByName(mis.Target)
-	interesting := reduce.ForOutcome(tg, mis.Original, mis.Inputs, mis.Signature)
+	r, interesting := reduceOutcome(t, mis)
 	if !interesting(mis.Variant, mis.VariantInputs) {
 		t.Fatal("unreduced miscompiling variant not interesting")
 	}
-	r := reduce.Reduce(mis.Original, mis.Inputs, mis.Transformations, interesting)
 	if !interesting(r.Variant, r.Inputs) {
 		t.Fatal("reduced variant no longer miscompiles")
 	}
@@ -166,9 +172,7 @@ func TestDedupOnReducedCases(t *testing.T) {
 		if o.Signature == target.MiscompilationSignature || len(o.Transformations) == 0 {
 			continue
 		}
-		tg := target.ByName(o.Target)
-		interesting := reduce.ForOutcome(tg, o.Original, o.Inputs, o.Signature)
-		r := reduce.Reduce(o.Original, o.Inputs, o.Transformations, interesting)
+		r, _ := reduceOutcome(t, &o)
 		cases = append(cases, dedup.Case{
 			Name:      o.Target + "/" + itoa(i),
 			Sequence:  r.Sequence,

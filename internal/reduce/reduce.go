@@ -20,31 +20,18 @@ import (
 // module and the inputs it executes on (input-modifying transformations may
 // have changed them in sync with the module), it reports whether the bug
 // still appears to be triggered. Tests built by the *On constructors are safe
-// for concurrent calls, which ReduceParallel relies on.
+// for concurrent calls, which the speculative ddmin waves rely on.
 type Interestingness func(variant *spirv.Module, in interp.Inputs) bool
 
-// Runner abstracts target execution so reductions can route through a shared
+// Runner abstracts target execution so reductions route through a shared
 // memoizing engine (runner.Engine satisfies this); ddmin probes many
 // overlapping candidate subsets whose replays collapse to identical modules.
 type Runner interface {
 	Run(tg *target.Target, m *spirv.Module, in interp.Inputs) (*interp.Image, *target.Crash)
 }
 
-// directRunner executes targets with no pooling or caching.
-type directRunner struct{}
-
-func (directRunner) Run(tg *target.Target, m *spirv.Module, in interp.Inputs) (*interp.Image, *target.Crash) {
-	return tg.Run(m, in)
-}
-
-// CrashInterestingness builds the interestingness test for a crash bug: the
-// target must crash with the same signature.
-func CrashInterestingness(tg *target.Target, in interp.Inputs, signature string) Interestingness {
-	return CrashInterestingnessOn(directRunner{}, tg, in, signature)
-}
-
-// CrashInterestingnessOn is CrashInterestingness with target runs routed
-// through r.
+// CrashInterestingnessOn builds the interestingness test for a crash bug:
+// the target, run through r, must crash with the same signature.
 func CrashInterestingnessOn(r Runner, tg *target.Target, _ interp.Inputs, signature string) Interestingness {
 	return func(variant *spirv.Module, in interp.Inputs) bool {
 		_, crash := r.Run(tg, variant, in)
@@ -52,17 +39,11 @@ func CrashInterestingnessOn(r Runner, tg *target.Target, _ interp.Inputs, signat
 	}
 }
 
-// MiscompilationInterestingness builds the test for a miscompilation: the
+// miscompilationInterestingnessOn builds the test for a miscompilation: the
 // image rendered via the variant (on its inputs) must still differ from the
 // image rendered via the original on the original inputs (Section 3.4's
 // image-pair comparison).
-func MiscompilationInterestingness(tg *target.Target, origIn interp.Inputs, original *spirv.Module) Interestingness {
-	return MiscompilationInterestingnessOn(directRunner{}, tg, origIn, original)
-}
-
-// MiscompilationInterestingnessOn is MiscompilationInterestingness with
-// target runs routed through r.
-func MiscompilationInterestingnessOn(r Runner, tg *target.Target, origIn interp.Inputs, original *spirv.Module) Interestingness {
+func miscompilationInterestingnessOn(r Runner, tg *target.Target, origIn interp.Inputs, original *spirv.Module) Interestingness {
 	origImg, origCrash := r.Run(tg, original, origIn)
 	return func(variant *spirv.Module, in interp.Inputs) bool {
 		if origCrash != nil {
@@ -73,15 +54,12 @@ func MiscompilationInterestingnessOn(r Runner, tg *target.Target, origIn interp.
 	}
 }
 
-// ForOutcome builds the appropriate interestingness test for a bug outcome.
-func ForOutcome(tg *target.Target, original *spirv.Module, in interp.Inputs, signature string) Interestingness {
-	return ForOutcomeOn(directRunner{}, tg, original, in, signature)
-}
-
-// ForOutcomeOn is ForOutcome with target runs routed through r.
+// ForOutcomeOn builds the interestingness test for a bug signature (a crash
+// signature or target.MiscompilationSignature), with target runs routed
+// through r.
 func ForOutcomeOn(r Runner, tg *target.Target, original *spirv.Module, in interp.Inputs, signature string) Interestingness {
 	if signature == target.MiscompilationSignature {
-		return MiscompilationInterestingnessOn(r, tg, in, original)
+		return miscompilationInterestingnessOn(r, tg, in, original)
 	}
 	return CrashInterestingnessOn(r, tg, in, signature)
 }
@@ -100,62 +78,40 @@ type Result struct {
 	// counts between the original module and the reduced variant — the
 	// reduction-quality measure of Section 4.2.
 	Delta int
-	// Queries counts interestingness-test invocations.
+	// Queries counts interestingness-test invocations, serial-equivalent:
+	// the same at every worker count.
 	Queries int
 }
 
-// Reduce minimizes the transformation sequence of a bug-inducing variant.
-// It runs delta debugging to 1-minimality, then applies the spirv-reduce
-// analogue to shrink remaining AddFunction bodies.
-func Reduce(original *spirv.Module, in interp.Inputs, ts []fuzz.Transformation, interesting Interestingness) *Result {
-	return ReduceParallel(original, in, ts, interesting, 1)
-}
-
-// ReduceParallel is Reduce with speculative parallel delta debugging
-// (core.ReduceParallel): chunk candidates of one ddmin pass are replayed and
-// tested on up to workers goroutines, and the earliest interesting removal in
-// scan order is committed, so the kept indices — and therefore the reduced
-// sequence and variant — are bitwise-identical to serial Reduce for every
-// worker count. interesting must be safe for concurrent calls when
-// workers > 1 (tests built by the *On constructors over a runner.Engine are).
+// ReduceParallelReplayCtx minimizes the transformation sequence of a
+// bug-inducing variant: delta debugging to 1-minimality (core.Reduce, with
+// speculative waves of up to workers candidates), then the spirv-reduce
+// analogue that shrinks remaining AddFunction bodies. interesting must be
+// safe for concurrent calls when workers > 1 (tests built by the *On
+// constructors over a runner.Engine are). The kept indices, and therefore
+// the reduced sequence and variant, are identical at every worker count.
 //
-// Replays run through a private prefix-snapshot cache (internal/replay) with
-// the default byte budget; use ReduceParallelReplay to share one engine — and
-// its statistics — across reductions.
-func ReduceParallel(original *spirv.Module, in interp.Inputs, ts []fuzz.Transformation, interesting Interestingness, workers int) *Result {
-	return ReduceParallelReplay(original, in, ts, interesting, workers, replay.NewEngine(replay.DefaultBudget))
-}
-
-// ReduceParallelReplay is ReduceParallel with replays routed through reng's
-// prefix-snapshot cache (nil or zero-budget disables caching: every query
-// replays from scratch). Snapshots are shared across the speculative workers
-// of one ddmin wave and across reductions sharing the engine; caching changes
-// replay cost only, never replay results, so kept indices stay
-// bitwise-identical to serial fresh-replay reduction.
-func ReduceParallelReplay(original *spirv.Module, in interp.Inputs, ts []fuzz.Transformation, interesting Interestingness, workers int, reng *replay.Engine) *Result {
-	res, _ := ReduceParallelReplayCtx(context.Background(), original, in, ts, interesting, workers, reng)
-	return res
-}
-
-// ReduceParallelReplayCtx is ReduceParallelReplay with cancellation: a done
-// ctx aborts the ddmin waves and the shrink probes promptly (in-flight
-// interestingness queries finish; no new ones start) and returns ctx.Err()
-// alongside a best-effort Result — the sequence as minimized so far, which
-// is still interesting, merely not 1-minimal. Callers that need all-or-
-// nothing semantics (the spirvd job pipeline) discard the Result on error;
-// interactive callers (spirv-reduce under Ctrl-C) may keep it.
+// Replays run through reng's prefix-snapshot cache (nil or zero-budget
+// disables caching: every query replays from scratch). Snapshots are shared
+// across the speculative workers of one ddmin wave and across reductions
+// sharing the engine; caching changes replay cost only, never results.
+//
+// On error the Result is nil: a done ctx stops the ddmin waves and the
+// shrink probes promptly (in-flight queries finish; no new ones start), and
+// a full sequence that is not interesting fails with core.ErrNotInteresting.
 func ReduceParallelReplayCtx(ctx context.Context, original *spirv.Module, in interp.Inputs, ts []fuzz.Transformation, interesting Interestingness, workers int, reng *replay.Engine) (*Result, error) {
 	sess := reng.NewSession(original, in, ts)
 	test := func(keep []int) bool {
 		c, _ := sess.Replay(keep)
 		return interesting(c.Mod, c.Inputs)
 	}
-	kept, st, err := core.ReduceParallelCtx(ctx, len(ts), test, workers)
-	queries := st.Queries
-	if err == nil {
-		var shrinkQueries int
-		shrinkQueries, err = shrinkAddFunctions(ctx, sess, kept, interesting)
-		queries += shrinkQueries
+	kept, st, err := core.Reduce(ctx, len(ts), test, workers)
+	if err != nil {
+		return nil, err
+	}
+	shrinkQueries, err := shrinkAddFunctions(ctx, sess, kept, interesting)
+	if err != nil {
+		return nil, err
 	}
 	// The minimized keep-set was already replayed by the last successful
 	// query (and the shrink probes recorded its prefix snapshots), so this
@@ -168,8 +124,8 @@ func ReduceParallelReplayCtx(ctx context.Context, original *spirv.Module, in int
 		Variant:  c.Mod,
 		Inputs:   c.Inputs,
 		Delta:    c.Mod.InstructionCount() - original.InstructionCount(),
-		Queries:  queries,
-	}, err
+		Queries:  st.Queries + shrinkQueries,
+	}, nil
 }
 
 // shrinkAddFunctions is the spirv-reduce post-pass (Section 3.4): donated

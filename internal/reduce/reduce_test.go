@@ -77,14 +77,14 @@ func TestCrashInterestingness(t *testing.T) {
 	if crash == nil {
 		t.Fatal("setup: variant should crash")
 	}
-	interesting := reduce.CrashInterestingness(sw, in, crash.Signature)
+	interesting := reduce.CrashInterestingnessOn(runner.New(1), sw, in, crash.Signature)
 	if !interesting(variant, in) {
 		t.Fatal("crashing variant must be interesting")
 	}
 	if interesting(original, in) {
 		t.Fatal("healthy original must not be interesting")
 	}
-	other := reduce.CrashInterestingness(sw, in, "some other signature")
+	other := reduce.CrashInterestingnessOn(runner.New(1), sw, in, "some other signature")
 	if other(variant, in) {
 		t.Fatal("signature mismatch must not be interesting")
 	}
@@ -105,7 +105,7 @@ func TestMiscompilationInterestingness(t *testing.T) {
 		t.Fatal("setup precondition")
 	}
 	tr.Apply(ctx)
-	interesting := reduce.MiscompilationInterestingness(mesa, in, original)
+	interesting := reduce.ForOutcomeOn(runner.New(1), mesa, original, in, target.MiscompilationSignature)
 	if !interesting(ctx.Mod, ctx.Inputs) {
 		t.Fatal("miscompiling variant must be interesting")
 	}
@@ -176,7 +176,10 @@ func TestShrinkAddFunctions(t *testing.T) {
 	interesting := func(m *spirv.Module, _ interp.Inputs) bool {
 		return len(m.Functions) >= 2
 	}
-	r := reduce.Reduce(item.Mod, item.Inputs, donated, interesting)
+	r, err := reduce.ReduceParallelReplayCtx(context.Background(), item.Mod, item.Inputs, donated, interesting, 1, replay.NewEngine(replay.DefaultBudget))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !interesting(r.Variant, r.Inputs) {
 		t.Fatal("reduced variant lost the donation")
 	}
@@ -209,42 +212,50 @@ func TestForOutcomeDispatch(t *testing.T) {
 	sw := target.ByName("SwiftShader")
 	in := interp.Inputs{W: 2, H: 2}
 	m := testmod.Caller()
-	if got := reduce.ForOutcome(sw, m, in, target.MiscompilationSignature); got == nil {
+	eng := runner.New(1)
+	if got := reduce.ForOutcomeOn(eng, sw, m, in, target.MiscompilationSignature); got == nil {
 		t.Fatal("nil miscompilation test")
 	}
-	if got := reduce.ForOutcome(sw, m, in, "some crash"); got == nil {
+	if got := reduce.ForOutcomeOn(eng, sw, m, in, "some crash"); got == nil {
 		t.Fatal("nil crash test")
 	}
 }
 
 // TestReduceReplayDeterministicGrid reduces a real crash outcome across every
 // combination of worker count and replay-cache budget and requires the kept
-// indices to be bitwise-identical to the serial fresh-replay baseline
-// (workers=1, caching disabled). The prefix cache must change replay cost
-// only, never results.
+// indices, variant, delta, length and query count to be identical to the
+// serial fresh-replay baseline (workers=1, caching disabled). The prefix
+// cache must change replay cost only, never results, and the wave width
+// changes speculation only, never the reported queries.
 func TestReduceReplayDeterministicGrid(t *testing.T) {
 	outcome := crashOutcome(t)
 	tg := target.ByName(outcome.Target)
 
 	baselineEng := runner.New(1)
 	interesting := reduce.ForOutcomeOn(baselineEng, tg, outcome.Original, outcome.Inputs, outcome.Signature)
-	baseline := reduce.ReduceParallelReplay(outcome.Original, outcome.Inputs,
+	baseline, err := reduce.ReduceParallelReplayCtx(context.Background(), outcome.Original, outcome.Inputs,
 		outcome.Transformations, interesting, 1, replay.NewEngine(0))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, workers := range []int{1, 4, 16} {
 		for _, budget := range []int64{0, 32 << 10, replay.DefaultBudget} {
 			e := runner.New(workers)
 			it := reduce.ForOutcomeOn(e, tg, outcome.Original, outcome.Inputs, outcome.Signature)
 			reng := replay.NewEngine(budget)
-			r := reduce.ReduceParallelReplay(outcome.Original, outcome.Inputs,
+			r, err := reduce.ReduceParallelReplayCtx(context.Background(), outcome.Original, outcome.Inputs,
 				outcome.Transformations, it, workers, reng)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(r.Kept, baseline.Kept) {
 				t.Fatalf("workers=%d budget=%d: kept %v, baseline %v", workers, budget, r.Kept, baseline.Kept)
 			}
 			if !bytes.Equal(r.Variant.EncodeBytes(), baseline.Variant.EncodeBytes()) {
 				t.Fatalf("workers=%d budget=%d: reduced variant diverged from baseline", workers, budget)
 			}
-			if r.Delta != baseline.Delta || len(r.Sequence) != len(baseline.Sequence) {
+			if r.Delta != baseline.Delta || len(r.Sequence) != len(baseline.Sequence) || r.Queries != baseline.Queries {
 				t.Fatalf("workers=%d budget=%d: result metadata diverged", workers, budget)
 			}
 			st := reng.Stats()

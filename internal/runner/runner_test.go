@@ -230,7 +230,10 @@ func TestReductionDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		e := runner.New(workers)
 		interesting := reduce.ForOutcomeOn(e, tg, outcome.Original, outcome.Inputs, outcome.Signature)
-		r := reduce.ReduceParallel(outcome.Original, outcome.Inputs, outcome.Transformations, interesting, workers)
+		r, err := reduce.ReduceParallelReplayCtx(context.Background(), outcome.Original, outcome.Inputs, outcome.Transformations, interesting, workers, replay.NewEngine(replay.DefaultBudget))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if baseline == nil {
 			baseline = r.Kept
 			continue

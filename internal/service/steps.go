@@ -224,20 +224,17 @@ func SelectReductions(campaignID string, spec CampaignSpec, testsDone map[int][]
 	return out
 }
 
-// ReduceWaveWidth is the speculative-wave width every reduction runs at.
-// The minimized keep-set is worker-count-independent, but the *query count*
-// is not (discarded speculative queries still count, and the wave width
-// decides how many there are). The report blob records Queries, so the wave
-// width must be a property of the campaign, not of whichever node's engine
-// pool happened to run the shard — otherwise a 2-worker node and a 4-worker
-// node produce different report hashes for the same case and cluster merges
-// stop being bitwise-identical to single-node runs.
+// ReduceWaveWidth is the speculative-wave width every reduction runs at: how
+// many ddmin candidates are tested concurrently. It sets speculation only.
+// The kept indices and the reported query count are serial-equivalent, so
+// records and report hashes are the same at any width; the constant keeps
+// the speculative work per case the same on every node.
 const ReduceWaveWidth = 4
 
 // ReduceStep replays the case's journaled sequence, delta-debugs it against
-// the bug's interestingness test, and persists the reduced report blob.
-// Reduction runs at the pinned ReduceWaveWidth, so the record — including
-// the report hash — is the same on every node.
+// the bug's interestingness test, and persists the reduced report blob. A
+// sequence that does not trigger the case's bug fails with an error that
+// names the case and wraps core.ErrNotInteresting.
 func ReduceStep(ctx context.Context, env Env, campaignID string, spec CampaignSpec, refs []corpus.Item, rc ReduceCase) (ReducedRec, error) {
 	tg := target.ByName(rc.Bug.Target)
 	if tg == nil {
@@ -269,10 +266,10 @@ func ReduceStep(ctx context.Context, env Env, campaignID string, spec CampaignSp
 	}
 	res, err := reduce.ReduceParallelReplayCtx(ctx, item.Mod, item.Inputs, ts, interesting, ReduceWaveWidth, env.Reng)
 	if err != nil {
-		// The best-effort partial result is discarded: with no record of the
-		// step, a resumed daemon or re-dispatched shard re-runs the reduction
-		// from scratch and lands on the canonical 1-minimal sequence.
-		return ReducedRec{}, err
+		// With no record of the step, a resumed daemon or re-dispatched
+		// shard re-runs the reduction from scratch and lands on the
+		// canonical 1-minimal sequence.
+		return ReducedRec{}, fmt.Errorf("service: reduce %s: %w", rc.Name, err)
 	}
 	reducedSeq, err := fuzz.MarshalSequence(res.Sequence)
 	if err != nil {
@@ -312,22 +309,16 @@ func ReduceStep(ctx context.Context, env Env, campaignID string, spec CampaignSp
 
 // MinimizedVariant rebuilds the minimized variant of a completed reduction:
 // it loads the case's report blob and replays the minimized sequence in full
-// onto its reference module. The replay engine's prefix snapshots make
-// repeats near-free. Returns the replayed context and the reference item.
+// onto its reference module. Each call opens its own replay session, whose
+// prefix keys no other session shares, so every call replays the whole
+// (short) minimized sequence. Returns the replayed context and the
+// reference item.
 func MinimizedVariant(env Env, refs []corpus.Item, rec ReducedRec) (*fuzz.Context, *corpus.Item, error) {
-	blob, err := env.Blobs.GetBlob(rec.ReportHash)
+	rep, ts, err := LoadReport(env.Blobs, rec.ReportHash)
 	if err != nil {
 		return nil, nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return nil, nil, fmt.Errorf("service: report %s: %w", rec.ReportHash, err)
 	}
 	item, err := FindRef(refs, rep.Reference)
-	if err != nil {
-		return nil, nil, err
-	}
-	ts, err := fuzz.UnmarshalSequence(rep.Transformations)
 	if err != nil {
 		return nil, nil, err
 	}
