@@ -84,12 +84,16 @@ test-memo:
 # passes over the pinned digest of the paper tables' text (at 1 and 4
 # workers), the campaign-determinism test (the three campaigns and their
 # reduction records identical at 1, 4, 16 and GOMAXPROCS workers) and the
-# 1-minimality of every reduction the experiments make. Then a short fuzz
+# 1-minimality of every reduction the experiments make. Then short fuzzes
 # of what the reducer relies on (Definition 2.5): any subsequence of a
-# fuzzed sequence replays without a panic to a valid module.
+# fuzzed sequence replays without a panic to a valid module, and a
+# candidate sandwiched between an earlier query and its effective set
+# replays to the same context, which is what lets ddmin answer it without
+# a replay.
 test-experiments:
 	$(GO) test -race -count=3 -run 'ExperimentsOutputPinned|CampaignDeterministicAcrossWorkers|ReducedCasesOneMinimal' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz=FuzzReplaySubsequence -fuzztime=10s ./internal/fuzz/
+	$(GO) test -run '^$$' -fuzz=FuzzEffectiveSetSandwich -fuzztime=10s ./internal/fuzz/
 
 # The benchmark is its own module: vet it and run its tests, which drive
 # both spirvd roles through its daemon interface and read the reduction
@@ -144,29 +148,31 @@ bench:
 # node-speedup of BenchmarkClusterPipeline (1-node over 3-node time under
 # injected latency) below 0.75x baseline means prefetch or shard dispatch
 # stopped overlapping; its wire economy is bounded inside the benchmark.
+# Every guard runs and prints its verdict, even after one fails; the target
+# fails at the end if any did.
+BENCH_GUARDS = \
+	"" \
+	"-metric ns/op -mode max -tolerance 1.5 -only BenchmarkRunnerParallelReduce" \
+	"-metric journal-resume-ms -mode max -tolerance 1.5 -only BenchmarkServiceResumeCampaign" \
+	"-metric dedup-frac -mode min -tolerance 0.95 -only BenchmarkClusterCampaign" \
+	"-metric hit-frac -mode min -tolerance 0.95 -only BenchmarkBisectCampaign" \
+	"-metric warm-hit-frac -mode min -tolerance 0.95 -only BenchmarkMemoWarmCampaign" \
+	"-metric node-speedup -mode min -tolerance 0.75 -only BenchmarkClusterPipeline"
+
 bench-compare:
 	$(GO) test -short -run '^$$' -bench 'Reduce|Replay|Resume|RunAll|InterpVM|Cluster|Bisect|Memo' -benchtime=1x -benchmem . \
 		| tee /dev/stderr | awk -f scripts/bench2json.awk > /tmp/bench-current.json
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
-		-current /tmp/bench-current.json
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
-		-current /tmp/bench-current.json -metric ns/op -mode max -tolerance 1.5 \
-		-only BenchmarkRunnerParallelReduce
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
-		-current /tmp/bench-current.json -metric journal-resume-ms -mode max -tolerance 1.5 \
-		-only BenchmarkServiceResumeCampaign
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
-		-current /tmp/bench-current.json -metric dedup-frac -mode min -tolerance 0.95 \
-		-only BenchmarkClusterCampaign
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
-		-current /tmp/bench-current.json -metric hit-frac -mode min -tolerance 0.95 \
-		-only BenchmarkBisectCampaign
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
-		-current /tmp/bench-current.json -metric warm-hit-frac -mode min -tolerance 0.95 \
-		-only BenchmarkMemoWarmCampaign
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
-		-current /tmp/bench-current.json -metric node-speedup -mode min -tolerance 0.75 \
-		-only BenchmarkClusterPipeline
+	@failed=0; \
+	for guard in $(BENCH_GUARDS); do \
+		echo "guard: $${guard:--metric speedup}"; \
+		if $(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json -current /tmp/bench-current.json $$guard; then \
+			echo "  PASS"; \
+		else \
+			echo "  FAIL"; failed=$$((failed + 1)); \
+		fi; \
+	done; \
+	if [ $$failed -gt 0 ]; then echo "bench-compare: $$failed guard(s) failed"; exit 1; fi; \
+	echo "bench-compare: every guard passed"
 
 # CPU-profile the parallel-reduction campaign benchmark and print the top-10
 # functions by flat time — the quick answer to "where do campaign cycles go".

@@ -68,7 +68,7 @@ func sharedCampaigns(b *testing.B) *experiments.Campaigns {
 // ddmin runs the serial delta-debugging loop and fails b on an error.
 func ddmin(b *testing.B, n int, test core.Interestingness) ([]int, core.ReduceStats) {
 	b.Helper()
-	kept, st, err := core.Reduce(context.Background(), n, test, 1)
+	kept, st, err := core.Reduce(context.Background(), n, test)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,10 +236,10 @@ func BenchmarkFigure5Reduction(b *testing.B) {
 	seq := bblang.Figure4Sequence()
 	var kept []int
 	for i := 0; i < b.N; i++ {
-		kept, _ = ddmin(b, len(seq), func(keep []int) bool {
+		kept, _ = ddmin(b, len(seq), func(keep []int) ([]int, bool) {
 			c := bblang.NewContext(prog.Clone(), input)
-			core.ApplySubsequence(c, seq, keep)
-			return bblang.Figure5Bug(c.Prog)
+			applied := core.ApplySubsequence(c, seq, keep)
+			return applied, bblang.Figure5Bug(c.Prog)
 		})
 	}
 	if len(kept) != 3 || kept[0] != 0 || kept[1] != 1 || kept[2] != 4 {
@@ -429,7 +429,9 @@ func BenchmarkAblationChunkedVsLinearReduction(b *testing.B) {
 	}
 	var chunked, linear int
 	for i := 0; i < b.N; i++ {
-		_, st := ddmin(b, n, test)
+		// Every synthetic transformation applies: the effective set is the
+		// candidate itself.
+		_, st := ddmin(b, n, func(keep []int) ([]int, bool) { return keep, test(keep) })
 		chunked = st.Queries
 		// Naive linear: try removing each element once, repeatedly.
 		keep := make([]int, n)
@@ -475,7 +477,7 @@ func BenchmarkRunnerParallelReduce(b *testing.B) {
 	if err := spec.Normalize(); err != nil {
 		b.Fatal(err)
 	}
-	leg := func(eng *runner.Engine, ddWorkers int, reng *replay.Engine) (time.Duration, [][]int) {
+	leg := func(eng *runner.Engine, reng *replay.Engine) (time.Duration, [][]int) {
 		start := time.Now()
 		env := service.Env{Eng: eng, Reng: reng, Blobs: &service.MemBlobs{}}
 		camp, err := experiments.RunCampaign(context.Background(), env, spec, refs, donors)
@@ -498,7 +500,7 @@ func BenchmarkRunnerParallelReduce(b *testing.B) {
 				perSig[key]++
 				tg := target.ByName(bug.Target)
 				interesting := reduce.ForOutcomeOn(eng, tg, item.Mod, item.Inputs, bug.Signature)
-				r, err := reduce.ReduceParallelReplayCtx(context.Background(), item.Mod, item.Inputs, ts, interesting, ddWorkers, reng)
+				r, err := reduce.ReduceParallelReplayCtx(context.Background(), item.Mod, item.Inputs, ts, interesting, 1, reng)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -521,11 +523,11 @@ func BenchmarkRunnerParallelReduce(b *testing.B) {
 		for rep := 0; rep < 2; rep++ {
 			serialEng := runner.New(1)
 			serialEng.SetCacheCap(0) // pre-engine baseline: no memoization
-			st, sk := leg(serialEng, 1, replay.NewEngine(0))
+			st, sk := leg(serialEng, replay.NewEngine(0))
 
 			parEng := runner.New(workers)
 			parReplay := replay.NewEngine(replay.DefaultBudget)
-			pt, pk := leg(parEng, workers, parReplay)
+			pt, pk := leg(parEng, parReplay)
 
 			if !reflect.DeepEqual(sk, pk) {
 				b.Fatalf("parallel reduction diverged from serial:\n%v\nvs\n%v", pk, sk)
@@ -840,10 +842,7 @@ func buildReplayScenario() (*replayScenario, error) {
 	// chaff removal can strip preconditions of a few mid transformations, so
 	// the full sequence's counts overstate what kept candidates reach.
 	sess := replay.NewSession(base, baseIn, seq)
-	kept, _, err := core.Reduce(context.Background(), len(seq), func(keep []int) bool {
-		sess.Replay(keep)
-		return sc.containsAll(keep)
-	}, 1)
+	kept, _, err := core.Reduce(context.Background(), len(seq), sc.test(sess))
 	if err != nil {
 		return nil, err
 	}
@@ -861,6 +860,15 @@ var (
 	errMid   = errors.New("replay scenario: no mid sequence")
 	errTail  = errors.New("replay scenario: tail donation failed")
 )
+
+// test is the scenario's structural interestingness test: the replay must
+// still apply every needed transformation.
+func (sc *replayScenario) test(sess *replay.Session) core.Interestingness {
+	return func(keep []int) ([]int, bool) {
+		_, applied := sess.Replay(keep)
+		return applied, sc.containsAll(applied)
+	}
+}
 
 func (sc *replayScenario) containsAll(keep []int) bool {
 	m := make(map[int]bool, len(keep))
@@ -903,10 +911,7 @@ func sharedReplayScenario(b *testing.B) *replayScenario {
 func (sc *replayScenario) reduceLeg(reng *replay.Engine) (time.Duration, []int, int) {
 	sess := reng.NewSession(sc.base, sc.inputs, sc.ts)
 	start := time.Now()
-	kept, st, _ := core.Reduce(context.Background(), len(sc.ts), func(keep []int) bool {
-		sess.Replay(keep)
-		return sc.containsAll(keep)
-	}, 1)
+	kept, st, _ := core.Reduce(context.Background(), len(sc.ts), sc.test(sess))
 	queries := st.Queries
 	queries += reduce.ShrinkAddFunctionsForTest(sess, kept, sc.shrinkOK)
 	sess.Replay(kept)
@@ -1331,9 +1336,9 @@ func BenchmarkAblationSplitBlockIndependence(b *testing.B) {
 			&fuzz.SplitBlock{Anchor: sIDfine, Fresh: mFine.Bound},
 			&fuzz.SplitBlock{Anchor: tID, Fresh: mFine.Bound + 1},
 		}
-		kept, _ := ddmin(b, len(seqFine), func(keep []int) bool {
-			ctx, _ := fuzz.ReplaySubsequenceContext(mFine, in, seqFine, keep)
-			return bugFine(ctx.Mod)
+		kept, _ := ddmin(b, len(seqFine), func(keep []int) ([]int, bool) {
+			ctx, applied := fuzz.ReplaySubsequenceContext(mFine, in, seqFine, keep)
+			return applied, bugFine(ctx.Mod)
 		})
 		keptFine = len(kept)
 
@@ -1354,9 +1359,9 @@ func BenchmarkAblationSplitBlockIndependence(b *testing.B) {
 			}
 			return false
 		}
-		kept2, _ := ddmin(b, len(seqFlawed), func(keep []int) bool {
-			ctx, _ := fuzz.ReplaySubsequenceContext(mFlawed, in, seqFlawed, keep)
-			return bugFlawed(ctx.Mod)
+		kept2, _ := ddmin(b, len(seqFlawed), func(keep []int) ([]int, bool) {
+			ctx, applied := fuzz.ReplaySubsequenceContext(mFlawed, in, seqFlawed, keep)
+			return applied, bugFlawed(ctx.Mod)
 		})
 		keptFlawed = len(kept2)
 	}

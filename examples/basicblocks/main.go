@@ -50,12 +50,12 @@ func main() {
 	fmt.Println("Suppose the final program triggers a compiler bug that needs a dead")
 	fmt.Println("block whose deadness is obfuscated (Figure 5). Delta debugging over the")
 	fmt.Println("transformation sequence finds the 1-minimal subsequence:")
-	interesting := func(keep []int) bool {
+	interesting := func(keep []int) ([]int, bool) {
 		c := bblang.NewContext(prog.Clone(), input)
-		core.ApplySubsequence(c, seq, keep)
-		return bblang.Figure5Bug(c.Prog)
+		applied := core.ApplySubsequence(c, seq, keep)
+		return applied, bblang.Figure5Bug(c.Prog)
 	}
-	kept, st, err := core.Reduce(context.Background(), len(seq), interesting, 1)
+	kept, st, err := core.Reduce(context.Background(), len(seq), interesting)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -95,10 +95,10 @@ func main() {
 		})
 		return found
 	}
-	kept, _, err := core.Reduce(context.Background(), len(seq), func(keep []int) bool {
-		c2, _ := fuzz.ReplaySubsequenceContext(item.Mod, item.Inputs, seq, keep)
-		return bug(c2.Mod)
-	}, 1)
+	kept, _, err := core.Reduce(context.Background(), len(seq), func(keep []int) ([]int, bool) {
+		c2, applied := fuzz.ReplaySubsequenceContext(item.Mod, item.Inputs, seq, keep)
+		return applied, bug(c2.Mod)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

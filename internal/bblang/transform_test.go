@@ -80,12 +80,12 @@ func TestFigure5Reduction(t *testing.T) {
 	// Reduce T1..T5 against the Figure 5 bug; the 1-minimal subsequence is
 	// T1, T2, T5 (indices 0, 1, 4).
 	ts := bblang.Figure4Sequence()
-	interesting := func(keep []int) bool {
+	interesting := func(keep []int) ([]int, bool) {
 		c := figure4Ctx()
-		core.ApplySubsequence(c, ts, keep)
-		return bblang.Figure5Bug(c.Prog)
+		applied := core.ApplySubsequence(c, ts, keep)
+		return applied, bblang.Figure5Bug(c.Prog)
 	}
-	got, _, err := core.Reduce(context.Background(), len(ts), interesting, 1)
+	got, _, err := core.Reduce(context.Background(), len(ts), interesting)
 	if err != nil {
 		t.Fatal(err)
 	}

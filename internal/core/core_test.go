@@ -127,10 +127,14 @@ func TestReduceFindsMinimalSubset(t *testing.T) {
 	}
 }
 
-// reduce runs core.Reduce serially and fails the test on an error.
-func reduce(t *testing.T, n int, test core.Interestingness) ([]int, core.ReduceStats) {
+// reduce runs core.Reduce over n synthetic transformations that always
+// apply (a candidate is its own effective set) and fails the test on an
+// error.
+func reduce(t *testing.T, n int, test func(keep []int) bool) ([]int, core.ReduceStats) {
 	t.Helper()
-	kept, stats, err := core.Reduce(context.Background(), n, test, 1)
+	kept, stats, err := core.Reduce(context.Background(), n, func(keep []int) ([]int, bool) {
+		return keep, test(keep)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,22 +159,20 @@ func TestReduceEmptyAndSingleton(t *testing.T) {
 }
 
 // TestReduceRejectsUninterestingInput: a full sequence that fails the test
-// is an error after exactly one query, at every length and worker count,
-// the empty sequence included.
+// is an error after exactly one query at every length, the empty sequence
+// included.
 func TestReduceRejectsUninterestingInput(t *testing.T) {
 	for _, n := range []int{0, 1, 4} {
-		for _, workers := range []int{1, 4} {
-			queries := 0
-			kept, stats, err := core.Reduce(context.Background(), n, func(keep []int) bool {
-				queries++
-				return false
-			}, workers)
-			if !errors.Is(err, core.ErrNotInteresting) {
-				t.Fatalf("n=%d workers=%d: err = %v, want ErrNotInteresting", n, workers, err)
-			}
-			if queries != 1 || stats.Queries != 1 || kept != nil {
-				t.Fatalf("n=%d workers=%d: %d queries (stats %d), kept %v", n, workers, queries, stats.Queries, kept)
-			}
+		queries := 0
+		kept, stats, err := core.Reduce(context.Background(), n, func(keep []int) ([]int, bool) {
+			queries++
+			return keep, false
+		})
+		if !errors.Is(err, core.ErrNotInteresting) {
+			t.Fatalf("n=%d: err = %v, want ErrNotInteresting", n, err)
+		}
+		if queries != 1 || stats.Queries != 1 || stats.Tests != 1 || kept != nil {
+			t.Fatalf("n=%d: %d queries (stats %+v), kept %v", n, queries, stats, kept)
 		}
 	}
 }

@@ -278,11 +278,10 @@ func selected(camp *Campaign, keep func(service.BugRef) bool) []service.ReduceCa
 }
 
 // reduceCases returns the records of the spirv-fuzz campaign's cases, in
-// order. Each case is reduced by service.ReduceStep, at the pinned
-// service.ReduceWaveWidth, so its record, query count included, is the one
-// spirvd journals for it. A case is reduced the first time an experiment
-// needs it and never again; the missing ones run concurrently on the
-// engine's pool.
+// order. Each case is reduced by service.ReduceStep, so its record, query
+// count included, is the one spirvd journals for it. A case is reduced the
+// first time an experiment needs it and never again; the missing ones run
+// concurrently on the engine's pool.
 func (c *Campaigns) reduceCases(cases []service.ReduceCase) ([]service.ReducedRec, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -221,6 +221,35 @@ func (s *Set) WholeSynonymsOf(id spirv.ID) []spirv.ID {
 	return out
 }
 
+// String renders the set canonically: the sorted ids of each kind of
+// unary fact, then each synonym class as its sorted access keys, classes
+// ordered by their first key. Sets holding the same facts render the same,
+// however their union-find forests were built.
+func (s *Set) String() string {
+	var sb strings.Builder
+	for _, f := range []struct {
+		name string
+		ids  map[spirv.ID]bool
+	}{{"dead", s.dead}, {"irrelevant", s.irrelevant}, {"irrelevant-pointee", s.irrelevantPointee}, {"live-safe", s.liveSafe}} {
+		fmt.Fprintf(&sb, "%s %v\n", f.name, sortedIDs(f.ids))
+	}
+	classes := map[string][]string{}
+	for k := range s.parent {
+		root := s.find(k)
+		classes[root] = append(classes[root], k)
+	}
+	sorted := make([][]string, 0, len(classes))
+	for _, c := range classes {
+		sort.Strings(c)
+		sorted = append(sorted, c)
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i][0] < sorted[j][0] })
+	for _, c := range sorted {
+		fmt.Fprintf(&sb, "synonyms %s\n", strings.Join(c, " "))
+	}
+	return sb.String()
+}
+
 // DeadBlocks returns all ids with DeadBlock facts, in ascending id order
 // (fuzzer passes scan these; campaigns must be reproducible).
 func (s *Set) DeadBlocks() []spirv.ID { return sortedIDs(s.dead) }

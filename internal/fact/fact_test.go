@@ -144,3 +144,29 @@ func TestSynonymUnionFindProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStringCanonical: the same facts render the same whatever order they
+// were added in, and a differing fact shows.
+func TestStringCanonical(t *testing.T) {
+	a, b := fact.NewSet(), fact.NewSet()
+	a.MarkDeadBlock(7)
+	a.MarkLiveSafe(9)
+	a.AddSynonym(fact.A(2), fact.A(3))
+	a.AddSynonym(fact.A(3), fact.At(4, 1))
+	b.AddSynonym(fact.At(4, 1), fact.A(2))
+	b.AddSynonym(fact.A(2), fact.A(3))
+	b.MarkLiveSafe(9)
+	b.MarkDeadBlock(7)
+	b.AreSynonymous(fact.A(3), fact.At(4, 1)) // compresses b's paths
+	if a.String() != b.String() {
+		t.Fatalf("same facts render differently:\n%s\nvs\n%s", a, b)
+	}
+	want := "dead [7]\nirrelevant []\nirrelevant-pointee []\nlive-safe [9]\nsynonyms %2 %3 %4[1]\n"
+	if a.String() != want {
+		t.Fatalf("String() = %q, want %q", a, want)
+	}
+	b.MarkIrrelevant(5)
+	if a.String() == b.String() {
+		t.Fatal("an added fact does not show")
+	}
+}

@@ -19,8 +19,9 @@ import (
 // Interestingness is the Section 3.4 interestingness test: given a variant
 // module and the inputs it executes on (input-modifying transformations may
 // have changed them in sync with the module), it reports whether the bug
-// still appears to be triggered. Tests built by the *On constructors are safe
-// for concurrent calls, which the speculative ddmin waves rely on.
+// still appears to be triggered. One reduction calls its test serially;
+// tests built by the *On constructors are also safe for concurrent calls,
+// so reductions of different cases can share a runner.
 type Interestingness func(variant *spirv.Module, in interp.Inputs) bool
 
 // Runner abstracts target execution so reductions route through a shared
@@ -78,34 +79,37 @@ type Result struct {
 	// counts between the original module and the reduced variant — the
 	// reduction-quality measure of Section 4.2.
 	Delta int
-	// Queries counts interestingness-test invocations, serial-equivalent:
-	// the same at every worker count.
+	// Queries counts the ddmin candidates decided (core.ReduceStats.Queries)
+	// plus the shrink probes. It is deterministic.
 	Queries int
 }
 
 // ReduceParallelReplayCtx minimizes the transformation sequence of a
-// bug-inducing variant: delta debugging to 1-minimality (core.Reduce, with
-// speculative waves of up to workers candidates), then the spirv-reduce
-// analogue that shrinks remaining AddFunction bodies. interesting must be
-// safe for concurrent calls when workers > 1 (tests built by the *On
-// constructors over a runner.Engine are). The kept indices, and therefore
-// the reduced sequence and variant, are identical at every worker count.
+// bug-inducing variant: delta debugging to 1-minimality (core.Reduce, which
+// commits the effective set each replay reports and answers candidates
+// sandwiched by an earlier query without a replay), then the spirv-reduce
+// analogue that shrinks remaining AddFunction bodies.
+//
+// workers is ignored. ddmin runs serially: different cases already reduce
+// in parallel on every role, so concurrent candidates of one case only
+// bought speculative queries. The parameter stays so that the benchmark's
+// pipeline, which calls this function directly, keeps compiling.
 //
 // Replays run through reng's prefix-snapshot cache (nil or zero-budget
 // disables caching: every query replays from scratch). Snapshots are shared
-// across the speculative workers of one ddmin wave and across reductions
-// sharing the engine; caching changes replay cost only, never results.
+// across reductions sharing the engine; caching changes replay cost only,
+// never results.
 //
-// On error the Result is nil: a done ctx stops the ddmin waves and the
-// shrink probes promptly (in-flight queries finish; no new ones start), and
-// a full sequence that is not interesting fails with core.ErrNotInteresting.
+// On error the Result is nil: a done ctx stops ddmin and the shrink probes
+// before their next query, and a full sequence that is not interesting
+// fails with core.ErrNotInteresting.
 func ReduceParallelReplayCtx(ctx context.Context, original *spirv.Module, in interp.Inputs, ts []fuzz.Transformation, interesting Interestingness, workers int, reng *replay.Engine) (*Result, error) {
 	sess := reng.NewSession(original, in, ts)
-	test := func(keep []int) bool {
-		c, _ := sess.Replay(keep)
-		return interesting(c.Mod, c.Inputs)
+	test := func(keep []int) ([]int, bool) {
+		c, applied := sess.Replay(keep)
+		return applied, interesting(c.Mod, c.Inputs)
 	}
-	kept, st, err := core.Reduce(ctx, len(ts), test, workers)
+	kept, st, err := core.Reduce(ctx, len(ts), test)
 	if err != nil {
 		return nil, err
 	}

@@ -222,11 +222,10 @@ func TestForOutcomeDispatch(t *testing.T) {
 }
 
 // TestReduceReplayDeterministicGrid reduces a real crash outcome across every
-// combination of worker count and replay-cache budget and requires the kept
-// indices, variant, delta, length and query count to be identical to the
-// serial fresh-replay baseline (workers=1, caching disabled). The prefix
-// cache must change replay cost only, never results, and the wave width
-// changes speculation only, never the reported queries.
+// combination of engine worker count and replay-cache budget and requires
+// the kept indices, variant, delta, length and query count to be identical
+// to the one-worker fresh-replay baseline (caching disabled). The prefix
+// cache and the engine's pool must change cost only, never results.
 func TestReduceReplayDeterministicGrid(t *testing.T) {
 	outcome := crashOutcome(t)
 	tg := target.ByName(outcome.Target)
@@ -245,7 +244,7 @@ func TestReduceReplayDeterministicGrid(t *testing.T) {
 			it := reduce.ForOutcomeOn(e, tg, outcome.Original, outcome.Inputs, outcome.Signature)
 			reng := replay.NewEngine(budget)
 			r, err := reduce.ReduceParallelReplayCtx(context.Background(), outcome.Original, outcome.Inputs,
-				outcome.Transformations, it, workers, reng)
+				outcome.Transformations, it, 1, reng)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -261,7 +261,7 @@ func (e *Engine) insert(snap *snapshot) {
 // sequence) triple — one reduction. The sequence is copied, so Commit never
 // mutates the caller's slice. Replay and ReplayOverride are safe for
 // concurrent use; Commit must not race with them (the reducer commits only
-// between ddmin waves / shrink probes, which is exactly that discipline).
+// between shrink probes, which is exactly that discipline).
 type Session struct {
 	eng      *Engine
 	original *spirv.Module

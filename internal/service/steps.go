@@ -224,11 +224,9 @@ func SelectReductions(campaignID string, spec CampaignSpec, testsDone map[int][]
 	return out
 }
 
-// ReduceWaveWidth is the speculative-wave width every reduction runs at: how
-// many ddmin candidates are tested concurrently. It sets speculation only.
-// The kept indices and the reported query count are serial-equivalent, so
-// records and report hashes are the same at any width; the constant keeps
-// the speculative work per case the same on every node.
+// ReduceWaveWidth is not read by the reducer, which runs ddmin serially and
+// ignores reduce.ReduceParallelReplayCtx's workers argument. It exists only
+// because the benchmark's pipeline passes it there.
 const ReduceWaveWidth = 4
 
 // ReduceStep replays the case's journaled sequence, delta-debugs it against
@@ -264,7 +262,7 @@ func ReduceStep(ctx context.Context, env Env, campaignID string, spec CampaignSp
 			return inner(m, in)
 		}
 	}
-	res, err := reduce.ReduceParallelReplayCtx(ctx, item.Mod, item.Inputs, ts, interesting, ReduceWaveWidth, env.Reng)
+	res, err := reduce.ReduceParallelReplayCtx(ctx, item.Mod, item.Inputs, ts, interesting, 1, env.Reng)
 	if err != nil {
 		// With no record of the step, a resumed daemon or re-dispatched
 		// shard re-runs the reduction from scratch and lands on the
