@@ -20,13 +20,16 @@ test-analysis:
 # The interpreter gets repeated race passes over the VM/tree-walker
 # differential (the VM stores into cells in place and bump-allocates frame
 # values, the tree-walker clones; every image and fault must still match),
-# then the per-render allocation bound, which only builds without -race.
+# then the per-render allocation bound, which only builds without -race,
+# then a short fuzz of the same differential over fuzzed corpus variants and
+# their compiles by every target, injected miscompilations included.
 test-interp:
-	$(GO) test -race -count=5 -run 'VMDiff|TreeWalker' ./internal/interp/
+	$(GO) test -race -count=5 -run 'VMDiff' ./internal/interp/
 	$(GO) test -count=1 -run 'RenderAllocBound' ./internal/interp/
+	$(GO) test -run '^$$' -fuzz=FuzzVMMatchesTree -fuzztime=10s ./internal/interp/
 
 # The bisection oracle gets its own race pass: the determinism property
-# (FirstBad identical at any worker count, interpreter engine, or cache temperature)
+# (FirstBad identical at any worker count or cache temperature)
 # plus the torn-journal /bisect resume and the cluster-sharded bisect merge.
 test-bisect:
 	$(GO) test -race -shuffle=on ./internal/bisect/... ./internal/dedup/...

@@ -11,6 +11,7 @@ package spirvfuzz_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -555,10 +556,10 @@ func BenchmarkRunnerParallelReduce(b *testing.B) {
 // paper's 9-target fan-out: classify a batch of fuzzed variants against every
 // target, batched (RunAllCtx: module and inputs hashed once per batch, one
 // shared compile per distinct mutation class, one render per distinct
-// compiled module) versus the monolithic per-target loop (compile sharing
-// disabled, every target compiles for itself). Both legs run on identical
-// worker pools and must produce bitwise-identical crash signatures and
-// images; the wall-clock ratio and the shared-compile rate are reported.
+// compiled module) versus the monolithic per-target loop (loopRunner: every
+// target compiles for itself). Both legs run on identical worker pools and
+// must produce bitwise-identical crash signatures and images; the
+// wall-clock ratio and the shared-compile rate are reported.
 func BenchmarkEngineRunAll(b *testing.B) {
 	refs := corpus.References()
 	donors := corpus.Donors()
@@ -602,11 +603,11 @@ func BenchmarkEngineRunAll(b *testing.B) {
 
 	// Execution only is timed; images are hashed for the bitwise comparison
 	// after the clock stops.
-	leg := func(eng *runner.Engine, batched bool) (time.Duration, [][]obs) {
+	leg := func(eng *runner.Engine, loop *loopRunner) (time.Duration, [][]obs) {
 		raw := make([][]runner.TargetResult, len(variants))
 		start := time.Now()
 		eng.Do(len(variants), func(i int) {
-			if batched {
+			if loop == nil {
 				all, err := eng.RunAllCtx(context.Background(), targets, variants[i].mod, variants[i].in)
 				if err != nil {
 					b.Error(err)
@@ -616,7 +617,7 @@ func BenchmarkEngineRunAll(b *testing.B) {
 			} else {
 				row := make([]runner.TargetResult, len(targets))
 				for j, tg := range targets {
-					row[j].Img, row[j].Crash = eng.Run(tg, variants[i].mod, variants[i].in)
+					row[j] = loop.run(tg, variants[i].mod, variants[i].in)
 				}
 				raw[i] = row
 			}
@@ -643,12 +644,10 @@ func BenchmarkEngineRunAll(b *testing.B) {
 		// engines per repetition so no cache state leaks between legs.
 		var loopTime, batchTime time.Duration
 		for rep := 0; rep < 3; rep++ {
-			loopEng := runner.New(workers)
-			loopEng.SetCompileSharing(false)
-			lt, lres := leg(loopEng, false)
+			lt, lres := leg(runner.New(workers), newLoopRunner())
 
 			batchEng := runner.New(workers)
-			bt, bres := leg(batchEng, true)
+			bt, bres := leg(batchEng, nil)
 
 			if !reflect.DeepEqual(lres, bres) {
 				b.Fatalf("batched results diverged from per-target loop")
@@ -668,6 +667,103 @@ func BenchmarkEngineRunAll(b *testing.B) {
 	b.ReportMetric(sharedPct, "shared-compile-%")
 	b.ReportMetric(float64(workers), "workers")
 	b.ReportMetric(float64(len(variants)), "variants")
+}
+
+// loopRunner is BenchmarkEngineRunAll's per-target baseline: a memoizing
+// executor without cross-target compile sharing. Every call hashes a fresh
+// encoding of the module and the inputs for its result key, every target
+// runs tg.Compile for itself, and renders are memoized on a fresh hash of
+// the compiled module's encoding plus the inputs, their register-VM plans
+// on that hash alone. Results are bitwise identical to tg.Run.
+type loopRunner struct {
+	mu      sync.Mutex
+	results map[loopKey]runner.TargetResult
+	renders map[loopKey]loopRender
+	plans   map[[sha256.Size]byte]*interp.Program
+}
+
+// loopKey is a result key (target, module hash, inputs hash) or, with an
+// empty target, a render key (compiled-module hash, inputs hash).
+type loopKey struct {
+	target  string
+	mod, in [sha256.Size]byte
+}
+
+type loopRender struct {
+	img *interp.Image
+	err string
+}
+
+func newLoopRunner() *loopRunner {
+	return &loopRunner{
+		results: map[loopKey]runner.TargetResult{},
+		renders: map[loopKey]loopRender{},
+		plans:   map[[sha256.Size]byte]*interp.Program{},
+	}
+}
+
+func (l *loopRunner) run(tg *target.Target, m *spirv.Module, in interp.Inputs) runner.TargetResult {
+	k := loopKey{target: tg.Name + "\x00" + tg.Version, mod: sha256.Sum256(m.EncodeBytes())}
+	if data, err := interp.EncodeInputs(in); err == nil {
+		k.in = sha256.Sum256(data)
+	}
+	l.mu.Lock()
+	r, ok := l.results[k]
+	l.mu.Unlock()
+	if ok {
+		return r
+	}
+	r = l.execute(tg, m, in, k.in)
+	l.mu.Lock()
+	l.results[k] = r
+	l.mu.Unlock()
+	return r
+}
+
+func (l *loopRunner) execute(tg *target.Target, m *spirv.Module, in interp.Inputs, inHash [sha256.Size]byte) runner.TargetResult {
+	compiled, crash := tg.Compile(m)
+	if crash != nil {
+		return runner.TargetResult{Crash: crash}
+	}
+	if !tg.CanRender {
+		return runner.TargetResult{}
+	}
+	rk := loopKey{mod: sha256.Sum256(compiled.EncodeBytes()), in: inHash}
+	l.mu.Lock()
+	r, ok := l.renders[rk]
+	l.mu.Unlock()
+	if !ok {
+		img, err := l.render(compiled, rk.mod, in)
+		r = loopRender{img: img}
+		if err != nil {
+			r.err = err.Error()
+		}
+		l.mu.Lock()
+		l.renders[rk] = r
+		l.mu.Unlock()
+	}
+	if r.err != "" {
+		return runner.TargetResult{Crash: &target.Crash{Signature: tg.Name + ": device fault: " + r.err}}
+	}
+	return runner.TargetResult{Img: r.img}
+}
+
+// render renders compiled through a plan lowered once per compiled-module
+// hash fp.
+func (l *loopRunner) render(compiled *spirv.Module, fp [sha256.Size]byte, in interp.Inputs) (*interp.Image, error) {
+	l.mu.Lock()
+	prog, ok := l.plans[fp]
+	l.mu.Unlock()
+	if !ok {
+		var err error
+		if prog, err = interp.Compile(compiled); err != nil {
+			return nil, err
+		}
+		l.mu.Lock()
+		l.plans[fp] = prog
+		l.mu.Unlock()
+	}
+	return prog.Render(in)
 }
 
 // --- incremental-replay benchmark scenario ----------------------------------

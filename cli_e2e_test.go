@@ -127,6 +127,23 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("compare output: %s", out)
 	}
 
+	// With a target that does not render, -compare still loads and
+	// compiles the second module: a missing file exits 1, a crash exits 3.
+	run(t, tool("spirv-run"), 1, "-in", "corpus:calls2", "-target", "spirv-opt",
+		"-compare", in("missing.spvasm"))
+	out = run(t, tool("spirv-run"), 0, "-in", "corpus:calls2", "-target", "spirv-opt",
+		"-compare", "corpus:calls2")
+	if !strings.Contains(out, "compiled both modules") {
+		t.Fatalf("offline compare output: %s", out)
+	}
+	run(t, tool("spirv-fuzz"), 0, "-in", "corpus:calls2", "-seed", "15",
+		"-o", in("offline.spvasm"), "-transformations", in("offline.json"))
+	out = run(t, tool("spirv-run"), 3, "-in", "corpus:calls2", "-target", "spirv-opt",
+		"-compare", in("offline.spvasm"))
+	if !strings.Contains(out, "crashed on "+in("offline.spvasm")) {
+		t.Fatalf("offline compare crash output: %s", out)
+	}
+
 	// 5. Assemble/disassemble/validate round trip.
 	run(t, tool("spirv-as"), 0, "-in", in("reduced.spvasm"), "-o", in("reduced.spv"), "-validate")
 	dis := run(t, tool("spirv-dis"), 0, "-in", in("reduced.spv"))

@@ -34,7 +34,6 @@ func main() {
 	groups := flag.Int("groups", 10, "disjoint groups for medians and MWU (paper: 10)")
 	capPerSig := flag.Int("cap-per-signature", 6, "reductions per bug signature (paper: 100 / 20)")
 	workers := flag.Int("workers", 0, "execution-engine worker pool size; 0 means GOMAXPROCS (results are identical for any value)")
-	replayMB := flag.Int("replay-cache-mb", 64, "prefix-snapshot replay cache budget for reductions, in MiB; 0 disables incremental replay (results are identical either way)")
 	memoDir := flag.String("memo-dir", "", "persistent execution memo store directory; repeat runs warm-start from it (results are identical either way)")
 	memoMaxMB := flag.Int("memo-max-mb", 256, "memo store size budget in MiB before old segments are compacted or evicted")
 	listTargets := flag.Bool("list-targets", false, "print Table 2 and exit")
@@ -48,9 +47,7 @@ func main() {
 	all := flag.Bool("all", false, "regenerate everything")
 	asJSON := flag.Bool("json", false, "emit per-tool campaign summaries as JSON (the shape spirvd serves) instead of tables")
 	clusterProbe := flag.Int("cluster-probe", 0, "run a small probe campaign over this many in-process cluster nodes and report transfer/prefetch/shard-sizing counters")
-	interpEngine := flag.String("interp", "vm", "interpreter engine: vm (compile-once register VM) or tree (tree-walking reference; results are identical)")
 	flag.Parse()
-	fatal(setInterpEngine(*interpEngine))
 
 	if *listTargets {
 		fmt.Print(experiments.Table2())
@@ -79,13 +76,9 @@ func main() {
 	if !*asJSON {
 		fmt.Printf("gfauto: running 3 campaigns of %d tests each over 9 targets...\n", *tests)
 	}
-	replayCfg := *replayMB
-	if replayCfg == 0 {
-		replayCfg = -1 // the config's "disabled" convention
-	}
 	c, err := experiments.RunCampaigns(experiments.Config{
 		Tests: *tests, Groups: *groups, CapPerSignature: *capPerSig,
-		Workers: *workers, ReplayCacheMB: replayCfg,
+		Workers: *workers,
 		MemoDir: *memoDir, MemoMaxMB: *memoMaxMB,
 	})
 	fatal(err)
@@ -263,20 +256,6 @@ func ratio(a, b uint64) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-// setInterpEngine applies the -interp flag to the process-wide interpreter
-// engine selection.
-func setInterpEngine(name string) error {
-	switch name {
-	case "vm":
-		interp.SetTreeWalker(false)
-	case "tree":
-		interp.SetTreeWalker(true)
-	default:
-		return fmt.Errorf("unknown -interp engine %q (want vm or tree)", name)
-	}
-	return nil
 }
 
 func fatal(err error) {

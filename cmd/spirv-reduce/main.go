@@ -42,7 +42,6 @@ func main() {
 	seqOut := flag.String("reduced-transformations", "reduced.json", "output minimized sequence")
 	reportDir := flag.String("report-dir", "", "also export a full bug-report bundle (Section 2.1) to this directory")
 	workers := flag.Int("workers", 0, "concurrent target runs; 0 means GOMAXPROCS (results are identical for any value)")
-	replayMB := flag.Int64("replay-cache-mb", 64, "prefix-snapshot replay cache budget in MiB; 0 disables incremental replay (results are identical either way)")
 	flag.Parse()
 
 	if *in == "" || *seqPath == "" || *targetName == "" {
@@ -64,7 +63,7 @@ func main() {
 	fatal(err)
 
 	ctx := context.Background()
-	env := service.Env{Eng: runner.New(*workers), Reng: replay.NewEngine(*replayMB << 20), Blobs: &service.MemBlobs{}}
+	env := service.Env{Eng: runner.New(*workers), Reng: replay.NewEngine(replay.DefaultBudget), Blobs: &service.MemBlobs{}}
 	refs := []corpus.Item{{Name: *in, Mod: mod, Inputs: inputs}}
 	sig := *signature
 	if sig == "" {

@@ -1,10 +1,12 @@
 // spirv-run executes a SPIR-V module on the reference interpreter and
 // prints the rendered image:
 //
-//	spirv-run -in shader.spvasm [-inputs inputs.json] [-target Mesa] [-ascii]
+//	spirv-run -in shader.spvasm [-inputs inputs.json] [-target Mesa] [-ascii] [-compare other.spvasm]
 //
 // With -target, the module is run through the named simulated target's
 // compiler first, so crashes and miscompilations can be observed directly.
+// With -compare, the second module runs the same way and the two images are
+// compared; a target that does not render still compiles both modules.
 package main
 
 import (
@@ -14,7 +16,7 @@ import (
 
 	"spirvfuzz/internal/cli"
 	"spirvfuzz/internal/interp"
-	"spirvfuzz/internal/runner"
+	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/target"
 )
 
@@ -24,17 +26,7 @@ func main() {
 	targetName := flag.String("target", "", "run via a simulated target instead of the reference interpreter")
 	ascii := flag.Bool("ascii", true, "print the image as ASCII art")
 	compare := flag.String("compare", "", "second module: render both and exit 4 if the images differ (regression test)")
-	workers := flag.Int("workers", 0, "execution-engine worker pool size; 0 means GOMAXPROCS")
-	interpEngine := flag.String("interp", "vm", "interpreter engine: vm (compile-once register VM) or tree (tree-walking reference; results are identical)")
 	flag.Parse()
-	switch *interpEngine {
-	case "vm":
-		interp.SetTreeWalker(false)
-	case "tree":
-		interp.SetTreeWalker(true)
-	default:
-		fatal(fmt.Errorf("unknown -interp engine %q (want vm or tree)", *interpEngine))
-	}
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "spirv-run: -in is required")
 		os.Exit(2)
@@ -43,42 +35,36 @@ func main() {
 	fatal(err)
 	inputs, err := cli.LoadInputs(*inputsPath, *in)
 	fatal(err)
-	eng := runner.New(*workers)
-	var img *interp.Image
+	var tg *target.Target
 	if *targetName != "" {
-		tg := target.ByName(*targetName)
-		if tg == nil {
+		if tg = target.ByName(*targetName); tg == nil {
 			fatal(fmt.Errorf("unknown target %q", *targetName))
 		}
-		var crash *target.Crash
-		img, crash = eng.Run(tg, m, inputs)
+	}
+	// execute runs one module on the reference interpreter or through tg,
+	// exiting 3 if tg crashes. The image is nil for a target that compiles
+	// the module but does not render.
+	execute := func(m *spirv.Module, crashedOn string) *interp.Image {
+		if tg == nil {
+			img, err := interp.Render(m, inputs)
+			fatal(err)
+			return img
+		}
+		img, crash := tg.Run(m, inputs)
 		if crash != nil {
-			fmt.Printf("spirv-run: %s crashed: %s\n", tg.Name, crash.Signature)
+			fmt.Printf("spirv-run: %s crashed%s: %s\n", tg.Name, crashedOn, crash.Signature)
 			os.Exit(3)
 		}
-		if img == nil {
-			fmt.Printf("spirv-run: %s compiled the module successfully (target does not render)\n", tg.Name)
-			return
-		}
-	} else {
-		img, err = interp.Render(m, inputs)
-		fatal(err)
+		return img
 	}
+	img := execute(m, "")
 	if *compare != "" {
 		other, err := cli.LoadModule(*compare)
 		fatal(err)
-		var otherImg *interp.Image
-		if *targetName != "" {
-			tg := target.ByName(*targetName)
-			var crash *target.Crash
-			otherImg, crash = eng.Run(tg, other, inputs)
-			if crash != nil {
-				fmt.Printf("spirv-run: %s crashed on %s: %s\n", *targetName, *compare, crash.Signature)
-				os.Exit(3)
-			}
-		} else {
-			otherImg, err = interp.Render(other, inputs)
-			fatal(err)
+		otherImg := execute(other, " on "+*compare)
+		if img == nil {
+			fmt.Printf("spirv-run: %s compiled both modules successfully (target does not render; no images to compare)\n", tg.Name)
+			return
 		}
 		if !img.Equal(otherImg) {
 			fmt.Printf("spirv-run: REGRESSION: images differ in %d pixels (%s vs %s)\n",
@@ -86,6 +72,10 @@ func main() {
 			os.Exit(4)
 		}
 		fmt.Printf("spirv-run: images identical (%s vs %s), hash %s\n", *in, *compare, img.Hash())
+		return
+	}
+	if img == nil {
+		fmt.Printf("spirv-run: %s compiled the module successfully (target does not render)\n", tg.Name)
 		return
 	}
 	fmt.Printf("spirv-run: %dx%d image, hash %s\n", img.W, img.H, img.Hash())

@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"spirvfuzz/internal/cluster"
-	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/memostore"
 	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/store"
@@ -76,13 +75,11 @@ func serverMain(args []string) {
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port); unused by -role worker")
 	storeDir := fs.String("store", "", "store directory (required); created if missing")
 	workers := fs.Int("workers", 0, "worker-pool size; 0 means GOMAXPROCS (results are identical for any value)")
-	replayMB := fs.Int("replay-cache-mb", 64, "prefix-snapshot replay cache budget for reductions, in MiB")
 	memoDir := fs.String("memo-dir", "", "persistent execution memo store directory; empty disables (results are identical either way)")
 	memoMaxMB := fs.Int("memo-max-mb", 256, "memo store size budget in MiB before old segments are compacted or evicted")
 	portFile := fs.String("portfile", "", "write the bound address to this file once listening (for test harnesses)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight jobs")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
-	interpEngine := fs.String("interp", "vm", "interpreter engine: vm (compile-once register VM) or tree (tree-walking reference; results are identical)")
 	join := fs.String("join", "", "coordinator URL to join (required for -role worker)")
 	node := fs.String("node", "", "worker node name (default host-pid)")
 	nodes := fs.Int("nodes", 0, "coordinator only: spawn this many in-process worker nodes")
@@ -92,15 +89,6 @@ func serverMain(args []string) {
 	adaptiveShards := fs.Bool("adaptive-shards", true, "coordinator only: size shards from observed service-vs-sync time (bounded by -shard-tests/-shard-cases; results are identical either way)")
 	syncFrac := fs.Float64("sync-frac", 0.2, "coordinator only: target fraction of shard wall time spent syncing when -adaptive-shards is on")
 	fs.Parse(args)
-	switch *interpEngine {
-	case "vm":
-		interp.SetTreeWalker(false)
-	case "tree":
-		interp.SetTreeWalker(true)
-	default:
-		fmt.Fprintf(os.Stderr, "spirvd: unknown -interp engine %q (want vm or tree)\n", *interpEngine)
-		os.Exit(2)
-	}
 	if *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "spirvd: -store is required")
 		fs.Usage()
@@ -110,7 +98,7 @@ func serverMain(args []string) {
 	if *role == "worker" {
 		workerMain(workerConfig{
 			join: *join, node: *node, storeDir: *storeDir,
-			workers: *workers, replayMB: *replayMB,
+			workers: *workers,
 			memoDir: *memoDir, memoMaxMB: *memoMaxMB,
 		})
 		return
@@ -124,7 +112,6 @@ func serverMain(args []string) {
 	case "standalone":
 		svc, err := service.New(st, service.Options{
 			Workers:      *workers,
-			ReplayBudget: int64(*replayMB) << 20,
 			MemoDir:      *memoDir,
 			MemoMaxBytes: int64(*memoMaxMB) << 20,
 		})
@@ -210,11 +197,10 @@ func serverMain(args []string) {
 		for i := 1; i <= *nodes; i++ {
 			name := fmt.Sprintf("local%d", i)
 			wopts := cluster.WorkerOptions{
-				Node:         name,
-				Coordinator:  "http://" + ln.Addr().String(),
-				StoreDir:     filepath.Join(*storeDir, "nodes", name),
-				Workers:      *workers,
-				ReplayBudget: int64(*replayMB) << 20,
+				Node:        name,
+				Coordinator: "http://" + ln.Addr().String(),
+				StoreDir:    filepath.Join(*storeDir, "nodes", name),
+				Workers:     *workers,
 			}
 			if *memoDir != "" {
 				// Per-node memo stores beside the hub's; each node syncs
@@ -250,7 +236,6 @@ type workerConfig struct {
 	node      string
 	storeDir  string
 	workers   int
-	replayMB  int
 	memoDir   string
 	memoMaxMB int
 }
@@ -275,7 +260,6 @@ func workerMain(cfg workerConfig) {
 		Coordinator:  cfg.join,
 		StoreDir:     cfg.storeDir,
 		Workers:      cfg.workers,
-		ReplayBudget: int64(cfg.replayMB) << 20,
 		MemoDir:      cfg.memoDir,
 		MemoMaxBytes: int64(cfg.memoMaxMB) << 20,
 	})

@@ -10,7 +10,6 @@ import (
 	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/harness"
-	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/target"
 )
@@ -63,10 +62,8 @@ func collectCases(t *testing.T, n int) []bisect.Case {
 
 // bisectAll runs every case through one engine configuration and returns the
 // full results (verdict and self-relative probe counters).
-func bisectAll(t *testing.T, cases []bisect.Case, workers int, tree, warm bool) []bisect.Result {
+func bisectAll(t *testing.T, cases []bisect.Case, workers int, warm bool) []bisect.Result {
 	t.Helper()
-	interp.SetTreeWalker(tree)
-	defer interp.SetTreeWalker(false)
 	be := bisect.New(runner.New(workers))
 	if warm {
 		// Prime every engine cache with a full pass, then measure the repeat.
@@ -90,14 +87,13 @@ func bisectAll(t *testing.T, cases []bisect.Case, workers int, tree, warm bool) 
 // TestFirstBadDeterminism is the verdict-stability property the dedup signal
 // rests on: the full bisection result — FirstBad and the self-relative
 // Queries/CacheHits counters — is identical at 1, 4, and 16 workers, on cold
-// and cache-warm engines, and under both the register VM and the
-// tree-walking reference evaluator.
+// and cache-warm engines.
 func TestFirstBadDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fuzz+bisect test")
 	}
 	cases := collectCases(t, 6)
-	base := bisectAll(t, cases, 1, false, false)
+	base := bisectAll(t, cases, 1, false)
 	for _, res := range base {
 		if res.FirstBad == "" || res.Queries == 0 {
 			t.Fatalf("empty verdict: %+v", res)
@@ -115,18 +111,15 @@ func TestFirstBadDeterminism(t *testing.T) {
 	configs := []struct {
 		name    string
 		workers int
-		tree    bool
 		warm    bool
 	}{
-		{"workers=4 cold vm", 4, false, false},
-		{"workers=16 cold vm", 16, false, false},
-		{"workers=1 warm vm", 1, false, true},
-		{"workers=4 warm vm", 4, false, true},
-		{"workers=4 cold tree", 4, true, false},
-		{"workers=16 warm tree", 16, true, true},
+		{"workers=4 cold", 4, false},
+		{"workers=16 cold", 16, false},
+		{"workers=1 warm", 1, true},
+		{"workers=4 warm", 4, true},
 	}
 	for _, cfg := range configs {
-		got := bisectAll(t, cases, cfg.workers, cfg.tree, cfg.warm)
+		got := bisectAll(t, cases, cfg.workers, cfg.warm)
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("%s: results diverged:\n got %+v\nwant %+v", cfg.name, got, base)
 		}

@@ -28,9 +28,6 @@ type WorkerOptions struct {
 	StoreDir string
 	// Workers sizes the local runner engine's pool; <= 0 selects GOMAXPROCS.
 	Workers int
-	// ReplayBudget bounds the replay snapshot cache; <= 0 selects the
-	// replay.DefaultBudget.
-	ReplayBudget int64
 	// MemoDir, when non-empty, attaches a persistent execution memo store
 	// at that directory and syncs it with the coordinator's hub (pull
 	// missing records at join and before each shard, push new ones after
@@ -113,10 +110,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if opts.PollMax < opts.Poll {
 		opts.PollMax = opts.Poll
 	}
-	budget := opts.ReplayBudget
-	if budget <= 0 {
-		budget = replay.DefaultBudget
-	}
 	st, err := store.Open(opts.StoreDir)
 	if err != nil {
 		return nil, err
@@ -126,7 +119,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		opts:     opts,
 		st:       st,
 		eng:      eng,
-		reng:     replay.NewEngine(budget),
+		reng:     replay.NewEngine(replay.DefaultBudget),
 		beng:     bisect.New(eng),
 		hc:       newWorkerClient(),
 		leaseTTL: 5 * time.Second,

@@ -42,10 +42,6 @@ type Config struct {
 	CapPerSignature int
 	// Workers sizes the execution engine's worker pool (0: GOMAXPROCS).
 	Workers int
-	// ReplayCacheMB budgets the shared prefix-snapshot replay cache used by
-	// the reduction experiments, in MiB. 0 selects the replay.DefaultBudget;
-	// negative disables incremental replay (the honest baseline).
-	ReplayCacheMB int
 	// MemoDir, when non-empty, attaches a persistent execution memo store:
 	// a repeat run of the same experiments warm-starts from it, serving
 	// previously-executed (module, target, inputs) results from disk.
@@ -53,18 +49,6 @@ type Config struct {
 	MemoDir string
 	// MemoMaxMB bounds the memo store in MiB; <= 0 selects the default.
 	MemoMaxMB int
-}
-
-// replayBudget maps the config field to an engine byte budget.
-func (c Config) replayBudget() int64 {
-	switch {
-	case c.ReplayCacheMB < 0:
-		return 0
-	case c.ReplayCacheMB == 0:
-		return replay.DefaultBudget
-	default:
-		return int64(c.ReplayCacheMB) << 20
-	}
 }
 
 func (c Config) withDefaults() Config {
@@ -164,7 +148,7 @@ func RunCampaigns(cfg Config) (*Campaigns, error) {
 	eng := runner.New(cfg.Workers)
 	c := &Campaigns{
 		Config:  cfg,
-		Env:     service.Env{Eng: eng, Reng: replay.NewEngine(cfg.replayBudget()), Blobs: &service.MemBlobs{}},
+		Env:     service.Env{Eng: eng, Reng: replay.NewEngine(replay.DefaultBudget), Blobs: &service.MemBlobs{}},
 		Bisect:  bisect.New(eng),
 		refs:    corpus.References(),
 		reduced: map[string]service.ReducedRec{},

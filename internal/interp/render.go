@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync/atomic"
 
 	"spirvfuzz/internal/spirv"
 )
@@ -76,20 +75,6 @@ func (img *Image) ASCII() string {
 	return string(out)
 }
 
-// treeMode selects the tree-walking reference evaluator for Render instead
-// of the compiled register VM. Process-wide and atomic so CLIs can flip it
-// once before spinning up worker pools.
-var treeMode atomic.Bool
-
-// SetTreeWalker selects the execution engine used by Render: the
-// tree-walking reference evaluator (true) or the compiled register VM
-// (false, the default).
-func SetTreeWalker(on bool) { treeMode.Store(on) }
-
-// TreeWalker reports whether Render currently uses the tree-walking
-// reference evaluator.
-func TreeWalker() bool { return treeMode.Load() }
-
 // LaneStats and LaneTotals exist only so the end-to-end benchmark's
 // interp.lane_groups ledger entry keeps compiling: the register VM renders
 // one pixel at a time, so the count is always zero. Both go when the
@@ -106,15 +91,11 @@ func LaneTotals() LaneStats { return LaneStats{} }
 // that fault — the analogue of a crash or device loss. OpKill discards the
 // fragment, leaving a fully transparent pixel.
 //
-// By default the module is lowered once by Compile and executed by the
-// register VM; SetTreeWalker(true) switches to the tree-walking reference
-// evaluator. Both engines implement identical semantics — images are
-// byte-equal and faults carry identical messages (pinned by the differential
-// tests).
+// The module is lowered once by Compile and executed by the register VM.
+// RenderTree is its executable specification: images are byte-equal and
+// faults carry identical messages (pinned by the differential tests and
+// FuzzVMMatchesTree).
 func Render(m *spirv.Module, in Inputs) (*Image, error) {
-	if TreeWalker() {
-		return RenderTree(m, in)
-	}
 	p, err := Compile(m)
 	if err != nil {
 		return nil, err

@@ -190,13 +190,6 @@ type memoOutcome struct {
 	crash *target.Crash
 }
 
-// memoActive reports whether the persistent tier participates: it stays
-// out of the degraded baselines (cache disabled, sharing off) so they
-// keep measuring what they exist to measure.
-func (e *Engine) memoActive() bool {
-	return e.memo != nil && e.sharing && e.maxPerShard > 0
-}
-
 // execute fills a result-layer miss: through the memo tier when one is
 // attached, else by running the toolchain directly. Counter semantics:
 // Misses counts toolchain executions only, MemoHits counts executions
@@ -204,7 +197,7 @@ func (e *Engine) memoActive() bool {
 // execute, and SingleflightHits counts executions answered by another
 // engine's in-flight run.
 func (e *Engine) execute(tg *target.Target, m *spirv.Module, in interp.Inputs, k key) (*interp.Image, *target.Crash) {
-	if !e.memoActive() {
+	if e.memo == nil {
 		e.misses.Add(1)
 		return e.runUncached(tg, m, in, k)
 	}

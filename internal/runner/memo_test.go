@@ -94,31 +94,24 @@ func TestMemoWarmStartIdentical(t *testing.T) {
 	}
 }
 
-// The degraded baselines must stay baselines: with compile sharing off
-// or caching disabled the memo tier is bypassed entirely.
+// The degraded baseline must stay a baseline: with caching disabled the
+// memo tier is bypassed entirely.
 func TestMemoRespectsDegradedModes(t *testing.T) {
-	for _, mode := range []string{"nosharing", "nocache"} {
-		ms, err := memostore.Open(t.TempDir(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := runner.New(2)
-		eng.SetMemoStore(ms)
-		switch mode {
-		case "nosharing":
-			eng.SetCompileSharing(false)
-		case "nocache":
-			eng.SetCacheCap(0)
-		}
-		runCorpus(t, eng)
-		st := eng.Stats()
-		if st.MemoHits != 0 || st.MemoMisses != 0 || st.MemoSpills != 0 {
-			t.Fatalf("%s: memo tier active in a degraded mode: %+v", mode, st)
-		}
-		if st.Misses == 0 {
-			t.Fatalf("%s: nothing executed", mode)
-		}
-		ms.Close()
+	ms, err := memostore.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	eng := runner.New(2)
+	eng.SetMemoStore(ms)
+	eng.SetCacheCap(0)
+	runCorpus(t, eng)
+	st := eng.Stats()
+	if st.MemoHits != 0 || st.MemoMisses != 0 || st.MemoSpills != 0 {
+		t.Fatalf("memo tier active with caching disabled: %+v", st)
+	}
+	if st.Misses == 0 {
+		t.Fatal("nothing executed")
 	}
 }
 

@@ -46,9 +46,8 @@ func fuzzVariants(t *testing.T, n int) []fuzzedVariant {
 }
 
 // TestRunAllMatchesPerTarget is the batching property test: for fuzzed
-// variants, RunAllCtx over all nine targets must byte-equal the per-target
-// RunCtx results of an engine with compile sharing disabled (the monolithic
-// pre-phase-split path), at 1 and 4 workers. Crashes are compared by
+// variants, RunAllCtx over all nine targets must byte-equal per-target RunCtx
+// calls on a second engine, at 1 and 4 workers. Crashes are compared by
 // signature, images by content.
 func TestRunAllMatchesPerTarget(t *testing.T) {
 	targets := target.All()
@@ -57,8 +56,7 @@ func TestRunAllMatchesPerTarget(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		batched := runner.New(workers)
-		unbatched := runner.New(workers)
-		unbatched.SetCompileSharing(false)
+		single := runner.New(workers)
 		for vi, v := range variants {
 			all, err := batched.RunAllCtx(ctx, targets, v.mod, v.in)
 			if err != nil {
@@ -68,60 +66,66 @@ func TestRunAllMatchesPerTarget(t *testing.T) {
 				t.Fatalf("workers=%d variant=%d: %d results for %d targets", workers, vi, len(all), len(targets))
 			}
 			for ti, tg := range targets {
-				img, crash, err := unbatched.RunCtx(ctx, tg, v.mod, v.in)
+				img, crash, err := single.RunCtx(ctx, tg, v.mod, v.in)
 				if err != nil {
 					t.Fatalf("workers=%d variant=%d %s: RunCtx: %v", workers, vi, tg.Name, err)
 				}
-				got := all[ti]
-				switch {
-				case (crash == nil) != (got.Crash == nil):
-					t.Fatalf("workers=%d variant=%d %s: crash mismatch: %v vs %v", workers, vi, tg.Name, crash, got.Crash)
-				case crash != nil && crash.Signature != got.Crash.Signature:
-					t.Fatalf("workers=%d variant=%d %s: signature %q vs %q", workers, vi, tg.Name, crash.Signature, got.Crash.Signature)
-				case (img == nil) != (got.Img == nil):
-					t.Fatalf("workers=%d variant=%d %s: image presence mismatch", workers, vi, tg.Name)
-				case img != nil && !img.Equal(got.Img):
-					t.Fatalf("workers=%d variant=%d %s: images differ", workers, vi, tg.Name)
+				want := runner.TargetResult{Img: img, Crash: crash}
+				if msg := resultDiff(want, all[ti]); msg != "" {
+					t.Fatalf("workers=%d variant=%d %s: %s", workers, vi, tg.Name, msg)
 				}
 			}
 		}
-		bst, ust := batched.Stats(), unbatched.Stats()
-		if bst.CompileHits == 0 {
-			t.Fatalf("workers=%d: batched engine never shared a compile: %+v", workers, bst)
-		}
-		if ust.CompileHits != 0 || ust.CompileMisses != 0 {
-			t.Fatalf("workers=%d: sharing-disabled engine touched the compile layer: %+v", workers, ust)
+		if st := batched.Stats(); st.CompileHits == 0 {
+			t.Fatalf("workers=%d: batched engine never shared a compile: %+v", workers, st)
 		}
 	}
 }
 
-// TestRunAllMatchesDirectRun spot-checks RunAllCtx against raw tg.Run — the
-// uncached, unshared ground truth — so the whole engine stack, not just the
-// sharing toggle, is anchored to target semantics.
+// TestRunAllMatchesDirectRun checks RunAllCtx against raw tg.Run — the
+// uncached, unshared, monolithic per-target toolchain — over 50 fuzzed
+// variants at 1 and 4 workers, so the whole engine stack is anchored to
+// target semantics.
 func TestRunAllMatchesDirectRun(t *testing.T) {
 	targets := target.All()
-	variants := fuzzVariants(t, 10)
-	eng := runner.New(4)
+	variants := fuzzVariants(t, 50)
+	want := make([][]runner.TargetResult, len(variants))
 	for vi, v := range variants {
-		all, err := eng.RunAllCtx(context.Background(), targets, v.mod, v.in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ti, tg := range targets {
+		for _, tg := range targets {
 			img, crash := tg.Run(v.mod, v.in)
-			got := all[ti]
-			switch {
-			case (crash == nil) != (got.Crash == nil):
-				t.Fatalf("variant=%d %s: crash mismatch: %v vs %v", vi, tg.Name, crash, got.Crash)
-			case crash != nil && crash.Signature != got.Crash.Signature:
-				t.Fatalf("variant=%d %s: signature %q vs %q", vi, tg.Name, crash.Signature, got.Crash.Signature)
-			case (img == nil) != (got.Img == nil):
-				t.Fatalf("variant=%d %s: image presence mismatch", vi, tg.Name)
-			case img != nil && !img.Equal(got.Img):
-				t.Fatalf("variant=%d %s: images differ", vi, tg.Name)
+			want[vi] = append(want[vi], runner.TargetResult{Img: img, Crash: crash})
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		eng := runner.New(workers)
+		for vi, v := range variants {
+			all, err := eng.RunAllCtx(context.Background(), targets, v.mod, v.in)
+			if err != nil {
+				t.Fatalf("workers=%d variant=%d: RunAllCtx: %v", workers, vi, err)
+			}
+			for ti, tg := range targets {
+				if msg := resultDiff(want[vi][ti], all[ti]); msg != "" {
+					t.Fatalf("workers=%d variant=%d %s: %s", workers, vi, tg.Name, msg)
+				}
 			}
 		}
 	}
+}
+
+// resultDiff describes how got differs from want — crashes by signature,
+// images by content — or returns "" when they agree.
+func resultDiff(want, got runner.TargetResult) string {
+	switch {
+	case (want.Crash == nil) != (got.Crash == nil):
+		return fmt.Sprintf("crash mismatch: %v vs %v", want.Crash, got.Crash)
+	case want.Crash != nil && want.Crash.Signature != got.Crash.Signature:
+		return fmt.Sprintf("signature %q vs %q", want.Crash.Signature, got.Crash.Signature)
+	case (want.Img == nil) != (got.Img == nil):
+		return "image presence mismatch"
+	case want.Img != nil && !want.Img.Equal(got.Img):
+		return "images differ"
+	}
+	return ""
 }
 
 // TestRunAllHammer drives RunAllCtx from many goroutines over a small cache

@@ -185,7 +185,6 @@ type Engine struct {
 	workers     int
 	sem         chan struct{}
 	maxPerShard int
-	sharing     bool
 	shards      [shardCount]shard  // result layer: (target, module, inputs)
 	compiles    [shardCount]cshard // compile layer: (module, mutations)
 	plans       [shardCount]pshard // plan layer: compiled module -> Program
@@ -224,7 +223,6 @@ func New(workers int) *Engine {
 		workers:     workers,
 		sem:         make(chan struct{}, workers),
 		maxPerShard: defaultCacheCap / shardCount,
-		sharing:     true,
 		uniMemo:     make(map[string][sha256.Size]byte),
 	}
 	for i := range e.shards {
@@ -251,14 +249,6 @@ func (e *Engine) SetCacheCap(total int) {
 	}
 	e.maxPerShard = per
 }
-
-// SetCompileSharing toggles the phase-split execute path. Sharing is on by
-// default; turning it off restores the monolithic per-target path — every
-// result-layer miss runs target.Compile itself, module and inputs hashes are
-// recomputed per call, and the compile layer is bypassed — which exists as
-// the benchmark baseline for the sharing win. Results are bitwise identical
-// either way. Not safe to call concurrently with Run.
-func (e *Engine) SetCompileSharing(on bool) { e.sharing = on }
 
 // Workers returns the worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -333,8 +323,8 @@ func (e *Engine) RunAllCtx(ctx context.Context, targets []*target.Target, m *spi
 	}
 	out := make([]TargetResult, len(targets))
 	var run func(i int) error
-	if e.maxPerShard == 0 || !e.sharing {
-		// Degraded modes keep per-call hashing; RunCtx handles both.
+	if e.maxPerShard == 0 {
+		// Caching disabled: RunCtx runs each target's toolchain directly.
 		run = func(i int) error {
 			img, crash, err := e.RunCtx(ctx, targets[i], m, in)
 			out[i] = TargetResult{Img: img, Crash: crash}
@@ -407,36 +397,22 @@ func (e *Engine) runKeyed(ctx context.Context, tg *target.Target, m *spirv.Modul
 	}
 }
 
-// runUncached executes the toolchain for a result-layer miss. With sharing
-// on it mirrors target.Run phase by phase — crash predicates directly, the
-// compile tail through the compile cache, the render through the render
-// cache keyed by the compiled module's fingerprint. With sharing off it is
-// the monolithic baseline: tg.Compile plus a render memoized on a fresh
-// hash of the compiled module's encoding.
+// runUncached executes the toolchain for a result-layer miss. It mirrors
+// target.Run phase by phase — crash predicates directly, the compile tail
+// through the compile cache, the render through the render cache keyed by
+// the compiled module's fingerprint.
 func (e *Engine) runUncached(tg *target.Target, m *spirv.Module, in interp.Inputs, k key) (*interp.Image, *target.Crash) {
-	var compiled *spirv.Module
-	rk := key{w: k.w, h: k.h, uni: k.uni}
-	if e.sharing {
-		if crash := tg.CheckCrashes(m); crash != nil {
-			return nil, crash
-		}
-		var errMsg string
-		compiled, rk.mod, errMsg = e.compile(m, k.mod, tg.Mutations(m))
-		if errMsg != "" {
-			return nil, &target.Crash{Signature: tg.Name + ": internal compiler error: " + errMsg}
-		}
-	} else {
-		var crash *target.Crash
-		compiled, crash = tg.Compile(m)
-		if crash != nil {
-			return nil, crash
-		}
-		rk.mod = sha256.Sum256(compiled.EncodeBytes())
+	if crash := tg.CheckCrashes(m); crash != nil {
+		return nil, crash
+	}
+	compiled, fp, errMsg := e.compile(m, k.mod, tg.Mutations(m))
+	if errMsg != "" {
+		return nil, &target.Crash{Signature: tg.Name + ": internal compiler error: " + errMsg}
 	}
 	if !tg.CanRender {
 		return nil, nil
 	}
-	img, errMsg := e.render(compiled, rk, in)
+	img, errMsg := e.render(compiled, key{mod: fp, w: k.w, h: k.h, uni: k.uni}, in)
 	if errMsg != "" {
 		return nil, &target.Crash{Signature: tg.Name + ": device fault: " + errMsg}
 	}
@@ -467,7 +443,7 @@ func (e *Engine) compile(m *spirv.Module, modHash [sha256.Size]byte, muts []targ
 	s.m[ck] = ent
 	s.mu.Unlock()
 
-	if e.memoActive() {
+	if e.memo != nil {
 		ent.compiled, ent.fp, ent.errMsg = e.compileMemoFill(m, muts, ck)
 	} else {
 		e.compileMisses.Add(1)
@@ -487,14 +463,6 @@ func (e *Engine) compile(m *spirv.Module, modHash [sha256.Size]byte, muts []targ
 // fingerprint plus inputs). The error message is cached as text so each
 // target can prefix its own name, exactly as target.Run does.
 func (e *Engine) render(compiled *spirv.Module, rk key, in interp.Inputs) (*interp.Image, string) {
-	if e.maxPerShard == 0 { // caching disabled; Run bypasses us, but stay safe
-		e.renderMisses.Add(1)
-		img, err := interp.Render(compiled, in)
-		if err != nil {
-			return nil, err.Error()
-		}
-		return img, ""
-	}
 	s := &e.renders[rk.mod[0]&(shardCount-1)]
 
 	s.mu.Lock()
@@ -524,13 +492,8 @@ func (e *Engine) render(compiled *spirv.Module, rk key, in interp.Inputs) (*inte
 
 // renderCompiled executes the interpreter for a render-layer miss: the
 // compiled module's register-VM plan comes from the plan cache (keyed by
-// rk.mod, the compiled module's fingerprint). When the tree-walker flag is
-// set the plan layer is bypassed and the reference evaluator runs instead —
-// same images, same faults, no lowering.
+// rk.mod, the compiled module's fingerprint).
 func (e *Engine) renderCompiled(compiled *spirv.Module, rk key, in interp.Inputs) (*interp.Image, error) {
-	if interp.TreeWalker() {
-		return interp.RenderTree(compiled, in)
-	}
 	prog, errMsg := e.plan(compiled, rk.mod)
 	if errMsg != "" {
 		return nil, errors.New(errMsg)
@@ -713,23 +676,11 @@ func targetKey(tg *target.Target) string {
 	return tg.Name + "\x00" + tg.Version
 }
 
-// keyFor builds the content-addressed cache key. With sharing on, the module
-// hash is the memoized fingerprint and the inputs hash is the memoized
-// uniforms hash (width and height travel as explicit key fields); with
-// sharing off, both are recomputed from a fresh encoding on every call — the
-// pre-phase-split behaviour the benchmarks baseline against.
+// keyFor builds the content-addressed cache key: the module hash is the
+// memoized fingerprint and the inputs hash is the memoized uniforms hash
+// (width and height travel as explicit key fields).
 func (e *Engine) keyFor(tg *target.Target, m *spirv.Module, in interp.Inputs) key {
-	if e.sharing {
-		return key{target: targetKey(tg), mod: m.Fingerprint(), w: in.W, h: in.H, uni: e.uniformsHash(in.Uniforms)}
-	}
-	k := key{target: targetKey(tg), mod: sha256.Sum256(m.EncodeBytes())}
-	// EncodeInputs is deterministic (encoding/json sorts map keys). Inputs
-	// that fail to encode share a sentinel hash; they would fail identically
-	// inside the interpreter anyway.
-	if data, err := interp.EncodeInputs(in); err == nil {
-		k.uni = sha256.Sum256(data)
-	}
-	return k
+	return key{target: targetKey(tg), mod: m.Fingerprint(), w: in.W, h: in.H, uni: e.uniformsHash(in.Uniforms)}
 }
 
 // encodeInputs is interp.EncodeInputs; tests count its calls through it.

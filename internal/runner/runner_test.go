@@ -129,30 +129,38 @@ func TestRunMemoizes(t *testing.T) {
 	}
 }
 
-// TestTreeWalkerRenderIdentical pins the engine's two render engines to each
-// other: the tree-walking reference must produce the register VM's image,
-// and must not touch the plan cache at all.
+// TestTreeWalkerRenderIdentical pins the engine's register-VM renders to the
+// tree-walking reference: over fuzzed variants and every target, engine Run
+// must match tg.Compile followed by interp.RenderTree — same crash
+// signatures, same device-fault messages, byte-equal images.
 func TestTreeWalkerRenderIdentical(t *testing.T) {
-	tg := target.ByName("Mesa")
-	m := testmod.Diamond()
-	in := interp.Inputs{W: 16, H: 16}
-
-	base, crash := runner.New(1).Run(tg, m, in)
-	if crash != nil {
-		t.Fatalf("VM run crashed: %v", crash)
+	eng := runner.New(2)
+	for vi, v := range fuzzVariants(t, 20) {
+		for _, tg := range target.All() {
+			gotImg, gotCrash := eng.Run(tg, v.mod, v.in)
+			var wantImg *interp.Image
+			compiled, wantCrash := tg.Compile(v.mod)
+			if wantCrash == nil && tg.CanRender {
+				img, err := interp.RenderTree(compiled, v.in)
+				if err != nil {
+					wantCrash = &target.Crash{Signature: tg.Name + ": device fault: " + err.Error()}
+				}
+				wantImg = img
+			}
+			switch {
+			case (wantCrash == nil) != (gotCrash == nil):
+				t.Fatalf("variant=%d %s: crash mismatch: %v vs %v", vi, tg.Name, wantCrash, gotCrash)
+			case wantCrash != nil && wantCrash.Signature != gotCrash.Signature:
+				t.Fatalf("variant=%d %s: signature %q vs %q", vi, tg.Name, wantCrash.Signature, gotCrash.Signature)
+			case (wantImg == nil) != (gotImg == nil):
+				t.Fatalf("variant=%d %s: image presence mismatch", vi, tg.Name)
+			case wantImg != nil && !wantImg.Equal(gotImg):
+				t.Fatalf("variant=%d %s: VM image differs from the tree-walker's", vi, tg.Name)
+			}
+		}
 	}
-	interp.SetTreeWalker(true)
-	defer interp.SetTreeWalker(false)
-	eng := runner.New(1)
-	img, crash := eng.Run(tg, m, in)
-	if crash != nil {
-		t.Fatalf("tree-mode run crashed: %v", crash)
-	}
-	if !base.Equal(img) {
-		t.Fatal("tree-walker image differs from VM render")
-	}
-	if st := eng.Stats(); st.PlanHits+st.PlanMisses != 0 {
-		t.Fatalf("tree mode consulted the plan cache: %+v", st)
+	if st := eng.Stats(); st.PlanMisses == 0 {
+		t.Fatalf("no render went through the plan cache: %+v", st)
 	}
 }
 

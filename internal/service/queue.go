@@ -19,9 +19,13 @@ var (
 	ErrDrained = errors.New("service: job dropped during drain")
 )
 
+// A job that fails with its own error runs at most maxAttempts times, the
+// first retry after initialBackoff, each later one after twice the last
+// delay. Context errors are never retried — cancellation is a decision, not
+// a transient fault.
 const (
-	defaultMaxAttempts = 3
-	defaultBackoff     = 25 * time.Millisecond
+	maxAttempts    = 3
+	initialBackoff = 25 * time.Millisecond
 )
 
 // Job is one unit of pipeline work. Fn must be idempotent across attempts
@@ -32,11 +36,6 @@ type Job struct {
 	Label string
 	// Fn does the work; it must honour ctx promptly.
 	Fn func(ctx context.Context) error
-	// MaxAttempts bounds retries (default 3). Context errors are never
-	// retried — cancellation is a decision, not a transient fault.
-	MaxAttempts int
-	// Backoff is the initial retry delay (default 25ms), doubled per attempt.
-	Backoff time.Duration
 	// Done, when set, is called with the job's final error after its last
 	// attempt. A job dropped before it ran never calls it.
 	Done func(err error)
@@ -204,14 +203,7 @@ func (q *Queue) worker() {
 // error is retried after an exponentially growing delay; context errors end
 // the job immediately (the step is resumable, not broken).
 func (q *Queue) run(h *Handle) {
-	maxAttempts := h.job.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = defaultMaxAttempts
-	}
-	backoff := h.job.Backoff
-	if backoff <= 0 {
-		backoff = defaultBackoff
-	}
+	backoff := initialBackoff
 	for attempt := 1; ; attempt++ {
 		h.attempts = attempt
 		if err := q.ctx.Err(); err != nil {

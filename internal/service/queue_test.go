@@ -44,8 +44,7 @@ func TestQueueRetriesTransientFailures(t *testing.T) {
 	defer q.Drain(context.Background())
 	var calls atomic.Int64
 	h := q.Submit(Job{
-		Label:   "flaky",
-		Backoff: time.Millisecond,
+		Label: "flaky",
 		Fn: func(ctx context.Context) error {
 			if calls.Add(1) < 3 {
 				return errors.New("transient")
@@ -71,8 +70,7 @@ func TestQueueBoundedRetry(t *testing.T) {
 	var calls atomic.Int64
 	var done []error // appended by the worker before the handle completes
 	h := q.Submit(Job{
-		Label:   "doomed",
-		Backoff: time.Millisecond,
+		Label: "doomed",
 		Fn: func(ctx context.Context) error {
 			calls.Add(1)
 			return boom
@@ -82,13 +80,13 @@ func TestQueueBoundedRetry(t *testing.T) {
 	if err := h.Wait(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if n := calls.Load(); n != defaultMaxAttempts {
-		t.Fatalf("job ran %d times, want %d", n, defaultMaxAttempts)
+	if n := calls.Load(); n != maxAttempts {
+		t.Fatalf("job ran %d times, want %d", n, maxAttempts)
 	}
 	if len(done) != 1 || !errors.Is(done[0], boom) {
 		t.Fatalf("Done saw %v, want boom once after the last attempt", done)
 	}
-	if st := q.Stats(); st.Failed != 1 || st.Retries != uint64(defaultMaxAttempts-1) {
+	if st := q.Stats(); st.Failed != 1 || st.Retries != uint64(maxAttempts-1) {
 		t.Fatalf("stats %+v", st)
 	}
 }

@@ -31,9 +31,6 @@ type Options struct {
 	// Workers sizes the runner engine's pool and the job queue; <= 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// ReplayBudget bounds the replay snapshot cache; <= 0 selects the
-	// replay.DefaultBudget.
-	ReplayBudget int64
 	// MemoDir, when non-empty, attaches a persistent execution memo store
 	// rooted there: campaign, bisect, and precheck executions consult it
 	// before running and spill completed outcomes back, so a restarted
@@ -68,10 +65,6 @@ type Service struct {
 // campaign and bisection-job state, and resumes every unfinished job. The
 // caller keeps ownership of the store until Close, which closes it.
 func New(st *store.Store, opts Options) (*Service, error) {
-	budget := opts.ReplayBudget
-	if budget <= 0 {
-		budget = replay.DefaultBudget
-	}
 	eng := runner.New(opts.Workers)
 	// The memo store attaches before recovery: resumed jobs start executing
 	// immediately and must see the warm tier.
@@ -96,7 +89,7 @@ func New(st *store.Store, opts Options) (*Service, error) {
 		Machine: m,
 		st:      st,
 		eng:     eng,
-		reng:    replay.NewEngine(budget),
+		reng:    replay.NewEngine(replay.DefaultBudget),
 		beng:    bisect.New(eng),
 		memo:    memo,
 		queue:   NewQueue(ctx, eng.Workers()),
