@@ -77,11 +77,15 @@ test-transport:
 # checkpoint durability suite (with -shuffle varying the spill/evict/
 # compact interleavings), the runner's key-derivation and payload codecs,
 # the service-level memo temperature identity, and the cluster warm-sync
-# handshake.
+# handshake. The runner's in-memory layers get repeated race passes over
+# concurrent fill, wait and eviction, and over a canceled fill whose
+# waiter retries. Then a short fuzz of the segment-line fast path against
+# encoding/json.
 test-memo:
 	$(GO) test -race -shuffle=on ./internal/memostore/...
-	$(GO) test -race -count=50 -run 'Flight' ./internal/memostore/
 	$(GO) test -race -count=1 -run 'Memo' ./internal/runner/... ./internal/service/... ./internal/cluster/...
+	$(GO) test -race -count=20 -run 'CacheHammer|RunAllHammer|WithdrawRetry' ./internal/runner/
+	$(GO) test -run '^$$' -fuzz=FuzzFastLineMatchesJSON -fuzztime=10s ./internal/memostore/
 
 # gfauto's experiments run on the service's step functions: repeated race
 # passes over the pinned digest of the paper tables' text (at 1 and 4

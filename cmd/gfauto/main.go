@@ -92,15 +92,12 @@ func main() {
 		fmt.Printf("gfauto: shared compiles: %d compiled, %d shared (%.0f%% of compile lookups)\n",
 			st.CompileMisses, st.CompileHits, 100*ratio(st.CompileHits, st.CompileHits+st.CompileMisses))
 		if st.MemoHits+st.MemoMisses > 0 {
-			fmt.Printf("gfauto: memo store: %d disk hits, %d misses, %d spilled, %d singleflight-shared (%.0f%% warm)\n",
-				st.MemoHits, st.MemoMisses, st.MemoSpills, st.SingleflightHits,
+			fmt.Printf("gfauto: memo store: %d disk hits, %d misses, %d spilled (%.0f%% warm)\n",
+				st.MemoHits, st.MemoMisses, st.MemoSpills,
 				100*ratio(st.MemoHits, st.MemoHits+st.MemoMisses))
 		}
-		if st.PlanHits+st.PlanMisses > 0 {
-			fmt.Printf("gfauto: interp plans: %d compiled in %v, %d shared (%.0f%% of plan lookups)\n",
-				st.PlanMisses, time.Duration(st.PlanCompileNanos).Round(time.Millisecond),
-				st.PlanHits, 100*ratio(st.PlanHits, st.PlanHits+st.PlanMisses))
-		}
+		fmt.Printf("gfauto: interp plans: %d modules lowered in %v\n",
+			st.RenderMisses, time.Duration(st.PlanCompileNanos).Round(time.Millisecond))
 		for _, p := range st.OptPasses {
 			fmt.Printf("gfauto: opt pass %-18s %7d runs  %7d changed  %8v\n",
 				p.Name, p.Runs, p.Changed, time.Duration(p.Nanos).Round(time.Millisecond))

@@ -1,5 +1,5 @@
 // Package memostore is a disk-backed, content-addressed execution memo
-// table: a persistent fifth cache tier under internal/runner's in-memory
+// table: a persistent fourth cache tier under internal/runner's in-memory
 // layers. Records are (key, kind, payload) triples appended to segment
 // files as JSON lines; an in-memory index maps keys to their newest disk
 // location; an atomically-written checkpoint of the index makes reopening
@@ -13,8 +13,7 @@
 //
 // Concurrency: all operations are safe for concurrent use. Get/Put/spill
 // serialize on one mutex (memo lookups happen only on in-memory cache
-// misses, so the lock is cold); the singleflight table (Do) uses its own
-// lock so a flight's fn can touch the store freely.
+// misses, so the lock is cold).
 package memostore
 
 import (
@@ -150,12 +149,22 @@ func decodeLine(buf []byte) (line, error) {
 }
 
 // fastLine decodes exactly the shape putLocked marshals:
-// {"k":"<64 hex>","t":<digits>} optionally followed by ,"d":"<base64>".
+// {"k":"<64 lowercase hex>","t":<digits>} optionally followed by
+// ,"d":"<base64>". The key is checked to be hex (all Key.String writes),
+// so it holds no JSON escape; t has no leading zero, which JSON forbids;
+// and the data holds no raw newline, which JSON rejects inside a string
+// but the base64 decoder skips (it rejects every other byte outside its
+// alphabet, escapes and quotes included).
 func fastLine(buf []byte) (line, bool) {
 	var rec line
 	rest, ok := bytes.CutPrefix(buf, []byte(`{"k":"`))
 	if !ok || len(rest) < 64 {
 		return rec, false
+	}
+	for _, c := range rest[:64] {
+		if !lowerHex[c] {
+			return rec, false
+		}
 	}
 	rec.K = string(rest[:64])
 	rest, ok = bytes.CutPrefix(rest[64:], []byte(`","t":`))
@@ -170,7 +179,7 @@ func fastLine(buf []byte) (line, bool) {
 		}
 		i++
 	}
-	if i == 0 {
+	if i == 0 || (i > 1 && rest[0] == '0') {
 		return rec, false
 	}
 	rec.T = uint8(t)
@@ -183,7 +192,7 @@ func fastLine(buf []byte) (line, bool) {
 		return rec, false
 	}
 	b64, ok := bytes.CutSuffix(rest, []byte(`"}`))
-	if !ok || bytes.IndexByte(b64, '\\') >= 0 {
+	if !ok || bytes.IndexByte(b64, '\n') >= 0 || bytes.IndexByte(b64, '\r') >= 0 {
 		return rec, false
 	}
 	data := make([]byte, base64.StdEncoding.DecodedLen(len(b64)))
@@ -194,6 +203,16 @@ func fastLine(buf []byte) (line, bool) {
 	rec.D = data[:n]
 	return rec, true
 }
+
+// lowerHex marks the digits Key.String writes. A table lookup, not a range
+// test: random hex digits would mispredict a digit-or-letter branch on
+// every line a warm campaign reads.
+var lowerHex = func() (t [256]bool) {
+	for _, c := range "0123456789abcdef" {
+		t[c] = true
+	}
+	return t
+}()
 
 // checkpoint is the persistent index shape.
 type checkpoint struct {
@@ -234,9 +253,6 @@ type Store struct {
 	spillCh   chan spillMsg
 	spillWG   sync.WaitGroup
 	closeOnce sync.Once
-
-	fmu     sync.Mutex
-	flights map[Key]*flightCall
 }
 
 type spillMsg struct {
@@ -263,7 +279,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		maxBytes: maxBytes,
 		index:    make(map[Key]loc),
 		segs:     make(map[int]*segment),
-		flights:  make(map[Key]*flightCall),
 		spillCh:  make(chan spillMsg, spillQueueCap),
 	}
 	st.segTarget = maxBytes / 8

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -455,54 +453,6 @@ func TestSpillAsyncFlush(t *testing.T) {
 	}
 }
 
-func TestFlightDo(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 0)
-	defer s.Close()
-	var runs atomic.Int32
-	var sharedN atomic.Int32
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	k := testKey(7)
-	const callers = 8
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, shared := s.Do(k, func() any {
-				runs.Add(1)
-				<-release
-				return "outcome"
-			})
-			if shared {
-				sharedN.Add(1)
-			}
-			if v != "outcome" {
-				t.Errorf("Do returned %v", v)
-			}
-		}()
-	}
-	// Release only once every follower is parked behind the leader: a
-	// caller arriving after the flight drained would lead a fresh one.
-	for s.flightWaiters(k) != callers-1 {
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
-	if runs.Load() != 1 {
-		t.Fatalf("fn ran %d times", runs.Load())
-	}
-	if sharedN.Load() != callers-1 {
-		t.Fatalf("%d callers shared the flight, want %d", sharedN.Load(), callers-1)
-	}
-	// A later Do after the flight drained runs fresh.
-	if _, shared := s.Do(k, func() any { runs.Add(1); return nil }); shared {
-		t.Fatal("post-drain Do reported shared")
-	}
-	if runs.Load() != 2 {
-		t.Fatalf("fn ran %d times total", runs.Load())
-	}
-}
-
 func TestConcurrentPutGet(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), 0)
 	defer s.Close()
@@ -587,4 +537,37 @@ func TestFastLineMatchesJSON(t *testing.T) {
 	if _, err := decodeLine([]byte("{broken")); err == nil {
 		t.Fatal("decodeLine accepted garbage")
 	}
+}
+
+// FuzzFastLineMatchesJSON checks the fast path against encoding/json both
+// ways: a line fastLine accepts decodes to the same record under
+// json.Unmarshal, and every line json.Marshal writes for a valid key is
+// one fastLine accepts.
+func FuzzFastLineMatchesJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, buf, key []byte, kind uint8, data []byte) {
+		if fast, ok := fastLine(buf); ok {
+			var want line
+			if err := json.Unmarshal(buf, &want); err != nil {
+				t.Fatalf("fastLine accepted %q, which encoding/json rejects: %v", buf, err)
+			}
+			if fast.K != want.K || fast.T != want.T || !bytes.Equal(fast.D, want.D) {
+				t.Fatalf("fastLine decoded %q as %+v, encoding/json as %+v", buf, fast, want)
+			}
+		}
+
+		var k Key
+		copy(k[:], key)
+		rec := line{K: k.String(), T: kind, D: data}
+		out, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, ok := fastLine(out)
+		if !ok {
+			t.Fatalf("fastLine rejected a line the store writes: %s", out)
+		}
+		if fast.K != rec.K || fast.T != rec.T || !bytes.Equal(fast.D, rec.D) {
+			t.Fatalf("fastLine decoded %s as %+v, want %+v", out, fast, rec)
+		}
+	})
 }

@@ -1,9 +1,9 @@
-// The persistent memo tier. The engine's four in-memory layers die with
+// The persistent memo tier. The engine's three in-memory layers die with
 // the process; a memostore.Store attached via SetMemoStore survives it.
 // Result-layer and compile-layer misses consult the store before running
-// anything, completed executions spill back asynchronously, and a
-// singleflight table on the store collapses duplicate in-flight
-// executions across engines sharing it (campaign + bisect + precheck).
+// anything, and completed executions spill back asynchronously. Each store
+// backs one engine, whose in-memory layers already collapse duplicate
+// in-flight executions before the store is asked.
 //
 // Safety rests on the repo's house invariant: target execution is a
 // deterministic function of content, so a memo payload keyed by content
@@ -28,17 +28,12 @@ const (
 	memoKindCompile = 2 // payload: compilePayload (compiled module bytes or error)
 )
 
-// SetMemoStore attaches a persistent memo store as the engine's fifth
+// SetMemoStore attaches a persistent memo store as the engine's fourth
 // cache tier; nil detaches it. The store is consulted only on in-memory
-// misses and only on the shared (phase-split) path: with compile sharing
-// off the engine is deliberately the uncached baseline, and with the
-// cache cap at 0 caching is disabled wholesale — the memo respects both.
-// Not safe to call concurrently with Run. The engine never closes the
-// store; the owner does.
+// misses: with the cache cap at 0 caching is disabled wholesale, the memo
+// included. Not safe to call concurrently with Run. The engine never
+// closes the store; the owner does.
 func (e *Engine) SetMemoStore(ms *memostore.Store) { e.memo = ms }
-
-// MemoStore returns the attached memo store, or nil.
-func (e *Engine) MemoStore() *memostore.Store { return e.memo }
 
 // MemoCounts returns the MemoHits and MemoMisses counters of Stats without
 // taking its snapshot of every cache shard.
@@ -184,19 +179,12 @@ func decodeCompile(data []byte) (compiled *spirv.Module, fp [sha256.Size]byte, e
 	}
 }
 
-// memoOutcome carries a finished execution through the singleflight.
-type memoOutcome struct {
-	img   *interp.Image
-	crash *target.Crash
-}
-
-// execute fills a result-layer miss: through the memo tier when one is
-// attached, else by running the toolchain directly. Counter semantics:
-// Misses counts toolchain executions only, MemoHits counts executions
-// answered from disk, MemoMisses counts memo lookups that had to
-// execute, and SingleflightHits counts executions answered by another
-// engine's in-flight run.
-func (e *Engine) execute(tg *target.Target, m *spirv.Module, in interp.Inputs, k key) (*interp.Image, *target.Crash) {
+// execute fills a result-layer miss: from the memo tier when one is
+// attached and holds the execution, else by running the toolchain, whose
+// outcome then spills to the memo. Counter semantics: Misses counts
+// toolchain executions only, MemoHits counts executions answered from
+// disk, and MemoMisses counts memo lookups that had to execute.
+func (e *Engine) execute(tg *target.Target, m *spirv.Module, in interp.Inputs, k key) TargetResult {
 	if e.memo == nil {
 		e.misses.Add(1)
 		return e.runUncached(tg, m, in, k)
@@ -205,61 +193,35 @@ func (e *Engine) execute(tg *target.Target, m *spirv.Module, in interp.Inputs, k
 	if kind, data, ok := e.memo.Get(mk); ok && kind == memoKindResult {
 		if img, crash, ok := decodeResult(data); ok {
 			e.memoHits.Add(1)
-			return img, crash
+			return TargetResult{Img: img, Crash: crash}
 		}
 	}
 	e.memoMisses.Add(1)
-	v, shared := e.memo.Do(mk, func() any {
-		e.misses.Add(1)
-		img, crash := e.runUncached(tg, m, in, k)
-		if data, ok := encodeResult(img, crash); ok {
-			e.memoSpills.Add(1)
-			e.memo.SpillAsync(mk, memoKindResult, data)
-		}
-		return memoOutcome{img: img, crash: crash}
-	})
-	if shared {
-		e.singleflightHits.Add(1)
+	e.misses.Add(1)
+	r := e.runUncached(tg, m, in, k)
+	if data, ok := encodeResult(r.Img, r.Crash); ok {
+		e.memoSpills.Add(1)
+		e.memo.SpillAsync(mk, memoKindResult, data)
 	}
-	out := v.(memoOutcome)
-	return out.img, out.crash
+	return r
 }
 
-// compileMemoFill fills an in-memory compile-cache miss through the memo
-// tier: disk first, then a singleflight-wrapped SharedCompile that
-// spills back. Returns exactly one of compiled/errMsg set, like compile.
-func (e *Engine) compileMemoFill(m *spirv.Module, muts []target.Mutation, ck ckey) (*spirv.Module, [sha256.Size]byte, string) {
+// compileMemoFill fills a compile-layer miss through the memo tier: from
+// disk when the store holds the compile, else by running the pipeline,
+// whose outcome then spills to the memo.
+func (e *Engine) compileMemoFill(m *spirv.Module, muts []target.Mutation, ck ckey) compiled {
 	mk := compileMemoKey(ck)
 	if kind, data, ok := e.memo.Get(mk); ok && kind == memoKindCompile {
-		if compiled, fp, errMsg, ok := decodeCompile(data); ok {
+		if mod, fp, errMsg, ok := decodeCompile(data); ok {
 			e.memoHits.Add(1)
-			return compiled, fp, errMsg
+			return compiled{mod: mod, fp: fp, errMsg: errMsg}
 		}
 	}
 	e.memoMisses.Add(1)
-	type compileOutcome struct {
-		compiled *spirv.Module
-		fp       [sha256.Size]byte
-		errMsg   string
+	c := e.sharedCompile(m, muts)
+	if data, ok := encodeCompile(c.mod, c.errMsg); ok {
+		e.memoSpills.Add(1)
+		e.memo.SpillAsync(mk, memoKindCompile, data)
 	}
-	v, shared := e.memo.Do(mk, func() any {
-		e.compileMisses.Add(1)
-		compiled, err := target.SharedCompile(m, muts)
-		out := compileOutcome{compiled: compiled}
-		if err != nil {
-			out.compiled, out.errMsg = nil, err.Error()
-		} else {
-			out.fp = compiled.Fingerprint()
-		}
-		if data, ok := encodeCompile(out.compiled, out.errMsg); ok {
-			e.memoSpills.Add(1)
-			e.memo.SpillAsync(mk, memoKindCompile, data)
-		}
-		return out
-	})
-	if shared {
-		e.singleflightHits.Add(1)
-	}
-	out := v.(compileOutcome)
-	return out.compiled, out.fp, out.errMsg
+	return c
 }

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
 	"spirvfuzz/internal/interp"
@@ -135,77 +134,4 @@ func TestMemoCompileRoundTrip(t *testing.T) {
 			t.Fatalf("decodeCompile accepted %s", name)
 		}
 	}
-}
-
-// A run that arrives while another engine's execution of the same key is
-// in flight on the shared store must wait for it and count a
-// singleflight hit instead of executing again.
-func TestMemoSingleflightAcrossEngines(t *testing.T) {
-	ref := New(1)
-	tg := target.ByName("Mesa")
-	m := testmod.Diamond()
-
-	// Retry with distinct keys until the follower provably joined the
-	// leader's flight (pointer-shared image); each attempt has a tiny
-	// benign race where the engine wins the flight instead.
-	for attempt := 0; attempt < 8; attempt++ {
-		in := interp.Inputs{W: 4 + attempt, H: 4}
-		img, crash := ref.Run(tg, m, in)
-		if crash != nil {
-			t.Fatalf("reference run crashed: %v", crash)
-		}
-		ms, err := memostore.Open(t.TempDir(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := New(1)
-		eng.SetMemoStore(ms)
-		mk := resultMemoKey(eng.keyFor(tg, m, in))
-
-		started := make(chan struct{})
-		release := make(chan struct{})
-		leaderDone := make(chan struct{})
-		go func() {
-			ms.Do(mk, func() any {
-				close(started)
-				<-release
-				return memoOutcome{img: img, crash: nil}
-			})
-			close(leaderDone)
-		}()
-		<-started
-
-		runDone := make(chan struct{})
-		var got *interp.Image
-		go func() {
-			got, _ = eng.Run(tg, m, in)
-			close(runDone)
-		}()
-		// The engine either joins the flight (memo miss counted first) or
-		// loses the race after the leader drains; wait for the counter,
-		// then let the leader finish.
-		for eng.Stats().MemoMisses == 0 {
-			runtime.Gosched()
-		}
-		close(release)
-		<-leaderDone
-		<-runDone
-		ms.Close()
-
-		if got == img { // pointer-shared: the follower path ran
-			st := eng.Stats()
-			if st.SingleflightHits != 1 {
-				t.Fatalf("singleflight hits %d, want 1 (%+v)", st.SingleflightHits, st)
-			}
-			if st.Misses != 0 {
-				t.Fatalf("follower executed anyway: %+v", st)
-			}
-			return
-		}
-		// Raced: the engine executed fresh. Its result must still match.
-		if !bytes.Equal(got.Pix, img.Pix) {
-			t.Fatal("raced execution produced different pixels")
-		}
-	}
-	t.Fatal("follower never joined a flight in 8 attempts")
 }

@@ -2,6 +2,7 @@ package runner_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,7 +26,11 @@ func runCorpus(t *testing.T, eng *runner.Engine) []outcome {
 	targets := target.All()
 	var out []outcome
 	for _, item := range corpus.References() {
-		for _, res := range eng.RunAll(targets, item.Mod, item.Inputs) {
+		all, err := eng.RunAllCtx(context.Background(), targets, item.Mod, item.Inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range all {
 			o := outcome{}
 			if res.Crash != nil {
 				o.crash = res.Crash.Signature
@@ -165,11 +170,15 @@ func TestMemoTruncatedStoreIdentical(t *testing.T) {
 	}
 }
 
-// MemoStore returns what SetMemoStore attached.
+// SetMemoStore attaches a store that later misses consult, and nil
+// detaches it again.
 func TestMemoStoreAccessor(t *testing.T) {
 	eng := runner.New(1)
-	if eng.MemoStore() != nil {
-		t.Fatal("fresh engine has a memo store")
+	tg := target.ByName("Mesa")
+	refs := corpus.References()
+	eng.Run(tg, refs[0].Mod, refs[0].Inputs)
+	if st := eng.Stats(); st.MemoMisses != 0 {
+		t.Fatalf("fresh engine consulted a memo store: %+v", st)
 	}
 	ms, err := memostore.Open(t.TempDir(), 0)
 	if err != nil {
@@ -177,12 +186,19 @@ func TestMemoStoreAccessor(t *testing.T) {
 	}
 	defer ms.Close()
 	eng.SetMemoStore(ms)
-	if eng.MemoStore() != ms {
-		t.Fatal("accessor mismatch")
+	eng.Run(tg, refs[1].Mod, refs[1].Inputs)
+	if st := eng.Stats(); st.MemoMisses == 0 {
+		t.Fatalf("attached store was not consulted: %+v", st)
+	}
+	before := eng.Stats().MemoMisses
+	eng.SetMemoStore(nil)
+	eng.Run(tg, refs[2].Mod, refs[2].Inputs)
+	if st := eng.Stats(); st.MemoMisses != before {
+		t.Fatalf("detached store was consulted: %+v", st)
 	}
 	// HitRate folds memo counters in: a pure-memo warm lookup counts.
-	st := runner.Stats{MemoHits: 3, MemoMisses: 1, SingleflightHits: 1}
-	if got := st.HitRate(); got != 1.0 {
+	st := runner.Stats{MemoHits: 3, MemoMisses: 1}
+	if got := st.HitRate(); got != 0.75 {
 		t.Fatalf("memo hit rate %v", got)
 	}
 }

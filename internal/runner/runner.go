@@ -5,11 +5,10 @@
 //     many simulated-compiler invocations run at once no matter how many
 //     goroutines fan work out;
 //
-//   - a sharded, content-addressed cache with four layers: whole results
+//   - a sharded, content-addressed cache with three layers: whole results
 //     keyed by (target name, module fingerprint, inputs), compiled modules
-//     keyed by (module fingerprint, mutation fingerprint), register-VM plans
-//     keyed by the compiled module's fingerprint, and renders keyed by
-//     (compiled module fingerprint, inputs). Delta debugging probes many
+//     keyed by (module fingerprint, mutation fingerprint), and renders keyed
+//     by (compiled module fingerprint, inputs). Delta debugging probes many
 //     overlapping subsets of one transformation sequence and re-probes them
 //     after every successful removal, and campaigns run the same original
 //     module once per generated test; both collapse to a single execution per
@@ -32,7 +31,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"math"
 	"runtime"
 	"slices"
@@ -47,14 +45,8 @@ import (
 	"spirvfuzz/internal/target"
 )
 
-const (
-	// shardCount spreads cache contention; must be a power of two.
-	shardCount = 16
-	// defaultCacheCap bounds total cached results across all shards.
-	defaultCacheCap = 1 << 14
-	// maxUniformMemo bounds the uniforms-hash memo.
-	maxUniformMemo = 4096
-)
+// maxUniformMemo bounds the uniforms-hash memo.
+const maxUniformMemo = 4096
 
 // key identifies one target execution by content, not identity: two
 // structurally identical modules (e.g. the same ddmin candidate reached via
@@ -69,6 +61,8 @@ type key struct {
 	uni    [sha256.Size]byte
 }
 
+func (k key) shard() byte { return k.mod[0] }
+
 // ckey identifies one compile: module content plus which miscompiling
 // rewrites the target applies to it (target.MutationFingerprint). Targets
 // with equal mutation fingerprints share the clone + mutate + optimize work;
@@ -78,51 +72,23 @@ type ckey struct {
 	mut string
 }
 
-// entry is one cache slot. done is closed once the payload is populated, so
-// concurrent requests for an in-flight key wait instead of re-executing.
-// Result entries carry img/crash; render entries carry img/renderErr.
-// canceled marks an entry whose executor was canceled before running — it
-// has been removed from the map and waiters must retry the lookup.
-type entry struct {
-	done      chan struct{}
-	img       *interp.Image
-	crash     *target.Crash
-	renderErr string
-	canceled  bool
-}
+func (k ckey) shard() byte { return k.mod[0] }
 
-// centry is one compile-cache slot: the shared compiled module, its cached
-// fingerprint (the render-layer key, so renders never re-encode the module),
-// or the pipeline error text, which each target wraps in its own signature.
-type centry struct {
-	done     chan struct{}
-	compiled *spirv.Module
-	fp       [sha256.Size]byte
-	errMsg   string
-}
-
-type shard struct {
-	mu sync.Mutex
-	m  map[key]*entry
-}
-
-type cshard struct {
-	mu sync.Mutex
-	m  map[ckey]*centry
-}
-
-// pentry is one plan-cache slot: the compiled module lowered to a register
-// Program, or the lowering error text. Programs are immutable and shared by
-// every render of the same compiled module.
-type pentry struct {
-	done   chan struct{}
-	prog   *interp.Program
+// compiled is one compile-layer value: the shared compiled module (treat as
+// immutable) and its fingerprint (the render-layer key, so renders never
+// re-encode the module), or the pipeline error text, which each target
+// wraps in its own signature.
+type compiled struct {
+	mod    *spirv.Module
+	fp     [sha256.Size]byte
 	errMsg string
 }
 
-type pshard struct {
-	mu sync.Mutex
-	m  map[[sha256.Size]byte]*pentry
+// rendered is one render-layer value: the image, or the interpreter's error
+// text, which each target prefixes with its own name as target.Run does.
+type rendered struct {
+	img    *interp.Image
+	errMsg string
 }
 
 // Stats is a point-in-time snapshot of engine counters.
@@ -135,16 +101,22 @@ type Stats struct {
 	CompileHits   uint64
 	CompileMisses uint64
 	// Render layer: (compiled module, inputs) interpreter runs, consulted on
-	// result-layer misses and shared across targets.
+	// result-layer misses and shared across targets. Each render miss
+	// lowers its compiled module to a register-VM Program first.
 	RenderHits   uint64
 	RenderMisses uint64
-	// Plan layer: compiled modules lowered once to register-VM Programs,
-	// keyed by the compiled module's fingerprint and consulted on
-	// render-layer misses — ddmin replays and cross-target shared compiles
-	// reuse one lowering per distinct compiled module.
+	// PlanCompileNanos is the total wall time render misses spent lowering
+	// modules to Programs.
+	PlanCompileNanos int64
+	// PlanHits, PlanMisses and SingleflightHits are always zero: the engine
+	// keeps no plan cache, and no memo store is shared by two engines, so
+	// there is no cross-engine execution to share. They exist only so the
+	// end-to-end benchmark's runner.plan_hits, runner.plan_misses and
+	// runner.singleflight_hits entries keep compiling, and go when the
+	// benchmark drops those metrics.
 	PlanHits         uint64
 	PlanMisses       uint64
-	PlanCompileNanos int64  // total wall time spent lowering modules to plans
+	SingleflightHits uint64
 	Evictions        uint64 // cache entries discarded to stay under the cap
 	Entries          int    // entries currently cached (all layers)
 	Workers          int    // worker-pool size
@@ -154,63 +126,47 @@ type Stats struct {
 	// Memo tier: persistent result/compile lookups (see memo.go). All zero
 	// unless SetMemoStore attached a store. MemoHits are executions served
 	// from disk without running anything; MemoMisses are lookups that had
-	// to execute; MemoSpills are outcomes queued for persistence; and
-	// SingleflightHits are executions answered by another engine's
-	// in-flight run on the shared store.
-	MemoHits         uint64
-	MemoMisses       uint64
-	MemoSpills       uint64
-	SingleflightHits uint64
+	// to execute; and MemoSpills are outcomes queued for persistence.
+	MemoHits   uint64
+	MemoMisses uint64
+	MemoSpills uint64
 }
 
 // HitRate returns the fraction of cache lookups served without executing
-// anything, across all layers — result, compile, render, plan, and the
-// persistent memo tier; 0 before any Run call. A singleflight hit counts
-// as served (its lookup is already in the denominator as a memo miss),
-// so the rate never exceeds 1.
+// anything, across all layers — result, compile, render, and the
+// persistent memo tier; 0 before any Run call.
 func (s Stats) HitRate() float64 {
 	total := s.Hits + s.Misses + s.CompileHits + s.CompileMisses +
-		s.RenderHits + s.RenderMisses + s.PlanHits + s.PlanMisses +
-		s.MemoHits + s.MemoMisses
+		s.RenderHits + s.RenderMisses + s.MemoHits + s.MemoMisses
 	if total == 0 {
 		return 0
 	}
-	return float64(s.Hits+s.CompileHits+s.RenderHits+s.PlanHits+
-		s.MemoHits+s.SingleflightHits) / float64(total)
+	return float64(s.Hits+s.CompileHits+s.RenderHits+s.MemoHits) / float64(total)
 }
 
 // Engine is a memoizing, concurrency-bounded executor of target runs. It is
 // safe for concurrent use; the zero value is not valid — use New.
 type Engine struct {
-	workers     int
-	sem         chan struct{}
-	maxPerShard int
-	shards      [shardCount]shard  // result layer: (target, module, inputs)
-	compiles    [shardCount]cshard // compile layer: (module, mutations)
-	plans       [shardCount]pshard // plan layer: compiled module -> Program
-	renders     [shardCount]shard  // render layer: ("", compiled module, inputs)
+	workers  int
+	sem      chan struct{}
+	results  layer[key, TargetResult] // (target, module, inputs)
+	compiles layer[ckey, compiled]    // (module, mutations)
+	renders  layer[key, rendered]     // ("", compiled module, inputs)
 
 	uniMu   sync.Mutex
 	uniMemo map[string][sha256.Size]byte // uniformsKey -> uniforms hash
 
-	// memo is the optional persistent fifth tier (see memo.go); nil when
-	// no store is attached.
+	// memo is the optional persistent tier (see memo.go); nil when no
+	// store is attached.
 	memo *memostore.Store
 
-	hits             atomic.Uint64
-	misses           atomic.Uint64
-	compileHits      atomic.Uint64
-	compileMisses    atomic.Uint64
-	renderHits       atomic.Uint64
-	renderMisses     atomic.Uint64
-	planHits         atomic.Uint64
-	planMisses       atomic.Uint64
-	planNanos        atomic.Int64
-	evictions        atomic.Uint64
-	memoHits         atomic.Uint64
-	memoMisses       atomic.Uint64
-	memoSpills       atomic.Uint64
-	singleflightHits atomic.Uint64
+	misses        atomic.Uint64
+	compileMisses atomic.Uint64
+	renderMisses  atomic.Uint64
+	planNanos     atomic.Int64
+	memoHits      atomic.Uint64
+	memoMisses    atomic.Uint64
+	memoSpills    atomic.Uint64
 }
 
 // New returns an engine whose worker pool admits workers concurrent target
@@ -220,34 +176,24 @@ func New(workers int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
-		workers:     workers,
-		sem:         make(chan struct{}, workers),
-		maxPerShard: defaultCacheCap / shardCount,
-		uniMemo:     make(map[string][sha256.Size]byte),
+		workers: workers,
+		sem:     make(chan struct{}, workers),
+		uniMemo: make(map[string][sha256.Size]byte),
 	}
-	for i := range e.shards {
-		e.shards[i].m = make(map[key]*entry)
-		e.compiles[i].m = make(map[ckey]*centry)
-		e.plans[i].m = make(map[[sha256.Size]byte]*pentry)
-		e.renders[i].m = make(map[key]*entry)
-	}
+	e.results.init()
+	e.compiles.init()
+	e.renders.init()
 	return e
 }
 
-// SetCacheCap rebounds the total number of cached results; 0 disables
-// caching entirely (every Run executes the full toolchain — the pre-engine
-// baseline). It only affects future insertions and is not safe to call
-// concurrently with Run.
+// SetCacheCap rebounds the number of cached entries of each layer; 0
+// disables caching entirely (every Run executes the full toolchain — the
+// pre-engine baseline). It only affects future insertions and is not safe
+// to call concurrently with Run.
 func (e *Engine) SetCacheCap(total int) {
-	if total <= 0 {
-		e.maxPerShard = 0
-		return
-	}
-	per := total / shardCount
-	if per < 1 {
-		per = 1
-	}
-	e.maxPerShard = per
+	e.results.setCap(total)
+	e.compiles.setCap(total)
+	e.renders.setCap(total)
 }
 
 // Workers returns the worker-pool size.
@@ -282,7 +228,7 @@ func (e *Engine) RunCtx(ctx context.Context, tg *target.Target, m *spirv.Module,
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if e.maxPerShard == 0 {
+	if e.results.perShard == 0 {
 		e.misses.Add(1)
 		select {
 		case e.sem <- struct{}{}:
@@ -293,7 +239,8 @@ func (e *Engine) RunCtx(ctx context.Context, tg *target.Target, m *spirv.Module,
 		<-e.sem
 		return img, crash, nil
 	}
-	return e.runKeyed(ctx, tg, m, in, e.keyFor(tg, m, in))
+	r, err := e.runKeyed(ctx, tg, m, in, e.keyFor(tg, m, in))
+	return r.Img, r.Crash, err
 }
 
 // TargetResult is one target's slot in a RunAllCtx batch: the rendered image
@@ -302,12 +249,6 @@ func (e *Engine) RunCtx(ctx context.Context, tg *target.Target, m *spirv.Module,
 type TargetResult struct {
 	Img   *interp.Image
 	Crash *target.Crash
-}
-
-// RunAll is RunAllCtx without cancellation.
-func (e *Engine) RunAll(targets []*target.Target, m *spirv.Module, in interp.Inputs) []TargetResult {
-	out, _ := e.RunAllCtx(context.Background(), targets, m, in)
-	return out
 }
 
 // RunAllCtx executes m on every target in one batch and returns the results
@@ -323,7 +264,7 @@ func (e *Engine) RunAllCtx(ctx context.Context, targets []*target.Target, m *spi
 	}
 	out := make([]TargetResult, len(targets))
 	var run func(i int) error
-	if e.maxPerShard == 0 {
+	if e.results.perShard == 0 {
 		// Caching disabled: RunCtx runs each target's toolchain directly.
 		run = func(i int) error {
 			img, crash, err := e.RunCtx(ctx, targets[i], m, in)
@@ -335,8 +276,8 @@ func (e *Engine) RunAllCtx(ctx context.Context, targets []*target.Target, m *spi
 		run = func(i int) error {
 			k := base
 			k.target = targetKey(targets[i])
-			img, crash, err := e.runKeyed(ctx, targets[i], m, in, k)
-			out[i] = TargetResult{Img: img, Crash: crash}
+			var err error
+			out[i], err = e.runKeyed(ctx, targets[i], m, in, k)
 			return err
 		}
 	}
@@ -354,266 +295,110 @@ func (e *Engine) RunAllCtx(ctx context.Context, targets []*target.Target, m *spi
 	return out, nil
 }
 
-// runKeyed is the common result-layer protocol behind RunCtx and RunAllCtx:
-// look up k, wait on an in-flight executor, or execute and cache.
-func (e *Engine) runKeyed(ctx context.Context, tg *target.Target, m *spirv.Module, in interp.Inputs, k key) (*interp.Image, *target.Crash, error) {
-	s := &e.shards[k.mod[0]&(shardCount-1)]
-	for {
-		s.mu.Lock()
-		if ent, ok := s.m[k]; ok {
-			s.mu.Unlock()
-			e.hits.Add(1)
-			select {
-			case <-ent.done:
-			case <-ctx.Done():
-				return nil, nil, ctx.Err()
-			}
-			if ent.canceled {
-				continue // executor withdrew before running; retry the lookup
-			}
-			return ent.img, ent.crash, nil
-		}
-		ent := &entry{done: make(chan struct{})}
-		if len(s.m) >= e.maxPerShard {
-			e.evictOneLocked(s)
-		}
-		s.m[k] = ent
-		s.mu.Unlock()
-
+// runKeyed serves RunCtx and RunAllCtx from the result layer. A miss waits
+// for a worker slot before executing; a ctx canceled while it waits
+// withdraws the miss's slot.
+func (e *Engine) runKeyed(ctx context.Context, tg *target.Target, m *spirv.Module, in interp.Inputs, k key) (TargetResult, error) {
+	return e.results.get(ctx, k, func() (TargetResult, error) {
 		select {
 		case e.sem <- struct{}{}:
 		case <-ctx.Done():
-			s.mu.Lock()
-			delete(s.m, k)
-			s.mu.Unlock()
-			ent.canceled = true
-			close(ent.done)
-			return nil, nil, ctx.Err()
+			return TargetResult{}, ctx.Err()
 		}
-		ent.img, ent.crash = e.execute(tg, m, in, k)
+		r := e.execute(tg, m, in, k)
 		<-e.sem
-		close(ent.done)
-		return ent.img, ent.crash, nil
-	}
+		return r, nil
+	})
 }
 
 // runUncached executes the toolchain for a result-layer miss. It mirrors
 // target.Run phase by phase — crash predicates directly, the compile tail
 // through the compile cache, the render through the render cache keyed by
 // the compiled module's fingerprint.
-func (e *Engine) runUncached(tg *target.Target, m *spirv.Module, in interp.Inputs, k key) (*interp.Image, *target.Crash) {
+func (e *Engine) runUncached(tg *target.Target, m *spirv.Module, in interp.Inputs, k key) TargetResult {
 	if crash := tg.CheckCrashes(m); crash != nil {
-		return nil, crash
+		return TargetResult{Crash: crash}
 	}
-	compiled, fp, errMsg := e.compile(m, k.mod, tg.Mutations(m))
-	if errMsg != "" {
-		return nil, &target.Crash{Signature: tg.Name + ": internal compiler error: " + errMsg}
+	c := e.compile(m, k.mod, tg.Mutations(m))
+	if c.errMsg != "" {
+		return TargetResult{Crash: &target.Crash{Signature: tg.Name + ": internal compiler error: " + c.errMsg}}
 	}
 	if !tg.CanRender {
-		return nil, nil
+		return TargetResult{}
 	}
-	img, errMsg := e.render(compiled, key{mod: fp, w: k.w, h: k.h, uni: k.uni}, in)
-	if errMsg != "" {
-		return nil, &target.Crash{Signature: tg.Name + ": device fault: " + errMsg}
+	r := e.render(c.mod, key{mod: c.fp, w: k.w, h: k.h, uni: k.uni}, in)
+	if r.errMsg != "" {
+		return TargetResult{Crash: &target.Crash{Signature: tg.Name + ": device fault: " + r.errMsg}}
 	}
-	return img, nil
+	return TargetResult{Img: r.img}
 }
 
 // compile serves the clone + mutate + optimize tail from the compile cache,
-// keyed by (module fingerprint, mutation fingerprint). It returns the shared
-// compiled module (treat as immutable), its fingerprint (the render-layer
-// key), and the pipeline error text, exactly one of module/error set.
-// Executors hold a worker slot already, so waiters block without a ctx: the
-// peer they wait on is running, not queued.
-func (e *Engine) compile(m *spirv.Module, modHash [sha256.Size]byte, muts []target.Mutation) (*spirv.Module, [sha256.Size]byte, string) {
+// keyed by (module fingerprint, mutation fingerprint). Executors hold a
+// worker slot already, so waiters block without a ctx: the peer they wait
+// on is running, not queued.
+func (e *Engine) compile(m *spirv.Module, modHash [sha256.Size]byte, muts []target.Mutation) compiled {
 	ck := ckey{mod: modHash, mut: target.FingerprintMutations(muts)}
-	s := &e.compiles[ck.mod[0]&(shardCount-1)]
-
-	s.mu.Lock()
-	if ent, ok := s.m[ck]; ok {
-		s.mu.Unlock()
-		e.compileHits.Add(1)
-		<-ent.done
-		return ent.compiled, ent.fp, ent.errMsg
-	}
-	ent := &centry{done: make(chan struct{})}
-	if len(s.m) >= e.maxPerShard {
-		e.evictCompileLocked(s)
-	}
-	s.m[ck] = ent
-	s.mu.Unlock()
-
-	if e.memo != nil {
-		ent.compiled, ent.fp, ent.errMsg = e.compileMemoFill(m, muts, ck)
-	} else {
-		e.compileMisses.Add(1)
-		compiled, err := target.SharedCompile(m, muts)
-		if err != nil {
-			ent.errMsg = err.Error()
-		} else {
-			ent.compiled = compiled
-			ent.fp = compiled.Fingerprint()
+	c, _ := e.compiles.get(context.Background(), ck, func() (compiled, error) {
+		if e.memo != nil {
+			return e.compileMemoFill(m, muts, ck), nil
 		}
+		return e.sharedCompile(m, muts), nil
+	})
+	return c
+}
+
+// sharedCompile runs the clone + mutate + optimize tail.
+func (e *Engine) sharedCompile(m *spirv.Module, muts []target.Mutation) compiled {
+	e.compileMisses.Add(1)
+	mod, err := target.SharedCompile(m, muts)
+	if err != nil {
+		return compiled{errMsg: err.Error()}
 	}
-	close(ent.done)
-	return ent.compiled, ent.fp, ent.errMsg
+	return compiled{mod: mod, fp: mod.Fingerprint()}
 }
 
 // render executes the reference interpreter, memoized on rk (compiled module
-// fingerprint plus inputs). The error message is cached as text so each
-// target can prefix its own name, exactly as target.Run does.
-func (e *Engine) render(compiled *spirv.Module, rk key, in interp.Inputs) (*interp.Image, string) {
-	s := &e.renders[rk.mod[0]&(shardCount-1)]
-
-	s.mu.Lock()
-	if ent, ok := s.m[rk]; ok {
-		s.mu.Unlock()
-		e.renderHits.Add(1)
-		<-ent.done
-		return ent.img, ent.renderErr
-	}
-	ent := &entry{done: make(chan struct{})}
-	if len(s.m) >= e.maxPerShard {
-		e.evictOneLocked(s)
-	}
-	s.m[rk] = ent
-	s.mu.Unlock()
-
-	e.renderMisses.Add(1)
-	img, err := e.renderCompiled(compiled, rk, in)
-	if err != nil {
-		ent.renderErr = err.Error()
-	} else {
-		ent.img = img
-	}
-	close(ent.done)
-	return ent.img, ent.renderErr
-}
-
-// renderCompiled executes the interpreter for a render-layer miss: the
-// compiled module's register-VM plan comes from the plan cache (keyed by
-// rk.mod, the compiled module's fingerprint).
-func (e *Engine) renderCompiled(compiled *spirv.Module, rk key, in interp.Inputs) (*interp.Image, error) {
-	prog, errMsg := e.plan(compiled, rk.mod)
-	if errMsg != "" {
-		return nil, errors.New(errMsg)
-	}
-	return prog.Render(in)
-}
-
-// plan serves module→Program lowering from the plan cache, keyed by the
-// compiled module's fingerprint — the same identity the render layer keys
-// on, so ddmin replays and cross-target shared compiles that converge on
-// one compiled module lower it exactly once. Exactly one of prog/errMsg is
-// set; lowering errors are precisely the errors RenderTree would report
-// before its first pixel, cached as text like render errors.
-func (e *Engine) plan(compiled *spirv.Module, fp [sha256.Size]byte) (*interp.Program, string) {
-	s := &e.plans[fp[0]&(shardCount-1)]
-
-	s.mu.Lock()
-	if ent, ok := s.m[fp]; ok {
-		s.mu.Unlock()
-		e.planHits.Add(1)
-		<-ent.done
-		return ent.prog, ent.errMsg
-	}
-	ent := &pentry{done: make(chan struct{})}
-	if len(s.m) >= e.maxPerShard {
-		e.evictPlanLocked(s)
-	}
-	s.m[fp] = ent
-	s.mu.Unlock()
-
-	e.planMisses.Add(1)
-	start := time.Now()
-	prog, err := interp.Compile(compiled)
-	e.planNanos.Add(time.Since(start).Nanoseconds())
-	if err != nil {
-		ent.errMsg = err.Error()
-	} else {
-		ent.prog = prog
-	}
-	close(ent.done)
-	return ent.prog, ent.errMsg
-}
-
-// evictOneLocked discards one completed entry from s (any one: target runs
-// are deterministic, so eviction affects only performance, never results).
-// In-flight entries are never evicted — their waiters hold the pointer.
-func (e *Engine) evictOneLocked(s *shard) {
-	for k, ent := range s.m {
-		select {
-		case <-ent.done:
-			delete(s.m, k)
-			e.evictions.Add(1)
-			return
-		default:
+// fingerprint plus inputs): a miss lowers mod to a register-VM Program and
+// renders it. Lowering errors are exactly the errors the tree-walker would
+// report before its first pixel, so they are cached as text like render
+// errors.
+func (e *Engine) render(mod *spirv.Module, rk key, in interp.Inputs) rendered {
+	r, _ := e.renders.get(context.Background(), rk, func() (rendered, error) {
+		e.renderMisses.Add(1)
+		start := time.Now()
+		prog, err := interp.Compile(mod)
+		e.planNanos.Add(time.Since(start).Nanoseconds())
+		var img *interp.Image
+		if err == nil {
+			img, err = prog.Render(in)
 		}
-	}
-}
-
-// evictCompileLocked is evictOneLocked for the compile layer.
-func (e *Engine) evictCompileLocked(s *cshard) {
-	for k, ent := range s.m {
-		select {
-		case <-ent.done:
-			delete(s.m, k)
-			e.evictions.Add(1)
-			return
-		default:
+		if err != nil {
+			return rendered{errMsg: err.Error()}, nil
 		}
-	}
-}
-
-// evictPlanLocked is evictOneLocked for the plan layer.
-func (e *Engine) evictPlanLocked(s *pshard) {
-	for k, ent := range s.m {
-		select {
-		case <-ent.done:
-			delete(s.m, k)
-			e.evictions.Add(1)
-			return
-		default:
-		}
-	}
+		return rendered{img: img}, nil
+	})
+	return r
 }
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
-	st := Stats{
-		Hits:             e.hits.Load(),
+	return Stats{
+		Hits:             e.results.hits.Load(),
 		Misses:           e.misses.Load(),
-		CompileHits:      e.compileHits.Load(),
+		CompileHits:      e.compiles.hits.Load(),
 		CompileMisses:    e.compileMisses.Load(),
-		RenderHits:       e.renderHits.Load(),
+		RenderHits:       e.renders.hits.Load(),
 		RenderMisses:     e.renderMisses.Load(),
-		PlanHits:         e.planHits.Load(),
-		PlanMisses:       e.planMisses.Load(),
 		PlanCompileNanos: e.planNanos.Load(),
-		Evictions:        e.evictions.Load(),
+		Evictions:        e.results.evictions.Load() + e.compiles.evictions.Load() + e.renders.evictions.Load(),
+		Entries:          e.results.entries() + e.compiles.entries() + e.renders.entries(),
 		Workers:          e.workers,
 		OptPasses:        opt.PassStats(),
 		MemoHits:         e.memoHits.Load(),
 		MemoMisses:       e.memoMisses.Load(),
 		MemoSpills:       e.memoSpills.Load(),
-		SingleflightHits: e.singleflightHits.Load(),
 	}
-	for i := range e.shards {
-		for _, s := range []*shard{&e.shards[i], &e.renders[i]} {
-			s.mu.Lock()
-			st.Entries += len(s.m)
-			s.mu.Unlock()
-		}
-		cs := &e.compiles[i]
-		cs.mu.Lock()
-		st.Entries += len(cs.m)
-		cs.mu.Unlock()
-		ps := &e.plans[i]
-		ps.mu.Lock()
-		st.Entries += len(ps.m)
-		ps.mu.Unlock()
-	}
-	return st
 }
 
 // Do runs f(0) … f(n-1) on the worker pool and returns when all calls have

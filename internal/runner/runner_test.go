@@ -79,8 +79,8 @@ func TestRunMemoizes(t *testing.T) {
 		t.Fatalf("clean module crashed: %v", crash1)
 	}
 	st := eng.Stats()
-	// One result entry, one compile entry, one plan entry, one render entry.
-	if st.Hits != 0 || st.Misses != 1 || st.CompileMisses != 1 || st.PlanMisses != 1 || st.RenderMisses != 1 || st.Entries != 4 {
+	// One result entry, one compile entry, one render entry.
+	if st.Hits != 0 || st.Misses != 1 || st.CompileMisses != 1 || st.RenderMisses != 1 || st.Entries != 3 {
 		t.Fatalf("after first run: %+v", st)
 	}
 
@@ -96,11 +96,10 @@ func TestRunMemoizes(t *testing.T) {
 
 	// A different target is a distinct result key, but neither Mesa's nor
 	// Pixel-5's defects touch the diamond module, so the two targets share
-	// one compile (mutation fingerprint "") and therefore one plan and one
-	// render.
+	// one compile (mutation fingerprint "") and therefore one render.
 	img3, _ := eng.Run(target.ByName("Pixel-5"), m, in)
 	st = eng.Stats()
-	if st.Misses != 2 || st.CompileHits != 1 || st.CompileMisses != 1 || st.RenderHits != 1 || st.RenderMisses != 1 || st.PlanMisses != 1 {
+	if st.Misses != 2 || st.CompileHits != 1 || st.CompileMisses != 1 || st.RenderHits != 1 || st.RenderMisses != 1 {
 		t.Fatalf("cross-target compile/render was not shared: %+v", st)
 	}
 	if img3 != img1 {
@@ -114,15 +113,10 @@ func TestRunMemoizes(t *testing.T) {
 	if st.Misses != 3 || st.CompileHits != 2 || st.RenderMisses != 2 {
 		t.Fatalf("distinct keys collided: %+v", st)
 	}
-	// The second render is of the same compiled module, so its plan is
-	// served from the plan cache.
-	if st.PlanHits != 1 || st.PlanMisses != 1 {
-		t.Fatalf("second render did not reuse the plan: %+v", st)
-	}
-	// Combined rate: (1 result + 2 compile + 1 plan + 1 render hit) of
-	// (4+3+2+3 lookups).
-	if got := st.HitRate(); got != 5.0/12.0 {
-		t.Fatalf("hit rate %v, want 5/12", got)
+	// Combined rate: (1 result + 2 compile + 1 render hit) of (4+3+3
+	// lookups).
+	if got := st.HitRate(); got != 4.0/10.0 {
+		t.Fatalf("hit rate %v, want 4/10", got)
 	}
 	if st.Workers != 2 {
 		t.Fatalf("workers %d, want 2", st.Workers)
@@ -159,8 +153,8 @@ func TestTreeWalkerRenderIdentical(t *testing.T) {
 			}
 		}
 	}
-	if st := eng.Stats(); st.PlanMisses == 0 {
-		t.Fatalf("no render went through the plan cache: %+v", st)
+	if st := eng.Stats(); st.RenderMisses == 0 {
+		t.Fatalf("no render went through the render cache: %+v", st)
 	}
 }
 

@@ -25,8 +25,6 @@ func (s *Stats) AddEngine(o Stats) {
 	s.CompileMisses += o.CompileMisses
 	s.RenderHits += o.RenderHits
 	s.RenderMisses += o.RenderMisses
-	s.PlanHits += o.PlanHits
-	s.PlanMisses += o.PlanMisses
 	s.PlanCompileNanos += o.PlanCompileNanos
 	s.Evictions += o.Evictions
 	s.Entries += o.Entries
@@ -34,7 +32,6 @@ func (s *Stats) AddEngine(o Stats) {
 	s.MemoHits += o.MemoHits
 	s.MemoMisses += o.MemoMisses
 	s.MemoSpills += o.MemoSpills
-	s.SingleflightHits += o.SingleflightHits
 }
 
 // mergeShared folds the process-wide fields of o into s element-wise by max.
@@ -82,7 +79,7 @@ func (s *Stats) addShared(o Stats) {
 // them (key = ProcessToken of the reporting process). Within one group the
 // per-engine counters sum and the process-wide profile takes the latest
 // (element-wise max) reading; across groups everything sums. The result is an
-// honest cluster-wide view: plan-cache hits from N engines in one worker
+// honest cluster-wide view: render-cache hits from N engines in one worker
 // process are each counted once, and the shared optimizer profile of that
 // process appears once no matter how many shard snapshots it reported.
 func MergeStats(groups map[string][]Stats) Stats {

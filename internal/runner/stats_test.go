@@ -10,23 +10,23 @@ import (
 // TestMergeStatsSharedProcess pins the double-counting fix: two engines in
 // the same process (same token) each see the whole process-wide OptPasses
 // profile, so within a group it merges by max, while
-// per-engine cache counters — including plan-cache hits — genuinely sum.
+// per-engine cache counters — including render-cache hits — genuinely sum.
 func TestMergeStatsSharedProcess(t *testing.T) {
 	a := runner.Stats{
-		Hits: 10, Misses: 4, PlanHits: 6, PlanMisses: 2, Workers: 2,
+		Hits: 10, Misses: 4, RenderHits: 6, RenderMisses: 2, Workers: 2,
 		OptPasses: []opt.PassStat{{Name: "dce", Runs: 30, Changed: 5, Nanos: 900}},
 	}
 	// Engine b read the process-wide profile later, so it is >= a's.
 	b := runner.Stats{
-		Hits: 1, Misses: 2, PlanHits: 3, PlanMisses: 1, Workers: 2,
+		Hits: 1, Misses: 2, RenderHits: 3, RenderMisses: 1, Workers: 2,
 		OptPasses: []opt.PassStat{{Name: "dce", Runs: 40, Changed: 7, Nanos: 1200}},
 	}
 	m := runner.MergeStats(map[string][]runner.Stats{"proc": {a, b}})
 	if m.Hits != 11 || m.Misses != 6 {
 		t.Fatalf("per-engine counters must sum: got hits=%d misses=%d", m.Hits, m.Misses)
 	}
-	if m.PlanHits != 9 || m.PlanMisses != 3 {
-		t.Fatalf("plan-cache counters must sum per engine: got %d/%d", m.PlanHits, m.PlanMisses)
+	if m.RenderHits != 9 || m.RenderMisses != 3 {
+		t.Fatalf("render-cache counters must sum per engine: got %d/%d", m.RenderHits, m.RenderMisses)
 	}
 	if m.Workers != 4 {
 		t.Fatalf("workers must sum: got %d", m.Workers)
@@ -42,16 +42,16 @@ func TestMergeStatsSharedProcess(t *testing.T) {
 // process-wide profile.
 func TestMergeStatsDistinctProcesses(t *testing.T) {
 	a := runner.Stats{
-		PlanHits:  5,
-		OptPasses: []opt.PassStat{{Name: "dce", Runs: 10, Nanos: 100}, {Name: "cfg", Runs: 2, Nanos: 20}},
+		RenderHits: 5,
+		OptPasses:  []opt.PassStat{{Name: "dce", Runs: 10, Nanos: 100}, {Name: "cfg", Runs: 2, Nanos: 20}},
 	}
 	b := runner.Stats{
-		PlanHits:  7,
-		OptPasses: []opt.PassStat{{Name: "dce", Runs: 4, Nanos: 40}},
+		RenderHits: 7,
+		OptPasses:  []opt.PassStat{{Name: "dce", Runs: 4, Nanos: 40}},
 	}
 	m := runner.MergeStats(map[string][]runner.Stats{"p1": {a}, "p2": {b}})
-	if m.PlanHits != 12 {
-		t.Fatalf("plan hits across processes must sum: got %d", m.PlanHits)
+	if m.RenderHits != 12 {
+		t.Fatalf("render hits across processes must sum: got %d", m.RenderHits)
 	}
 	want := map[string]uint64{"cfg": 2, "dce": 14}
 	if len(m.OptPasses) != 2 {
