@@ -96,11 +96,13 @@ test-memo:
 # fuzzed sequence replays without a panic to a valid module, and a
 # candidate sandwiched between an earlier query and its effective set
 # replays to the same context, which is what lets ddmin answer it without
-# a replay.
+# a replay; and the crash test the reducer and bisection decide by the
+# defect scan alone gives Run's verdict at every release of every target.
 test-experiments:
 	$(GO) test -race -count=3 -run 'ExperimentsOutputPinned|CampaignDeterministicAcrossWorkers|ReducedCasesOneMinimal' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz=FuzzReplaySubsequence -fuzztime=10s ./internal/fuzz/
 	$(GO) test -run '^$$' -fuzz=FuzzEffectiveSetSandwich -fuzztime=10s ./internal/fuzz/
+	$(GO) test -run '^$$' -fuzz=FuzzScanOracleMatchesRun -fuzztime=10s ./internal/target/
 
 # The benchmark is its own module: vet it and run its tests, which drive
 # both spirvd roles through its daemon interface and read the reduction
@@ -132,10 +134,10 @@ bench:
 	$(GO) test -short -run '^$$' -bench . -benchtime=1x -benchmem -p 1 ./...
 
 # Run the reduction/resume/batching/interpreter benchmarks and fail if any
-# speedup metric (parallel reduction over serial; prefix-snapshot replay over
-# fresh replay; batched RunAll over a per-target compile loop; the register
-# VM over the tree-walker; a warm memo repeat campaign over cold; 3 cluster
-# nodes over 1)
+# speedup metric (parallel reduction over serial; batched RunAll over a
+# per-target compile loop; the register VM over the tree-walker; a warm memo
+# repeat campaign over cold; 3 cluster nodes over 1; a warm bisection
+# campaign over cold)
 # regresses below 0.75x its value in the committed BENCH_pr10.json
 # trajectory point — loose enough for machine noise, tight enough to catch
 # a disabled cache, compile sharing gone, or the VM degenerating to
@@ -167,7 +169,7 @@ BENCH_GUARDS = \
 	"-metric node-speedup -mode min -tolerance 0.75 -only BenchmarkClusterPipeline"
 
 bench-compare:
-	$(GO) test -short -run '^$$' -bench 'Reduce|Replay|Resume|RunAll|InterpVM|Cluster|Bisect|Memo' -benchtime=1x -benchmem . \
+	$(GO) test -short -run '^$$' -bench 'Reduce|Resume|RunAll|InterpVM|Cluster|Bisect|Memo' -benchtime=1x -benchmem . \
 		| tee /dev/stderr | awk -f scripts/bench2json.awk > /tmp/bench-current.json
 	@failed=0; \
 	for guard in $(BENCH_GUARDS); do \

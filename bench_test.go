@@ -12,13 +12,11 @@ package spirvfuzz_test
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -81,7 +79,7 @@ func ddmin(b *testing.B, n int, test core.Interestingness) ([]int, core.ReduceSt
 func reduceSerial(b *testing.B, original *spirv.Module, in interp.Inputs, seq []fuzz.Transformation, signature string, tg *target.Target) *reduce.Result {
 	b.Helper()
 	interesting := reduce.ForOutcomeOn(runner.New(1), tg, original, in, signature)
-	r, err := reduce.ReduceParallelReplayCtx(context.Background(), original, in, seq, interesting, 1, replay.NewEngine(replay.DefaultBudget))
+	r, err := reduce.ReduceParallelReplayCtx(context.Background(), original, in, seq, interesting, 1, new(replay.Engine))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -459,11 +457,10 @@ func BenchmarkAblationChunkedVsLinearReduction(b *testing.B) {
 
 // BenchmarkRunnerParallelReduce measures the execution engine end to end: a
 // spirv-fuzz campaign followed by ddmin reduction of its crash outcomes, on
-// the pre-engine serial path (one worker, runner caching and incremental
-// replay both disabled) versus the engine (worker pool, content-addressed
-// memoization, prefix-snapshot replay cache). Both legs must produce
-// bitwise-identical kept indices — the engine's determinism guarantee — and
-// the wall-clock ratio, cache hit rate and replay savings are reported as
+// the pre-engine serial path (one worker, runner caching disabled) versus
+// the engine (worker pool, content-addressed memoization). Both legs must
+// produce bitwise-identical kept indices — the engine's determinism
+// guarantee — and the wall-clock ratio and cache hit rate are reported as
 // metrics.
 func BenchmarkRunnerParallelReduce(b *testing.B) {
 	refs := corpus.References()
@@ -478,9 +475,9 @@ func BenchmarkRunnerParallelReduce(b *testing.B) {
 	if err := spec.Normalize(); err != nil {
 		b.Fatal(err)
 	}
-	leg := func(eng *runner.Engine, reng *replay.Engine) (time.Duration, [][]int) {
+	leg := func(eng *runner.Engine) (time.Duration, [][]int) {
 		start := time.Now()
-		env := service.Env{Eng: eng, Reng: reng, Blobs: &service.MemBlobs{}}
+		env := service.Env{Eng: eng, Reng: new(replay.Engine), Blobs: &service.MemBlobs{}}
 		camp, err := experiments.RunCampaign(context.Background(), env, spec, refs, donors)
 		if err != nil {
 			b.Fatal(err)
@@ -501,7 +498,7 @@ func BenchmarkRunnerParallelReduce(b *testing.B) {
 				perSig[key]++
 				tg := target.ByName(bug.Target)
 				interesting := reduce.ForOutcomeOn(eng, tg, item.Mod, item.Inputs, bug.Signature)
-				r, err := reduce.ReduceParallelReplayCtx(context.Background(), item.Mod, item.Inputs, ts, interesting, 1, reng)
+				r, err := reduce.ReduceParallelReplayCtx(context.Background(), item.Mod, item.Inputs, ts, interesting, 1, env.Reng)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -514,7 +511,7 @@ func BenchmarkRunnerParallelReduce(b *testing.B) {
 		return time.Since(start), kept
 	}
 
-	var speedup, hitRate, replaySaved float64
+	var speedup, hitRate float64
 	var reductions int
 	for i := 0; i < b.N; i++ {
 		// Take the best of two runs per leg so a CPU-contention spike during
@@ -524,11 +521,10 @@ func BenchmarkRunnerParallelReduce(b *testing.B) {
 		for rep := 0; rep < 2; rep++ {
 			serialEng := runner.New(1)
 			serialEng.SetCacheCap(0) // pre-engine baseline: no memoization
-			st, sk := leg(serialEng, replay.NewEngine(0))
+			st, sk := leg(serialEng)
 
 			parEng := runner.New(workers)
-			parReplay := replay.NewEngine(replay.DefaultBudget)
-			pt, pk := leg(parEng, parReplay)
+			pt, pk := leg(parEng)
 
 			if !reflect.DeepEqual(sk, pk) {
 				b.Fatalf("parallel reduction diverged from serial:\n%v\nvs\n%v", pk, sk)
@@ -540,14 +536,12 @@ func BenchmarkRunnerParallelReduce(b *testing.B) {
 				parTime = pt
 			}
 			hitRate = parEng.Stats().HitRate()
-			replaySaved = parReplay.Stats().SavedFraction()
 			reductions = len(pk)
 		}
 		speedup = serialTime.Seconds() / parTime.Seconds()
 	}
 	b.ReportMetric(speedup, "speedup")
 	b.ReportMetric(100*hitRate, "cache-hit-%")
-	b.ReportMetric(100*replaySaved, "replay-saved-%")
 	b.ReportMetric(float64(workers), "workers")
 	b.ReportMetric(float64(reductions), "reductions")
 }
@@ -764,301 +758,6 @@ func (l *loopRunner) render(compiled *spirv.Module, fp [sha256.Size]byte, in int
 		l.mu.Unlock()
 	}
 	return prog.Render(in)
-}
-
-// --- incremental-replay benchmark scenario ----------------------------------
-
-// replayScenario is a deterministic reduction workload shaped like a real
-// fuzzing outcome, sized so the replay cost dominates (the interestingness
-// decision is a cheap structural check):
-//
-//   - the original module is pre-grown by donation to a few hundred
-//     instructions, so per-transformation replay cost is roughly uniform;
-//   - the sequence opens with a block of always-needed donations (donations
-//     happen early in fuzzing) — for every ddmin candidate they sit below
-//     the divergence point, so the cache serves them from snapshots while
-//     the cold leg re-applies them on every query;
-//   - a long donor-free fuzzed mid-section follows, every 8th slot
-//     removable chaff — the part ddmin actually minimizes;
-//   - the tail adds small donated functions padded with dead instructions —
-//     the shrink phase deletes the pads one probe at a time, each probe a
-//     deep ReplayOverride whose prefix is the entire kept sequence.
-type replayScenario struct {
-	base   *spirv.Module
-	inputs interp.Inputs
-	ts     []fuzz.Transformation
-	needed map[int]bool
-	fns    int // shrink acceptance baseline: function count of kept replay
-	blocks int // and its total block count
-	kept   []int
-}
-
-var (
-	replayScenOnce sync.Once
-	replayScenVal  *replayScenario
-	replayScenErr  error
-)
-
-// buildReplayScenario constructs the workload above with target original size
-// 550 instructions, a 192-transformation mid-section, 4 front donations and 4
-// padded tail donations (130 pads each) — a 200-transformation sequence.
-func buildReplayScenario() (*replayScenario, error) {
-	const (
-		targetInstrs = 550
-		mid          = 192
-		frontFns     = 4
-		tailFns      = 4
-		pads         = 130
-	)
-	donors := corpus.Donors()
-	item := corpus.References()[0]
-	c0 := fuzz.NewContext(item.Mod.Clone(), item.Inputs)
-	for round := 0; round < 20 && c0.Mod.InstructionCount() < targetInstrs; round++ {
-		for _, d := range donors {
-			for _, fn := range d.Functions {
-				for _, tr := range fuzz.Donate(c0, d, fn, true) {
-					if tr.Precondition(c0) {
-						tr.Apply(c0)
-					}
-				}
-				if c0.Mod.InstructionCount() >= targetInstrs {
-					break
-				}
-			}
-			if c0.Mod.InstructionCount() >= targetInstrs {
-				break
-			}
-		}
-	}
-	base := c0.Mod.Clone()
-	baseIn := c0.Inputs
-
-	type dfn struct {
-		d  *spirv.Module
-		fn *spirv.Function
-		sz int
-	}
-	var all []dfn
-	for _, d := range donors {
-		for _, fn := range d.Functions {
-			sz := 0
-			for _, blk := range fn.Blocks {
-				sz += len(blk.Body)
-			}
-			all = append(all, dfn{d, fn, sz})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].sz > all[j].sz })
-
-	// Donations are generated against the base with a gapped id space so
-	// their preconditions hold regardless of which mid slots survive ddmin.
-	cd := fuzz.NewContext(base.Clone(), baseIn)
-	cd.Mod.Bound += 50000
-	var front []fuzz.Transformation
-	for f := 0; f < frontFns; f++ {
-		pick := all[f%len(all)]
-		dk := fuzz.Donate(cd, pick.d, pick.fn, true)
-		if dk == nil {
-			return nil, errFront
-		}
-		for _, tr := range dk {
-			if tr.Precondition(cd) {
-				tr.Apply(cd)
-			}
-		}
-		front = append(front, dk...)
-	}
-
-	var ts []fuzz.Transformation
-	for seed := int64(11); seed < 40; seed++ {
-		res, err := fuzz.Fuzz(base, baseIn, fuzz.Options{
-			Seed: seed, EnableRecommendations: true,
-			MinPasses: mid/2 + 20, MaxPasses: mid/2 + 40,
-			MaxTransformations: mid,
-		})
-		if err == nil && len(res.Transformations) >= mid {
-			ts = res.Transformations[:mid]
-			break
-		}
-	}
-	if ts == nil {
-		return nil, errMid
-	}
-
-	small := all[len(all)-1]
-	var tail []fuzz.Transformation
-	for f := 0; f < tailFns; f++ {
-		dk := fuzz.Donate(cd, small.d, small.fn, true)
-		if dk == nil {
-			return nil, errTail
-		}
-		af, ok := dk[len(dk)-1].(*fuzz.AddFunction)
-		if !ok {
-			return nil, errTail
-		}
-		blk := &af.Blocks[len(af.Blocks)-1]
-		var template fuzz.EncodedInstr
-		for _, e := range blk.Body {
-			ins, decoded := e.Decode()
-			if decoded && ins.Result != 0 && !ins.Op.HasSideEffects() && ins.Op != spirv.OpVariable {
-				template = e
-				break
-			}
-		}
-		if template.Op == "" {
-			return nil, errTail
-		}
-		next := cd.Mod.Bound + 100000 + spirv.ID(f)*10000
-		for i := 0; i < pads; i++ {
-			dup := template
-			dup.Operands = append([]uint32(nil), template.Operands...)
-			dup.Result = next
-			next++
-			blk.Body = append(blk.Body, dup)
-		}
-		for _, tr := range dk {
-			if tr.Precondition(cd) {
-				tr.Apply(cd)
-			}
-		}
-		tail = append(tail, dk...)
-	}
-
-	seq := append(append(append([]fuzz.Transformation{}, front...), ts...), tail...)
-	needed := map[int]bool{}
-	for i := range seq {
-		inMid := i >= len(front) && i < len(front)+mid
-		if !inMid || (i-len(front))%8 != 0 {
-			needed[i] = true
-		}
-	}
-
-	sc := &replayScenario{base: base, inputs: baseIn, ts: seq, needed: needed}
-	// Acceptance baseline for the shrink phase comes from the kept replay:
-	// chaff removal can strip preconditions of a few mid transformations, so
-	// the full sequence's counts overstate what kept candidates reach.
-	sess := replay.NewSession(base, baseIn, seq)
-	kept, _, err := core.Reduce(context.Background(), len(seq), sc.test(sess))
-	if err != nil {
-		return nil, err
-	}
-	ctx, _ := sess.Replay(kept)
-	sc.kept = kept
-	sc.fns = len(ctx.Mod.Functions)
-	for _, fn := range ctx.Mod.Functions {
-		sc.blocks += len(fn.Blocks)
-	}
-	return sc, nil
-}
-
-var (
-	errFront = errors.New("replay scenario: front donation failed")
-	errMid   = errors.New("replay scenario: no mid sequence")
-	errTail  = errors.New("replay scenario: tail donation failed")
-)
-
-// test is the scenario's structural interestingness test: the replay must
-// still apply every needed transformation.
-func (sc *replayScenario) test(sess *replay.Session) core.Interestingness {
-	return func(keep []int) ([]int, bool) {
-		_, applied := sess.Replay(keep)
-		return applied, sc.containsAll(applied)
-	}
-}
-
-func (sc *replayScenario) containsAll(keep []int) bool {
-	m := make(map[int]bool, len(keep))
-	for _, k := range keep {
-		m[k] = true
-	}
-	for w := range sc.needed {
-		if !m[w] {
-			return false
-		}
-	}
-	return true
-}
-
-func (sc *replayScenario) shrinkOK(m *spirv.Module, _ interp.Inputs) bool {
-	blocks := 0
-	for _, fn := range m.Functions {
-		blocks += len(fn.Blocks)
-	}
-	return len(m.Functions) >= sc.fns && blocks >= sc.blocks
-}
-
-func sharedReplayScenario(b *testing.B) *replayScenario {
-	b.Helper()
-	replayScenOnce.Do(func() {
-		replayScenVal, replayScenErr = buildReplayScenario()
-	})
-	if replayScenErr != nil {
-		b.Fatal(replayScenErr)
-	}
-	return replayScenVal
-}
-
-// reduceLeg runs the full reduction pipeline — ddmin over sess.Replay, the
-// AddFunction shrink pass over ReplayOverride/Commit, and the final kept
-// replay — against one replay engine, and returns wall time, kept indices,
-// and total queries. This is ReduceParallelReplayCtx's exact serial control
-// flow, with the interestingness check replaced by a structural one so the
-// measured cost is variant materialization.
-func (sc *replayScenario) reduceLeg(reng *replay.Engine) (time.Duration, []int, int) {
-	sess := reng.NewSession(sc.base, sc.inputs, sc.ts)
-	start := time.Now()
-	kept, st, _ := core.Reduce(context.Background(), len(sc.ts), sc.test(sess))
-	queries := st.Queries
-	queries += reduce.ShrinkAddFunctionsForTest(sess, kept, sc.shrinkOK)
-	sess.Replay(kept)
-	return time.Since(start), kept, queries
-}
-
-// BenchmarkReplayPrefixCache measures an end-to-end reduction — ddmin to
-// 1-minimality plus the AddFunction shrink pass — over a 200-transformation
-// sequence (replayScenario above), cache-enabled versus cache-disabled. Both
-// legs issue the same query stream and must produce identical kept indices;
-// the only difference is variant materialization: a fresh replay of every
-// kept transformation versus a clone of the deepest cached prefix snapshot
-// plus the suffix. Reported metrics: wall-clock speedup, warm queries/sec,
-// mean applied suffix length (vs. the ~178-transformation mean request), and
-// prefix hit rate.
-func BenchmarkReplayPrefixCache(b *testing.B) {
-	sc := sharedReplayScenario(b)
-	b.ResetTimer()
-
-	var speedup, qps, meanSuffix, meanReq, hitRate float64
-	for i := 0; i < b.N; i++ {
-		var coldTime, warmTime time.Duration
-		var queries int
-		for rep := 0; rep < 3; rep++ { // best-of-three against CPU-contention spikes
-			ct, coldKept, _ := sc.reduceLeg(replay.NewEngine(0))
-			reng := replay.NewEngine(replay.DefaultBudget)
-			wt, warmKept, q := sc.reduceLeg(reng)
-			if !reflect.DeepEqual(coldKept, warmKept) || !reflect.DeepEqual(coldKept, sc.kept) {
-				b.Fatalf("cached reduction diverged: kept %v vs %v", warmKept, coldKept)
-			}
-			if rep == 0 || ct < coldTime {
-				coldTime = ct
-			}
-			if rep == 0 || wt < warmTime {
-				warmTime = wt
-			}
-			queries = q
-			rst := reng.Stats()
-			meanSuffix = rst.MeanSuffix()
-			meanReq = rst.MeanRequested()
-			hitRate = rst.HitRate()
-		}
-		speedup = coldTime.Seconds() / warmTime.Seconds()
-		qps = float64(queries) / warmTime.Seconds()
-	}
-	b.ReportMetric(speedup, "speedup")
-	b.ReportMetric(qps, "queries/sec")
-	b.ReportMetric(meanSuffix, "mean-suffix")
-	b.ReportMetric(meanReq, "mean-requested")
-	b.ReportMetric(100*hitRate, "prefix-hit-%")
-	b.ReportMetric(float64(len(sc.ts)), "seq-len")
 }
 
 // benchWaitCampaign polls a service until the campaign leaves the running
@@ -1559,7 +1258,7 @@ func BenchmarkBisectCampaign(b *testing.B) {
 	if err := spec.Normalize(); err != nil {
 		b.Fatal(err)
 	}
-	env := service.Env{Eng: runner.New(workers), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+	env := service.Env{Eng: runner.New(workers), Reng: new(replay.Engine), Blobs: &service.MemBlobs{}}
 	camp, err := experiments.RunCampaign(context.Background(), env, spec, refs, donors)
 	if err != nil {
 		b.Fatal(err)

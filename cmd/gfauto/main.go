@@ -174,9 +174,7 @@ func main() {
 		fmt.Println(experiments.RenderWild(rep))
 	}
 	if rst := c.Env.Reng.Stats(); rst.Queries > 0 {
-		fmt.Printf("gfauto: replay cache: %d ddmin queries, %.0f%% prefix hits, mean suffix %.1f of %.1f transformations (%.0f%% replay work saved), %d snapshots (%.1f MiB), %d evictions\n",
-			rst.Queries, 100*rst.HitRate(), rst.MeanSuffix(), rst.MeanRequested(),
-			100*rst.SavedFraction(), rst.Snapshots, float64(rst.Bytes)/(1<<20), rst.Evictions)
+		fmt.Printf("gfauto: replay: %d queries, %d transformations applied\n", rst.Queries, rst.Applied)
 	}
 }
 

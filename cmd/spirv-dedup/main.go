@@ -39,7 +39,6 @@ import (
 	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/dedup"
 	"spirvfuzz/internal/fuzz"
-	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/store"
@@ -168,7 +167,6 @@ func bisectCases(cases []dedup.Case, files map[string]caseFile) ([]dedup.BisectC
 	}
 	eng := runner.New(0)
 	beng := bisect.New(eng)
-	reng := replay.NewEngine(0) // one replay per case; caching buys nothing
 	bcases := make([]dedup.BisectCase, 0, len(cases))
 	outcomes := make([]service.BisectOutcome, 0, len(cases))
 	for _, c := range cases {
@@ -180,11 +178,7 @@ func bisectCases(cases []dedup.Case, files map[string]caseFile) ([]dedup.BisectC
 		if !ok {
 			fatal(fmt.Errorf("%s: unknown reference corpus item %q", c.Name, cf.Reference))
 		}
-		keep := make([]int, len(c.Sequence))
-		for i := range keep {
-			keep[i] = i
-		}
-		fc, _ := reng.NewSession(item.Mod, item.Inputs, c.Sequence).Replay(keep)
+		fc, _ := fuzz.ReplayContext(item.Mod, item.Inputs, c.Sequence)
 		res, err := beng.Bisect(bisect.Case{
 			Target:         cf.Target,
 			Signature:      c.Signature,

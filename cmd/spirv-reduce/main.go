@@ -63,7 +63,7 @@ func main() {
 	fatal(err)
 
 	ctx := context.Background()
-	env := service.Env{Eng: runner.New(*workers), Reng: replay.NewEngine(replay.DefaultBudget), Blobs: &service.MemBlobs{}}
+	env := service.Env{Eng: runner.New(*workers), Reng: new(replay.Engine), Blobs: &service.MemBlobs{}}
 	refs := []corpus.Item{{Name: *in, Mod: mod, Inputs: inputs}}
 	sig := *signature
 	if sig == "" {
@@ -91,9 +91,7 @@ func main() {
 	fmt.Printf("spirv-reduce: %d workers, %d target runs, %.0f%% cache hit rate\n",
 		st.Workers, st.Misses, 100*st.HitRate())
 	if rst := env.Reng.Stats(); rst.Queries > 0 {
-		fmt.Printf("spirv-reduce: replay cache: %.0f%% prefix hits, mean suffix %.1f of %.1f transformations (%.0f%% replay work saved), %d snapshots (%.1f MiB), %d evictions\n",
-			100*rst.HitRate(), rst.MeanSuffix(), rst.MeanRequested(), 100*rst.SavedFraction(),
-			rst.Snapshots, float64(rst.Bytes)/(1<<20), rst.Evictions)
+		fmt.Printf("spirv-reduce: replay: %d queries, %d transformations applied\n", rst.Queries, rst.Applied)
 	}
 
 	fc, _, err := service.MinimizedVariant(env, refs, rec)

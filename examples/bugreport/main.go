@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("SwiftShader crash: %s\n\n", crash.Signature)
 
 	interesting := reduce.ForOutcomeOn(runner.New(1), sw, original, in, crash.Signature)
-	r, err := reduce.ReduceParallelReplayCtx(context.Background(), original, in, applied, interesting, 1, replay.NewEngine(replay.DefaultBudget))
+	r, err := reduce.ReduceParallelReplayCtx(context.Background(), original, in, applied, interesting, 1, new(replay.Engine))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 func main() {
 	ctx := context.Background()
 	refs := corpus.References()
-	env := service.Env{Eng: runner.New(0), Reng: replay.NewEngine(replay.DefaultBudget), Blobs: &service.MemBlobs{}}
+	env := service.Env{Eng: runner.New(0), Reng: new(replay.Engine), Blobs: &service.MemBlobs{}}
 	spec := service.CampaignSpec{Tests: 60, CapPerSignature: 2}
 	check(spec.Normalize())
 

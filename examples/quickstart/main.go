@@ -22,7 +22,7 @@ func main() {
 	refs := corpus.References()
 	donors := corpus.Donors()
 	targets := target.All()
-	env := service.Env{Eng: runner.New(1), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+	env := service.Env{Eng: runner.New(1), Reng: new(replay.Engine), Blobs: &service.MemBlobs{}}
 	spec := service.CampaignSpec{Tests: 500}
 	check(spec.Normalize())
 

@@ -11,9 +11,10 @@
 // cache is keyed on (module fingerprint, mutation fingerprint) with no
 // version component: releases whose defect firing sets agree on a module
 // share one compile, so a full bisection costs far fewer compiles than
-// releases probed. Crash probes are cheaper still — the injected crash
-// predicates run before any compile, so a release that crashes on the
-// variant answers its probe without compiling at all.
+// releases probed. Crash probes are cheaper still: a signature only the
+// defect scan can raise (target.ScanDecides, true of every injected crash
+// defect) is decided by the release view's CheckCrashes alone, so such a
+// probe never compiles or renders.
 //
 // Verdicts are engine-independent: every probe is an ordinary deterministic
 // target run, so FirstBad is identical at any worker count, under either
@@ -185,6 +186,13 @@ func (e *Engine) Bisect(c Case) (Result, error) {
 			}
 			varImg, varCrash := e.eng.Run(view, c.Variant, c.Inputs)
 			return varCrash == nil && varImg != nil && origImg != nil && !varImg.Equal(origImg), nil
+		}
+	} else if target.ScanDecides(c.Signature) {
+		// The view's defect scan alone decides the probe (see
+		// target.ScanDecides): no compile, no render, no cache fill.
+		pred = func(view *target.Target) (bool, error) {
+			crash := view.CheckCrashes(c.Variant)
+			return crash != nil && crash.Signature == c.Signature, nil
 		}
 	} else {
 		pred = func(view *target.Target) (bool, error) {

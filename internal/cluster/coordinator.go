@@ -598,15 +598,7 @@ func (co *Coordinator) Metrics() Metrics {
 		groups[ns.procToken] = append(groups[ns.procToken], ns.runner)
 		bis.Add(ns.bisect)
 		rep.Queries += ns.replay.Queries
-		rep.Hits += ns.replay.Hits
-		rep.FullHits += ns.replay.FullHits
-		rep.Misses += ns.replay.Misses
 		rep.Applied += ns.replay.Applied
-		rep.Requested += ns.replay.Requested
-		rep.Snapshots += ns.replay.Snapshots
-		rep.Bytes += ns.replay.Bytes
-		rep.Evictions += ns.replay.Evictions
-		rep.Sessions += ns.replay.Sessions
 	}
 	m := Metrics{
 		Tally:  co.Tally(),

@@ -201,7 +201,7 @@ func newHonestWorker(t *testing.T, co *Coordinator, st *store.Store) *honestWork
 	return &honestWorker{
 		t:    t,
 		co:   co,
-		env:  service.Env{Eng: runner.New(2), Reng: replay.NewEngine(replay.DefaultBudget), Blobs: st},
+		env:  service.Env{Eng: runner.New(2), Reng: new(replay.Engine), Blobs: st},
 		refs: corpus.References(),
 	}
 }

@@ -55,7 +55,7 @@ type prefetched struct {
 // Worker is one pull-model cluster node: it loops requesting shards from the
 // coordinator, syncs the blobs each shard references into its local store
 // (fetching only what it lacks — the hash negotiation), executes the shard
-// on its local runner and replay caches via the shared service step
+// on its local runner and replay engine via the shared service step
 // functions, pushes result blobs the coordinator lacks, and reports the
 // merged-ready records. Workers are stateless above their blob cache: kill
 // one at any point and its leased shards re-queue on the coordinator.
@@ -119,7 +119,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		opts:     opts,
 		st:       st,
 		eng:      eng,
-		reng:     replay.NewEngine(replay.DefaultBudget),
+		reng:     new(replay.Engine),
 		beng:     bisect.New(eng),
 		hc:       newWorkerClient(),
 		leaseTTL: 5 * time.Second,

@@ -21,7 +21,7 @@ import (
 // tool.
 func smallCampaign(t *testing.T, tool harness.Tool, tests int) (*Campaign, service.Env) {
 	t.Helper()
-	env := service.Env{Eng: runner.New(0), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+	env := service.Env{Eng: runner.New(0), Reng: new(replay.Engine), Blobs: &service.MemBlobs{}}
 	spec := service.CampaignSpec{Tool: string(tool), Tests: tests, SeedBase: seedBases[tool]}
 	for _, tg := range target.All() {
 		spec.Targets = append(spec.Targets, tg.Name)

@@ -113,8 +113,8 @@ func (c *Campaign) signatures(tg string) map[string]bool {
 type Campaigns struct {
 	Config Config
 	// Env is what the service's steps run on: the execution engine every
-	// campaign, reduction and bisection shares, the prefix-snapshot replay
-	// engine every reduction shares, and the in-memory blob store holding
+	// campaign, reduction and bisection shares, the replay engine that
+	// counts every reduction's replays, and the in-memory blob store holding
 	// the sequences, variants and reports.
 	Env service.Env
 	// Bisect is the bisection engine; its probes route through Env.Eng.
@@ -148,7 +148,7 @@ func RunCampaigns(cfg Config) (*Campaigns, error) {
 	eng := runner.New(cfg.Workers)
 	c := &Campaigns{
 		Config:  cfg,
-		Env:     service.Env{Eng: eng, Reng: replay.NewEngine(replay.DefaultBudget), Blobs: &service.MemBlobs{}},
+		Env:     service.Env{Eng: eng, Reng: new(replay.Engine), Blobs: &service.MemBlobs{}},
 		Bisect:  bisect.New(eng),
 		refs:    corpus.References(),
 		reduced: map[string]service.ReducedRec{},

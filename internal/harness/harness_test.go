@@ -33,7 +33,7 @@ type outcome struct {
 func reduceOutcome(t *testing.T, o *outcome) (*reduce.Result, reduce.Interestingness) {
 	t.Helper()
 	interesting := reduce.ForOutcomeOn(runner.New(1), target.ByName(o.Target), o.Original, o.Inputs, o.Signature)
-	r, err := reduce.ReduceParallelReplayCtx(context.Background(), o.Original, o.Inputs, o.Transformations, interesting, 1, replay.NewEngine(replay.DefaultBudget))
+	r, err := reduce.ReduceParallelReplayCtx(context.Background(), o.Original, o.Inputs, o.Transformations, interesting, 1, new(replay.Engine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func reduceOutcome(t *testing.T, o *outcome) (*reduce.Result, reduce.Interesting
 func campaignOutcomes(t *testing.T, tests int) []outcome {
 	t.Helper()
 	refs := corpus.References()
-	env := service.Env{Eng: runner.New(0), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+	env := service.Env{Eng: runner.New(0), Reng: new(replay.Engine), Blobs: &service.MemBlobs{}}
 	spec := service.CampaignSpec{Tests: tests}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func campaignOutcomes(t *testing.T, tests int) []outcome {
 // included, on the same (test, target) pairs.
 func TestCampaignDeterministic(t *testing.T) {
 	run := func() *experiments.Campaign {
-		env := service.Env{Eng: runner.New(0), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+		env := service.Env{Eng: runner.New(0), Reng: new(replay.Engine), Blobs: &service.MemBlobs{}}
 		spec := service.CampaignSpec{Tests: 20}
 		if err := spec.Normalize(); err != nil {
 			t.Fatal(err)

@@ -32,8 +32,17 @@ type Runner interface {
 }
 
 // CrashInterestingnessOn builds the interestingness test for a crash bug:
-// the target, run through r, must crash with the same signature.
+// the target must crash with the same signature. A signature the defect scan
+// alone can raise (target.ScanDecides) is decided by tg.CheckCrashes, which
+// gives Run's verdict without a fingerprint, compile or render; any other
+// signature runs the target through r.
 func CrashInterestingnessOn(r Runner, tg *target.Target, _ interp.Inputs, signature string) Interestingness {
+	if target.ScanDecides(signature) {
+		return func(variant *spirv.Module, _ interp.Inputs) bool {
+			crash := tg.CheckCrashes(variant)
+			return crash != nil && crash.Signature == signature
+		}
+	}
 	return func(variant *spirv.Module, in interp.Inputs) bool {
 		_, crash := r.Run(tg, variant, in)
 		return crash != nil && crash.Signature == signature
@@ -95,10 +104,8 @@ type Result struct {
 // bought speculative queries. The parameter stays so that the benchmark's
 // pipeline, which calls this function directly, keeps compiling.
 //
-// Replays run through reng's prefix-snapshot cache (nil or zero-budget
-// disables caching: every query replays from scratch). Snapshots are shared
-// across reductions sharing the engine; caching changes replay cost only,
-// never results.
+// Every query replays its keep-set onto a fresh copy of the original; reng
+// only counts the replays (nil counts nothing).
 //
 // On error the Result is nil: a done ctx stops ddmin and the shrink probes
 // before their next query, and a full sequence that is not interesting
@@ -117,10 +124,6 @@ func ReduceParallelReplayCtx(ctx context.Context, original *spirv.Module, in int
 	if err != nil {
 		return nil, err
 	}
-	// The minimized keep-set was already replayed by the last successful
-	// query (and the shrink probes recorded its prefix snapshots), so this
-	// final replay is served from the cache instead of re-applying the whole
-	// sequence.
 	c, _ := sess.Replay(kept)
 	return &Result{
 		Kept:     kept,
@@ -139,15 +142,13 @@ func ReduceParallelReplayCtx(ctx context.Context, original *spirv.Module, in int
 // instructions whose results nothing in the encoded function uses.
 //
 // Each probe overrides the AddFunction's slot in the replay session rather
-// than copying the whole candidate sequence: the prefix before the slot is
-// served from the snapshot cache and only the AddFunction and its suffix are
-// re-applied. Accepted shrinks are committed into the session, which keeps
-// prefix snapshots below the slot valid.
+// than copying the whole candidate sequence, and accepted shrinks are
+// committed into the session.
 //
 // Slots are processed in descending order: a probe re-applies every kept
-// transformation after its slot, so shrinking the later AddFunctions first
-// means earlier slots' probes replay already-shrunk (cheaper) versions of
-// them instead of the full originals.
+// transformation, so shrinking the later AddFunctions first means earlier
+// slots' probes replay already-shrunk (cheaper) versions of them instead of
+// the full originals.
 func shrinkAddFunctions(ctx context.Context, sess *replay.Session, kept []int, interesting Interestingness) (int, error) {
 	queries := 0
 	for ki := len(kept) - 1; ki >= 0; ki-- {
@@ -218,10 +219,4 @@ func dropOneDeadInstr(af *fuzz.AddFunction) (*fuzz.AddFunction, bool) {
 		}
 	}
 	return af, false
-}
-
-// ShrinkAddFunctionsForTest exposes shrinkAddFunctions to benchmarks.
-func ShrinkAddFunctionsForTest(sess *replay.Session, kept []int, interesting Interestingness) int {
-	queries, _ := shrinkAddFunctions(context.Background(), sess, kept, interesting)
-	return queries
 }

@@ -35,7 +35,7 @@ type crashBug struct {
 func crashOutcome(t *testing.T) crashBug {
 	t.Helper()
 	refs := corpus.References()
-	env := service.Env{Eng: runner.New(4), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+	env := service.Env{Eng: runner.New(4), Reng: new(replay.Engine), Blobs: &service.MemBlobs{}}
 	spec := service.CampaignSpec{Tests: 40}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestShrinkAddFunctions(t *testing.T) {
 	interesting := func(m *spirv.Module, _ interp.Inputs) bool {
 		return len(m.Functions) >= 2
 	}
-	r, err := reduce.ReduceParallelReplayCtx(context.Background(), item.Mod, item.Inputs, donated, interesting, 1, replay.NewEngine(replay.DefaultBudget))
+	r, err := reduce.ReduceParallelReplayCtx(context.Background(), item.Mod, item.Inputs, donated, interesting, 1, new(replay.Engine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +221,11 @@ func TestForOutcomeDispatch(t *testing.T) {
 	}
 }
 
-// TestReduceReplayDeterministicGrid reduces a real crash outcome across every
-// combination of engine worker count and replay-cache budget and requires
-// the kept indices, variant, delta, length and query count to be identical
-// to the one-worker fresh-replay baseline (caching disabled). The prefix
-// cache and the engine's pool must change cost only, never results.
+// TestReduceReplayDeterministicGrid reduces a real crash outcome at several
+// engine worker counts, each with its own replay engine, and requires the
+// kept indices, variant, delta, length and query count to be identical to
+// the one-worker baseline. The engine's pool must change cost only, never
+// results.
 func TestReduceReplayDeterministicGrid(t *testing.T) {
 	outcome := crashOutcome(t)
 	tg := target.ByName(outcome.Target)
@@ -233,37 +233,64 @@ func TestReduceReplayDeterministicGrid(t *testing.T) {
 	baselineEng := runner.New(1)
 	interesting := reduce.ForOutcomeOn(baselineEng, tg, outcome.Original, outcome.Inputs, outcome.Signature)
 	baseline, err := reduce.ReduceParallelReplayCtx(context.Background(), outcome.Original, outcome.Inputs,
-		outcome.Transformations, interesting, 1, replay.NewEngine(0))
+		outcome.Transformations, interesting, 1, new(replay.Engine))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{1, 4, 16} {
-		for _, budget := range []int64{0, 32 << 10, replay.DefaultBudget} {
-			e := runner.New(workers)
-			it := reduce.ForOutcomeOn(e, tg, outcome.Original, outcome.Inputs, outcome.Signature)
-			reng := replay.NewEngine(budget)
-			r, err := reduce.ReduceParallelReplayCtx(context.Background(), outcome.Original, outcome.Inputs,
-				outcome.Transformations, it, 1, reng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(r.Kept, baseline.Kept) {
-				t.Fatalf("workers=%d budget=%d: kept %v, baseline %v", workers, budget, r.Kept, baseline.Kept)
-			}
-			if !bytes.Equal(r.Variant.EncodeBytes(), baseline.Variant.EncodeBytes()) {
-				t.Fatalf("workers=%d budget=%d: reduced variant diverged from baseline", workers, budget)
-			}
-			if r.Delta != baseline.Delta || len(r.Sequence) != len(baseline.Sequence) || r.Queries != baseline.Queries {
-				t.Fatalf("workers=%d budget=%d: result metadata diverged", workers, budget)
-			}
-			st := reng.Stats()
-			if budget == 0 && st.Snapshots != 0 {
-				t.Fatalf("disabled cache recorded %d snapshots", st.Snapshots)
-			}
-			if budget == replay.DefaultBudget && st.Hits == 0 {
-				t.Fatal("default-budget reduction never hit the prefix cache")
-			}
+		e := runner.New(workers)
+		it := reduce.ForOutcomeOn(e, tg, outcome.Original, outcome.Inputs, outcome.Signature)
+		reng := new(replay.Engine)
+		r, err := reduce.ReduceParallelReplayCtx(context.Background(), outcome.Original, outcome.Inputs,
+			outcome.Transformations, it, 1, reng)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !reflect.DeepEqual(r.Kept, baseline.Kept) {
+			t.Fatalf("workers=%d: kept %v, baseline %v", workers, r.Kept, baseline.Kept)
+		}
+		if !bytes.Equal(r.Variant.EncodeBytes(), baseline.Variant.EncodeBytes()) {
+			t.Fatalf("workers=%d: reduced variant diverged from baseline", workers)
+		}
+		if r.Delta != baseline.Delta || len(r.Sequence) != len(baseline.Sequence) || r.Queries != baseline.Queries {
+			t.Fatalf("workers=%d: result metadata diverged", workers)
+		}
+		if st := reng.Stats(); st.Queries == 0 {
+			t.Fatalf("workers=%d: reduction counted no replays", workers)
+		}
+	}
+}
+
+// countingRunner counts the target runs an interestingness test asks for.
+type countingRunner struct{ runs int }
+
+func (c *countingRunner) Run(tg *target.Target, m *spirv.Module, in interp.Inputs) (*interp.Image, *target.Crash) {
+	c.runs++
+	return tg.Run(m, in)
+}
+
+// TestCrashInterestingnessScanDecided: a defect-scan signature is decided
+// without a target run and agrees with Run on crashing and clean modules; an
+// ICE signature still runs the target.
+func TestCrashInterestingnessScanDecided(t *testing.T) {
+	sw := target.ByName("SwiftShader")
+	crashing := testmod.Caller()
+	crashing.Functions[0].SetControl(spirv.FunctionControlDontInline)
+	_, crash := sw.Run(crashing, interp.Inputs{})
+	if crash == nil || !target.ScanDecides(crash.Signature) {
+		t.Fatalf("fixture crash %v is not scan-decided", crash)
+	}
+	r := &countingRunner{}
+	test := reduce.CrashInterestingnessOn(r, sw, interp.Inputs{}, crash.Signature)
+	if !test(crashing, interp.Inputs{}) || test(testmod.Caller(), interp.Inputs{}) {
+		t.Fatal("scan-decided test disagrees with Run")
+	}
+	if r.runs != 0 {
+		t.Fatalf("scan-decided test ran the target %d times", r.runs)
+	}
+	ice := reduce.CrashInterestingnessOn(r, sw, interp.Inputs{}, sw.ICE("x").Signature)
+	if ice(testmod.Caller(), interp.Inputs{}) || r.runs != 1 {
+		t.Fatalf("ICE test: %d runs, want 1 and a false verdict", r.runs)
 	}
 }

@@ -321,14 +321,14 @@ func (e *Engine) runUncached(tg *target.Target, m *spirv.Module, in interp.Input
 	}
 	c := e.compile(m, k.mod, tg.Mutations(m))
 	if c.errMsg != "" {
-		return TargetResult{Crash: &target.Crash{Signature: tg.Name + ": internal compiler error: " + c.errMsg}}
+		return TargetResult{Crash: tg.ICE(c.errMsg)}
 	}
 	if !tg.CanRender {
 		return TargetResult{}
 	}
 	r := e.render(c.mod, key{mod: c.fp, w: k.w, h: k.h, uni: k.uni}, in)
 	if r.errMsg != "" {
-		return TargetResult{Crash: &target.Crash{Signature: tg.Name + ": device fault: " + r.errMsg}}
+		return TargetResult{Crash: tg.DeviceFault(r.errMsg)}
 	}
 	return TargetResult{Img: r.img}
 }

@@ -36,7 +36,7 @@ type crashBug struct {
 func crashOutcome(t *testing.T) crashBug {
 	t.Helper()
 	refs := corpus.References()
-	env := service.Env{Eng: runner.New(4), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+	env := service.Env{Eng: runner.New(4), Reng: new(replay.Engine), Blobs: &service.MemBlobs{}}
 	spec := service.CampaignSpec{Tests: 40}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestCacheCorrectness(t *testing.T) {
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	var baseline map[int][]service.BugRef
 	for _, workers := range []int{1, 4, 16} {
-		env := service.Env{Eng: runner.New(workers), Reng: replay.NewEngine(0), Blobs: &service.MemBlobs{}}
+		env := service.Env{Eng: runner.New(workers), Reng: new(replay.Engine), Blobs: &service.MemBlobs{}}
 		spec := service.CampaignSpec{Tests: 25}
 		if err := spec.Normalize(); err != nil {
 			t.Fatal(err)
@@ -233,7 +233,7 @@ func TestReductionDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		e := runner.New(workers)
 		interesting := reduce.ForOutcomeOn(e, tg, outcome.Original, outcome.Inputs, outcome.Signature)
-		r, err := reduce.ReduceParallelReplayCtx(context.Background(), outcome.Original, outcome.Inputs, outcome.Transformations, interesting, 1, replay.NewEngine(replay.DefaultBudget))
+		r, err := reduce.ReduceParallelReplayCtx(context.Background(), outcome.Original, outcome.Inputs, outcome.Transformations, interesting, 1, new(replay.Engine))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ import (
 // reduce case together with the environment holding its blobs.
 func crashCase(t *testing.T) (Env, CampaignSpec, []corpus.Item, ReduceCase) {
 	t.Helper()
-	env := Env{Eng: runner.New(2), Reng: replay.NewEngine(replay.DefaultBudget), Blobs: &MemBlobs{}}
+	env := Env{Eng: runner.New(2), Reng: new(replay.Engine), Blobs: &MemBlobs{}}
 	spec := CampaignSpec{Tests: 40}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)

@@ -89,7 +89,7 @@ func New(st *store.Store, opts Options) (*Service, error) {
 		Machine: m,
 		st:      st,
 		eng:     eng,
-		reng:    replay.NewEngine(replay.DefaultBudget),
+		reng:    new(replay.Engine),
 		beng:    bisect.New(eng),
 		memo:    memo,
 		queue:   NewQueue(ctx, eng.Workers()),

@@ -307,10 +307,8 @@ func ReduceStep(ctx context.Context, env Env, campaignID string, spec CampaignSp
 
 // MinimizedVariant rebuilds the minimized variant of a completed reduction:
 // it loads the case's report blob and replays the minimized sequence in full
-// onto its reference module. Each call opens its own replay session, whose
-// prefix keys no other session shares, so every call replays the whole
-// (short) minimized sequence. Returns the replayed context and the
-// reference item.
+// onto its reference module. Returns the replayed context and the reference
+// item.
 func MinimizedVariant(env Env, refs []corpus.Item, rec ReducedRec) (*fuzz.Context, *corpus.Item, error) {
 	rep, ts, err := LoadReport(env.Blobs, rec.ReportHash)
 	if err != nil {
@@ -320,11 +318,7 @@ func MinimizedVariant(env Env, refs []corpus.Item, rec ReducedRec) (*fuzz.Contex
 	if err != nil {
 		return nil, nil, err
 	}
-	keep := make([]int, len(ts))
-	for i := range keep {
-		keep[i] = i
-	}
-	fc, _ := env.Reng.NewSession(item.Mod, item.Inputs, ts).Replay(keep)
+	fc, _ := fuzz.ReplayContext(item.Mod, item.Inputs, ts)
 	return fc, item, nil
 }
 

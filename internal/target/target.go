@@ -14,6 +14,7 @@ package target
 
 import (
 	"fmt"
+	"strings"
 
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/opt"
@@ -36,6 +37,38 @@ func (c *Crash) String() string { return c.Signature }
 // MiscompilationSignature is the pseudo-signature the harness assigns to
 // wrong-image outcomes, which have no crash text of their own.
 const MiscompilationSignature = "miscompilation (image differs from reference)"
+
+// The stages after the defect scan name themselves in the signatures they
+// raise: the shared compile tail raises "<target>: internal compiler error:
+// <pipeline error>" and the render raises "<target>: device fault:
+// <interpreter error>". Defect signatures carry neither marker (the registry
+// test checks this), which is what makes ScanDecides exact.
+const (
+	iceStage         = ": internal compiler error: "
+	deviceFaultStage = ": device fault: "
+)
+
+// ICE returns the crash the shared compile tail raises on t when the
+// optimization pipeline fails with msg.
+func (t *Target) ICE(msg string) *Crash {
+	return &Crash{Signature: t.Name + iceStage + msg}
+}
+
+// DeviceFault returns the crash the render raises on t when the interpreter
+// fails with msg.
+func (t *Target) DeviceFault(msg string) *Crash {
+	return &Crash{Signature: t.Name + deviceFaultStage + msg}
+}
+
+// ScanDecides reports whether the crash signature sig can only come from the
+// defect scan. Run calls CheckCrashes first, and every later stage raises an
+// ICE or a DeviceFault, so for such a signature "Run crashes with sig" and
+// "CheckCrashes crashes with sig" are the same predicate: the scan alone
+// decides it, with no fingerprint, compile or render.
+func ScanDecides(sig string) bool {
+	return sig != MiscompilationSignature &&
+		!strings.Contains(sig, iceStage) && !strings.Contains(sig, deviceFaultStage)
+}
 
 // crashDefect is an injected compiler bug that aborts compilation when its
 // structural trigger is present in the input module. The introduced/fixed
@@ -170,7 +203,7 @@ func (t *Target) Compile(m *spirv.Module) (*spirv.Module, *Crash) {
 	}
 	compiled, err := SharedCompile(m, t.Mutations(m))
 	if err != nil {
-		return nil, &Crash{Signature: t.Name + ": internal compiler error: " + err.Error()}
+		return nil, t.ICE(err.Error())
 	}
 	return compiled, nil
 }
@@ -188,7 +221,7 @@ func (t *Target) Run(m *spirv.Module, in interp.Inputs) (*interp.Image, *Crash) 
 	}
 	img, err := interp.Render(compiled, in)
 	if err != nil {
-		return nil, &Crash{Signature: t.Name + ": device fault: " + err.Error()}
+		return nil, t.DeviceFault(err.Error())
 	}
 	return img, nil
 }

@@ -10,12 +10,11 @@
 //	go run ./scripts/benchcompare -baseline BENCH_pr10.json -current /tmp/bench.json
 //
 // By default every benchmark that reports a "speedup" metric is checked —
-// today among others the reduction benchmarks (BenchmarkRunnerParallelReduce
-// and BenchmarkReplayPrefixCache) and the batched multi-target benchmark
-// (BenchmarkEngineRunAll), automatically covering future ones. The
-// tolerance absorbs machine noise; a genuine regression (for example the
-// replay cache silently disabled or compile sharing gone, dropping speedup
-// to ~1.0) fails loudly.
+// today among others the reduction benchmark (BenchmarkRunnerParallelReduce)
+// and the batched multi-target benchmark (BenchmarkEngineRunAll),
+// automatically covering future ones. The tolerance absorbs machine noise; a
+// genuine regression (for example the runner cache silently disabled or
+// compile sharing gone, dropping speedup to ~1.0) fails loudly.
 //
 // -mode selects the guard direction: "min" (the default) requires
 // current >= baseline*tolerance and suits bigger-is-better ratios like
