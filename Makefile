@@ -32,8 +32,8 @@ test-interp:
 # (FirstBad identical at any worker count or cache temperature)
 # plus the torn-journal /bisect resume and the cluster-sharded bisect merge.
 test-bisect:
-	$(GO) test -race -shuffle=on ./internal/bisect/... ./internal/dedup/...
-	$(GO) test -race -count=1 -run 'Bisect|Precheck' ./internal/service/... ./internal/cluster/...
+	$(GO) test -race -shuffle=on ./internal/bisect/...
+	$(GO) test -race -count=1 -run 'Bisect' ./internal/service/... ./internal/cluster/...
 
 # The daemon's durability layers get a dedicated race pass on top of the
 # repo-wide one: -shuffle varies the journal/queue interleavings between

@@ -186,6 +186,48 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("dedup -json buckets: %s", out)
 	}
 
+	// 6c. Report-shaped cases dedup per target, as spirvd buckets a
+	// campaign: one minimized sequence found on two targets shares its
+	// types but is two reports, and the -json buckets carry each case's
+	// target and delta.
+	reportDir := in("reports")
+	if err := os.MkdirAll(reportDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, tg := range []string{"Mesa", "SwiftShader"} {
+		blob, _ := json.Marshal(map[string]any{
+			"target":          tg,
+			"reference":       "calls2",
+			"signature":       sig,
+			"delta":           1,
+			"transformations": json.RawMessage(seqData),
+		})
+		if err := os.WriteFile(filepath.Join(reportDir, tg+".json"), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out = run(t, tool("spirv-dedup"), 0, "-dir", reportDir)
+	if !strings.Contains(out, "2 test cases -> 2 recommended") {
+		t.Fatalf("per-target dedup output: %s", out)
+	}
+	out = run(t, tool("spirv-dedup"), 0, "-dir", reportDir, "-json")
+	set = service.BucketSet{}
+	if err := json.Unmarshal([]byte(out), &set); err != nil {
+		t.Fatalf("dedup -json: %v\n%s", err, out)
+	}
+	if len(set.Buckets) != 2 || set.Buckets[0].Target != "Mesa" || set.Buckets[1].Target != "SwiftShader" ||
+		set.Buckets[0].Delta != 1 || !strings.Contains(out, `"target": "SwiftShader"`) {
+		t.Fatalf("per-target dedup -json buckets: %s", out)
+	}
+	// The bisect signals bisect each report through the service's own step.
+	if err := os.Remove(filepath.Join(reportDir, "Mesa.json")); err != nil {
+		t.Fatal(err)
+	}
+	out = run(t, tool("spirv-dedup"), 0, "-dir", reportDir, "-signal", "both")
+	if !strings.Contains(out, "1 recommended for investigation (both signal)") || !strings.Contains(out, "(first bad SwiftShader@") {
+		t.Fatalf("dedup -signal both output: %s", out)
+	}
+
 	// 7. gfauto quick sanity (list modes only; campaigns are benchmarked
 	// elsewhere).
 	out = run(t, tool("gfauto"), 0, "-list-targets")

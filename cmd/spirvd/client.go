@@ -46,15 +46,13 @@ func clientMain(args []string) {
 		targets := fs.String("targets", "", "comma-separated target names (default all)")
 		capPerSig := fs.Int("cap-per-signature", 0, "reductions per (target, signature); 0 means the server default")
 		slowdown := fs.Int("reduce-slowdown-ms", 0, "per-query reduction pacing (test knob)")
-		precheck := fs.Bool("precheck", false, "cross-bucket pre-check: skip reductions an earlier minimized case already covers (serial; single-node daemons only)")
 		wait := fs.Bool("wait", false, "poll until the campaign finishes; exit 1 if it failed")
 		fs.Parse(rest)
 		spec := service.CampaignSpec{
-			Tool:                *tool,
-			Tests:               *tests,
-			CapPerSignature:     *capPerSig,
-			ReduceSlowdownMS:    *slowdown,
-			CrossBucketPrecheck: *precheck,
+			Tool:             *tool,
+			Tests:            *tests,
+			CapPerSignature:  *capPerSig,
+			ReduceSlowdownMS: *slowdown,
 		}
 		if *targets != "" {
 			spec.Targets = strings.Split(*targets, ",")

@@ -33,12 +33,13 @@ import (
 )
 
 // Result is one bisection verdict. Queries counts release probes; CacheHits
-// counts the probes answered without a fresh compile — either the release
-// crashed on the module before reaching its compiler (the phase-split win),
-// or every compile key the probe touched had already been compiled earlier
-// in this bisection (the shared-compile win). Both counts are self-relative
-// to the bisection, so they are deterministic even on a warm engine shared
-// with concurrent work.
+// counts the probes answered without a fresh compile — the defect scan
+// alone decided the probe (every probe of a target.ScanDecides signature),
+// the release crashed on the module before reaching its compiler (the
+// phase-split win), or every compile key the probe touched had already been
+// compiled earlier in this bisection (the shared-compile win). Both counts
+// are self-relative to the bisection, so they are deterministic even on a
+// warm engine shared with concurrent work.
 type Result struct {
 	Target    string `json:"target"`
 	FirstBad  string `json:"first_bad"`
@@ -175,6 +176,9 @@ func (e *Engine) Bisect(c Case) (Result, error) {
 		return Result{}, fmt.Errorf("bisect: %s: case has no variant module", c.Target)
 	}
 	var pred Predicate
+	// charge bills the compiles a probe runs; it stays nil for a probe that
+	// never reaches the engine, which then counts as a cache hit.
+	var charge func(view *target.Target, cost *probeCost)
 	if c.Signature == target.MiscompilationSignature {
 		if c.Original == nil {
 			return Result{}, fmt.Errorf("bisect: %s: miscompilation case has no original module", c.Target)
@@ -187,9 +191,14 @@ func (e *Engine) Bisect(c Case) (Result, error) {
 			varImg, varCrash := e.eng.Run(view, c.Variant, c.Inputs)
 			return varCrash == nil && varImg != nil && origImg != nil && !varImg.Equal(origImg), nil
 		}
+		charge = func(view *target.Target, cost *probeCost) {
+			cost.charge(view, c.Original)
+			cost.charge(view, c.Variant)
+		}
 	} else if target.ScanDecides(c.Signature) {
 		// The view's defect scan alone decides the probe (see
-		// target.ScanDecides): no compile, no render, no cache fill.
+		// target.ScanDecides): no compile, no render, no cache fill, and
+		// nothing to charge.
 		pred = func(view *target.Target) (bool, error) {
 			crash := view.CheckCrashes(c.Variant)
 			return crash != nil && crash.Signature == c.Signature, nil
@@ -199,12 +208,7 @@ func (e *Engine) Bisect(c Case) (Result, error) {
 			_, crash := e.eng.Run(view, c.Variant, c.Inputs)
 			return crash != nil && crash.Signature == c.Signature, nil
 		}
-	}
-	charge := func(view *target.Target, cost *probeCost) {
-		if c.Signature == target.MiscompilationSignature {
-			cost.charge(view, c.Original)
-		}
-		cost.charge(view, c.Variant)
+		charge = func(view *target.Target, cost *probeCost) { cost.charge(view, c.Variant) }
 	}
 	res, compiles, err := e.search(c.Target, pred, charge)
 	if err != nil {

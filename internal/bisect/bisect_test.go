@@ -152,6 +152,40 @@ func TestBisectSharedCompiles(t *testing.T) {
 	}
 }
 
+// TestBisectScanDecidedChargesNoCompile: a crash signature only the defect
+// scan can raise is decided by the scan at every probe, so its bisection
+// runs no compile and every probe counts as a cache hit — including probes
+// of releases before the defect, where the scan does not fire.
+func TestBisectScanDecidedChargesNoCompile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second fuzz+bisect test")
+	}
+	bisected := 0
+	for _, c := range collectCases(t, 6) {
+		if c.Signature == target.MiscompilationSignature || !target.ScanDecides(c.Signature) {
+			continue
+		}
+		be := bisect.New(runner.New(1))
+		res, err := be.Bisect(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FirstBad == target.Releases(c.Target)[0] {
+			continue // every probe fires the scan; nothing to tell apart
+		}
+		bisected++
+		if res.CacheHits != res.Queries {
+			t.Errorf("%s %q: %d cache hits of %d probes, want all", c.Target, c.Signature, res.CacheHits, res.Queries)
+		}
+		if st := be.Stats(); st.Compiles != 0 {
+			t.Errorf("%s %q: %d compiles charged to a scan-decided bisection", c.Target, c.Signature, st.Compiles)
+		}
+	}
+	if bisected == 0 {
+		t.Fatal("no scan-decided case with a clean release before its first bad one")
+	}
+}
+
 // TestBisectRejectsNonReproducing: a signature the latest release does not
 // exhibit is a contract violation, reported as an error rather than a bogus
 // verdict.

@@ -597,23 +597,3 @@ func TestClusterBisectMatchesSingleNode(t *testing.T) {
 		t.Fatalf("cluster bisect cache-hit fraction %.2f, want >= 0.5 (%+v)", m.Bisect.HitFraction(), m.Bisect)
 	}
 }
-
-// TestCoordinatorRejectsPrecheck: the cross-bucket pre-check is serial by
-// design, so the coordinator must refuse it rather than shard it unsoundly.
-func TestCoordinatorRejectsPrecheck(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	co, err := NewCoordinator(st, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	spec := testSpec()
-	spec.CrossBucketPrecheck = true
-	if _, err := co.CreateCampaign(spec); err == nil || !strings.Contains(err.Error(), "not cluster-shardable") {
-		t.Fatalf("precheck campaign accepted by coordinator: %v", err)
-	}
-}

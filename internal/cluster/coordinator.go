@@ -278,12 +278,6 @@ func (co *Coordinator) ensureCorpus() error {
 // the single-node service's scheme (c001, c002, ...), so case names — which
 // embed the campaign ID — match a single-node run of the same spec.
 func (co *Coordinator) CreateCampaign(spec service.CampaignSpec) (service.CampaignStatus, error) {
-	if spec.CrossBucketPrecheck {
-		// Each pre-check verdict depends on every minimized variant before it
-		// in selection order — inherently serial, so sharding it would break
-		// the bitwise-identical-merge guarantee.
-		return service.CampaignStatus{}, fmt.Errorf("cluster: cross_bucket_precheck is serial and not cluster-shardable")
-	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if err := co.ensureCorpus(); err != nil {

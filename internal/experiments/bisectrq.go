@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"spirvfuzz/internal/bisect"
-	"spirvfuzz/internal/dedup"
 	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/target"
 )
@@ -48,7 +47,7 @@ func BisectRQ(c *Campaigns) (*BisectRQResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cases []dedup.BisectCase
+	outcomes := make(map[string]service.BisectOutcome, len(recs))
 	exact := 0
 	for _, rec := range recs {
 		out, err := service.BisectStep(context.TODO(), c.Env, c.Bisect, c.refs, rec)
@@ -58,47 +57,42 @@ func BisectRQ(c *Campaigns) (*BisectRQResult, error) {
 		if out.FirstBad == target.IntroductionOf(rec.Target, rec.Signature) {
 			exact++
 		}
-		dc, err := c.dedupCase(rec)
+		outcomes[rec.Case] = out
+	}
+	// The transform row scores the type heuristic over the corpus pooled
+	// across targets (one group, as for target-less cases), the way this
+	// RQ has always been scored; Table 4 scores it per target.
+	pooled := make([]service.ReducedRec, len(recs))
+	for i, rec := range recs {
+		rec.Target = ""
+		pooled[i] = rec
+	}
+	defects := SignatureCount(recs)
+	res := &BisectRQResult{Tests: len(recs), Defects: defects, Exact: exact}
+	for _, row := range []struct {
+		signal string
+		recs   []service.ReducedRec
+	}{
+		{service.SignalTransform, pooled},
+		{service.SignalBisect, recs},
+		{service.SignalIntersection, recs},
+	} {
+		buckets, err := service.BucketCases(row.signal, row.recs, outcomes)
 		if err != nil {
 			return nil, err
 		}
-		cases = append(cases, dedup.BisectCase{Case: dc, Target: rec.Target, FirstBad: out.FirstBad})
-	}
-
-	plain := make([]dedup.Case, len(cases))
-	for i, bc := range cases {
-		plain[i] = bc.Case
-	}
-	defects := dedup.SignatureCount(plain)
-	score := func(signal string, rec []dedup.Case) BisectRQRow {
-		distinct, dups := dedup.Score(rec)
-		row := BisectRQRow{Signal: signal, Reports: len(rec), Distinct: distinct, Dups: dups}
-		if row.Reports > 0 {
-			row.Precision = float64(distinct) / float64(row.Reports)
+		distinct, dups := Score(buckets)
+		r := BisectRQRow{Signal: row.signal, Reports: len(buckets), Distinct: distinct, Dups: dups}
+		if r.Reports > 0 {
+			r.Precision = float64(distinct) / float64(r.Reports)
 		}
 		if defects > 0 {
-			row.Coverage = float64(distinct) / float64(defects)
+			r.Coverage = float64(distinct) / float64(defects)
 		}
-		return row
+		res.Rows = append(res.Rows, r)
 	}
-	toPlain := func(rec []dedup.BisectCase) []dedup.Case {
-		out := make([]dedup.Case, len(rec))
-		for i, bc := range rec {
-			out[i] = bc.Case
-		}
-		return out
-	}
-	return &BisectRQResult{
-		Tests:   len(cases),
-		Defects: defects,
-		Exact:   exact,
-		Rows: []BisectRQRow{
-			score("transform", dedup.Recommend(plain)),
-			score("bisect", toPlain(dedup.RecommendBisect(cases))),
-			score("intersection", toPlain(dedup.RecommendIntersection(cases))),
-		},
-		Stats: c.Bisect.Stats(),
-	}, nil
+	res.Stats = c.Bisect.Stats()
+	return res, nil
 }
 
 // RenderBisectRQ formats the signal comparison as text.

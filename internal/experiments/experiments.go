@@ -20,7 +20,6 @@ import (
 
 	"spirvfuzz/internal/bisect"
 	"spirvfuzz/internal/corpus"
-	"spirvfuzz/internal/dedup"
 	"spirvfuzz/internal/glslfuzz"
 	"spirvfuzz/internal/harness"
 	"spirvfuzz/internal/memostore"
@@ -302,13 +301,6 @@ func must[T any](v T, err error) T {
 		panic(err)
 	}
 	return v
-}
-
-// dedupCase is a reduced case as the deduplicator takes it, its minimized
-// sequence read from the case's report blob.
-func (c *Campaigns) dedupCase(rec service.ReducedRec) (dedup.Case, error) {
-	_, seq, err := service.LoadReport(c.Env.Blobs, rec.ReportHash)
-	return dedup.Case{Name: rec.Case, Sequence: seq, Signature: rec.Signature}, err
 }
 
 // Table3Row is one row of Table 3.

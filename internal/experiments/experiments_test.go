@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"spirvfuzz/internal/experiments"
+	"spirvfuzz/internal/service"
+	"spirvfuzz/internal/target"
 )
 
 // campaigns is shared across the tests in this package (building it is the
@@ -134,6 +136,24 @@ func TestTable4Shape(t *testing.T) {
 		}
 	}
 	_ = experiments.RenderTable4(rows)
+}
+
+// TestScoreAgainstGroundTruth: Score counts a recommendation whose
+// signature an earlier one already covers as a duplicate, and the
+// miscompilation pseudo-signature never collides with a crash signature.
+func TestScoreAgainstGroundTruth(t *testing.T) {
+	var recs []service.ReducedRec
+	var recommended []service.Bucket
+	for _, sig := range []string{"same-bug", "same-bug", "other", target.MiscompilationSignature} {
+		recs = append(recs, service.ReducedRec{Signature: sig})
+		recommended = append(recommended, service.Bucket{Signature: sig})
+	}
+	if distinct, dups := experiments.Score(recommended); distinct != 3 || dups != 1 {
+		t.Fatalf("score = %d distinct, %d dups; want 3, 1", distinct, dups)
+	}
+	if n := experiments.SignatureCount(recs); n != 3 {
+		t.Fatalf("SignatureCount = %d, want 3", n)
+	}
 }
 
 func TestTable2Renders(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"spirvfuzz/internal/dedup"
 	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/target"
 )
@@ -27,9 +26,9 @@ func table4Bug(b service.BugRef) bool {
 }
 
 // Table4 runs the deduplication experiment: the Table 4 corpus's cases are
-// reduced (capped per signature), grouped per target, and fed to the Figure
-// 6 algorithm; recommendations are scored against the ground-truth crash
-// signatures.
+// reduced (capped per signature) and bucketed per target by the transform
+// signal (the Figure 6 algorithm); recommendations are scored against the
+// ground-truth crash signatures.
 func Table4(c *Campaigns) []Table4Row { return must(table4(c)) }
 
 func table4(c *Campaigns) ([]Table4Row, error) {
@@ -37,13 +36,17 @@ func table4(c *Campaigns) ([]Table4Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	perTarget := map[string][]dedup.Case{}
+	buckets, err := service.BucketCases(service.SignalTransform, recs, nil)
+	if err != nil {
+		return nil, err
+	}
+	perTarget := map[string][]service.ReducedRec{}
 	for _, rec := range recs {
-		dc, err := c.dedupCase(rec)
-		if err != nil {
-			return nil, err
-		}
-		perTarget[rec.Target] = append(perTarget[rec.Target], dc)
+		perTarget[rec.Target] = append(perTarget[rec.Target], rec)
+	}
+	reports := map[string][]service.Bucket{}
+	for _, b := range buckets {
+		reports[b.Target] = append(reports[b.Target], b)
 	}
 	var rows []Table4Row
 	total := Table4Row{Target: "Total"}
@@ -52,12 +55,12 @@ func table4(c *Campaigns) ([]Table4Row, error) {
 		if len(cases) == 0 {
 			continue
 		}
-		recommended := dedup.Recommend(cases)
-		distinct, dups := dedup.Score(recommended)
+		recommended := reports[tg.Name]
+		distinct, dups := Score(recommended)
 		row := Table4Row{
 			Target:   tg.Name,
 			Tests:    len(cases),
-			Sigs:     dedup.SignatureCount(cases),
+			Sigs:     SignatureCount(cases),
 			Reports:  len(recommended),
 			Distinct: distinct,
 			Dups:     dups,
@@ -71,6 +74,43 @@ func table4(c *Campaigns) ([]Table4Row, error) {
 	}
 	rows = append(rows, total)
 	return rows, nil
+}
+
+// sigKey namespaces a signature for map keying: crash signatures and the
+// miscompilation pseudo-signature live in disjoint namespaces, so a crash
+// whose text happens to match the miscompilation pseudo-signature cannot
+// collide with it.
+func sigKey(sig string) string {
+	if sig == target.MiscompilationSignature {
+		return "miscomp:" + sig
+	}
+	return "crash:" + sig
+}
+
+// Score computes the Table 4 quality measures for a recommendation against
+// ground-truth signatures: the number of distinct signatures covered by the
+// recommended buckets and the number of duplicates among them.
+func Score(recommended []service.Bucket) (distinct, duplicates int) {
+	seen := map[string]bool{}
+	for _, b := range recommended {
+		if seen[sigKey(b.Signature)] {
+			duplicates++
+		} else {
+			seen[sigKey(b.Signature)] = true
+			distinct++
+		}
+	}
+	return distinct, duplicates
+}
+
+// SignatureCount returns the number of distinct ground-truth signatures in
+// a full case set (Table 4's "Sigs" column).
+func SignatureCount(recs []service.ReducedRec) int {
+	seen := map[string]bool{}
+	for _, rec := range recs {
+		seen[sigKey(rec.Signature)] = true
+	}
+	return len(seen)
 }
 
 // RenderTable4 formats Table 4 as text.

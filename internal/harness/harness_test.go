@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spirvfuzz/internal/corpus"
-	"spirvfuzz/internal/dedup"
 	"spirvfuzz/internal/experiments"
 	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/interp"
@@ -167,16 +166,18 @@ func TestReduceMiscompilationOutcome(t *testing.T) {
 }
 
 func TestDedupOnReducedCases(t *testing.T) {
-	var cases []dedup.Case
+	var cases []service.ReducedRec
 	for i, o := range campaignOutcomes(t, 40) {
 		if o.Signature == target.MiscompilationSignature || len(o.Transformations) == 0 {
 			continue
 		}
 		r, _ := reduceOutcome(t, &o)
-		cases = append(cases, dedup.Case{
-			Name:      o.Target + "/" + itoa(i),
-			Sequence:  r.Sequence,
+		cases = append(cases, service.ReducedRec{
+			Case:      o.Target + "/" + itoa(i),
+			Target:    o.Target,
 			Signature: o.Signature,
+			Types:     service.ResidualTypes(r.Sequence),
+			KeptLen:   len(r.Sequence),
 		})
 		if len(cases) >= 12 {
 			break
@@ -185,18 +186,21 @@ func TestDedupOnReducedCases(t *testing.T) {
 	if len(cases) < 4 {
 		t.Skipf("only %d reduced cases", len(cases))
 	}
-	recommended := dedup.Recommend(cases)
+	recommended, err := service.BucketCases(service.SignalTransform, cases, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(recommended) == 0 {
 		t.Fatal("nothing recommended")
 	}
 	if len(recommended) > len(cases) {
 		t.Fatal("recommended more than submitted")
 	}
-	distinct, dups := dedup.Score(recommended)
+	distinct, dups := experiments.Score(recommended)
 	if distinct+dups != len(recommended) {
 		t.Fatal("score accounting broken")
 	}
-	if got := dedup.SignatureCount(cases); got == 0 {
+	if got := experiments.SignatureCount(cases); got == 0 {
 		t.Fatal("no ground-truth signatures")
 	}
 }

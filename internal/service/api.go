@@ -54,15 +54,6 @@ type CampaignSpec struct {
 	// ReduceSlowdownMS it is a pacing knob for interruption and pipelining
 	// tests — timing only, never results. Default 0.
 	FuzzSlowdownMS int `json:"fuzz_slowdown_ms,omitempty"`
-	// CrossBucketPrecheck opts the reduce stage into the cross-bucket
-	// pre-check: cases run serially in selection order, and before a case is
-	// reduced, every earlier case's minimized variant is tried against its
-	// interestingness test — a hit means the earlier report already exhibits
-	// this case's (target, signature), so the expensive reduction is skipped
-	// and the case journaled as covered by the earlier one. Serial by design
-	// (each verdict depends on the minimized variants before it), so the
-	// cluster coordinator rejects it. Default false.
-	CrossBucketPrecheck bool `json:"cross_bucket_precheck,omitempty"`
 }
 
 // Campaign states, in pipeline order. A recovered job is pending until
@@ -145,12 +136,8 @@ type CampaignStatus struct {
 	// SkippedTests and SkippedReductions count pipeline steps that were
 	// satisfied from the journal instead of being re-run — the checkpoint
 	// reuse the resume e2e test asserts on.
-	SkippedTests      int `json:"skipped_tests"`
-	SkippedReductions int `json:"skipped_reductions"`
-	// CoveredReductions counts reductions the cross-bucket pre-check skipped
-	// because an earlier case's minimized variant already exhibited this
-	// case's (target, signature). Always 0 without CrossBucketPrecheck.
-	CoveredReductions int    `json:"covered_reductions,omitempty"`
+	SkippedTests      int    `json:"skipped_tests"`
+	SkippedReductions int    `json:"skipped_reductions"`
 	Error             string `json:"error,omitempty"`
 	// MemoHits and MemoMisses are this campaign's slice of the persistent
 	// memo tier: engine-counter deltas over the pipeline's run window.
@@ -265,9 +252,6 @@ type Tally struct {
 	// Bisection-job counters.
 	BisectJobs     int `json:"bisect_jobs"`
 	BisectJobsDone int `json:"bisect_jobs_done"`
-	// ReductionsCovered sums CoveredReductions across campaigns: reductions
-	// skipped by the cross-bucket pre-check.
-	ReductionsCovered int `json:"reductions_covered"`
 	// JobsSkipped counts pipeline steps satisfied from the journal instead of
 	// re-running — >0 after a resume proves checkpoint reuse.
 	JobsSkipped uint64 `json:"jobs_skipped"`

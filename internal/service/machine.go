@@ -141,11 +141,6 @@ func (c *campaign) status() CampaignStatus {
 	for _, bugs := range c.testsDone {
 		st.Bugs += len(bugs)
 	}
-	for _, rec := range c.reduced {
-		if rec.CoveredBy != "" {
-			st.CoveredReductions++
-		}
-	}
 	return st
 }
 
@@ -903,7 +898,6 @@ func (m *Machine) Tally() Tally {
 		if st.State == StateDone {
 			t.CampaignsDone++
 		}
-		t.ReductionsCovered += st.CoveredReductions
 	}
 	for _, st := range m.BisectJobs() {
 		t.BisectJobs++

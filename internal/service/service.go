@@ -32,7 +32,7 @@ type Options struct {
 	// GOMAXPROCS.
 	Workers int
 	// MemoDir, when non-empty, attaches a persistent execution memo store
-	// rooted there: campaign, bisect, and precheck executions consult it
+	// rooted there: campaign and bisect executions consult it
 	// before running and spill completed outcomes back, so a restarted
 	// daemon — or a second campaign over the same corpus — warm-starts.
 	// Results are bitwise-identical at any memo temperature.

@@ -606,63 +606,3 @@ func TestBisectJobResumeTornJournal(t *testing.T) {
 		t.Fatalf("bisect set diverged after torn-journal resume:\n%s\nvs uninterrupted\n%s", gotJSON, baseJSON)
 	}
 }
-
-// TestCrossBucketPrecheck: with the pre-check enabled, a campaign whose
-// selection holds several cases of one (target, signature) — guaranteed by
-// the default cap of 2 — skips the later reductions as covered by the
-// earlier minimized case, and the covered records surface in the status and
-// metrics without disturbing the bucket invariants.
-func TestCrossBucketPrecheck(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second pipeline test")
-	}
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(st, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close(context.Background())
-	status, err := s.CreateCampaign(CampaignSpec{Tests: 25, CrossBucketPrecheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	status = waitCampaign(t, s, status.ID, 2*time.Minute)
-	if status.State != StateDone || status.Buckets == 0 {
-		t.Fatalf("campaign: %+v", status)
-	}
-	if status.Reduced != status.ReduceTotal {
-		t.Fatalf("reduced %d of %d", status.Reduced, status.ReduceTotal)
-	}
-	if status.CoveredReductions == 0 {
-		t.Fatalf("pre-check skipped nothing: %+v", status)
-	}
-	if status.CoveredReductions >= status.Reduced {
-		t.Fatalf("every reduction covered: %+v", status)
-	}
-	if m := s.Metrics(); m.ReductionsCovered != status.CoveredReductions {
-		t.Fatalf("metrics %+v vs status %+v", m, status)
-	}
-	// Covered cases reuse their coverer's report, so the Figure 6 invariant
-	// must still hold over the merged buckets.
-	sets, err := s.Buckets(status.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perTarget := map[string]map[string]bool{}
-	for _, b := range sets[0].Buckets {
-		seen := perTarget[b.Target]
-		if seen == nil {
-			seen = map[string]bool{}
-			perTarget[b.Target] = seen
-		}
-		for _, ty := range b.Types {
-			if seen[ty] {
-				t.Fatalf("target %s: type %s appears in two buckets", b.Target, ty)
-			}
-			seen[ty] = true
-		}
-	}
-}

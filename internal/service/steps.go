@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"spirvfuzz/internal/bisect"
-	"spirvfuzz/internal/core"
 	"spirvfuzz/internal/corpus"
-	"spirvfuzz/internal/dedup"
 	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/harness"
 	"spirvfuzz/internal/interp"
@@ -25,7 +23,7 @@ import (
 // The campaign pipeline is deliberately split into pure, state-free step
 // functions: generate-and-classify one test (FuzzStep), pick which bugs to
 // reduce (SelectReductions), reduce one case (ReduceStep), and deduplicate
-// into buckets (BuildBuckets). The single-node Service and the cluster
+// into buckets (BuildBuckets, over BucketCases). The single-node Service and the cluster
 // coordinator/workers (internal/cluster) call the *same* functions, which is
 // what makes distributed merge soundness a property of the code rather than
 // an argument: every step is deterministic in (spec, inputs), selection and
@@ -89,8 +87,8 @@ type ReduceCase struct {
 }
 
 // ReducedRec is the journal-shaped result of one completed reduction. Types
-// is the residual transformation-type set after ignoring supporting types,
-// so bucket construction needs no blob reads.
+// is the residual transformation-type set (ResidualTypes), so bucket
+// construction needs no blob reads.
 type ReducedRec struct {
 	Case       string   `json:"case"`
 	Target     string   `json:"target"`
@@ -100,12 +98,6 @@ type ReducedRec struct {
 	KeptLen    int      `json:"kept_len"`
 	Delta      int      `json:"delta"`
 	Queries    int      `json:"queries"`
-	// CoveredBy names the earlier case whose minimized variant already
-	// exhibits this case's (target, signature); set only by the cross-bucket
-	// pre-check. A covered record reuses its coverer's report, types, and
-	// sizes, and Queries counts the pre-check probes spent instead of
-	// reduction queries.
-	CoveredBy string `json:"covered_by,omitempty"`
 }
 
 // CaseName derives the reduction-case name of a bug: campaign, seed, and
@@ -298,7 +290,7 @@ func ReduceStep(ctx context.Context, env Env, campaignID string, spec CampaignSp
 		Target:     rc.Bug.Target,
 		Signature:  rc.Bug.Signature,
 		ReportHash: reportHash,
-		Types:      core.SortedTypes(core.TypeSet(res.Sequence, fuzz.SupportingTypes())),
+		Types:      ResidualTypes(res.Sequence),
 		KeptLen:    len(res.Kept),
 		Delta:      res.Delta,
 		Queries:    res.Queries,
@@ -355,83 +347,4 @@ func BisectStep(ctx context.Context, env Env, beng *bisect.Engine, refs []corpus
 		Queries:   res.Queries,
 		CacheHits: res.CacheHits,
 	}, nil
-}
-
-// BuildBisectSet assembles a finished bisection job's result over
-// journal-shaped data: outcomes in the campaign's canonical case order, and
-// the three signals' bucket counts. Like BuildBuckets it is deterministic in
-// its arguments and order-independent in how the outcomes were produced, so
-// a cluster-sharded job merges to the same set a single node computes.
-// transformBuckets is the campaign's own Figure 6 bucket count.
-func BuildBisectSet(jobID string, campaignID string, cases []ReduceCase, reduced map[string]ReducedRec, outcomes map[string]BisectOutcome, transformBuckets int) (BisectSet, error) {
-	set := BisectSet{Job: jobID, Campaign: campaignID, TransformBuckets: transformBuckets}
-	groups := map[string][]core.ReducedTest{}
-	var order []string
-	for _, rc := range cases {
-		out, ok := outcomes[rc.Name]
-		if !ok {
-			return BisectSet{}, fmt.Errorf("service: bisect job %s: case %s selected but not bisected", jobID, rc.Name)
-		}
-		set.Outcomes = append(set.Outcomes, out)
-		rec, ok := reduced[rc.Name]
-		if !ok {
-			return BisectSet{}, fmt.Errorf("service: bisect job %s: case %s has no reduction record", jobID, rc.Name)
-		}
-		k := dedup.BisectKey(out.Target, out.FirstBad)
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		types := make(map[string]bool, len(rec.Types))
-		for _, t := range rec.Types {
-			types[t] = true
-		}
-		groups[k] = append(groups[k], core.ReducedTest{Name: rc.Name, Types: types})
-	}
-	set.BisectBuckets = len(order)
-	// The intersection signal: the type heuristic within each bisection
-	// bucket, one report per (bisect bucket × type bucket) cell.
-	for _, k := range order {
-		set.IntersectionBuckets += len(core.Deduplicate(groups[k]))
-	}
-	return set, nil
-}
-
-// BuildBuckets applies the Figure 6 deduplication per target over the
-// reduced cases, in the deterministic selection order. Dedup keys (signature
-// + transformation-type set) are content-derived and order-independent, and
-// cases arrive in selection order regardless of which node reduced them, so
-// the merged bucket set of a sharded campaign is bitwise-identical to a
-// single-node run's.
-func BuildBuckets(campaignID string, spec CampaignSpec, cases []ReduceCase, reduced map[string]ReducedRec) ([]Bucket, error) {
-	buckets := []Bucket{}
-	for _, tgName := range spec.Targets {
-		var tests []core.ReducedTest
-		for _, rc := range cases {
-			if rc.Bug.Target != tgName {
-				continue
-			}
-			rec, ok := reduced[rc.Name]
-			if !ok {
-				return nil, fmt.Errorf("service: campaign %s: case %s selected but not reduced", campaignID, rc.Name)
-			}
-			types := make(map[string]bool, len(rec.Types))
-			for _, t := range rec.Types {
-				types[t] = true
-			}
-			tests = append(tests, core.ReducedTest{Name: rc.Name, Types: types})
-		}
-		for _, picked := range core.Deduplicate(tests) {
-			rec := reduced[picked.Name]
-			buckets = append(buckets, Bucket{
-				Target:      tgName,
-				Case:        picked.Name,
-				Signature:   rec.Signature,
-				Types:       rec.Types,
-				SequenceLen: rec.KeptLen,
-				Delta:       rec.Delta,
-				ReportHash:  rec.ReportHash,
-			})
-		}
-	}
-	return buckets, nil
 }
