@@ -59,16 +59,18 @@ test-cluster:
 	$(GO) test -count=1 -run 'TestSpirvdCluster|TestSpirvdCoordinatorLocalNodes' .
 
 # The pipelined transport gets a dedicated race pass: the bitwise-identity
-# matrix (1 and 3 nodes must merge the same buckets as a single node),
+# matrix (1 and 3 nodes must merge the same buckets and bisect set as a
+# single node, at small explicit shard caps and at the defaults),
 # lease-steal and kill-mid-prefetch fault injection with the duplicate-report
 # guard, the gzip wire accounting round trip, the /cluster/sync status codes,
 # the jittered idle backoff ladder, the pooled gzip codec (pooled bodies
-# byte-identical to fresh coders', from concurrent subtests) and the
-# Accept-Encoding negotiation. Then the codec's per-body allocation bound,
-# which only builds without -race, and a short fuzz of /cluster/sync request
-# decoding through the pooled decoder.
+# byte-identical to fresh coders', from concurrent subtests), the
+# Accept-Encoding negotiation and the default shard caps' lease sizes. Then
+# the codec's per-body allocation bound, which only builds without -race,
+# and a short fuzz of /cluster/sync request decoding through the pooled
+# decoder.
 test-transport:
-	$(GO) test -race -count=1 -run 'Pipeline|Prefetch|LeaseSteal|Transport|SyncStatus|Backoff|Gzip|Codec|AcceptEncoding' ./internal/cluster/... ./internal/service/
+	$(GO) test -race -count=1 -run 'Pipeline|Prefetch|LeaseSteal|Transport|SyncStatus|Backoff|Gzip|Codec|AcceptEncoding|DefaultShards' ./internal/cluster/... ./internal/service/
 	$(GO) test -count=1 -run 'GzipAllocBound' ./internal/service/
 	$(GO) test -run '^$$' -fuzz=FuzzSyncRequest -fuzztime=10s ./internal/cluster/
 	$(GO) test -count=1 -run 'TestSpirvdClusterKillRejoin' .

@@ -84,8 +84,8 @@ func serverMain(args []string) {
 	node := fs.String("node", "", "worker node name (default host-pid)")
 	nodes := fs.Int("nodes", 0, "coordinator only: spawn this many in-process worker nodes")
 	leaseTTL := fs.Duration("lease-ttl", 5*time.Second, "coordinator only: shard lease before an unreported shard is re-queued")
-	shardTests := fs.Int("shard-tests", 4, "coordinator only: max tests per fuzz shard")
-	shardCases := fs.Int("shard-cases", 2, "coordinator only: max cases per reduce shard")
+	shardTests := fs.Int("shard-tests", cluster.DefaultShardTests, "coordinator only: max tests per fuzz shard")
+	shardCases := fs.Int("shard-cases", cluster.DefaultShardCases, "coordinator only: max cases per reduce shard")
 	adaptiveShards := fs.Bool("adaptive-shards", true, "coordinator only: size shards from observed service-vs-sync time (bounded by -shard-tests/-shard-cases; results are identical either way)")
 	syncFrac := fs.Float64("sync-frac", 0.2, "coordinator only: target fraction of shard wall time spent syncing when -adaptive-shards is on")
 	fs.Parse(args)

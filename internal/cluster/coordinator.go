@@ -18,16 +18,25 @@ import (
 	"spirvfuzz/internal/store"
 )
 
+// Default shard caps: the most tests a fuzz shard, and the most cases a
+// reduce or bisect shard, carries when Options leaves the cap unset.
+// spirvd's -shard-tests and -shard-cases flags default to them.
+const (
+	DefaultShardTests = 32
+	DefaultShardCases = 8
+)
+
 // Options configures a Coordinator.
 type Options struct {
 	// ShardTests is the maximum number of tests per fuzz shard; <= 0 selects
-	// 4. With AdaptiveShards off every shard is cut at exactly this size;
-	// with it on the coordinator sizes shards dynamically up to this bound.
+	// DefaultShardTests. With AdaptiveShards off every shard is cut at this
+	// size, or smaller where the phase has fewer consecutive tests left; with
+	// it on the coordinator sizes shards dynamically up to this bound.
 	// Merged results are identical either way: completeness is derived from
 	// the merged records, never from shard geometry.
 	ShardTests int
 	// ShardCases is the maximum number of reduction (and bisect) cases per
-	// shard; <= 0 selects 2.
+	// shard; <= 0 selects DefaultShardCases.
 	ShardCases int
 	// AdaptiveShards lets the coordinator resize shards at dispatch time from
 	// an EWMA of observed per-unit service time vs per-shard sync time,
@@ -52,10 +61,10 @@ type Options struct {
 
 func (o *Options) normalize() {
 	if o.ShardTests <= 0 {
-		o.ShardTests = 4
+		o.ShardTests = DefaultShardTests
 	}
 	if o.ShardCases <= 0 {
-		o.ShardCases = 2
+		o.ShardCases = DefaultShardCases
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 5 * time.Second
@@ -121,7 +130,8 @@ func (ps *phaseSizer) retarget(f float64, maxSize int) {
 }
 
 // ShardSizing is one phase's adaptive-sizing snapshot in /metrics: the
-// current target size against its configured maximum, the EWMAs behind it,
+// current target size against its configured maximum (a lease carries fewer
+// units only where its phase has fewer queued), the EWMAs behind it,
 // and how often the target moved. These are the worker auto-scaling hints —
 // a size pinned at max with a deep queue says "add nodes"; sync-dominated
 // tiny units say "the transport, not compute, is the bottleneck".
@@ -362,14 +372,19 @@ func (co *Coordinator) Heartbeat(node string) {
 	co.sweepLeases(now)
 }
 
+// shardCap is the configured maximum shard size of a phase.
+func (co *Coordinator) shardCap(phase string) int {
+	if phase == service.PhaseFuzz {
+		return co.opts.ShardTests
+	}
+	return co.opts.ShardCases
+}
+
 // targetShardSize is how many units the next shard of a phase should carry:
 // the configured per-phase maximum, or — with adaptive sizing on and
 // observations in — the sizer's current target, never above the maximum.
 func (co *Coordinator) targetShardSize(phase string) int {
-	max := co.opts.ShardCases
-	if phase == service.PhaseFuzz {
-		max = co.opts.ShardTests
-	}
+	max := co.shardCap(phase)
 	if !co.opts.AdaptiveShards {
 		return max
 	}
@@ -472,11 +487,7 @@ func (co *Coordinator) observeShard(res ShardResult, units int) {
 		co.sizers[res.Phase] = ps
 	}
 	ps.observe(units, res.ServiceNanos, res.Sync.Nanos)
-	max := co.opts.ShardCases
-	if res.Phase == service.PhaseFuzz {
-		max = co.opts.ShardTests
-	}
-	ps.retarget(co.opts.SyncFraction, max)
+	ps.retarget(co.opts.SyncFraction, co.shardCap(res.Phase))
 }
 
 // Result records a worker's shard result, one unit at a time through the
@@ -619,10 +630,7 @@ func (co *Coordinator) Metrics() Metrics {
 	sort.Strings(phases)
 	for _, phase := range phases {
 		ps := co.sizers[phase]
-		max := co.opts.ShardCases
-		if phase == service.PhaseFuzz {
-			max = co.opts.ShardTests
-		}
+		max := co.shardCap(phase)
 		size := ps.size
 		if size <= 0 || size > max {
 			size = max

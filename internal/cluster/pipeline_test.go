@@ -21,61 +21,127 @@ import (
 
 // TestClusterPipelineIdentityMatrix is the transport property test: the
 // pipelined transport (prefetch, batched gzip sync, adaptive shards) must
-// produce buckets bitwise-identical to the single-node service at any node
-// count. The transport moves bytes and overlaps waits; it is never allowed
-// to change results.
+// produce buckets and a bisect set bitwise-identical to the single-node
+// service at any node count. The transport moves bytes and overlaps waits;
+// it is never allowed to change results. The "pipelined" rows cut shards of
+// 2 tests and 1 case, enough per node that some arrive prefetched; the
+// "defaults" rows leave the caps unset, as spirvd does, so one reduce or
+// bisect shard carries several cases and a node may see a single shard; the
+// "wide-reduce" rows spread the fuzz phase over every node in 2-test shards
+// and then cut reduce and bisect shards at the default case cap, so one
+// shard needs blobs that several nodes produced.
 func TestClusterPipelineIdentityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster test")
 	}
 	want := referenceBuckets(t)
-	for _, nodes := range []int{1, 3} {
-		nodes := nodes
-		t.Run(fmt.Sprintf("pipelined-%dnode", nodes), func(t *testing.T) {
-			t.Parallel()
-			st, err := store.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			opts := testOpts()
-			opts.AdaptiveShards = true
-			co, err := NewCoordinator(st, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer co.Close()
-			sim, err := StartSim(co, nodes, t.TempDir(), 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sim.Stop()
-			status, err := co.CreateCampaign(testSpec())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := waitDone(func() (service.CampaignStatus, bool) { return co.Campaign(status.ID) }); err != nil {
-				t.Fatal(err)
-			}
-			if got := clusterBuckets(t, co, status.ID); !bytes.Equal(got, want) {
-				t.Fatalf("%d-node buckets differ from single-node run:\n got %s\nwant %s", nodes, got, want)
-			}
-			m := co.Metrics()
-			if m.Cluster.Sync.RoundTrips == 0 {
-				t.Fatalf("no round trips counted: %+v", m.Cluster.Sync)
-			}
-			if m.Cluster.Sync.Prefetched == 0 {
-				t.Fatalf("no shard arrived prefetched: %+v", m.Cluster.Sync)
-			}
-			if len(m.Cluster.Sizing) == 0 {
-				t.Fatalf("adaptive sizing reported no phases: %+v", m.Cluster)
-			}
-			for _, sz := range m.Cluster.Sizing {
-				if sz.Size < 1 || sz.Size > sz.MaxSize {
-					t.Fatalf("sizing out of bounds: %+v", sz)
+	wantBisect := referenceBisect(t)
+	for _, cfg := range []struct {
+		name     string
+		opts     Options
+		prefetch bool
+	}{
+		{"pipelined", testOpts(), true},
+		{"defaults", Options{}, false},
+		{"wide-reduce", Options{ShardTests: 2, ShardCases: DefaultShardCases}, false},
+	} {
+		for _, nodes := range []int{1, 3} {
+			cfg, nodes := cfg, nodes
+			t.Run(fmt.Sprintf("%s-%dnode", cfg.name, nodes), func(t *testing.T) {
+				t.Parallel()
+				st, err := store.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				defer st.Close()
+				opts := cfg.opts
+				opts.AdaptiveShards = true
+				co, err := NewCoordinator(st, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer co.Close()
+				sim, err := StartSim(co, nodes, t.TempDir(), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sim.Stop()
+				waitFor(t, "every node to join", func() bool { return co.Metrics().Cluster.Nodes == nodes })
+				status, err := co.CreateCampaign(testSpec())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := waitDone(func() (service.CampaignStatus, bool) { return co.Campaign(status.ID) }); err != nil {
+					t.Fatal(err)
+				}
+				if got := clusterBuckets(t, co, status.ID); !bytes.Equal(got, want) {
+					t.Fatalf("%d-node buckets differ from single-node run:\n got %s\nwant %s", nodes, got, want)
+				}
+				m := co.Metrics()
+				if m.Cluster.Sync.RoundTrips == 0 {
+					t.Fatalf("no round trips counted: %+v", m.Cluster.Sync)
+				}
+				if cfg.prefetch && m.Cluster.Sync.Prefetched == 0 {
+					t.Fatalf("no shard arrived prefetched: %+v", m.Cluster.Sync)
+				}
+				if len(m.Cluster.Sizing) == 0 {
+					t.Fatalf("adaptive sizing reported no phases: %+v", m.Cluster)
+				}
+				for _, sz := range m.Cluster.Sizing {
+					if sz.Size < 1 || sz.Size > sz.MaxSize {
+						t.Fatalf("sizing out of bounds: %+v", sz)
+					}
+				}
+				job, err := co.CreateBisect(service.BisectSpec{Campaign: status.ID})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := waitBisectDone(func() (service.BisectStatus, bool) { return co.BisectJob(job.ID) }); err != nil {
+					t.Fatal(err)
+				}
+				set, err := co.BisectResult(job.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := json.Marshal(set); err != nil {
+					t.Fatal(err)
+				} else if !bytes.Equal(got, wantBisect) {
+					t.Fatalf("%d-node bisect set differs from single-node run:\n got %s\nwant %s", nodes, got, wantBisect)
+				}
+			})
+		}
+	}
+}
+
+// TestDefaultShardsLeaseSizes: with the caps unset, a lease takes up to
+// DefaultShardTests consecutive tests of one campaign, so a 24-test
+// campaign goes out whole and a 40-test one as 32 then 8.
+func TestDefaultShardsLeaseSizes(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	co, err := NewCoordinator(st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	for _, tests := range []int{24, 40} {
+		if _, err := co.CreateCampaign(service.CampaignSpec{Tests: tests}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []int
+	for {
+		sh, ok := co.Next("solo")
+		if !ok {
+			break
+		}
+		got = append(got, sh.Hi-sh.Lo)
+	}
+	if want := []int{24, DefaultShardTests, 40 - DefaultShardTests}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("lease sizes %v, want %v", got, want)
 	}
 }
 

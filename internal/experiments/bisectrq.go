@@ -39,7 +39,8 @@ type BisectRQResult struct {
 // BisectRQ runs service.BisectStep over the reduced Table 4 corpus (crash
 // bugs, NVIDIA excluded, capped per signature): every case is bisected over
 // its target's release history, in selection order, and the three dedup
-// signals are scored on identical inputs. All three recommendations and
+// signals are scored on identical inputs, each bucketing per target as
+// Table 4 does. All three recommendations and
 // every bisection verdict are deterministic, so the table is reproducible at
 // any worker count or cache temperature.
 func BisectRQ(c *Campaigns) (*BisectRQResult, error) {
@@ -59,30 +60,15 @@ func BisectRQ(c *Campaigns) (*BisectRQResult, error) {
 		}
 		outcomes[rec.Case] = out
 	}
-	// The transform row scores the type heuristic over the corpus pooled
-	// across targets (one group, as for target-less cases), the way this
-	// RQ has always been scored; Table 4 scores it per target.
-	pooled := make([]service.ReducedRec, len(recs))
-	for i, rec := range recs {
-		rec.Target = ""
-		pooled[i] = rec
-	}
 	defects := SignatureCount(recs)
 	res := &BisectRQResult{Tests: len(recs), Defects: defects, Exact: exact}
-	for _, row := range []struct {
-		signal string
-		recs   []service.ReducedRec
-	}{
-		{service.SignalTransform, pooled},
-		{service.SignalBisect, recs},
-		{service.SignalIntersection, recs},
-	} {
-		buckets, err := service.BucketCases(row.signal, row.recs, outcomes)
+	for _, signal := range []string{service.SignalTransform, service.SignalBisect, service.SignalIntersection} {
+		buckets, err := service.BucketCases(signal, recs, outcomes)
 		if err != nil {
 			return nil, err
 		}
 		distinct, dups := Score(buckets)
-		r := BisectRQRow{Signal: row.signal, Reports: len(buckets), Distinct: distinct, Dups: dups}
+		r := BisectRQRow{Signal: signal, Reports: len(buckets), Distinct: distinct, Dups: dups}
 		if r.Reports > 0 {
 			r.Precision = float64(distinct) / float64(r.Reports)
 		}
