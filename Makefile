@@ -98,11 +98,13 @@ test-memo:
 # fuzzed sequence replays without a panic to a valid module, and a
 # candidate sandwiched between an earlier query and its effective set
 # replays to the same context, which is what lets ddmin answer it without
-# a replay; and the crash test the reducer and bisection decide by the
-# defect scan alone gives Run's verdict at every release of every target.
+# a replay; the fuzzer's seeded RNG draws math/rand's stream for any seed;
+# and the crash test the reducer and bisection decide by the defect scan
+# alone gives Run's verdict at every release of every target.
 test-experiments:
 	$(GO) test -race -count=3 -run 'ExperimentsOutputPinned|CampaignDeterministicAcrossWorkers|ReducedCasesOneMinimal' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz=FuzzReplaySubsequence -fuzztime=10s ./internal/fuzz/
+	$(GO) test -run '^$$' -fuzz=FuzzSeededRandMatchesMathRand -fuzztime=10s ./internal/fuzz/
 	$(GO) test -run '^$$' -fuzz=FuzzEffectiveSetSandwich -fuzztime=10s ./internal/fuzz/
 	$(GO) test -run '^$$' -fuzz=FuzzScanOracleMatchesRun -fuzztime=10s ./internal/target/
 

@@ -28,7 +28,7 @@ func main() {
 
 	// Test i fuzzes reference i mod len(refs) with seed i; the campaign step
 	// classifies the variant against every target and stores the bug's
-	// sequence and variant as blobs.
+	// sequence as a blob; replaying it rebuilds the variant.
 	fmt.Println("quickstart: fuzzing references until a target misbehaves...")
 	var bug *service.BugRef
 	for i := 0; i < spec.Tests && bug == nil; i++ {

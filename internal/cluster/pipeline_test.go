@@ -66,7 +66,6 @@ func TestClusterPipelineIdentityMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer sim.Stop()
-				waitFor(t, "every node to join", func() bool { return co.Metrics().Cluster.Nodes == nodes })
 				status, err := co.CreateCampaign(testSpec())
 				if err != nil {
 					t.Fatal(err)

@@ -52,12 +52,19 @@ type SimConfig struct {
 	Worker func(*WorkerOptions)
 }
 
-// StartSim serves co on a loopback listener and spawns n workers against it.
+// StartSim serves co on a loopback listener and spawns n workers against it,
+// returning once they have all joined.
 func StartSim(co *Coordinator, n int, dir string, workersPer int) (*Sim, error) {
 	return StartSimCfg(co, SimConfig{Nodes: n, Dir: dir, WorkersPer: workersPer})
 }
 
-// StartSimCfg serves co on a loopback listener per cfg.
+// simJoinTimeout bounds how long StartSimCfg waits for its nodes to join.
+const simJoinTimeout = 30 * time.Second
+
+// StartSimCfg serves co on a loopback listener per cfg and returns once the
+// coordinator has heard from cfg.Nodes nodes, so the first shards are leased
+// with every node live. It fails if they have not joined within
+// simJoinTimeout.
 func StartSimCfg(co *Coordinator, cfg SimConfig) (*Sim, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -84,6 +91,14 @@ func StartSimCfg(co *Coordinator, cfg SimConfig) (*Sim, error) {
 			s.Stop()
 			return nil, err
 		}
+	}
+	deadline := time.Now().Add(simJoinTimeout)
+	for co.Metrics().Cluster.Nodes < cfg.Nodes {
+		if time.Now().After(deadline) {
+			s.Stop()
+			return nil, fmt.Errorf("cluster: sim nodes did not all join within %v", simJoinTimeout)
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
 	return s, nil
 }

@@ -580,7 +580,7 @@ func (w *Worker) executeInner(ctx context.Context, sh *Shard, res *ShardResult) 
 			}
 			res.Tests = append(res.Tests, service.TestDone{Index: i, Bugs: bugs})
 			for _, bug := range bugs {
-				produced = append(produced, bug.SeqHash, bug.VariantHash)
+				produced = append(produced, bug.SeqHash)
 			}
 		}
 		return produced, nil

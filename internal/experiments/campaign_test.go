@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -12,7 +13,7 @@ import (
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/service"
-	"spirvfuzz/internal/spirv"
+	"spirvfuzz/internal/store"
 	"spirvfuzz/internal/target"
 )
 
@@ -63,19 +64,34 @@ func TestCampaignFindsBugs(t *testing.T) {
 	}
 }
 
-// TestCampaignOutcomesReplay: a bug's journaled sequence, replayed on its
-// reference, rebuilds its journaled variant.
+// TestCampaignOutcomesReplay pins "the sequence is the test": for every bug
+// of a small campaign, replaying the journaled sequence on its reference
+// rebuilds a module whose fingerprint is the journaled VariantHash, and that
+// module and its inputs are exactly what a fresh fuzz.Fuzz with FuzzStep's
+// options generates. The variant itself is never stored as a blob.
 func TestCampaignOutcomesReplay(t *testing.T) {
 	camp, env := smallCampaign(t, harness.ToolSpirvFuzz, 15)
 	refs := corpus.References()
 	checked := 0
-	for i := 0; i < camp.Spec.Tests && checked < 5; i++ {
+	for i := 0; i < camp.Spec.Tests; i++ {
+		bugs := camp.Tests[i]
+		if len(bugs) == 0 {
+			continue
+		}
 		item := refs[i%len(refs)]
-		for _, bug := range camp.Tests[i] {
-			if checked == 5 {
-				break
-			}
+		seed := camp.Spec.SeedBase + int64(i)
+		// FuzzStep's options for a spirv-fuzz campaign.
+		gen, err := fuzz.Fuzz(item.Mod, item.Inputs, fuzz.Options{
+			Seed: seed, Donors: corpus.Donors(), EnableRecommendations: true, MinPasses: 5, MaxPasses: 14,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bug := range bugs {
 			checked++
+			if bug.Seed != seed || bug.Reference != item.Name {
+				t.Fatalf("test %d: bug %+v names seed %d on %s", i, bug, bug.Seed, bug.Reference)
+			}
 			seqData, err := env.Blobs.GetBlob(bug.SeqHash)
 			if err != nil {
 				t.Fatal(err)
@@ -84,17 +100,16 @@ func TestCampaignOutcomesReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			variantData, err := env.Blobs.GetBlob(bug.VariantHash)
-			if err != nil {
-				t.Fatal(err)
+			replayed, _ := fuzz.ReplayContext(item.Mod, item.Inputs, ts)
+			enc := replayed.Mod.EncodeBytes()
+			if h := store.HashBytes(enc); h != bug.VariantHash {
+				t.Fatalf("%s/%d: replay hashes to %s, journaled variant %s", bug.Target, bug.Seed, h, bug.VariantHash)
 			}
-			variant, err := spirv.DecodeBytes(variantData)
-			if err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(enc, gen.Variant.EncodeBytes()) || !reflect.DeepEqual(replayed.Inputs, gen.Inputs) {
+				t.Fatalf("%s/%d: replay differs from the regenerated fuzz.Fuzz variant or its inputs", bug.Target, bug.Seed)
 			}
-			replayed, _ := fuzz.Replay(item.Mod, item.Inputs, ts)
-			if replayed.String() != variant.String() {
-				t.Fatalf("outcome %s/%d does not replay", bug.Target, bug.Seed)
+			if _, err := env.Blobs.GetBlob(bug.VariantHash); err == nil {
+				t.Fatalf("%s/%d: variant %s is stored as a blob", bug.Target, bug.Seed, bug.VariantHash)
 			}
 		}
 	}

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"strings"
 
+	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/glslfuzz"
 	"spirvfuzz/internal/reduce"
 	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/stats"
+	"spirvfuzz/internal/store"
 	"spirvfuzz/internal/target"
 )
 
@@ -57,13 +59,19 @@ func rq2(c *Campaigns) (*RQ2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		blob, err := c.Env.Blobs.GetBlob(bug.VariantHash)
+		// The sequence is the test: its replay rebuilds the variant, which
+		// must match the fingerprint FuzzStep journaled.
+		seqData, err := c.Env.Blobs.GetBlob(bug.SeqHash)
 		if err != nil {
 			return nil, err
 		}
-		variant, err := spirv.DecodeBytes(blob)
+		seq, err := fuzz.UnmarshalSequence(seqData)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: variant of %s: %w", rec.Case, err)
+			return nil, fmt.Errorf("experiments: sequence of %s: %w", rec.Case, err)
+		}
+		variant, _ := fuzz.Replay(item.Mod, item.Inputs, seq)
+		if h := store.HashBytes(variant.EncodeBytes()); h != bug.VariantHash {
+			return nil, fmt.Errorf("experiments: replay of %s hashes to %s, journaled variant %s", rec.Case, h, bug.VariantHash)
 		}
 		res.FuzzDeltas = append(res.FuzzDeltas, rec.Delta)
 		res.FuzzUnreduced = append(res.FuzzUnreduced, variant.InstructionCount()-item.Mod.InstructionCount())

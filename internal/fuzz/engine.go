@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"fmt"
-	"math/rand"
 
 	"spirvfuzz/internal/core"
 	"spirvfuzz/internal/interp"
@@ -72,7 +71,7 @@ type Result struct {
 // original, returning the variant and the transformation sequence.
 func Fuzz(original *spirv.Module, inputs interp.Inputs, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := NewRand(opts.Seed)
 	ctx := NewContext(original.Clone(), inputs)
 	res := &Result{}
 

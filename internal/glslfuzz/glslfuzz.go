@@ -19,6 +19,7 @@ package glslfuzz
 import (
 	"math/rand"
 
+	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/spirv"
 )
@@ -58,7 +59,7 @@ func Fuzz(original *spirv.Module, inputs interp.Inputs, opts Options) *Result {
 	if opts.MaxInstances == 0 {
 		opts.MaxInstances = 12
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := fuzz.NewRand(opts.Seed)
 	m := original.Clone()
 	var applied []Instance
 	kinds := []string{KindWrapConditional, KindInjectDeadCode, KindIdentityChain, KindSingleIterLoop, KindSwizzleRoundTrip}

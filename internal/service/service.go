@@ -15,14 +15,18 @@ import (
 )
 
 // BugRef is one (test, target) bug finding as journaled in a TestDone.
-// The sequence and variant are referenced by blob hash, so the record is
-// small and the artifacts deduplicate across re-runs.
+// The sequence is referenced by blob hash, so the record is small and the
+// artifact deduplicates across re-runs.
 type BugRef struct {
-	Target      string `json:"target"`
-	Signature   string `json:"signature"`
-	Reference   string `json:"reference"`
-	Seed        int64  `json:"seed"`
-	SeqHash     string `json:"seq_hash"`
+	Target    string `json:"target"`
+	Signature string `json:"signature"`
+	Reference string `json:"reference"`
+	Seed      int64  `json:"seed"`
+	SeqHash   string `json:"seq_hash"`
+	// VariantHash is store.HashBytes of the variant's encoding: a content
+	// fingerprint, not a blob address. The sequence is the test, so no
+	// variant blob is stored; replaying SeqHash's sequence on the reference
+	// must rebuild a module with this hash.
 	VariantHash string `json:"variant_hash"`
 }
 

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -64,7 +66,8 @@ func waitCampaign(t *testing.T, s *Service, id string, timeout time.Duration) Ca
 
 // TestCampaignPipeline runs one campaign end to end in process and checks
 // the shape of everything the daemon would serve: status, buckets,
-// per-target type disjointness, and spirv-dedup-compatible report blobs.
+// per-target type disjointness, spirv-dedup-compatible report blobs, and no
+// blob (so no GET /reports/{hash}) under any journaled variant fingerprint.
 func TestCampaignPipeline(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -139,6 +142,41 @@ func TestCampaignPipeline(t *testing.T) {
 		if len(seq) != b.SequenceLen {
 			t.Fatalf("report sequence length %d, bucket %d", len(seq), b.SequenceLen)
 		}
+	}
+
+	// The sequence is the test: a journaled VariantHash is a fingerprint,
+	// never a stored blob, so the daemon serves no variant under it.
+	mux := NewMux(s, func() any { return s.Metrics() })
+	variants := 0
+	err = st.Journal().Replay(func(r store.Record) error {
+		if r.Type != recTestDone {
+			return nil
+		}
+		var td TestDone
+		if err := json.Unmarshal(r.Data, &td); err != nil {
+			return err
+		}
+		for _, bug := range td.Bugs {
+			if bug.VariantHash == "" || !st.HasBlob(bug.SeqHash) {
+				t.Fatalf("test %d: bug %+v lacks its fingerprint or sequence blob", td.Index, bug)
+			}
+			if st.HasBlob(bug.VariantHash) {
+				t.Fatalf("test %d: variant %s is stored as a blob", td.Index, bug.VariantHash)
+			}
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/reports/"+bug.VariantHash, nil))
+			if rec.Code != http.StatusNotFound {
+				t.Fatalf("GET /reports/%s: status %d, want 404", bug.VariantHash, rec.Code)
+			}
+			variants++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if variants != status.Bugs {
+		t.Fatalf("journal holds %d bugs, status %d", variants, status.Bugs)
 	}
 
 	m := s.Metrics()

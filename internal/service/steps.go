@@ -132,9 +132,11 @@ func ResolveTargets(names []string) ([]*target.Target, error) {
 
 // FuzzStep generates test i of a campaign (seed = SeedBase + i over reference
 // i mod len(refs)), classifies the variant against every target, and persists
-// the sequence and variant blobs of any bug. Fully deterministic in
-// (spec, refs, donors, i); the returned BugRefs reference artifacts by
-// content hash, so two nodes running the same step produce identical records.
+// the sequence blob of any bug. The variant itself is not stored: replaying
+// the sequence on the reference rebuilds it, and BugRef.VariantHash is its
+// content fingerprint. Fully deterministic in (spec, refs, donors, i); the
+// returned BugRefs name artifacts by content hash, so two nodes running the
+// same step produce identical records.
 func FuzzStep(ctx context.Context, env Env, spec CampaignSpec, targets []*target.Target, refs []corpus.Item, donors []*spirv.Module, i int) ([]BugRef, error) {
 	if d := time.Duration(spec.FuzzSlowdownMS) * time.Millisecond; d > 0 {
 		// Pacing for interruption and pipelining tests; results unaffected.
@@ -179,9 +181,7 @@ func FuzzStep(ctx context.Context, env Env, spec CampaignSpec, targets []*target
 			if seqHash, err = env.Blobs.PutBlob(seqData); err != nil {
 				return nil, err
 			}
-			if variantHash, err = env.Blobs.PutBlob(res.Variant.EncodeBytes()); err != nil {
-				return nil, err
-			}
+			variantHash = store.HashBytes(res.Variant.EncodeBytes())
 		}
 		bugs = append(bugs, BugRef{
 			Target:      tg.Name,
