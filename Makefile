@@ -100,13 +100,18 @@ test-memo:
 # replays to the same context, which is what lets ddmin answer it without
 # a replay; the fuzzer's seeded RNG draws math/rand's stream for any seed;
 # and the crash test the reducer and bisection decide by the defect scan
-# alone gives Run's verdict at every release of every target.
+# alone gives Run's verdict at every release of every target. Last, the
+# serialized sequence as untrusted input: arbitrary bytes that decode
+# replay without a panic to a valid module, and the one-pass sequence and
+# report codec decodes and writes exactly what encoding/json does.
 test-experiments:
 	$(GO) test -race -count=3 -run 'ExperimentsOutputPinned|CampaignDeterministicAcrossWorkers|ReducedCasesOneMinimal' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz=FuzzReplaySubsequence -fuzztime=10s ./internal/fuzz/
 	$(GO) test -run '^$$' -fuzz=FuzzSeededRandMatchesMathRand -fuzztime=10s ./internal/fuzz/
 	$(GO) test -run '^$$' -fuzz=FuzzEffectiveSetSandwich -fuzztime=10s ./internal/fuzz/
 	$(GO) test -run '^$$' -fuzz=FuzzScanOracleMatchesRun -fuzztime=10s ./internal/target/
+	$(GO) test -run '^$$' -fuzz=FuzzUnmarshalReplay -fuzztime=10s ./internal/fuzz/
+	$(GO) test -run '^$$' -fuzz=FuzzSequenceCodecMatchesJSON -fuzztime=10s ./internal/fuzz/
 
 # The benchmark is its own module: vet it and run its tests, which drive
 # both spirvd roles through its daemon interface and read the reduction
@@ -140,8 +145,7 @@ bench:
 # Run the reduction/resume/batching/interpreter benchmarks and fail if any
 # speedup metric (parallel reduction over serial; batched RunAll over a
 # per-target compile loop; the register VM over the tree-walker; a warm memo
-# repeat campaign over cold; 3 cluster nodes over 1; a warm bisection
-# campaign over cold)
+# repeat campaign over cold; 3 cluster nodes over 1)
 # regresses below 0.75x its value in the committed BENCH_pr10.json
 # trajectory point — loose enough for machine noise, tight enough to catch
 # a disabled cache, compile sharing gone, or the VM degenerating to
@@ -152,7 +156,11 @@ bench:
 # bounds are backstops against wholesale regressions that leave the
 # internal ratios intact. The third pass bounds the journal resume of
 # BenchmarkServiceResumeCampaign at 1.5x its recorded time: a resume that
-# re-runs journaled work takes ten times as long. Two hit-fraction passes
+# re-runs journaled work takes ten times as long. The fourth bounds the
+# warm pass of BenchmarkBisectCampaign at 1.5x its recorded time per case:
+# bisect probes that stop reusing the shared compile cache make the warm
+# pass as slow as a cold one (its cold/warm ratio is not guarded: the
+# scan-decided crash probes made the cold pass fast). Two hit-fraction passes
 # follow: the cold cache-hit fraction of BenchmarkBisectCampaign falling
 # below 0.95x baseline means bisect probes stopped reusing compile keys,
 # and the warm-hit-frac of BenchmarkMemoWarmCampaign falling below 0.95x
@@ -167,6 +175,7 @@ BENCH_GUARDS = \
 	"" \
 	"-metric ns/op -mode max -tolerance 1.5 -only BenchmarkRunnerParallelReduce" \
 	"-metric journal-resume-ms -mode max -tolerance 1.5 -only BenchmarkServiceResumeCampaign" \
+	"-metric warm-us/case -mode max -tolerance 1.5 -only BenchmarkBisectCampaign" \
 	"-metric dedup-frac -mode min -tolerance 0.95 -only BenchmarkClusterCampaign" \
 	"-metric hit-frac -mode min -tolerance 0.95 -only BenchmarkBisectCampaign" \
 	"-metric warm-hit-frac -mode min -tolerance 0.95 -only BenchmarkMemoWarmCampaign" \

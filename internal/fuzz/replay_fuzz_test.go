@@ -14,7 +14,7 @@ import (
 // campaignSequence fuzzes the sequence of a campaign test: the reference
 // seed mod the corpus size, with the pass budget and recommendations
 // FuzzStep uses.
-func campaignSequence(t *testing.T, seed int64) (corpus.Item, []fuzz.Transformation) {
+func campaignSequence(t testing.TB, seed int64) (corpus.Item, []fuzz.Transformation) {
 	t.Helper()
 	refs := corpus.References()
 	item := refs[int(uint64(seed)%uint64(len(refs)))]
@@ -113,4 +113,41 @@ func contextDiff(a, b *fuzz.Context) string {
 		return "facts"
 	}
 	return ""
+}
+
+// FuzzUnmarshalReplay treats transformation sequences as untrusted input:
+// any bytes that decode as a sequence replay onto reference seed mod the
+// corpus size without a panic, to a valid module. Preconditions alone
+// must keep an arbitrary sequence from breaking the module, as they keep a
+// reducer's subsequence from doing so. The seeds are campaign sequences and
+// the two AddFunction mutations its precondition once let through.
+func FuzzUnmarshalReplay(f *testing.F) {
+	for _, seed := range []int64{0, 7, 13, 42} {
+		_, ts := campaignSequence(f, seed)
+		data, err := fuzz.MarshalSequence(ts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed, data)
+	}
+	for _, mutate := range []func(*fuzz.Context, *fuzz.AddFunction) bool{retypeParameter, useForeignLocal} {
+		seed, ts, _ := addFunctionReproducer(f, mutate)
+		data, err := fuzz.MarshalSequence(ts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed, data)
+	}
+	refs := corpus.References()
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		ts, err := fuzz.UnmarshalSequence(data)
+		if err != nil {
+			return
+		}
+		item := refs[int(uint64(seed)%uint64(len(refs)))]
+		c, applied := fuzz.ReplayContext(item.Mod, item.Inputs, ts)
+		if err := validate.Module(c.Mod); err != nil {
+			t.Fatalf("seed %d: replaying %d of %d transformations gives an invalid module: %v", seed, len(applied), len(ts), err)
+		}
+	})
 }

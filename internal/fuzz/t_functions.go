@@ -93,10 +93,12 @@ func (t *AddFunction) internalIDs() []spirv.ID {
 }
 
 // Precondition: every id the function defines is fresh and distinct, every
-// external id it references already exists in the module, and the opcodes
-// decode.
+// external id it references is module-level (a type, constant, global
+// variable or function: ids local to another function are not available
+// in this one), the opcodes decode, and the definition's parameters and
+// return type match the function type it names.
 func (t *AddFunction) Precondition(c *Context) bool {
-	if len(t.Blocks) == 0 {
+	if len(t.Blocks) == 0 || !t.signatureMatches(c.Mod) {
 		return false
 	}
 	// One defined-id set for the whole check: an encoded function carries
@@ -110,6 +112,13 @@ func (t *AddFunction) Precondition(c *Context) bool {
 		}
 		internal[id] = true
 	}
+	global := make(map[spirv.ID]bool, len(c.Mod.TypesGlobals)+len(c.Mod.Functions))
+	for _, ins := range c.Mod.TypesGlobals {
+		global[ins.Result] = true
+	}
+	for _, fn := range c.Mod.Functions {
+		global[fn.ID()] = true
+	}
 	ok := true
 	check := func(e EncodedInstr) {
 		ins, decoded := e.Decode()
@@ -118,7 +127,7 @@ func (t *AddFunction) Precondition(c *Context) bool {
 			return
 		}
 		ins.Uses(func(id spirv.ID) {
-			if !internal[id] && !defined[id] {
+			if !internal[id] && !global[id] {
 				ok = false
 			}
 		})
@@ -140,6 +149,24 @@ func (t *AddFunction) Precondition(c *Context) bool {
 		check(b.Term)
 	}
 	return ok
+}
+
+// signatureMatches reports whether Def is an OpFunction whose function
+// type returns Def's result type and takes exactly the Params' types.
+func (t *AddFunction) signatureMatches(m *spirv.Module) bool {
+	if t.Def.Op != spirv.OpFunction.String() || len(t.Def.Operands) != 2 {
+		return false
+	}
+	ret, params, ok := m.FunctionTypeInfo(spirv.ID(t.Def.Operands[1]))
+	if !ok || ret != t.Def.TypeID || len(params) != len(t.Params) {
+		return false
+	}
+	for i, p := range t.Params {
+		if p.Op != spirv.OpFunctionParameter.String() || p.TypeID != params[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Apply appends the function and records the LiveSafe fact if claimed.

@@ -1,12 +1,14 @@
 package fuzz_test
 
 import (
+	"errors"
 	"testing"
 
 	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/spirv"
+	"spirvfuzz/internal/spirv/validate"
 	"spirvfuzz/internal/testmod"
 )
 
@@ -307,4 +309,99 @@ func mustRender(t *testing.T, m *spirv.Module) *interp.Image {
 	t.Helper()
 	_, img := baseline(t, m)
 	return img
+}
+
+// addFunctionReproducer finds the first campaign sequence holding an
+// applied AddFunction with a parameter that mutate can break, and returns
+// the campaign seed, the sequence with that AddFunction mutated in place,
+// and its index. mutate gets the context the AddFunction applies to.
+func addFunctionReproducer(t testing.TB, mutate func(c *fuzz.Context, af *fuzz.AddFunction) bool) (int64, []fuzz.Transformation, int) {
+	t.Helper()
+	for seed := int64(0); seed < 200; seed++ {
+		item, ts := campaignSequence(t, seed)
+		_, applied := fuzz.ReplayContext(item.Mod, item.Inputs, ts)
+		for _, i := range applied {
+			af, ok := ts[i].(*fuzz.AddFunction)
+			if !ok || len(af.Params) == 0 {
+				continue
+			}
+			if c, _ := fuzz.ReplayContext(item.Mod, item.Inputs, ts[:i]); mutate(c, af) {
+				return seed, ts, i
+			}
+		}
+	}
+	t.Fatal("no campaign sequence holds a suitable AddFunction")
+	return 0, nil, 0
+}
+
+// retypeParameter gives the first parameter a type other than the one the
+// function type names.
+func retypeParameter(c *fuzz.Context, af *fuzz.AddFunction) bool {
+	for _, ins := range c.Mod.TypesGlobals {
+		if ins.Op.IsType() && ins.Result != af.Params[0].TypeID {
+			af.Params[0].TypeID = ins.Result
+			return true
+		}
+	}
+	return false
+}
+
+// useForeignLocal replaces a constant operand of a body instruction with an
+// id of the same type that is local to a function already in the module.
+func useForeignLocal(c *fuzz.Context, af *fuzz.AddFunction) bool {
+	localOfType := map[spirv.ID]spirv.ID{}
+	for _, fn := range c.Mod.Functions {
+		for _, b := range fn.Blocks {
+			for _, ins := range b.Body {
+				if ins.Result != 0 && ins.Type != 0 {
+					localOfType[ins.Type] = ins.Result
+				}
+			}
+		}
+	}
+	for _, g := range c.Mod.TypesGlobals {
+		local, ok := localOfType[g.Type]
+		if !g.Op.IsConstant() || !ok {
+			continue
+		}
+		for _, b := range af.Blocks {
+			for _, e := range b.Body {
+				for k, w := range e.Operands {
+					if spirv.ID(w) == g.Result {
+						e.Operands[k] = uint32(local)
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// checkAddFunctionRejected checks that the AddFunction at index i of a
+// campaign sequence fails its precondition, and that applying it anyway
+// breaks the validation rule the precondition guards.
+func checkAddFunctionRejected(t *testing.T, seed int64, ts []fuzz.Transformation, i int, rule string) {
+	t.Helper()
+	refs := corpus.References()
+	item := refs[int(uint64(seed)%uint64(len(refs)))]
+	c, _ := fuzz.ReplayContext(item.Mod, item.Inputs, ts[:i])
+	if ts[i].Precondition(c) {
+		t.Fatalf("seed %d: AddFunction %d accepted", seed, i)
+	}
+	ts[i].Apply(c)
+	var verr *validate.Error
+	if err := validate.Module(c.Mod); !errors.As(err, &verr) || verr.Rule != rule {
+		t.Fatalf("seed %d: applied anyway, AddFunction %d gives %v, want a %s violation", seed, i, err, rule)
+	}
+}
+
+func TestAddFunctionRejectsParameterTypeMismatch(t *testing.T) {
+	seed, ts, i := addFunctionReproducer(t, retypeParameter)
+	checkAddFunctionRejected(t, seed, ts, i, "fn.param-type")
+}
+
+func TestAddFunctionRejectsForeignLocalID(t *testing.T) {
+	seed, ts, i := addFunctionReproducer(t, useForeignLocal)
+	checkAddFunctionRejected(t, seed, ts, i, "ssa.dominance")
 }

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"spirvfuzz/internal/canonjson"
 	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/harness"
@@ -22,15 +25,112 @@ func LoadReport(blobs BlobStore, hash string) (Report, []fuzz.Transformation, er
 	if err != nil {
 		return Report{}, nil, err
 	}
-	var rep Report
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return Report{}, nil, fmt.Errorf("service: report %s: %w", hash, err)
-	}
-	seq, err := fuzz.UnmarshalSequence(rep.Transformations)
+	rep, seq, err := UnmarshalReport(blob)
 	if err != nil {
 		return Report{}, nil, fmt.Errorf("service: report %s: %w", hash, err)
 	}
 	return rep, seq, nil
+}
+
+// MarshalReport writes the report blob of rep with seq as its
+// transformations: the bytes json.MarshalIndent(rep, "", "  ") writes when
+// rep.Transformations holds fuzz.MarshalSequence(seq). rep.Transformations
+// itself is not read.
+func MarshalReport(rep Report, seq []fuzz.Transformation) ([]byte, error) {
+	w := canonjson.Writer{B: make([]byte, 0, 512+192*len(seq))}
+	w.Open('{')
+	w.Key("case")
+	w.String(rep.Case)
+	w.Key("campaign")
+	w.String(rep.Campaign)
+	w.Key("target")
+	w.String(rep.Target)
+	w.Key("signature")
+	w.String(rep.Signature)
+	w.Key("reference")
+	w.String(rep.Reference)
+	w.Key("seed")
+	w.Int(rep.Seed)
+	w.Key("kept")
+	if rep.Kept == nil {
+		w.Null()
+	} else {
+		w.Open('[')
+		for _, k := range rep.Kept {
+			w.Elem()
+			w.Int(int64(k))
+		}
+		w.Close(']')
+	}
+	w.Key("delta")
+	w.Int(int64(rep.Delta))
+	w.Key("queries")
+	w.Int(int64(rep.Queries))
+	w.Key("transformations")
+	if err := fuzz.AppendSequence(&w, seq); err != nil {
+		return nil, err
+	}
+	w.Close('}')
+	return w.B, nil
+}
+
+// UnmarshalReport decodes a report blob and its transformation sequence.
+// A blob in the shape MarshalReport writes, members in its order, is read
+// in one pass, the sequence in place; any other is decoded by
+// encoding/json.
+func UnmarshalReport(blob []byte) (Report, []fuzz.Transformation, error) {
+	if rep, seq, ok := scanReport(blob); ok {
+		return rep, seq, nil
+	}
+	var rep Report
+	if err := json.Unmarshal(blob, &rep); err != nil {
+		return Report{}, nil, err
+	}
+	seq, err := fuzz.UnmarshalSequence(rep.Transformations)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	return rep, seq, nil
+}
+
+func scanReport(blob []byte) (Report, []fuzz.Transformation, bool) {
+	var rep Report
+	s := canonjson.Scanner{Data: blob}
+	s.Open('{')
+	s.Member("case", true)
+	rep.Case = s.String()
+	s.Member("campaign", false)
+	rep.Campaign = s.String()
+	s.Member("target", false)
+	rep.Target = s.String()
+	s.Member("signature", false)
+	rep.Signature = s.String()
+	s.Member("reference", false)
+	rep.Reference = s.String()
+	s.Member("seed", false)
+	rep.Seed = s.Int(math.MaxInt64)
+	s.Member("kept", false)
+	rep.Kept = []int{}
+	s.Open('[')
+	for first := true; s.Next(']', first); first = false {
+		rep.Kept = append(rep.Kept, int(s.Int(math.MaxInt)))
+	}
+	s.Member("delta", false)
+	rep.Delta = int(s.Int(math.MaxInt))
+	s.Member("queries", false)
+	rep.Queries = int(s.Int(math.MaxInt))
+	s.Member("transformations", false)
+	s.Peek()
+	start := s.Pos
+	seq := fuzz.ScanSequence(&s)
+	// The raw member as encoding/json would keep it, copied out of the
+	// caller's blob.
+	rep.Transformations = bytes.Clone(blob[start:s.Pos])
+	if s.Next('}', false) {
+		s.Fail()
+	}
+	s.End()
+	return rep, seq, !s.Failed
 }
 
 // ExportBugReport writes a self-contained bug-report bundle for a reduced

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -261,23 +260,18 @@ func ReduceStep(ctx context.Context, env Env, campaignID string, spec CampaignSp
 		// canonical 1-minimal sequence.
 		return ReducedRec{}, fmt.Errorf("service: reduce %s: %w", rc.Name, err)
 	}
-	reducedSeq, err := fuzz.MarshalSequence(res.Sequence)
-	if err != nil {
-		return ReducedRec{}, err
-	}
 	report := Report{
-		Case:            rc.Name,
-		Campaign:        campaignID,
-		Target:          rc.Bug.Target,
-		Signature:       rc.Bug.Signature,
-		Reference:       rc.Bug.Reference,
-		Seed:            rc.Bug.Seed,
-		Kept:            res.Kept,
-		Delta:           res.Delta,
-		Queries:         res.Queries,
-		Transformations: json.RawMessage(reducedSeq),
+		Case:      rc.Name,
+		Campaign:  campaignID,
+		Target:    rc.Bug.Target,
+		Signature: rc.Bug.Signature,
+		Reference: rc.Bug.Reference,
+		Seed:      rc.Bug.Seed,
+		Kept:      res.Kept,
+		Delta:     res.Delta,
+		Queries:   res.Queries,
 	}
-	blob, err := json.MarshalIndent(report, "", "  ")
+	blob, err := MarshalReport(report, res.Sequence)
 	if err != nil {
 		return ReducedRec{}, err
 	}
