@@ -2,7 +2,9 @@ GO ?= go
 
 .PHONY: ci fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport test-experiments test-e2ebench bench bench-compare profile
 
-# Everything CI runs, in order; fails fast.
+# Everything CI runs, in order; fails fast. Every -fuzz pass below fuzzes
+# for 10 s and spends at most 2 s minimizing an input it finds: at Go's
+# default minimize time of 60 s, one such input could use up the pass.
 ci: fmt vet build test test-analysis test-interp test-bisect test-daemon test-cluster test-memo test-transport test-experiments test-e2ebench bench
 
 # The per-query analyses get repeated race passes over their differentials:
@@ -15,7 +17,7 @@ ci: fmt vet build test test-analysis test-interp test-bisect test-daemon test-cl
 # over decoded functions of up to 64 blocks.
 test-analysis:
 	$(GO) test -race -count=3 -run 'AvailableAtMatchesInfo|GraphMatchesReference|DCEMatchesReference|DCEIdsAboveBound|OutputPinned|DeadBlocksDanglingTarget|UniformsHash' ./internal/spirv/cfa/ ./internal/opt/ ./internal/runner/
-	$(GO) test -run '^$$' -fuzz=FuzzGraphMatchesReference -fuzztime=10s ./internal/spirv/cfa/
+	$(GO) test -run '^$$' -fuzz=FuzzGraphMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/spirv/cfa/
 
 # The interpreter gets repeated race passes over the VM/tree-walker
 # differential (the VM stores into cells in place and bump-allocates frame
@@ -26,7 +28,7 @@ test-analysis:
 test-interp:
 	$(GO) test -race -count=5 -run 'VMDiff' ./internal/interp/
 	$(GO) test -count=1 -run 'RenderAllocBound' ./internal/interp/
-	$(GO) test -run '^$$' -fuzz=FuzzVMMatchesTree -fuzztime=10s ./internal/interp/
+	$(GO) test -run '^$$' -fuzz=FuzzVMMatchesTree -fuzztime=10s -fuzzminimizetime=2s ./internal/interp/
 
 # The bisection oracle gets its own race pass: the determinism property
 # (FirstBad identical at any worker count or cache temperature)
@@ -40,11 +42,14 @@ test-bisect:
 # runs, which is where torn-tail and drain races would hide. Then repeated
 # runs of the recovery tests: a create whose record cannot be journaled
 # lists no job, a recovered campaign reports the status it had, and a
-# campaign that finds no bugs still finishes, bisects and recovers.
+# campaign that finds no bugs still finishes, bisects and recovers. Then a
+# short fuzz of journal replay over arbitrary bytes: an open fails or keeps
+# every complete record, and an append after it replays with a higher seq.
 test-daemon:
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./internal/service/... ./internal/store/...
 	$(GO) test -race -count=3 -run 'FailsWithoutJournal|RecoversDoneCampaign|CampaignWithoutBugs' ./internal/service/
+	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=2s ./internal/store/
 
 # The distributed layer gets the same treatment, plus repeated runs of the
 # tests of the journal both roles share (a store one role started, the
@@ -72,22 +77,24 @@ test-cluster:
 test-transport:
 	$(GO) test -race -count=1 -run 'Pipeline|Prefetch|LeaseSteal|Transport|SyncStatus|Backoff|Gzip|Codec|AcceptEncoding|DefaultShards' ./internal/cluster/... ./internal/service/
 	$(GO) test -count=1 -run 'GzipAllocBound' ./internal/service/
-	$(GO) test -run '^$$' -fuzz=FuzzSyncRequest -fuzztime=10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz=FuzzSyncRequest -fuzztime=10s -fuzzminimizetime=2s ./internal/cluster/
 	$(GO) test -count=1 -run 'TestSpirvdClusterKillRejoin' .
 
-# The persistent memo tier gets its own race pass: the segment/index/
-# checkpoint durability suite (with -shuffle varying the spill/evict/
-# compact interleavings), the runner's key-derivation and payload codecs,
-# the service-level memo temperature identity, and the cluster warm-sync
-# handshake. The runner's in-memory layers get repeated race passes over
-# concurrent fill, wait and eviction, and over a canceled fill whose
-# waiter retries. Then a short fuzz of the segment-line fast path against
-# encoding/json.
+# The persistent memo tier gets its own race pass: the segment recovery
+# suite (with -shuffle varying the spill/evict interleavings), the runner's
+# key-derivation and payload codecs, the service-level memo temperature
+# identity, and the cluster warm-sync handshake. The runner's in-memory
+# layers get repeated race passes over concurrent fill, wait and eviction,
+# and over a canceled fill whose waiter retries. Then short fuzzes of the
+# segment-line fast path against encoding/json, and of recovery over
+# arbitrary segment bytes (plus a stale index.json): the reopened store
+# serves exactly the complete records before each segment's first bad line.
 test-memo:
 	$(GO) test -race -shuffle=on ./internal/memostore/...
 	$(GO) test -race -count=1 -run 'Memo' ./internal/runner/... ./internal/service/... ./internal/cluster/...
 	$(GO) test -race -count=20 -run 'CacheHammer|RunAllHammer|WithdrawRetry' ./internal/runner/
-	$(GO) test -run '^$$' -fuzz=FuzzFastLineMatchesJSON -fuzztime=10s ./internal/memostore/
+	$(GO) test -run '^$$' -fuzz=FuzzFastLineMatchesJSON -fuzztime=10s -fuzzminimizetime=2s ./internal/memostore/
+	$(GO) test -run '^$$' -fuzz=FuzzMemostoreRecover -fuzztime=10s -fuzzminimizetime=2s ./internal/memostore/
 
 # gfauto's experiments run on the service's step functions: repeated race
 # passes over the pinned digest of the paper tables' text (at 1 and 4
@@ -106,12 +113,12 @@ test-memo:
 # report codec decodes and writes exactly what encoding/json does.
 test-experiments:
 	$(GO) test -race -count=3 -run 'ExperimentsOutputPinned|CampaignDeterministicAcrossWorkers|ReducedCasesOneMinimal' ./internal/experiments/
-	$(GO) test -run '^$$' -fuzz=FuzzReplaySubsequence -fuzztime=10s ./internal/fuzz/
-	$(GO) test -run '^$$' -fuzz=FuzzSeededRandMatchesMathRand -fuzztime=10s ./internal/fuzz/
-	$(GO) test -run '^$$' -fuzz=FuzzEffectiveSetSandwich -fuzztime=10s ./internal/fuzz/
-	$(GO) test -run '^$$' -fuzz=FuzzScanOracleMatchesRun -fuzztime=10s ./internal/target/
-	$(GO) test -run '^$$' -fuzz=FuzzUnmarshalReplay -fuzztime=10s ./internal/fuzz/
-	$(GO) test -run '^$$' -fuzz=FuzzSequenceCodecMatchesJSON -fuzztime=10s ./internal/fuzz/
+	$(GO) test -run '^$$' -fuzz=FuzzReplaySubsequence -fuzztime=10s -fuzzminimizetime=2s ./internal/fuzz/
+	$(GO) test -run '^$$' -fuzz=FuzzSeededRandMatchesMathRand -fuzztime=10s -fuzzminimizetime=2s ./internal/fuzz/
+	$(GO) test -run '^$$' -fuzz=FuzzEffectiveSetSandwich -fuzztime=10s -fuzzminimizetime=2s ./internal/fuzz/
+	$(GO) test -run '^$$' -fuzz=FuzzScanOracleMatchesRun -fuzztime=10s -fuzzminimizetime=2s ./internal/target/
+	$(GO) test -run '^$$' -fuzz=FuzzUnmarshalReplay -fuzztime=10s -fuzzminimizetime=2s ./internal/fuzz/
+	$(GO) test -run '^$$' -fuzz=FuzzSequenceCodecMatchesJSON -fuzztime=10s -fuzzminimizetime=2s ./internal/fuzz/
 
 # The benchmark is its own module: vet it and run its tests, which drive
 # both spirvd roles through its daemon interface and read the reduction
@@ -144,8 +151,8 @@ bench:
 
 # Run the reduction/resume/batching/interpreter benchmarks and fail if any
 # speedup metric (parallel reduction over serial; batched RunAll over a
-# per-target compile loop; the register VM over the tree-walker; a warm memo
-# repeat campaign over cold; 3 cluster nodes over 1)
+# per-target compile loop; the register VM over the tree-walker; 3 cluster
+# nodes over 1)
 # regresses below 0.75x its value in the committed BENCH_pr10.json
 # trajectory point — loose enough for machine noise, tight enough to catch
 # a disabled cache, compile sharing gone, or the VM degenerating to
@@ -160,8 +167,14 @@ bench:
 # warm pass of BenchmarkBisectCampaign at 1.5x its recorded time per case:
 # bisect probes that stop reusing the shared compile cache make the warm
 # pass as slow as a cold one (its cold/warm ratio is not guarded: the
-# scan-decided crash probes made the cold pass fast). Two hit-fraction passes
-# follow: the cold cache-hit fraction of BenchmarkBisectCampaign falling
+# scan-decided crash probes made the cold pass fast). The fifth bounds the
+# warm leg of BenchmarkMemoWarmCampaign at 1.5x its recorded time per test,
+# a backstop against slow memo reads: a warm repeat that runs its
+# executions instead takes about 1.6x as long, too close to the bound to be
+# caught on every run, and its warm-hit-frac below always catches it (the
+# cold/warm ratio is not guarded: it moves with every cost of the cold
+# leg). Two hit-fraction passes follow: the cold cache-hit fraction of
+# BenchmarkBisectCampaign falling
 # below 0.95x baseline means bisect probes stopped reusing compile keys,
 # and the warm-hit-frac of BenchmarkMemoWarmCampaign falling below 0.95x
 # means the persistent memo tier stopped serving a warm repeat from disk.
@@ -176,6 +189,7 @@ BENCH_GUARDS = \
 	"-metric ns/op -mode max -tolerance 1.5 -only BenchmarkRunnerParallelReduce" \
 	"-metric journal-resume-ms -mode max -tolerance 1.5 -only BenchmarkServiceResumeCampaign" \
 	"-metric warm-us/case -mode max -tolerance 1.5 -only BenchmarkBisectCampaign" \
+	"-metric warm-us/test -mode max -tolerance 1.5 -only BenchmarkMemoWarmCampaign" \
 	"-metric dedup-frac -mode min -tolerance 0.95 -only BenchmarkClusterCampaign" \
 	"-metric hit-frac -mode min -tolerance 0.95 -only BenchmarkBisectCampaign" \
 	"-metric warm-hit-frac -mode min -tolerance 0.95 -only BenchmarkMemoWarmCampaign" \

@@ -35,7 +35,7 @@ func main() {
 	capPerSig := flag.Int("cap-per-signature", 6, "reductions per bug signature (paper: 100 / 20)")
 	workers := flag.Int("workers", 0, "execution-engine worker pool size; 0 means GOMAXPROCS (results are identical for any value)")
 	memoDir := flag.String("memo-dir", "", "persistent execution memo store directory; repeat runs warm-start from it (results are identical either way)")
-	memoMaxMB := flag.Int("memo-max-mb", 256, "memo store size budget in MiB before old segments are compacted or evicted")
+	memoMaxMB := flag.Int("memo-max-mb", 256, "memo store size budget in MiB before the oldest segments are evicted")
 	listTargets := flag.Bool("list-targets", false, "print Table 2 and exit")
 	listRefs := flag.Bool("list-references", false, "print the reference corpus and exit")
 	table3 := flag.Bool("table3", false, "regenerate Table 3 (bug-finding ability)")

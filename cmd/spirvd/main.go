@@ -76,7 +76,7 @@ func serverMain(args []string) {
 	storeDir := fs.String("store", "", "store directory (required); created if missing")
 	workers := fs.Int("workers", 0, "worker-pool size; 0 means GOMAXPROCS (results are identical for any value)")
 	memoDir := fs.String("memo-dir", "", "persistent execution memo store directory; empty disables (results are identical either way)")
-	memoMaxMB := fs.Int("memo-max-mb", 256, "memo store size budget in MiB before old segments are compacted or evicted")
+	memoMaxMB := fs.Int("memo-max-mb", 256, "memo store size budget in MiB before the oldest segments are evicted")
 	portFile := fs.String("portfile", "", "write the bound address to this file once listening (for test harnesses)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight jobs")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")

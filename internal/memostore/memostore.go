@@ -1,15 +1,14 @@
 // Package memostore is a disk-backed, content-addressed execution memo
 // table: a persistent fourth cache tier under internal/runner's in-memory
 // layers. Records are (key, kind, payload) triples appended to segment
-// files as JSON lines; an in-memory index maps keys to their newest disk
-// location; an atomically-written checkpoint of the index makes reopening
-// cheap. The store borrows internal/store's durability idioms — torn tails
-// are truncated on open, checkpoints are temp+fsync+rename — but relaxes
-// them where cache semantics allow: every payload is the deterministic
-// outcome of a content-addressed execution, so losing a record, dropping a
-// whole segment for the size budget, or serving a stale duplicate is always
-// safe. The only invariant is that a record served under a key is the exact
-// bytes once spilled under that key.
+// files as JSON lines; an in-memory index maps keys to their disk location
+// and is rebuilt on every open by scanning the segments. The store shares
+// internal/store's torn-tail rule (store.ScanLines) but relaxes its
+// durability where cache semantics allow: every payload is the
+// deterministic outcome of a content-addressed execution, so losing a
+// record, dropping a whole segment for the size budget, or truncating a
+// segment at a malformed line is always safe. The only invariant is that a
+// record served under a key is the exact bytes once spilled under that key.
 //
 // Concurrency: all operations are safe for concurrent use. Get/Put/spill
 // serialize on one mutex (memo lookups happen only on in-memory cache
@@ -17,17 +16,18 @@
 package memostore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"spirvfuzz/internal/store"
 )
 
 // Key is a content-addressed memo key — in practice a SHA-256 over a
@@ -66,16 +66,18 @@ type Stats struct {
 	Misses        uint64 `json:"misses"`
 	Spills        uint64 `json:"spills"`         // records appended (sync + async)
 	SpillsDropped uint64 `json:"spills_dropped"` // async spills dropped on a full queue
+	SpillErrors   uint64 `json:"spill_errors"`   // async spills whose segment write failed
 	Records       int    `json:"records"`        // live index entries
 	Segments      int    `json:"segments"`
 	Bytes         int64  `json:"bytes"`
-	Evictions     uint64 `json:"evictions"`   // segments dropped for the size budget
-	Compactions   uint64 `json:"compactions"` // segments rewritten (live records kept)
-	Checkpoints   uint64 `json:"checkpoints"`
+	Evictions     uint64 `json:"evictions"` // segments dropped for the size budget
+	// Compactions is always zero: the store evicts whole segments and
+	// never rewrites one. It stays only because e2ebench reports it as
+	// memostore.compactions.
+	Compactions uint64 `json:"compactions"`
 	// Recovery counters from the most recent Open.
-	RecoveredRecords   uint64 `json:"recovered_records,omitempty"`   // index entries rebuilt by scanning
-	TruncatedTails     uint64 `json:"truncated_tails,omitempty"`     // torn segment tails truncated
-	MismatchedSegments uint64 `json:"mismatched_segments,omitempty"` // checkpoint/segment size mismatches
+	RecoveredRecords uint64 `json:"recovered_records,omitempty"` // index entries rebuilt by scanning
+	TruncatedTails   uint64 `json:"truncated_tails,omitempty"`   // torn or malformed segment tails truncated
 	// Cluster sync counters.
 	Pulled uint64 `json:"pulled,omitempty"` // records received from a peer
 	Pushed uint64 `json:"pushed,omitempty"` // records sent to a peer
@@ -92,10 +94,9 @@ func (s Stats) HitRate() float64 {
 const (
 	segPrefix = "seg-"
 	segSuffix = ".log"
-	indexName = "index.json"
-	// checkpointEvery bounds how many appends go unindexed on disk; a crash
-	// loses at most this many records to the (cheap) tail scan on reopen.
-	checkpointEvery = 1024
+	// syncEvery is how many appends go between segment fsyncs: a power cut
+	// loses at most about this many records from the page cache.
+	syncEvery = 1024
 	// spillQueueCap bounds the async spill queue; overflow drops records
 	// (they will be re-executed and re-spilled later) rather than blocking
 	// the execution path. Sized so a campaign burst outrunning a briefly
@@ -108,20 +109,17 @@ const (
 
 // loc is one index slot: where a key's record lives on disk.
 type loc struct {
-	seg  int
-	off  int64
-	n    int // line length including the trailing newline
-	kind uint8
-	seq  uint64 // monotone append order, for KeysSince
+	seg int
+	off int64
+	n   int    // line length including the trailing newline
+	seq uint64 // monotone append order, for KeysSince
 }
 
 // segment is one on-disk append-only file of records.
 type segment struct {
-	id      int
-	f       *os.File
-	size    int64
-	records int // lines ever appended (live + dead)
-	live    int // index entries pointing here
+	id   int
+	f    *os.File
+	size int64
 }
 
 // line is the on-disk and on-wire JSON shape of one record.
@@ -134,10 +132,10 @@ type line struct {
 // decodeLine parses one segment line (with or without its trailing
 // newline). Lines the store writes itself have a fixed field order and no
 // escapable bytes, so a handwritten scan serves the hot read path — a
-// warm campaign decodes one line per served execution, and recovery scans
-// every line past the checkpoint. Anything surprising falls back to
-// encoding/json, so the fast path can only accelerate, never reject, a
-// record the generic decoder would accept.
+// warm campaign decodes one line per served execution, and every open
+// decodes every line. Anything surprising falls back to encoding/json, so
+// the fast path can only accelerate, never reject, a record the generic
+// decoder would accept.
 func decodeLine(buf []byte) (line, error) {
 	buf = bytes.TrimSuffix(buf, []byte("\n"))
 	if rec, ok := fastLine(buf); ok {
@@ -214,41 +212,21 @@ var lowerHex = func() (t [256]bool) {
 	return t
 }()
 
-// checkpoint is the persistent index shape.
-type checkpoint struct {
-	NextSeg  int           `json:"next_seg"`
-	Segments []ckptSegment `json:"segments"`
-	Entries  []ckptEntry   `json:"entries"`
-}
-
-type ckptSegment struct {
-	ID   int   `json:"id"`
-	Size int64 `json:"size"`
-}
-
-type ckptEntry struct {
-	K    string `json:"k"`
-	Seg  int    `json:"seg"`
-	Off  int64  `json:"off"`
-	N    int    `json:"n"`
-	Kind uint8  `json:"t"`
-}
-
 // Store is a disk-backed memo table; use Open.
 type Store struct {
 	dir       string
 	maxBytes  int64
 	segTarget int64
 
-	mu      sync.Mutex
-	index   map[Key]loc
-	segs    map[int]*segment
-	order   []int // segment ids, oldest first; last is the append target
-	nextSeg int
-	nextSeq uint64
-	unckpt  int // appends since the last checkpoint
-	stats   Stats
-	closed  bool
+	mu       sync.Mutex
+	index    map[Key]loc
+	segs     map[int]*segment
+	order    []int // segment ids, oldest first; last is the append target
+	nextSeg  int
+	nextSeq  uint64
+	unsynced int // appends since the last segment fsync
+	stats    Stats
+	closed   bool
 
 	spillCh   chan spillMsg
 	spillWG   sync.WaitGroup
@@ -261,12 +239,11 @@ type spillMsg struct {
 }
 
 // Open opens (creating if needed) the memo store rooted at dir. maxBytes
-// bounds total segment bytes (<= 0 selects DefaultMaxBytes). Recovery
-// trusts the checkpointed index for segment prefixes the checkpoint
-// covers, scans everything past them, truncates torn tails, rescans any
-// segment shorter than its checkpointed size from the start, and drops
-// index entries whose segment file is missing — every path degrades to a
-// smaller cache, never to wrong data.
+// bounds total segment bytes (<= 0 selects DefaultMaxBytes). It builds the
+// index by scanning every segment from the start, oldest first; a key
+// recorded twice is served from its first record, and a segment is
+// truncated at a torn or malformed line. Every recovery path degrades to
+// a smaller cache, never to wrong data.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
@@ -293,20 +270,9 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return st, nil
 }
 
-// recover rebuilds the in-memory index from the checkpoint plus segment
-// scans. Called once from Open, before any concurrency.
+// recover rebuilds the in-memory index by scanning every segment. Called
+// once from Open, before any concurrency.
 func (s *Store) recover() error {
-	var ckpt checkpoint
-	if data, err := os.ReadFile(filepath.Join(s.dir, indexName)); err == nil {
-		if json.Unmarshal(data, &ckpt) != nil {
-			ckpt = checkpoint{} // corrupt checkpoint: rebuild by scanning
-		}
-	}
-	ckptSize := make(map[int]int64, len(ckpt.Segments))
-	for _, cs := range ckpt.Segments {
-		ckptSize[cs.ID] = cs.Size
-	}
-
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
 		return err
@@ -325,117 +291,61 @@ func (s *Store) recover() error {
 	}
 	sort.Ints(ids)
 
-	// Partition the checkpoint's entries by segment for trusted replay.
-	bySeg := make(map[int][]ckptEntry)
-	for _, e := range ckpt.Entries {
-		bySeg[e.Seg] = append(bySeg[e.Seg], e)
-	}
-
 	for _, id := range ids {
-		path := s.segPath(id)
-		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+		f, err := os.OpenFile(s.segPath(id), os.O_RDWR, 0o644)
 		if err != nil {
 			return err
 		}
-		fi, err := f.Stat()
-		if err != nil {
+		seg := &segment{id: id, f: f}
+		if err := s.scanSegment(seg); err != nil {
 			f.Close()
 			return err
-		}
-		seg := &segment{id: id, f: f, size: fi.Size()}
-		trusted := ckptSize[id]
-		entries := bySeg[id]
-		if fi.Size() < trusted {
-			// Index/segment mismatch: the checkpoint promises bytes the
-			// file does not have. Distrust the checkpoint for this
-			// segment entirely and rebuild it by scanning.
-			s.stats.MismatchedSegments++
-			trusted, entries = 0, nil
-		}
-		for _, e := range entries {
-			if e.Off+int64(e.N) > trusted {
-				continue // entry beyond the durable prefix; the scan decides
-			}
-			k, err := ParseKey(e.K)
-			if err != nil {
-				continue
-			}
-			seg.records++
-			if _, dup := s.index[k]; dup {
-				continue
-			}
-			s.nextSeq++
-			s.index[k] = loc{seg: id, off: e.Off, n: e.N, kind: e.Kind, seq: s.nextSeq}
-			seg.live++
-		}
-		// Scan everything past the trusted prefix: records spilled after
-		// the last checkpoint, or the whole file on mismatch.
-		valid, scanned, torn, err := s.scanSegment(seg, trusted)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		s.stats.RecoveredRecords += uint64(scanned)
-		if torn {
-			s.stats.TruncatedTails++
-		}
-		if valid < seg.size {
-			if err := f.Truncate(valid); err != nil {
-				f.Close()
-				return err
-			}
-			seg.size = valid
 		}
 		s.segs[id] = seg
 		s.order = append(s.order, id)
 		s.nextSeg = id + 1
 	}
-	if ckpt.NextSeg > s.nextSeg {
-		s.nextSeg = ckpt.NextSeg
-	}
-	// Checkpoint entries pointing at segments missing on disk were simply
-	// never added: the map lookups above only cover on-disk ids.
 	s.refreshGauges()
 	return nil
 }
 
-// scanSegment replays records from offset from, indexing each complete
-// line. It returns the end of the last complete record, how many records
-// it indexed, and whether a torn or malformed tail was found.
-func (s *Store) scanSegment(seg *segment, from int64) (valid int64, scanned int, torn bool, err error) {
-	if _, err := seg.f.Seek(from, io.SeekStart); err != nil {
-		return 0, 0, false, err
+// errMalformed stops a segment scan at a line that is not a record.
+var errMalformed = errors.New("memostore: malformed segment line")
+
+// scanSegment indexes every complete record of seg whose key is not yet
+// indexed, then truncates seg after the last good line. A torn tail is a
+// crash mid-spill; after a malformed interior line everything is suspect,
+// and cache semantics make dropping it safe.
+func (s *Store) scanSegment(seg *segment) error {
+	fi, err := seg.f.Stat()
+	if err != nil {
+		return err
 	}
-	r := bufio.NewReader(seg.f)
-	valid = from
-	for {
-		ln, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			// A partial line at EOF is a torn write from a crash mid-spill.
-			return valid, scanned, len(ln) > 0, nil
-		}
-		if err != nil {
-			return 0, 0, false, err
-		}
+	valid, err := store.ScanLines(seg.f, func(off int64, ln []byte) error {
 		rec, err := decodeLine(ln)
 		if err != nil {
-			// Malformed interior line: everything from here is suspect.
-			// Cache semantics make truncation safe.
-			return valid, scanned, true, nil
+			return errMalformed
 		}
-		k, kerr := ParseKey(rec.K)
-		if kerr != nil {
-			return valid, scanned, true, nil
+		k, err := ParseKey(rec.K)
+		if err != nil {
+			return errMalformed
 		}
-		seg.records++
 		if _, dup := s.index[k]; !dup {
 			s.nextSeq++
-			s.index[k] = loc{seg: seg.id, off: valid, n: len(ln), kind: rec.T, seq: s.nextSeq}
-			seg.live++
-			scanned++
+			s.index[k] = loc{seg: seg.id, off: off, n: len(ln), seq: s.nextSeq}
+			s.stats.RecoveredRecords++
 		}
-		valid += int64(len(ln))
+		return nil
+	})
+	if err != nil && err != errMalformed {
+		return err
 	}
+	seg.size = valid
+	if valid < fi.Size() {
+		s.stats.TruncatedTails++
+		return seg.f.Truncate(valid)
+	}
+	return nil
 }
 
 func (s *Store) segPath(id int) string {
@@ -443,9 +353,9 @@ func (s *Store) segPath(id int) string {
 }
 
 // Get returns the payload stored under k. A record that fails to read
-// back (evicted concurrently, or corrupted inside a checkpoint-trusted
-// prefix) is treated as a miss and its index entry dropped — the store
-// self-heals instead of serving bad bytes.
+// back (its segment evicted, or its bytes changed on disk since the scan)
+// is treated as a miss and its index entry dropped — the store self-heals
+// instead of serving bad bytes.
 func (s *Store) Get(k Key) (kind uint8, data []byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -457,9 +367,6 @@ func (s *Store) Get(k Key) (kind uint8, data []byte, ok bool) {
 	rec, err := s.readLocked(k, l)
 	if err != nil {
 		delete(s.index, k)
-		if seg := s.segs[l.seg]; seg != nil {
-			seg.live--
-		}
 		s.stats.Misses++
 		s.refreshGauges()
 		return 0, nil, false
@@ -551,15 +458,13 @@ func (s *Store) putLocked(r Record) error {
 		return err
 	}
 	s.nextSeq++
-	s.index[r.Key] = loc{seg: seg.id, off: seg.size, n: len(data), kind: r.Kind, seq: s.nextSeq}
+	s.index[r.Key] = loc{seg: seg.id, off: seg.size, n: len(data), seq: s.nextSeq}
 	seg.size += int64(len(data))
-	seg.records++
-	seg.live++
 	s.stats.Spills++
-	s.unckpt++
+	s.unsynced++
 	s.enforceBudgetLocked()
-	if s.unckpt >= checkpointEvery {
-		if err := s.checkpointLocked(); err != nil {
+	if s.unsynced >= syncEvery {
+		if err := s.syncLocked(); err != nil {
 			return err
 		}
 	}
@@ -589,21 +494,14 @@ func (s *Store) appendSegLocked() (*segment, error) {
 }
 
 // enforceBudgetLocked brings total segment bytes back under the budget by
-// retiring the oldest segments: a segment mostly dead is compacted (its
-// live records re-appended to the active segment, the file dropped),
-// while a mostly-live one is evicted outright — the LRU trade: old
-// records cost a re-execution to recover, which is exactly what the memo
-// saved once already.
+// evicting the oldest segments whole — LRU at segment granularity: an old
+// record costs one re-execution to recover, which is exactly what the memo
+// saved once already, and a hot key re-spills into a young segment the
+// next time it executes.
 func (s *Store) enforceBudgetLocked() {
 	for s.totalBytesLocked() > s.maxBytes && len(s.order) > 1 {
-		oldest := s.segs[s.order[0]]
-		if oldest.live > 0 && oldest.live*2 < oldest.records {
-			s.compactSegLocked(oldest)
-			s.stats.Compactions++
-		} else {
-			s.dropSegLocked(oldest)
-			s.stats.Evictions++
-		}
+		s.dropSegLocked(s.segs[s.order[0]])
+		s.stats.Evictions++
 	}
 }
 
@@ -613,47 +511,6 @@ func (s *Store) totalBytesLocked() int64 {
 		n += seg.size
 	}
 	return n
-}
-
-// compactSegLocked rewrites seg's live records into the active segment
-// and removes seg. Records that fail to read back are silently dropped
-// (cache semantics).
-func (s *Store) compactSegLocked(seg *segment) {
-	var keep []Record
-	for k, l := range s.index {
-		if l.seg != seg.id {
-			continue
-		}
-		if rec, err := s.readLocked(k, l); err == nil {
-			keep = append(keep, rec)
-		}
-		delete(s.index, k)
-	}
-	// Deterministic rewrite order keeps recovered stores comparable.
-	sort.Slice(keep, func(i, j int) bool {
-		return bytes.Compare(keep[i].Key[:], keep[j].Key[:]) < 0
-	})
-	s.dropSegLocked(seg)
-	for _, r := range keep {
-		tgt, err := s.appendSegLocked()
-		if err != nil {
-			return
-		}
-		data, err := json.Marshal(line{K: r.Key.String(), T: r.Kind, D: r.Data})
-		if err != nil {
-			continue
-		}
-		data = append(data, '\n')
-		if _, err := tgt.f.WriteAt(data, tgt.size); err != nil {
-			return
-		}
-		s.nextSeq++
-		s.index[r.Key] = loc{seg: tgt.id, off: tgt.size, n: len(data), kind: r.Kind, seq: s.nextSeq}
-		tgt.size += int64(len(data))
-		tgt.records++
-		tgt.live++
-	}
-	s.unckpt++
 }
 
 // dropSegLocked removes seg and every index entry pointing at it.
@@ -672,28 +529,6 @@ func (s *Store) dropSegLocked(seg *segment) {
 			break
 		}
 	}
-	s.unckpt++
-}
-
-// Compact rewrites every segment, dropping dead bytes, and checkpoints.
-// Exposed for tests and maintenance; the budget path compacts lazily.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("memostore: closed")
-	}
-	old := append([]int(nil), s.order...)
-	for _, id := range old {
-		seg := s.segs[id]
-		if seg == nil {
-			continue
-		}
-		s.compactSegLocked(seg)
-		s.stats.Compactions++
-	}
-	s.refreshGauges()
-	return s.checkpointLocked()
 }
 
 // Keys returns every indexed key in sorted order.
@@ -778,74 +613,24 @@ func (s *Store) spillLoop() {
 			close(msg.flush)
 			continue
 		}
-		_ = s.Put(msg.rec.Key, msg.rec.Kind, msg.rec.Data)
+		if err := s.Put(msg.rec.Key, msg.rec.Kind, msg.rec.Data); err != nil {
+			s.mu.Lock()
+			s.stats.SpillErrors++
+			s.mu.Unlock()
+		}
 	}
 }
 
-// checkpointLocked atomically persists the index: temp file, fsync,
-// rename — the same idiom as internal/store checkpoints. Segment files
-// are synced first so the checkpointed sizes never promise bytes the OS
-// might still lose.
-func (s *Store) checkpointLocked() error {
-	ck := checkpoint{NextSeg: s.nextSeg}
+// syncLocked fsyncs every segment: the durability flush that putLocked
+// runs every syncEvery appends and Close runs last.
+func (s *Store) syncLocked() error {
 	for _, id := range s.order {
-		seg := s.segs[id]
-		if err := seg.f.Sync(); err != nil {
+		if err := s.segs[id].f.Sync(); err != nil {
 			return err
 		}
-		ck.Segments = append(ck.Segments, ckptSegment{ID: id, Size: seg.size})
 	}
-	ents := make([]ckptEntry, 0, len(s.index))
-	for k, l := range s.index {
-		ents = append(ents, ckptEntry{K: k.String(), Seg: l.seg, Off: l.off, N: l.n, Kind: l.kind})
-	}
-	sort.Slice(ents, func(i, j int) bool {
-		if ents[i].Seg != ents[j].Seg {
-			return ents[i].Seg < ents[j].Seg
-		}
-		return ents[i].Off < ents[j].Off
-	})
-	ck.Entries = ents
-	data, err := json.Marshal(&ck)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.dir, ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, filepath.Join(s.dir, indexName)); err != nil {
-		os.Remove(name)
-		return err
-	}
-	s.unckpt = 0
-	s.stats.Checkpoints++
+	s.unsynced = 0
 	return nil
-}
-
-// Checkpoint persists the index now.
-func (s *Store) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("memostore: closed")
-	}
-	return s.checkpointLocked()
 }
 
 // AddPulled records n records received from a peer (cluster sync).
@@ -876,7 +661,7 @@ func (s *Store) refreshGauges() {
 	s.stats.Bytes = s.totalBytesLocked()
 }
 
-// Close flushes pending spills, checkpoints the index, and closes every
+// Close flushes pending spills, fsyncs the segments, and closes every
 // segment handle. The store is unusable afterwards; extra Closes are
 // no-ops.
 func (s *Store) Close() error {
@@ -887,7 +672,7 @@ func (s *Store) Close() error {
 		s.spillWG.Wait()
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		err = s.checkpointLocked()
+		err = s.syncLocked()
 		for _, seg := range s.segs {
 			seg.f.Close()
 		}

@@ -20,9 +20,8 @@ func testData(i int) []byte {
 }
 
 // abandon simulates a crash: the store's file handles are closed without
-// any flush, checkpoint, or index write — exactly the state a SIGKILL
-// leaves on disk (modulo OS page-cache loss, which the mismatch path
-// covers separately).
+// any flush or fsync — exactly the state a SIGKILL leaves on disk (modulo
+// OS page-cache loss, which TestIndexSegmentMismatch models).
 func abandon(s *Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -31,6 +30,46 @@ func abandon(s *Store) {
 	}
 	s.closed = true
 	close(s.spillCh)
+}
+
+// writeStaleIndex writes dir/index.json in the shape of the checkpointed
+// index that memo stores used to keep (testdata/checkpointed-store holds
+// one such store), listing every record s indexes now. Open ignores the
+// file: tests write it to show that a stale one changes nothing.
+func writeStaleIndex(t *testing.T, s *Store) {
+	t.Helper()
+	type ckptSegment struct {
+		ID   int   `json:"id"`
+		Size int64 `json:"size"`
+	}
+	type ckptEntry struct {
+		K    string `json:"k"`
+		Seg  int    `json:"seg"`
+		Off  int64  `json:"off"`
+		N    int    `json:"n"`
+		Kind uint8  `json:"t"`
+	}
+	var ck struct {
+		NextSeg  int           `json:"next_seg"`
+		Segments []ckptSegment `json:"segments"`
+		Entries  []ckptEntry   `json:"entries"`
+	}
+	s.mu.Lock()
+	ck.NextSeg = s.nextSeg
+	for _, id := range s.order {
+		ck.Segments = append(ck.Segments, ckptSegment{ID: id, Size: s.segs[id].size})
+	}
+	for k, l := range s.index {
+		ck.Entries = append(ck.Entries, ckptEntry{K: k.String(), Seg: l.seg, Off: l.off, N: l.n, Kind: 1})
+	}
+	s.mu.Unlock()
+	data, err := json.Marshal(&ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(s.dir, "index.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func mustOpen(t *testing.T, dir string, maxBytes int64) *Store {
@@ -105,8 +144,8 @@ func TestReopenAfterCleanClose(t *testing.T) {
 	if st.Records != 20 {
 		t.Fatalf("records %d after clean reopen", st.Records)
 	}
-	// Clean close checkpointed everything: nothing to rescue by scanning.
-	if st.RecoveredRecords != 0 || st.TruncatedTails != 0 || st.MismatchedSegments != 0 {
+	// Every open indexes by scanning; a clean close leaves no torn tail.
+	if st.RecoveredRecords != 20 || st.TruncatedTails != 0 {
 		t.Fatalf("recovery counters after clean close: %+v", st)
 	}
 	for i := 0; i < 20; i++ {
@@ -116,7 +155,7 @@ func TestReopenAfterCleanClose(t *testing.T) {
 	}
 }
 
-// A crash before any checkpoint: the whole index rebuilds by scanning.
+// A crash without a final fsync: the whole index rebuilds by scanning.
 func TestReopenRecoversByScan(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 0)
@@ -124,7 +163,6 @@ func TestReopenRecoversByScan(t *testing.T) {
 		s.Put(testKey(i), 2, testData(i))
 	}
 	abandon(s)
-	os.Remove(filepath.Join(dir, indexName)) // ensure no checkpoint survived
 
 	s2 := mustOpen(t, dir, 0)
 	defer s2.Close()
@@ -175,8 +213,8 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-// A malformed interior line (disk corruption past the checkpointed
-// prefix) truncates from the bad line; earlier records survive.
+// A malformed interior line (disk corruption) truncates from the bad line;
+// earlier records survive.
 func TestMalformedInteriorLine(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 0)
@@ -185,7 +223,6 @@ func TestMalformedInteriorLine(t *testing.T) {
 	}
 	segPath := s.segPath(s.order[len(s.order)-1])
 	abandon(s)
-	os.Remove(filepath.Join(dir, indexName))
 
 	f, _ := os.OpenFile(segPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	f.WriteString("not json at all\n")
@@ -200,18 +237,16 @@ func TestMalformedInteriorLine(t *testing.T) {
 	}
 }
 
-// A checkpoint that promises more bytes than the segment holds (the OS
-// dropped un-synced data in a crash) distrusts the checkpoint for that
-// segment and rebuilds it by scanning what survived.
+// A stale index.json that promises more bytes than the segment holds (the
+// OS dropped un-synced data in a crash) is ignored: only the records the
+// segment still holds are served.
 func TestIndexSegmentMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 0)
 	for i := 0; i < 12; i++ {
 		s.Put(testKey(i), 1, testData(i))
 	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	writeStaleIndex(t, s)
 	segPath := s.segPath(s.order[len(s.order)-1])
 	var keep int64
 	{
@@ -238,9 +273,6 @@ func TestIndexSegmentMismatch(t *testing.T) {
 	s2 := mustOpen(t, dir, 0)
 	defer s2.Close()
 	st := s2.Stats()
-	if st.MismatchedSegments != 1 {
-		t.Fatalf("mismatched segments %d (%+v)", st.MismatchedSegments, st)
-	}
 	if st.Records != 4 {
 		t.Fatalf("records %d, want the 4 surviving", st.Records)
 	}
@@ -256,8 +288,8 @@ func TestIndexSegmentMismatch(t *testing.T) {
 	}
 }
 
-// A checkpoint referencing a deleted segment (crash between a
-// compaction's file removal and its checkpoint) drops those entries.
+// A stale index.json referencing a deleted segment serves nothing from it:
+// the records of the segments still on disk are all that is indexed.
 func TestCheckpointMissingSegment(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 1<<20)
@@ -269,9 +301,7 @@ func TestCheckpointMissingSegment(t *testing.T) {
 	if len(s.order) < 2 {
 		t.Fatalf("want >=2 segments, have %d", len(s.order))
 	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	writeStaleIndex(t, s)
 	firstSeg := s.order[0]
 	victim := s.segPath(firstSeg)
 	abandon(s)
@@ -290,19 +320,16 @@ func TestCheckpointMissingSegment(t *testing.T) {
 	}
 }
 
-// Crash mid-compaction, modeled at the on-disk level: the old segment is
-// gone, its live records were re-appended (some now duplicated), and the
-// checkpoint still references the removed file. Recovery must keep
-// exactly one live copy per key.
+// A crash mid-compaction, as memo stores that compacted could leave it:
+// some records re-appended to a new segment (now duplicated) and a stale
+// index.json. Recovery must keep exactly one copy per key.
 func TestKillMidCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 1<<20)
 	for i := 0; i < 8; i++ {
 		s.Put(testKey(i), 1, testData(i))
 	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	writeStaleIndex(t, s)
 	seg := s.order[len(s.order)-1]
 	segPath := s.segPath(seg)
 	abandon(s)
@@ -352,7 +379,6 @@ func TestKillMidSpill(t *testing.T) {
 		seg.f.Close()
 	}
 	s.mu.Unlock()
-	os.Remove(filepath.Join(dir, indexName))
 
 	s2 := mustOpen(t, dir, 0)
 	defer s2.Close()
@@ -395,29 +421,65 @@ func TestEvictionBudget(t *testing.T) {
 	s.Close()
 }
 
-func TestCompactPreservesRecords(t *testing.T) {
+// A memo directory written by a store that checkpointed its index
+// (segments plus index.json, in testdata/checkpointed-store) opens and
+// serves every record.
+func TestOpensCheckpointedStore(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, 0)
-	for i := 0; i < 25; i++ {
-		s.Put(testKey(i), uint8(i%2), testData(i))
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Len(); got != 25 {
-		t.Fatalf("len %d after compact", got)
-	}
-	for i := 0; i < 25; i++ {
-		kind, data, ok := s.Get(testKey(i))
-		if !ok || kind != uint8(i%2) || !bytes.Equal(data, testData(i)) {
-			t.Fatalf("record %d wrong after compact", i)
+	for _, name := range []string{"seg-00000000.log", "index.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "checkpointed-store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	s.Close()
-	s2 := mustOpen(t, dir, 0)
-	defer s2.Close()
-	if got := s2.Len(); got != 25 {
-		t.Fatalf("len %d after compact+reopen", got)
+	for reopen := 0; reopen < 2; reopen++ {
+		s := mustOpen(t, dir, 0)
+		if st := s.Stats(); st.Records != 40 || st.TruncatedTails != 0 {
+			t.Fatalf("open %d: %+v", reopen, st)
+		}
+		for i := 0; i < 40; i++ {
+			kind, data, ok := s.Get(testKey(i))
+			if !ok || kind != uint8(i%3) || !bytes.Equal(data, testData(i)) {
+				t.Fatalf("open %d: record %d: ok=%v kind %d data %q", reopen, i, ok, kind, data)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// An async spill whose segment write fails is counted, not dropped without
+// a trace, and leaves the store serving what it already holds.
+func TestSpillWriteErrorCounted(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 0)
+	defer s.Close()
+	if err := s.Put(testKey(0), 1, testData(0)); err != nil {
+		t.Fatal(err)
+	}
+	// Swap the active segment's handle for a read-only one, so every write
+	// to it fails.
+	s.mu.Lock()
+	seg := s.segs[s.order[len(s.order)-1]]
+	ro, err := os.Open(s.segPath(seg.id))
+	if err != nil {
+		s.mu.Unlock()
+		t.Fatal(err)
+	}
+	seg.f.Close()
+	seg.f = ro
+	s.mu.Unlock()
+
+	s.SpillAsync(testKey(1), 1, testData(1))
+	s.Flush()
+	if st := s.Stats(); st.SpillErrors != 1 || st.Spills != 1 || st.Records != 1 {
+		t.Fatalf("after a failed spill: %+v", st)
+	}
+	if _, data, ok := s.Get(testKey(0)); !ok || !bytes.Equal(data, testData(0)) {
+		t.Fatal("record written before the failure lost")
 	}
 }
 
@@ -569,5 +631,124 @@ func FuzzFastLineMatchesJSON(f *testing.F) {
 		if fast.K != rec.K || fast.T != rec.T || !bytes.Equal(fast.D, rec.D) {
 			t.Fatalf("fastLine decoded %s as %+v, want %+v", out, fast, rec)
 		}
+	})
+}
+
+// scanRecords is the reference model of recovery: segments are read
+// oldest first, each up to its first torn or malformed line, and the first
+// record of a key wins.
+func scanRecords(segs ...[]byte) map[Key]Record {
+	out := make(map[Key]Record)
+	for _, seg := range segs {
+		for _, ln := range bytes.SplitAfter(seg, []byte("\n")) {
+			if !bytes.HasSuffix(ln, []byte("\n")) {
+				break // torn tail
+			}
+			rec, err := decodeLine(ln)
+			if err != nil {
+				break
+			}
+			k, err := ParseKey(rec.K)
+			if err != nil {
+				break
+			}
+			if _, dup := out[k]; !dup {
+				out[k] = Record{Key: k, Kind: rec.T, Data: rec.D}
+			}
+		}
+	}
+	return out
+}
+
+// FuzzMemostoreRecover opens a store over arbitrary bytes for one or two
+// segment files, plus an arbitrary index.json, which recovery ignores. Open
+// must not panic and must index exactly the reference model's records,
+// each served by Get; a close and reopen must give the same records; and a
+// Put after recovery must survive the next reopen.
+func FuzzMemostoreRecover(f *testing.F) {
+	enc := func(i int, data []byte) []byte {
+		b, err := json.Marshal(line{K: testKey(i).String(), T: uint8(i % 3), D: data})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	clean := bytes.Join([][]byte{enc(0, testData(0)), enc(1, testData(1)), enc(2, testData(2))}, nil)
+	f.Add(clean, []byte{}, []byte{})
+	f.Add(append(append([]byte{}, clean...), `{"k":"dead`...), []byte{}, []byte{})
+	f.Add(bytes.Join([][]byte{enc(0, testData(0)), []byte("not json at all\n"), enc(1, testData(1))}, nil), []byte{}, []byte{})
+	f.Add(clean, bytes.Join([][]byte{enc(1, []byte("second copy")), enc(3, testData(3))}, nil), []byte{})
+	seg, err := os.ReadFile(filepath.Join("testdata", "checkpointed-store", "seg-00000000.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	index, err := os.ReadFile(filepath.Join("testdata", "checkpointed-store", "index.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg[:len(seg)/2], []byte{}, index) // the index promises the whole segment
+
+	putKey := Key(sha256.Sum256([]byte("put after recovery")))
+	f.Fuzz(func(t *testing.T, seg0, seg1, index []byte) {
+		dir := t.TempDir()
+		files := map[string][]byte{fmt.Sprintf(segPrefix+"%08d"+segSuffix, 0): seg0}
+		segs := [][]byte{seg0}
+		if len(seg1) > 0 {
+			files[fmt.Sprintf(segPrefix+"%08d"+segSuffix, 1)] = seg1
+			segs = append(segs, seg1)
+		}
+		if len(index) > 0 {
+			files["index.json"] = index
+		}
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := scanRecords(segs...)
+		check := func(label string, s *Store) {
+			t.Helper()
+			if got := s.Len(); got != len(want) {
+				t.Fatalf("%s: %d records indexed, want %d", label, got, len(want))
+			}
+			for k, rec := range want {
+				kind, data, ok := s.Get(k)
+				if !ok || kind != rec.Kind || !bytes.Equal(data, rec.Data) {
+					t.Fatalf("%s: Get(%s) = %d %q %v, want %d %q", label, k, kind, data, ok, rec.Kind, rec.Data)
+				}
+			}
+		}
+
+		s, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("open", s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err = Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("reopen", s)
+		if st := s.Stats(); st.TruncatedTails != 0 {
+			t.Fatalf("reopen truncated again: %+v", st)
+		}
+		if err := s.Put(putKey, 7, []byte("after recovery")); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := want[putKey]; !ok {
+			want[putKey] = Record{Key: putKey, Kind: 7, Data: []byte("after recovery")}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err = Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		check("after put", s)
 	})
 }

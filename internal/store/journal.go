@@ -1,11 +1,11 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -43,6 +43,9 @@ type Journal struct {
 func openJournal(path string) (*Journal, error) {
 	j := &Journal{path: path, nextSeq: 1}
 	valid, err := j.replay(func(r Record) error {
+		if r.Seq == math.MaxUint64 {
+			return fmt.Errorf("store: journal: sequence number %d leaves no successor", r.Seq)
+		}
 		if r.Seq >= j.nextSeq {
 			j.nextSeq = r.Seq + 1
 		}
@@ -117,9 +120,6 @@ func (j *Journal) Replay(fn func(Record) error) error {
 	return err
 }
 
-// maxReplayBuf caps replay's read buffer.
-const maxReplayBuf = 1 << 20
-
 // replay is Replay returning the byte offset just past the last complete
 // record, which openJournal uses to truncate a torn tail.
 func (j *Journal) replay(fn func(Record) error) (int64, error) {
@@ -131,42 +131,14 @@ func (j *Journal) replay(fn func(Record) error) (int64, error) {
 		return 0, fmt.Errorf("store: journal: %w", err)
 	}
 	defer f.Close()
-	// Size the buffer to the file, capped at 1 MiB: the journal is opened on
-	// every daemon start, and most journals are far smaller than the cap.
-	// ReadBytes joins lines longer than the buffer, so the cap bounds only
-	// the buffer, not the record size.
-	size := int64(maxReplayBuf)
-	if info, err := f.Stat(); err == nil && info.Size() < size {
-		size = info.Size()
-	}
-	r := bufio.NewReaderSize(f, int(size))
-	var valid int64
-	for {
-		line, err := r.ReadBytes('\n')
-		atEOF := err == io.EOF
-		if err != nil && !atEOF {
-			return valid, fmt.Errorf("store: journal: %w", err)
+	return ScanLines(f, func(_ int64, line []byte) error {
+		if len(bytes.TrimSpace(line)) == 0 {
+			return nil
 		}
-		read := int64(len(line))
-		line = bytes.TrimSuffix(line, []byte("\n"))
-		if len(bytes.TrimSpace(line)) > 0 {
-			if atEOF {
-				// No trailing newline: the record (or at least its newline)
-				// was torn by a kill mid-append. Discard it — the pipeline
-				// step it recorded simply re-runs.
-				return valid, nil
-			}
-			var rec Record
-			if jsonErr := json.Unmarshal(line, &rec); jsonErr != nil {
-				return valid, fmt.Errorf("store: journal corrupted: %v", jsonErr)
-			}
-			if err := fn(rec); err != nil {
-				return valid, err
-			}
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return fmt.Errorf("store: journal corrupted: %v", err)
 		}
-		valid += read
-		if atEOF {
-			return valid, nil
-		}
-	}
+		return fn(rec)
+	})
 }

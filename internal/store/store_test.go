@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -173,7 +176,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 }
 
 // TestJournalReplayLongLines pins the replay buffer's sizing: it is sized to
-// the file and capped at maxReplayBuf, and records longer than the buffer,
+// the file and capped at maxScanBuf, and records longer than the buffer,
 // complete or torn, must replay exactly as short ones do.
 func TestJournalReplayLongLines(t *testing.T) {
 	dir := t.TempDir()
@@ -181,7 +184,7 @@ func TestJournalReplayLongLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long := strings.Repeat("x", maxReplayBuf*3/2)
+	long := strings.Repeat("x", maxScanBuf*3/2)
 	for _, data := range []string{"short", long, "tail"} {
 		if _, err := s.Journal().Append("c1", "rec", data); err != nil {
 			t.Fatal(err)
@@ -272,4 +275,84 @@ func TestCheckpointAtomicReplace(t *testing.T) {
 	if err := s.SaveCheckpoint("../escape", 1); err == nil {
 		t.Fatal("path-traversal checkpoint name accepted")
 	}
+}
+
+// FuzzJournalReplay opens a journal over arbitrary bytes. Opening either
+// fails or keeps every complete record: each newline-terminated, non-blank
+// line decoded as a Record, in order, with a torn final line dropped.
+// After an Append, a reopen replays those records plus the new one, whose
+// Seq is above every earlier one.
+func FuzzJournalReplay(f *testing.F) {
+	f.Add([]byte(`{"seq":1,"campaign":"c1","type":"created","data":{"tests":10}}` + "\n" + `{"seq":2,"type":"done"}` + "\n"))
+	f.Add([]byte(`{"seq":1,"type":"a"}` + "\n" + `{"seq":2,"ty`))
+	f.Add([]byte(`{"seq":1,"type":"a"}` + "\nnot json\n" + `{"seq":3,"type":"c"}` + "\n"))
+	f.Add([]byte("\n  \n" + `{"seq":7,"type":"gap"}` + "\n" + `{"seq":2,"type":"older"}` + "\n  "))
+	f.Add([]byte(`{"seq":18446744073709551615,"type":"last"}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want []Record
+		wellFormed := true
+		for _, ln := range bytes.SplitAfter(data, []byte("\n")) {
+			if !bytes.HasSuffix(ln, []byte("\n")) {
+				break // torn tail
+			}
+			if len(bytes.TrimSpace(ln)) == 0 {
+				continue
+			}
+			var rec Record
+			if err := json.Unmarshal(ln, &rec); err != nil {
+				wellFormed = false
+				break
+			}
+			if rec.Seq == math.MaxUint64 {
+				wellFormed = false // no sequence number is left for an append
+			}
+			want = append(want, rec)
+		}
+		replayAll := func(j *Journal) []Record {
+			t.Helper()
+			var got []Record
+			if err := j.Replay(func(r Record) error { got = append(got, r); return nil }); err != nil {
+				t.Fatalf("replay after a successful open: %v", err)
+			}
+			return got
+		}
+
+		j, err := openJournal(path)
+		if err != nil {
+			if wellFormed {
+				t.Fatalf("open refused a well-formed journal: %v", err)
+			}
+			return
+		}
+		if !wellFormed {
+			j.Close()
+			t.Fatal("open accepted a malformed record or an exhausted sequence")
+		}
+		if got := replayAll(j); !reflect.DeepEqual(got, want) {
+			j.Close()
+			t.Fatalf("replayed %+v, want %+v", got, want)
+		}
+		rec, err := j.Append("fuzz", "appended", map[string]int{"n": 1})
+		j.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range want {
+			if rec.Seq <= w.Seq {
+				t.Fatalf("appended seq %d not above earlier seq %d", rec.Seq, w.Seq)
+			}
+		}
+		j, err = openJournal(path)
+		if err != nil {
+			t.Fatalf("reopen after append: %v", err)
+		}
+		defer j.Close()
+		if got := replayAll(j); !reflect.DeepEqual(got, append(want, rec)) {
+			t.Fatalf("after append replayed %+v, want %+v", got, append(want, rec))
+		}
+	})
 }
