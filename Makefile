@@ -14,10 +14,15 @@ ci: fmt vet build test test-analysis test-interp test-bisect test-daemon test-cl
 # bound), the optimizer's pinned output digest, dead-block elimination on
 # a dangling branch target, and the content-keyed uniforms memo, which
 # every engine worker shares. Then a short fuzz of the CFG differential
-# over decoded functions of up to 64 blocks.
+# over decoded functions of up to 64 blocks, and short fuzzes of the SPIR-V
+# binary decoder and the assembler, each seeded with the reference corpus:
+# no input panics, and an accepted one reaches a decode→encode (or
+# parse→disassemble) fixpoint.
 test-analysis:
 	$(GO) test -race -count=3 -run 'AvailableAtMatchesInfo|GraphMatchesReference|DCEMatchesReference|DCEIdsAboveBound|OutputPinned|DeadBlocksDanglingTarget|UniformsHash' ./internal/spirv/cfa/ ./internal/opt/ ./internal/runner/
 	$(GO) test -run '^$$' -fuzz=FuzzGraphMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/spirv/cfa/
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeBytes -fuzztime=10s -fuzzminimizetime=2s ./internal/spirv/
+	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s -fuzzminimizetime=2s ./internal/spirv/asm/
 
 # The interpreter gets repeated race passes over the VM/tree-walker
 # differential (the VM stores into cells in place and bump-allocates frame
@@ -89,12 +94,16 @@ test-transport:
 # segment-line fast path against encoding/json, and of recovery over
 # arbitrary segment bytes (plus a stale index.json): the reopened store
 # serves exactly the complete records before each segment's first bad line.
+# Last, a short fuzz of the result payload decoder, which reads bytes from
+# disk and from cluster memo sync: no input panics, and an accepted payload
+# re-encodes byte-identically.
 test-memo:
 	$(GO) test -race -shuffle=on ./internal/memostore/...
 	$(GO) test -race -count=1 -run 'Memo' ./internal/runner/... ./internal/service/... ./internal/cluster/...
 	$(GO) test -race -count=20 -run 'CacheHammer|RunAllHammer|WithdrawRetry' ./internal/runner/
 	$(GO) test -run '^$$' -fuzz=FuzzFastLineMatchesJSON -fuzztime=10s -fuzzminimizetime=2s ./internal/memostore/
 	$(GO) test -run '^$$' -fuzz=FuzzMemostoreRecover -fuzztime=10s -fuzzminimizetime=2s ./internal/memostore/
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeResult -fuzztime=10s -fuzzminimizetime=2s ./internal/runner/
 
 # gfauto's experiments run on the service's step functions: repeated race
 # passes over the pinned digest of the paper tables' text (at 1 and 4
@@ -110,7 +119,10 @@ test-memo:
 # alone gives Run's verdict at every release of every target. Last, the
 # serialized sequence as untrusted input: arbitrary bytes that decode
 # replay without a panic to a valid module, and the one-pass sequence and
-# report codec decodes and writes exactly what encoding/json does.
+# report codec decodes and writes exactly what encoding/json does. Then the
+# paper's central invariant (Theorem 2.6) on arbitrary seeds and pass
+# budgets of up to 200 passes: a variant, and any masked subsequence of its
+# sequence, validates and renders exactly like its reference.
 test-experiments:
 	$(GO) test -race -count=3 -run 'ExperimentsOutputPinned|CampaignDeterministicAcrossWorkers|ReducedCasesOneMinimal' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz=FuzzReplaySubsequence -fuzztime=10s -fuzzminimizetime=2s ./internal/fuzz/
@@ -119,6 +131,7 @@ test-experiments:
 	$(GO) test -run '^$$' -fuzz=FuzzScanOracleMatchesRun -fuzztime=10s -fuzzminimizetime=2s ./internal/target/
 	$(GO) test -run '^$$' -fuzz=FuzzUnmarshalReplay -fuzztime=10s -fuzzminimizetime=2s ./internal/fuzz/
 	$(GO) test -run '^$$' -fuzz=FuzzSequenceCodecMatchesJSON -fuzztime=10s -fuzzminimizetime=2s ./internal/fuzz/
+	$(GO) test -run '^$$' -fuzz=FuzzVariantPreservesSemantics -fuzztime=10s -fuzzminimizetime=2s ./internal/fuzz/
 
 # The benchmark is its own module: vet it and run its tests, which drive
 # both spirvd roles through its daemon interface and read the reduction
@@ -173,7 +186,10 @@ bench:
 # executions instead takes about 1.6x as long, too close to the bound to be
 # caught on every run, and its warm-hit-frac below always catches it (the
 # cold/warm ratio is not guarded: it moves with every cost of the cold
-# leg). Two hit-fraction passes follow: the cold cache-hit fraction of
+# leg). The sixth keeps the dedup-frac of BenchmarkClusterCampaign, the
+# share of referenced blob bytes its 1-node leg did not move, above 0.95x
+# baseline: a worker that fetches blobs it already holds reads 0. Two
+# hit-fraction passes follow: the cold cache-hit fraction of
 # BenchmarkBisectCampaign falling
 # below 0.95x baseline means bisect probes stopped reusing compile keys,
 # and the warm-hit-frac of BenchmarkMemoWarmCampaign falling below 0.95x

@@ -786,43 +786,36 @@ func benchWaitCampaign(b *testing.B, svc *service.Service, id string) service.Ca
 }
 
 // BenchmarkServiceResumeCampaign measures the cost of restarting the spirvd
-// pipeline over a finished campaign's store. Three legs over one store:
-// (1) fresh — full fuzz + classify + reduce + bucket, which only seeds the
-// store; (2) journal resume — the bucket checkpoint is deleted, so a
-// restarted service must re-drive the pipeline, but every fuzz and reduce
-// step is journaled and skipped, leaving only the deterministic bucket
-// rebuild; (3) checkpoint resume — the restarted service serves the bucket
-// set straight from the checkpoint without submitting a single job. Shape
-// targets: both resume legs reproduce the fresh buckets exactly. It reports
-// each resume leg's wall time; bench-compare bounds "journal-resume-ms",
-// which grows about tenfold if resume re-runs journaled work.
+// pipeline over a campaign's store. Two legs over one store: (1) fresh —
+// full fuzz + classify + reduce + bucket, which only seeds the store; (2)
+// journal resume — the campaign_done record is stripped, as if the daemon
+// was killed just before journaling it, so a restarted service must
+// re-drive the pipeline, but every fuzz and reduce step is journaled and
+// skipped, leaving only the deterministic bucket rebuild. Shape target: the
+// resume leg reproduces the fresh buckets exactly. It reports the resume
+// leg's wall time; bench-compare bounds "journal-resume-ms", which grows
+// about tenfold if resume re-runs journaled work.
 func BenchmarkServiceResumeCampaign(b *testing.B) {
 	spec := service.CampaignSpec{Tests: 20}
 	if testing.Short() {
 		spec.Tests = 12
 	}
-	var journalMS, ckptMS float64
+	var journalMS float64
 	for i := 0; i < b.N; i++ {
-		var journalBest, ckptBest time.Duration
+		var best time.Duration
 		for rep := 0; rep < 3; rep++ { // best-of-three against CPU-contention spikes
-			journalTime, ckptTime := resumeLegs(b, spec)
-			if rep == 0 || journalTime < journalBest {
-				journalBest = journalTime
-			}
-			if rep == 0 || ckptTime < ckptBest {
-				ckptBest = ckptTime
+			if d := resumeLeg(b, spec); rep == 0 || d < best {
+				best = d
 			}
 		}
-		journalMS = float64(journalBest.Microseconds()) / 1000
-		ckptMS = float64(ckptBest.Microseconds()) / 1000
+		journalMS = float64(best.Microseconds()) / 1000
 	}
 	b.ReportMetric(journalMS, "journal-resume-ms")
-	b.ReportMetric(ckptMS, "ckpt-resume-ms")
 }
 
-// resumeLegs drives one fresh campaign and the two resume paths over a
-// single throwaway store, returning the wall time of each resume leg.
-func resumeLegs(b *testing.B, spec service.CampaignSpec) (journal, ckpt time.Duration) {
+// resumeLeg drives one fresh campaign and its journal resume over a single
+// throwaway store, returning the wall time of the resume.
+func resumeLeg(b *testing.B, spec service.CampaignSpec) time.Duration {
 	b.Helper()
 	dir := b.TempDir()
 
@@ -847,10 +840,20 @@ func resumeLegs(b *testing.B, spec service.CampaignSpec) (journal, ckpt time.Dur
 		b.Fatal(err)
 	}
 
-	// Journal-resume leg: without the checkpoint the campaign reverts to
-	// pending and the pipeline re-runs with every journaled step skipped.
-	ckptFile := filepath.Join(dir, "checkpoints", "buckets-"+created.ID+".json")
-	if err := os.Remove(ckptFile); err != nil {
+	// Without campaign_done the campaign reverts to pending and the
+	// pipeline re-runs with every journaled step skipped.
+	jpath := filepath.Join(dir, "journal.jsonl")
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if !strings.Contains(line, `"type":"campaign_done"`) {
+			kept = append(kept, line)
+		}
+	}
+	if err := os.WriteFile(jpath, []byte(strings.Join(kept, "")), 0o644); err != nil {
 		b.Fatal(err)
 	}
 	st2, err := store.Open(dir)
@@ -863,7 +866,7 @@ func resumeLegs(b *testing.B, spec service.CampaignSpec) (journal, ckpt time.Dur
 		b.Fatal(err)
 	}
 	resumed := benchWaitCampaign(b, svc2, created.ID)
-	journal = time.Since(start)
+	elapsed := time.Since(start)
 	if resumed.SkippedTests != spec.Tests {
 		b.Fatalf("journal resume re-ran tests: %+v", resumed)
 	}
@@ -878,32 +881,7 @@ func resumeLegs(b *testing.B, spec service.CampaignSpec) (journal, ckpt time.Dur
 		b.Fatal(err)
 	}
 
-	// Checkpoint-resume leg: the rebuild above rewrote the checkpoint, so
-	// a restart serves the buckets with zero jobs submitted.
-	st3, err := store.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	start = time.Now()
-	svc3, err := service.New(st3, service.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ckptBuckets, err := svc3.Buckets(created.ID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ckpt = time.Since(start)
-	if !reflect.DeepEqual(freshBuckets, ckptBuckets) {
-		b.Fatalf("checkpoint resume diverged:\n%+v\nvs fresh\n%+v", ckptBuckets, freshBuckets)
-	}
-	if m := svc3.Metrics(); m.JobsSubmitted != 0 {
-		b.Fatalf("checkpoint resume submitted jobs: %+v", m)
-	}
-	if err := svc3.Close(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	return journal, ckpt
+	return elapsed
 }
 
 // BenchmarkMemoWarmCampaign measures the persistent memo store's
@@ -1422,8 +1400,15 @@ func clusterCampaignLeg(b *testing.B, nodes int, spec service.CampaignSpec) (tim
 // shard overlap across nodes rather than the host's core count.
 //
 // Shape targets: the two bucket sets are identical (merge soundness), the
-// 3-node run is >= 2x faster, and the hash-negotiated blob sync moves at
-// most a fifth of the referenced bytes (dedup fraction >= 0.8).
+// 3-node run is >= 2x faster, and the hash negotiation fetches no blob a
+// node already holds. That last property is checked on the 1-node leg,
+// where every blob a reduce shard needs was produced on the node itself:
+// the coordinator must serve that leg no blob at all, whatever the
+// scheduling. The leg's dedup fraction, reported as "dedup-frac", is then
+// its needed bytes over its needed plus produced bytes (produced blobs are
+// always pushed); a worker that fetched its needs anyway would read 0. The
+// 3-node fraction moves with which node reduces which case, so neither the
+// benchmark nor bench-compare reads it.
 func BenchmarkClusterCampaign(b *testing.B) {
 	spec := service.CampaignSpec{Tests: 36, ReduceSlowdownMS: 10}
 	if testing.Short() {
@@ -1433,27 +1418,26 @@ func BenchmarkClusterCampaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var t1, t3 time.Duration
 		var buckets1, buckets3 string
-		var m3 cluster.Metrics
 		for rep := 0; rep < 2; rep++ { // best-of-two against CPU-contention spikes
-			d1, bk1, _ := clusterCampaignLeg(b, 1, spec)
-			d3, bk3, m := clusterCampaignLeg(b, 3, spec)
+			d1, bk1, m1 := clusterCampaignLeg(b, 1, spec)
+			d3, bk3, _ := clusterCampaignLeg(b, 3, spec)
+			if m1.Store.SyncBlobsOut != 0 || m1.Cluster.Sync.BlobsReferenced == 0 {
+				b.Fatalf("1-node leg fetched %d blobs, all produced on the node: %+v", m1.Store.SyncBlobsOut, m1.Cluster.Sync)
+			}
+			dedup = m1.Cluster.BlobDedupFraction
 			if rep == 0 || d1 < t1 {
 				t1, buckets1 = d1, bk1
 			}
 			if rep == 0 || d3 < t3 {
-				t3, buckets3, m3 = d3, bk3, m
+				t3, buckets3 = d3, bk3
 			}
 		}
 		if buckets1 != buckets3 {
 			b.Fatalf("1-node and 3-node bucket sets differ:\n%s\nvs\n%s", buckets1, buckets3)
 		}
 		speedup = t1.Seconds() / t3.Seconds()
-		dedup = m3.Cluster.BlobDedupFraction
 		if speedup < 2 {
 			b.Fatalf("3-node speedup %.2fx, want >= 2x (1 node %v, 3 nodes %v)", speedup, t1, t3)
-		}
-		if dedup < 0.8 {
-			b.Fatalf("blob-sync dedup %.2f, want >= 0.8: %+v", dedup, m3.Cluster.Sync)
 		}
 	}
 	b.ReportMetric(speedup, "speedup")

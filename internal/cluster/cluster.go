@@ -21,11 +21,11 @@
 //     a hash negotiation: each shard carries a (hash, size) manifest of the
 //     blobs it needs, a worker fetches only the ones its local store lacks,
 //     and pushes back only result blobs the coordinator does not already
-//     have. Repeated references — the shared reference corpus, sequences
-//     that reduce on the node that fuzzed them, re-pushed artifacts after a
-//     rejoin — cost nothing on the wire. The dedup fraction (1 −
-//     transferred/referenced bytes) is tracked per shard and reported in
-//     coordinator /metrics.
+//     have. Repeated references — sequences that reduce on the node that
+//     fuzzed them, re-pushed artifacts after a rejoin — cost nothing on the
+//     wire. The dedup fraction (1 − transferred/referenced bytes) is
+//     tracked per shard and reported in coordinator /metrics. What a node
+//     can recompute — the reference corpus, the donors — is never shipped.
 //
 // Workers hold no durable campaign state. The coordinator records every
 // unit of a shard result through the same journaled service.Machine a
@@ -35,16 +35,12 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"spirvfuzz/internal/bisect"
-	"spirvfuzz/internal/corpus"
-	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/service"
-	"spirvfuzz/internal/spirv"
 )
 
 // BlobRef names a blob by content hash and size. Manifests of BlobRefs are
@@ -57,9 +53,9 @@ type BlobRef struct {
 
 // Shard is one dispatchable unit of campaign work. A fuzz shard covers the
 // contiguous test range [Lo, Hi); a reduce shard carries its selected cases
-// explicitly. Both embed the normalized spec and the campaign's corpus
-// manifest (ordered — index i of the manifest is reference i of the
-// campaign), so a worker needs no out-of-band configuration.
+// explicitly. Every shard embeds the normalized spec; the reference corpus
+// and the donors are deterministic, so each worker builds them itself and
+// needs no out-of-band configuration.
 type Shard struct {
 	// Campaign is the owning job's ID: a campaign ID for fuzz/reduce shards,
 	// a bisection-job ID ("b001", ...) for bisect shards.
@@ -72,11 +68,10 @@ type Shard struct {
 	Cases    []service.ReduceCase `json:"cases,omitempty"`
 	// Recs carries a bisect shard's case group: the reduction records whose
 	// report blobs (listed in Needs) the worker replays and bisects.
-	Recs   []service.ReducedRec `json:"recs,omitempty"`
-	Corpus []BlobRef            `json:"corpus"`
-	// Needs lists extra input blobs beyond the corpus (for reduce shards the
-	// journaled transformation sequences, for bisect shards the reduced
-	// report blobs of the cases).
+	Recs []service.ReducedRec `json:"recs,omitempty"`
+	// Needs lists the shard's input blobs: for reduce shards the journaled
+	// transformation sequences, for bisect shards the reduced report blobs
+	// of the cases. Fuzz shards need none.
 	Needs []BlobRef `json:"needs,omitempty"`
 }
 
@@ -221,38 +216,3 @@ type (
 		MemoWant    []bool       `json:"memo_want,omitempty"`
 	}
 )
-
-// corpusBlob is the blob encoding of one reference corpus item: the module
-// in its deterministic SPIR-V binary form and the inputs in their canonical
-// JSON form. Decoding round-trips exactly (both codecs are pinned by tests),
-// so a worker fuzzing from a synced blob draws the same module walk — and
-// therefore the same variants and signatures — as the coordinator would.
-type corpusBlob struct {
-	Name   string          `json:"name"`
-	Module []byte          `json:"module"`
-	Inputs json.RawMessage `json:"inputs"`
-}
-
-func encodeCorpusItem(it corpus.Item) ([]byte, error) {
-	inputs, err := interp.EncodeInputs(it.Inputs)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encode corpus item %s: %w", it.Name, err)
-	}
-	return json.Marshal(corpusBlob{Name: it.Name, Module: it.Mod.EncodeBytes(), Inputs: inputs})
-}
-
-func decodeCorpusItem(data []byte) (corpus.Item, error) {
-	var cb corpusBlob
-	if err := json.Unmarshal(data, &cb); err != nil {
-		return corpus.Item{}, fmt.Errorf("cluster: corpus blob: %w", err)
-	}
-	mod, err := spirv.DecodeBytes(cb.Module)
-	if err != nil {
-		return corpus.Item{}, fmt.Errorf("cluster: corpus blob %s: %w", cb.Name, err)
-	}
-	in, err := interp.ParseInputs(cb.Inputs)
-	if err != nil {
-		return corpus.Item{}, fmt.Errorf("cluster: corpus blob %s: %w", cb.Name, err)
-	}
-	return corpus.Item{Name: cb.Name, Mod: mod, Inputs: in}, nil
-}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"spirvfuzz/internal/bisect"
-	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/memostore"
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
@@ -213,7 +212,6 @@ type Coordinator struct {
 	memo *memostore.Store // nil without Options.Memo
 
 	mu     sync.Mutex
-	corpus []BlobRef // ordered manifest; index i is reference i
 	nodes  map[string]*nodeState
 	queue  []*service.Unit        // pending units, FIFO
 	leased map[string]*shardState // shard key -> in flight
@@ -245,11 +243,6 @@ func NewCoordinator(st *store.Store, opts Options) (*Coordinator, error) {
 		sizers:  make(map[string]*phaseSizer),
 	}
 	co.enqueue(units)
-	if len(units) > 0 {
-		if err := co.ensureCorpus(); err != nil {
-			return nil, err
-		}
-	}
 	return co, nil
 }
 
@@ -258,41 +251,12 @@ func (co *Coordinator) Close() error {
 	return co.st.Journal().Sync()
 }
 
-// ensureCorpus builds (or idempotently rebuilds, after a restart) the
-// ordered corpus manifest every shard carries: each reference item encoded
-// and stored as a blob. Encoding is deterministic, so the manifest — and with
-// it every shard payload — is identical across coordinator restarts. Caller
-// holds co.mu (or is in construction).
-func (co *Coordinator) ensureCorpus() error {
-	if co.corpus != nil {
-		return nil
-	}
-	refs := corpus.References()
-	manifest := make([]BlobRef, 0, len(refs))
-	for _, it := range refs {
-		data, err := encodeCorpusItem(it)
-		if err != nil {
-			return err
-		}
-		hash, err := co.st.PutBlob(data)
-		if err != nil {
-			return err
-		}
-		manifest = append(manifest, BlobRef{Hash: hash, Size: int64(len(data))})
-	}
-	co.corpus = manifest
-	return nil
-}
-
 // CreateCampaign validates, journals, and queues a new campaign. IDs follow
 // the single-node service's scheme (c001, c002, ...), so case names — which
 // embed the campaign ID — match a single-node run of the same spec.
 func (co *Coordinator) CreateCampaign(spec service.CampaignSpec) (service.CampaignStatus, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if err := co.ensureCorpus(); err != nil {
-		return service.CampaignStatus{}, err
-	}
 	status, units, err := co.StartCampaign(spec)
 	if err != nil {
 		return service.CampaignStatus{}, err
@@ -449,7 +413,6 @@ func (co *Coordinator) Next(node string) (Shard, bool) {
 		Phase:    ss.phase,
 		Index:    ss.index,
 		Spec:     first.Spec,
-		Corpus:   co.corpus,
 	}
 	switch ss.phase {
 	case service.PhaseFuzz:

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"spirvfuzz/internal/bisect"
@@ -14,6 +15,7 @@ import (
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/service"
+	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/store"
 )
 
@@ -90,10 +92,11 @@ type Worker struct {
 	pullMark uint64
 	pushMark uint64
 
-	// Decoded reference-corpus cache, keyed by the manifest's joined hashes
-	// (content-addressed, so a perfect cache key).
-	refsKey string
-	refs    []corpus.Item
+	// modules builds the reference corpus and the donors on first use, as
+	// a standalone daemon does: both are deterministic, so every node
+	// fuzzes, reduces and bisects from the modules a standalone daemon
+	// would, and nothing about them crosses the wire.
+	modules func() ([]corpus.Item, []*spirv.Module)
 }
 
 // NewWorker builds a worker over a local store directory.
@@ -124,6 +127,9 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		hc:       newWorkerClient(),
 		leaseTTL: 5 * time.Second,
 		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
+		modules: sync.OnceValues(func() ([]corpus.Item, []*spirv.Module) {
+			return corpus.References(), corpus.Donors()
+		}),
 	}
 	if opts.MemoDir != "" {
 		memo, err := memostore.Open(opts.MemoDir, opts.MemoMaxBytes)
@@ -331,20 +337,18 @@ func (w *Worker) post(ctx context.Context, path string, body, out any, sync *Syn
 	return err
 }
 
-// syncShardBlobs pulls every blob the shard references (corpus manifest and
-// extra needs) that the local store lacks, in one multi-key round trip.
-// Every ref counts as referenced bytes; only the missing ones transfer.
+// syncShardBlobs pulls every blob the shard needs that the local store
+// lacks, in one multi-key round trip. Every ref counts as referenced bytes;
+// only the missing ones transfer.
 func (w *Worker) syncShardBlobs(ctx context.Context, sh *Shard, sync *SyncStats) error {
 	var missing []string
 	seen := map[string]bool{}
-	for _, refs := range [][]BlobRef{sh.Corpus, sh.Needs} {
-		for _, ref := range refs {
-			sync.BlobsReferenced++
-			sync.BytesReferenced += uint64(ref.Size)
-			if !w.st.HasBlob(ref.Hash) && !seen[ref.Hash] {
-				seen[ref.Hash] = true
-				missing = append(missing, ref.Hash)
-			}
+	for _, ref := range sh.Needs {
+		sync.BlobsReferenced++
+		sync.BytesReferenced += uint64(ref.Size)
+		if !w.st.HasBlob(ref.Hash) && !seen[ref.Hash] {
+			seen[ref.Hash] = true
+			missing = append(missing, ref.Hash)
 		}
 	}
 	if len(missing) == 0 {
@@ -560,10 +564,7 @@ func dedupeHashes(hashes []string) []string {
 // executeInner runs the shard's units (blobs already synced) and returns the
 // produced blob hashes for the report to upload.
 func (w *Worker) executeInner(ctx context.Context, sh *Shard, res *ShardResult) ([]string, error) {
-	refs, err := w.decodeRefs(sh)
-	if err != nil {
-		return nil, err
-	}
+	refs, donors := w.modules()
 	env := service.Env{Eng: w.eng, Reng: w.reng, Blobs: w.st}
 	switch sh.Phase {
 	case service.PhaseFuzz:
@@ -571,7 +572,6 @@ func (w *Worker) executeInner(ctx context.Context, sh *Shard, res *ShardResult) 
 		if err != nil {
 			return nil, err
 		}
-		donors := corpus.Donors()
 		var produced []string
 		for i := sh.Lo; i < sh.Hi; i++ {
 			bugs, err := service.FuzzStep(ctx, env, sh.Spec, targets, refs, donors, i)
@@ -608,33 +608,4 @@ func (w *Worker) executeInner(ctx context.Context, sh *Shard, res *ShardResult) 
 	default:
 		return nil, fmt.Errorf("cluster: unknown shard phase %q", sh.Phase)
 	}
-}
-
-// decodeRefs decodes the shard's (already-synced) corpus manifest to
-// reference items, memoizing the decode across shards of the same campaign
-// (the manifest is content-addressed, so the joined hash is a perfect cache
-// key). Run loop only — the prefetch goroutine syncs blobs but never touches
-// this cache.
-func (w *Worker) decodeRefs(sh *Shard) ([]corpus.Item, error) {
-	key := ""
-	for _, ref := range sh.Corpus {
-		key += ref.Hash
-	}
-	if key == w.refsKey {
-		return w.refs, nil
-	}
-	refs := make([]corpus.Item, 0, len(sh.Corpus))
-	for _, ref := range sh.Corpus {
-		data, err := w.st.GetBlob(ref.Hash)
-		if err != nil {
-			return nil, err
-		}
-		it, err := decodeCorpusItem(data)
-		if err != nil {
-			return nil, err
-		}
-		refs = append(refs, it)
-	}
-	w.refsKey, w.refs = key, refs
-	return refs, nil
 }

@@ -32,26 +32,34 @@ type ScaleUniform struct {
 // Type implements Transformation.
 func (t *ScaleUniform) Type() string { return TypeScaleUniform }
 
-// loadsOf returns the result ids of every OpLoad of the uniform variable.
-func (t *ScaleUniform) loadsOf(c *Context) []spirv.ID {
+// loadsOf returns the result ids of every OpLoad of the uniform variable,
+// and false if a function uses the variable in any other way. Such a use
+// (an OpCopyObject of the pointer, say) makes a pointer synonym, and a load
+// through a synonym reads the doubled input without the compensation Apply
+// gives direct loads.
+func (t *ScaleUniform) loadsOf(c *Context) ([]spirv.ID, bool) {
 	var out []spirv.ID
+	ok := true
 	for _, fn := range c.Mod.Functions {
 		for _, b := range fn.Blocks {
-			for _, ins := range b.Body {
+			b.Instructions(func(ins *spirv.Instruction) {
 				if ins.Op == spirv.OpLoad && ins.IDOperand(0) == t.UniformVar {
 					out = append(out, ins.Result)
+				} else if ins.UsesID(t.UniformVar) {
+					ok = false
 				}
-			}
+			})
 		}
 	}
-	return out
+	return out, ok
 }
 
 // Precondition: the variable is a float-scalar uniform with a known, finite,
 // doublable input value; HalfConst is the 0.5 constant of the same type;
-// FreshIDs covers exactly the current loads with fresh distinct targets; and
-// no load participates in a Synonymous fact (its raw value is about to
-// change, which would falsify such facts).
+// FreshIDs covers exactly the current loads with fresh distinct targets; no
+// load participates in a Synonymous fact (its raw value is about to change,
+// which would falsify such facts); and the variable has no pointer synonym,
+// neither an instruction that copies it nor a Synonymous fact naming it.
 func (t *ScaleUniform) Precondition(c *Context) bool {
 	def := c.Mod.Def(t.UniformVar)
 	if def == nil || def.Op != spirv.OpVariable {
@@ -75,8 +83,8 @@ func (t *ScaleUniform) Precondition(c *Context) bool {
 	if hv, ok := c.Mod.ConstantFloatValue(t.HalfConst); !ok || hv != 0.5 || c.Mod.TypeOf(t.HalfConst) != pointee {
 		return false
 	}
-	loads := t.loadsOf(c)
-	if len(loads) != len(t.FreshIDs) {
+	loads, ok := t.loadsOf(c)
+	if !ok || len(loads) != len(t.FreshIDs) || len(c.Facts.WholeSynonymsOf(t.UniformVar)) != 0 {
 		return false
 	}
 	seen := make(map[spirv.ID]bool, len(loads))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/spirv"
@@ -190,5 +191,47 @@ func TestScaleUniformReductionInterplay(t *testing.T) {
 	}
 	if ctx2.Inputs.Uniforms["scale"].F != 2.0*0.5 {
 		t.Fatalf("replayed input = %v", ctx2.Inputs.Uniforms["scale"].F)
+	}
+}
+
+// TestScaleUniformRejectsPointerSynonym replays the reduced form of a
+// campaign variant (diamond2, seed 2776) that rendered differently from its
+// reference: a uniform load is made through a copy of the uniform's
+// pointer, and ScaleUniform, which compensates only direct loads, then
+// doubled the input under it. ScaleUniform must not apply while such a
+// synonym exists, so the replay keeps the reference's image.
+func TestScaleUniformRejectsPointerSynonym(t *testing.T) {
+	var item corpus.Item
+	for _, it := range corpus.References() {
+		if it.Name == "diamond2" {
+			item = it
+		}
+	}
+	ts, err := fuzz.UnmarshalSequence([]byte(`[
+		{"type": "ReplaceConstantWithUniform", "args": {"user": 38, "operand": 1, "uniformVar": 5, "freshLoad": 42}},
+		{"type": "CopyObject", "args": {"fresh": 44, "source": 5, "block": 18, "before": 23}},
+		{"type": "ReplaceIdWithSynonym", "args": {"user": 42, "operand": 0, "synonym": 44}},
+		{"type": "ScaleUniform", "args": {"uniformVar": 5, "halfConst": 32}}
+	]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, applied := fuzz.ReplayContext(item.Mod, item.Inputs, ts)
+	if len(applied) < 3 || applied[2] != 2 {
+		t.Fatalf("the load does not read through the pointer copy: applied %v", applied)
+	}
+	want, err := interp.Render(item.Mod, item.Inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := interp.Render(c.Mod, c.Inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("replay of %v renders %d pixels differently", applied, got.DiffCount(want))
+	}
+	if len(applied) != 3 {
+		t.Fatalf("ScaleUniform applied over a pointer synonym: applied %v", applied)
 	}
 }

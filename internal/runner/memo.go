@@ -1,9 +1,12 @@
 // The persistent memo tier. The engine's three in-memory layers die with
 // the process; a memostore.Store attached via SetMemoStore survives it.
-// Result-layer and compile-layer misses consult the store before running
-// anything, and completed executions spill back asynchronously. Each store
-// backs one engine, whose in-memory layers already collapse duplicate
-// in-flight executions before the store is asked.
+// Result-layer misses consult the store before running anything, and
+// completed executions spill back asynchronously. Each store backs one
+// engine, whose in-memory layers already collapse duplicate in-flight
+// executions before the store is asked. Only execution results are
+// stored: a warm repeat of a campaign is answered at the result layer and
+// never reaches the compile layer, so a compiled module on disk would be
+// read only by a different campaign that happens to share it.
 //
 // Safety rests on the repo's house invariant: target execution is a
 // deterministic function of content, so a memo payload keyed by content
@@ -23,10 +26,10 @@ import (
 	"spirvfuzz/internal/target"
 )
 
-const (
-	memoKindResult  = 1 // payload: resultPayload (final img/crash pair)
-	memoKindCompile = 2 // payload: compilePayload (compiled module bytes or error)
-)
+// memoKindResult tags result payloads (final img/crash pair). A store an
+// older build wrote may also hold compiled modules as kind 2: no key this
+// package derives names one, and execute's kind check refuses them.
+const memoKindResult = 1
 
 // SetMemoStore attaches a persistent memo store as the engine's fourth
 // cache tier; nil detaches it. The store is consulted only on in-memory
@@ -55,18 +58,6 @@ func resultMemoKey(k key) memostore.Key {
 	binary.LittleEndian.PutUint64(wh[8:], uint64(int64(k.h)))
 	h.Write(wh[:])
 	h.Write(k.uni[:])
-	var out memostore.Key
-	h.Sum(out[:0])
-	return out
-}
-
-// compileMemoKey derives the persistent key for a compile-layer run from
-// (module fingerprint, mutation fingerprint).
-func compileMemoKey(ck ckey) memostore.Key {
-	h := sha256.New()
-	h.Write([]byte("spirvfuzz/memo/compile/v2\x00"))
-	h.Write(ck.mod[:])
-	h.Write([]byte(ck.mut))
 	var out memostore.Key
 	h.Sum(out[:0])
 	return out
@@ -132,53 +123,6 @@ func decodeResult(data []byte) (*interp.Image, *target.Crash, bool) {
 	}
 }
 
-// Compile payloads hold the compiled module's canonical encoding, or the
-// pipeline error text, behind one tag byte. The fingerprint is not
-// stored — it is recomputed on decode, which is only correct because the
-// encoding round-trips exactly (pinned by TestMemoCompileRoundTrip).
-const (
-	memoCompileErr = 0 // trailing bytes: the pipeline error text, verbatim
-	memoCompileMod = 1 // trailing bytes: the module's canonical encoding
-)
-
-func encodeCompile(compiled *spirv.Module, errMsg string) ([]byte, bool) {
-	if errMsg != "" {
-		out := make([]byte, 1+len(errMsg))
-		out[0] = memoCompileErr
-		copy(out[1:], errMsg)
-		return out, true
-	}
-	if compiled == nil {
-		return nil, false
-	}
-	enc := compiled.EncodeBytes()
-	out := make([]byte, 1+len(enc))
-	out[0] = memoCompileMod
-	copy(out[1:], enc)
-	return out, true
-}
-
-func decodeCompile(data []byte) (compiled *spirv.Module, fp [sha256.Size]byte, errMsg string, ok bool) {
-	if len(data) < 1 {
-		return nil, fp, "", false
-	}
-	switch data[0] {
-	case memoCompileErr:
-		if len(data) == 1 {
-			return nil, fp, "", false
-		}
-		return nil, fp, string(data[1:]), true
-	case memoCompileMod:
-		m, err := spirv.DecodeBytes(data[1:])
-		if err != nil {
-			return nil, fp, "", false
-		}
-		return m, m.Fingerprint(), "", true
-	default:
-		return nil, fp, "", false
-	}
-}
-
 // execute fills a result-layer miss: from the memo tier when one is
 // attached and holds the execution, else by running the toolchain, whose
 // outcome then spills to the memo. Counter semantics: Misses counts
@@ -204,24 +148,4 @@ func (e *Engine) execute(tg *target.Target, m *spirv.Module, in interp.Inputs, k
 		e.memo.SpillAsync(mk, memoKindResult, data)
 	}
 	return r
-}
-
-// compileMemoFill fills a compile-layer miss through the memo tier: from
-// disk when the store holds the compile, else by running the pipeline,
-// whose outcome then spills to the memo.
-func (e *Engine) compileMemoFill(m *spirv.Module, muts []target.Mutation, ck ckey) compiled {
-	mk := compileMemoKey(ck)
-	if kind, data, ok := e.memo.Get(mk); ok && kind == memoKindCompile {
-		if mod, fp, errMsg, ok := decodeCompile(data); ok {
-			e.memoHits.Add(1)
-			return compiled{mod: mod, fp: fp, errMsg: errMsg}
-		}
-	}
-	e.memoMisses.Add(1)
-	c := e.sharedCompile(m, muts)
-	if data, ok := encodeCompile(c.mod, c.errMsg); ok {
-		e.memoSpills.Add(1)
-		e.memo.SpillAsync(mk, memoKindCompile, data)
-	}
-	return c
 }

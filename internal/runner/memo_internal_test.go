@@ -5,14 +5,12 @@ import (
 	"testing"
 
 	"spirvfuzz/internal/interp"
-	"spirvfuzz/internal/memostore"
 	"spirvfuzz/internal/target"
 	"spirvfuzz/internal/testmod"
 )
 
-// The memo keys must separate layers and content: equal content maps to
-// equal keys, any field change to a different key, and the result/compile
-// domains never collide.
+// The memo key must separate content: equal content maps to equal keys,
+// any field change to a different key.
 func TestMemoKeyDerivation(t *testing.T) {
 	m := testmod.Diamond()
 	fp := m.Fingerprint()
@@ -30,15 +28,6 @@ func TestMemoKeyDerivation(t *testing.T) {
 		if resultMemoKey(kv) == resultMemoKey(k1) {
 			t.Fatalf("variant %d collides with base key", i)
 		}
-	}
-	ck := ckey{mod: fp, mut: ""}
-	if compileMemoKey(ck) == compileMemoKey(ckey{mod: fp, mut: "x"}) {
-		t.Fatal("mutation fingerprint ignored by compile key")
-	}
-	// Cross-domain separation: a compile key whose content bytes happen to
-	// echo a result key still hashes into a different domain.
-	if memostore.Key(resultMemoKey(k1)) == memostore.Key(compileMemoKey(ck)) {
-		t.Fatal("result and compile domains collide")
 	}
 }
 
@@ -91,47 +80,29 @@ func TestMemoResultCodec(t *testing.T) {
 	}
 }
 
-// The compile payload stores only the module's canonical encoding; the
-// fingerprint is recomputed on decode. That is sound only if the
-// encoding round-trips exactly — pinned here against every corpus-shaped
-// module the compile path actually produces.
-func TestMemoCompileRoundTrip(t *testing.T) {
-	for name, m := range testmod.All() {
-		compiled, err := target.SharedCompile(m, nil)
-		if err != nil {
-			continue
-		}
-		data, ok := encodeCompile(compiled, "")
+// FuzzDecodeResult feeds the result payload decoder arbitrary bytes: memo
+// payloads come from disk and from cluster memo sync. No input may panic,
+// and an accepted payload must re-encode to the same bytes, so a served
+// result is exactly the one that was stored.
+func FuzzDecodeResult(f *testing.F) {
+	f.Add([]byte{memoShapeOffline})
+	f.Add(append([]byte{memoShapeCrash}, "Mesa: device fault: boom"...))
+	f.Add(append([]byte{memoShapeImage, 1, 0, 0, 0, 1, 0, 0, 0}, 1, 2, 3, 4))
+	f.Add([]byte{memoShapeImage, 2, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, crash, ok := decodeResult(data)
 		if !ok {
-			t.Fatalf("%s: encode failed", name)
+			return
 		}
-		got, fp, errMsg, ok := decodeCompile(data)
-		if !ok || errMsg != "" || got == nil {
-			t.Fatalf("%s: decode failed (%v, %q)", name, ok, errMsg)
+		if img != nil && crash != nil {
+			t.Fatalf("payload %x decodes to both an image and a crash", data)
 		}
-		if fp != compiled.Fingerprint() {
-			t.Fatalf("%s: fingerprint changed across the codec — the memo would desync the render layer", name)
+		again, ok := encodeResult(img, crash)
+		if !ok {
+			t.Fatalf("accepted payload %x does not re-encode", data)
 		}
-		if !bytes.Equal(got.EncodeBytes(), compiled.EncodeBytes()) {
-			t.Fatalf("%s: encoding not a fixed point", name)
+		if !bytes.Equal(again, data) {
+			t.Fatalf("payload %x re-encodes to %x", data, again)
 		}
-	}
-	// Error-shaped payloads round trip too.
-	data, ok := encodeCompile(nil, "opt: pass exploded")
-	if !ok {
-		t.Fatal("encode of error payload failed")
-	}
-	if _, _, errMsg, ok := decodeCompile(data); !ok || errMsg != "opt: pass exploded" {
-		t.Fatalf("error payload round trip: %q %v", errMsg, ok)
-	}
-	for name, bad := range map[string][]byte{
-		"empty payload":        nil,
-		"unknown tag byte":     {7},
-		"garbage module bytes": {1, 0xde, 0xad},
-		"empty error text":     {0},
-	} {
-		if _, _, _, ok := decodeCompile(bad); ok {
-			t.Fatalf("decodeCompile accepted %s", name)
-		}
-	}
+	})
 }

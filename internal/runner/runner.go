@@ -123,7 +123,7 @@ type Stats struct {
 	// OptPasses is the process-wide per-pass optimizer profile (runs,
 	// changed, wall time) accumulated by opt.Pipeline.
 	OptPasses []opt.PassStat
-	// Memo tier: persistent result/compile lookups (see memo.go). All zero
+	// Memo tier: persistent result lookups (see memo.go). All zero
 	// unless SetMemoStore attached a store. MemoHits are executions served
 	// from disk without running anything; MemoMisses are lookups that had
 	// to execute; and MemoSpills are outcomes queued for persistence.
@@ -340,9 +340,6 @@ func (e *Engine) runUncached(tg *target.Target, m *spirv.Module, in interp.Input
 func (e *Engine) compile(m *spirv.Module, modHash [sha256.Size]byte, muts []target.Mutation) compiled {
 	ck := ckey{mod: modHash, mut: target.FingerprintMutations(muts)}
 	c, _ := e.compiles.get(context.Background(), ck, func() (compiled, error) {
-		if e.memo != nil {
-			return e.compileMemoFill(m, muts, ck), nil
-		}
 		return e.sharedCompile(m, muts), nil
 	})
 	return c

@@ -43,9 +43,6 @@ type bisectDoneRec struct {
 	BisectBuckets int `json:"bisect_buckets"`
 }
 
-func bucketCheckpoint(campaignID string) string { return "buckets-" + campaignID }
-func bisectCheckpoint(jobID string) string      { return "bisect-" + jobID }
-
 // Unit phases, in pipeline order. They double as the cluster's shard phases.
 const (
 	PhaseFuzz   = "fuzz"
@@ -165,16 +162,11 @@ type bisectJob struct {
 func (j *bisectJob) status() BisectStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	total := len(j.cases)
-	if j.set != nil {
-		// A job recovered done never lists its cases.
-		total = len(j.set.Outcomes)
-	}
 	return BisectStatus{
 		ID:           j.id,
 		Campaign:     j.camp.id,
 		State:        j.state,
-		CasesTotal:   total,
+		CasesTotal:   len(j.cases),
 		CasesDone:    len(j.outcomes),
 		SkippedCases: j.skipped,
 		Error:        j.errMsg,
@@ -185,8 +177,10 @@ func (j *bisectJob) status() BisectStatus {
 // a spirvd process serves, whichever role executes their units. It owns the
 // journal records, recovery by replay, the c%03d/b%03d IDs, status
 // derivation, and the phase transitions: every test recorded selects the
-// reductions, every reduction recorded builds and checkpoints the buckets,
-// every case bisected builds and checkpoints the bisection set.
+// reductions, every reduction recorded builds the buckets, every case
+// bisected builds the bisection set. Buckets and bisection sets are pure
+// functions of the journaled records, so they are never stored: recovery
+// rebuilds them.
 //
 // Record methods journal first, then apply, and return the units the next
 // phase still needs; the Machine never calls into its executor. Locks are
@@ -221,10 +215,12 @@ func (m *Machine) memoNow() memoCounts {
 
 // NewMachine replays st's journal and returns the recovered machine plus the
 // missing units of every unfinished job, campaigns first, each in creation
-// order. A recovered job with nothing missing finishes during recovery.
-// memo, when non-nil, reads the executing engine's memo counters; each
-// campaign's status reports their delta over the campaign's run in this
-// process. Recovery fails on any record type it does not know.
+// order. A recovered job with nothing missing finishes during recovery; a
+// job whose *_done record is journaled is done, and its buckets or
+// bisection set are rebuilt from the replayed records without journaling
+// anything. memo, when non-nil, reads the executing engine's memo
+// counters; each campaign's status reports their delta over the campaign's
+// run in this process. Recovery fails on any record type it does not know.
 func NewMachine(st *store.Store, memo func() (hits, misses uint64)) (*Machine, []Unit, error) {
 	m := &Machine{
 		st:           st,
@@ -256,6 +252,17 @@ func NewMachine(st *store.Store, memo func() (hits, misses uint64)) (*Machine, [
 		if len(c.testsDone) == c.spec.Tests {
 			c.selectCases()
 		}
+		if c.state == StateDone {
+			if c.selected == nil {
+				return nil, nil, fmt.Errorf("service: campaign %s journaled done with unrecorded tests", id)
+			}
+			buckets, err := BuildBuckets(c.id, c.spec, c.cases, c.reduced)
+			if err != nil {
+				return nil, nil, err
+			}
+			c.buckets = buckets
+			continue
+		}
 		if c.state != StatePending {
 			continue
 		}
@@ -266,6 +273,17 @@ func NewMachine(st *store.Store, memo func() (hits, misses uint64)) (*Machine, [
 	}
 	for _, id := range m.bisectOrder {
 		j := m.bisects[id]
+		if j.state == StateDone {
+			if err := j.list(); err != nil {
+				return nil, nil, err
+			}
+			set, err := j.buildSet()
+			if err != nil {
+				return nil, nil, err
+			}
+			j.set = &set
+			continue
+		}
 		if j.state != StatePending {
 			continue
 		}
@@ -336,14 +354,7 @@ func (m *Machine) replayCampaign(c *campaign, r store.Record) error {
 		}
 		c.reduced[rec.Case] = rec
 	case recCampaignDone:
-		// The bucket checkpoint is saved before campaign_done is journaled;
-		// if it is nonetheless missing, the campaign stays pending and
-		// recovery rebuilds it from the reduced records.
-		var set BucketSet
-		if ok, err := m.st.LoadCheckpoint(bucketCheckpoint(c.id), &set); err == nil && ok {
-			c.buckets = set.Buckets
-			c.state = StateDone
-		}
+		c.state = StateDone
 	case recCampaignFailed:
 		var rec failedRec
 		if err := json.Unmarshal(r.Data, &rec); err != nil {
@@ -364,13 +375,7 @@ func (m *Machine) replayBisect(j *bisectJob, r store.Record) error {
 		}
 		j.outcomes[out.Case] = out
 	case recBisectDone:
-		// Saved before bisect_done like the bucket checkpoint; if missing,
-		// the job resumes and rebuilds it from the journaled verdicts.
-		var set BisectSet
-		if ok, err := m.st.LoadCheckpoint(bisectCheckpoint(j.id), &set); err == nil && ok {
-			j.set = &set
-			j.state = StateDone
-		}
+		j.state = StateDone
 	case recBisectFailed:
 		var rec failedRec
 		if err := json.Unmarshal(r.Data, &rec); err != nil {
@@ -478,15 +483,12 @@ func (m *Machine) enterReduce(c *campaign, now memoCounts) []Unit {
 	return units
 }
 
-// finish builds the buckets over the records in canonical selection order,
-// checkpoints them and journals campaign_done; a failure fails the campaign.
+// finish builds the buckets over the records in canonical selection order
+// and journals campaign_done; a failure fails the campaign.
 // now is the memo reading at the end of the campaign's run. Caller holds
 // c.mu.
 func (m *Machine) finish(c *campaign, now memoCounts) {
 	buckets, err := BuildBuckets(c.id, c.spec, c.cases, c.reduced)
-	if err == nil {
-		err = m.st.SaveCheckpoint(bucketCheckpoint(c.id), BucketSet{Campaign: c.id, Buckets: buckets})
-	}
 	if err == nil {
 		err = m.appendSync(c.id, recCampaignDone, campaignDoneRec{Buckets: len(buckets)})
 	}
@@ -534,20 +536,22 @@ func (m *Machine) activateBisect(j *bisectJob) []Unit {
 	return units
 }
 
-// finishBisect assembles the result set, checkpoints it and journals
-// bisect_done; a failure fails the job. The transform-signal bucket count is
-// rebuilt from the snapshotted records rather than read off the campaign.
-// Caller holds j.mu.
-func (m *Machine) finishBisect(j *bisectJob) {
+// buildSet assembles a listed job's result set. The transform-signal bucket
+// count is rebuilt from the snapshotted records rather than read off the
+// campaign.
+func (j *bisectJob) buildSet() (BisectSet, error) {
 	c := j.camp
 	buckets, err := BuildBuckets(c.id, c.spec, j.cases, j.reduced)
-	var set BisectSet
-	if err == nil {
-		set, err = BuildBisectSet(j.id, c.id, j.cases, j.reduced, j.outcomes, len(buckets))
+	if err != nil {
+		return BisectSet{}, err
 	}
-	if err == nil {
-		err = m.st.SaveCheckpoint(bisectCheckpoint(j.id), set)
-	}
+	return BuildBisectSet(j.id, c.id, j.cases, j.reduced, j.outcomes, len(buckets))
+}
+
+// finishBisect assembles the result set and journals bisect_done; a failure
+// fails the job. Caller holds j.mu.
+func (m *Machine) finishBisect(j *bisectJob) {
+	set, err := j.buildSet()
 	if err == nil {
 		err = m.appendSync(j.id, recBisectDone, bisectDoneRec{BisectBuckets: set.BisectBuckets})
 	}

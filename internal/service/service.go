@@ -168,8 +168,8 @@ func (s *Service) Close(ctx context.Context) error {
 	forced := s.queue.Drain(ctx)
 	s.cancel()
 	if s.memo != nil {
-		// After the jobs stop: Close flushes the spill queue and
-		// checkpoints the index so the next daemon warm-starts cheaply.
+		// After the jobs stop: Close flushes the spill queue and fsyncs
+		// the segments the next daemon scans.
 		if err := s.memo.Close(); err != nil && forced == nil {
 			forced = err
 		}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -273,7 +274,7 @@ func TestServiceResumeBitwiseIdentical(t *testing.T) {
 		t.Fatalf("resume re-ran every test: %+v", resumed)
 	}
 	if m := s2.Metrics(); m.JobsSkipped == 0 {
-		t.Fatalf("metrics show no checkpoint reuse: %+v", m)
+		t.Fatalf("metrics show no journal reuse: %+v", m)
 	}
 
 	resumedSets, err := s2.Buckets(status.ID)
@@ -291,7 +292,7 @@ func TestServiceResumeBitwiseIdentical(t *testing.T) {
 }
 
 // TestServiceRecoversDoneCampaign: a service restarted after a campaign
-// finished serves its buckets from the checkpoint without re-running
+// finished rebuilds its buckets from the journal without re-running
 // anything.
 func TestServiceRecoversDoneCampaign(t *testing.T) {
 	dir := t.TempDir()
@@ -354,10 +355,102 @@ func TestServiceRecoversDoneCampaign(t *testing.T) {
 	}
 }
 
+// TestRecoversDoneJobsWithoutCheckpoints: buckets and bisection sets are
+// never stored. A restart over a store with a finished campaign and a
+// finished bisection rebuilds both byte-identically from the journal,
+// submits no job and journals nothing. A checkpoints/ directory that an
+// older build left behind is neither read nor deleted.
+func TestRecoversDoneJobsWithoutCheckpoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second pipeline test")
+	}
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := New(st1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := s1.CreateCampaign(CampaignSpec{Tests: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status = waitCampaign(t, s1, status.ID, 2*time.Minute)
+	job, err := s1.CreateBisect(BisectSpec{Campaign: status.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job = waitBisect(t, s1, job.ID, 2*time.Minute)
+	if status.State != StateDone || job.State != StateDone || job.CasesTotal == 0 {
+		t.Fatalf("campaign %+v, bisect job %+v", status, job)
+	}
+	wantBuckets, _ := s1.Buckets(status.ID)
+	wantSet, _ := s1.BisectResult(job.ID)
+	wantBucketsJSON, _ := json.Marshal(wantBuckets)
+	wantSetJSON, _ := json.Marshal(wantSet)
+	s1.Close(context.Background())
+
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Fatalf("store root holds %d entries, want blobs/ and the journal only", len(entries))
+	}
+	stale := []byte("{\"buckets\": \"not what the journal says\"}\n")
+	stalePath := filepath.Join(dir, "checkpoints", "buckets-"+status.ID+".json")
+	if err := os.MkdirAll(filepath.Dir(stalePath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stalePath, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(st2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBuckets, err := s2.Buckets(status.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSet, err := s2.BisectResult(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBucketsJSON, _ := json.Marshal(gotBuckets)
+	gotSetJSON, _ := json.Marshal(gotSet)
+	if !bytes.Equal(gotBucketsJSON, wantBucketsJSON) {
+		t.Fatalf("recovered buckets:\n%s\nwant\n%s", gotBucketsJSON, wantBucketsJSON)
+	}
+	if !bytes.Equal(gotSetJSON, wantSetJSON) {
+		t.Fatalf("recovered bisection set:\n%s\nwant\n%s", gotSetJSON, wantSetJSON)
+	}
+	if got, _ := s2.BisectJob(job.ID); !reflect.DeepEqual(got, job) {
+		t.Fatalf("recovered bisect job: %+v (want %+v)", got, job)
+	}
+	if m := s2.Metrics(); m.JobsSubmitted != 0 {
+		t.Fatalf("restart submitted %d jobs", m.JobsSubmitted)
+	}
+	s2.Close(context.Background())
+	if after, _ := os.ReadFile(filepath.Join(dir, "journal.jsonl")); !bytes.Equal(after, journal) {
+		t.Fatal("recovery journaled records")
+	}
+	if after, err := os.ReadFile(stalePath); err != nil || !bytes.Equal(after, stale) {
+		t.Fatalf("stale checkpoint touched: %q, %v", after, err)
+	}
+}
+
 // TestCampaignWithoutBugs: a campaign that finds no bugs selects nothing to
 // reduce, yet its selection is made. It finishes with no buckets, a
-// bisection over it finishes with an empty set, and a restart that lost the
-// bucket checkpoint rebuilds it instead of waiting on the fuzz phase.
+// bisection over it finishes with an empty set, and a restart rebuilds both
+// from the journal instead of waiting on the fuzz phase.
 func TestCampaignWithoutBugs(t *testing.T) {
 	dir := t.TempDir()
 	st1, err := store.Open(dir)
@@ -390,9 +483,6 @@ func TestCampaignWithoutBugs(t *testing.T) {
 	}
 	s1.Close(context.Background())
 
-	if err := os.Remove(filepath.Join(dir, "checkpoints", "buckets-"+status.ID+".json")); err != nil {
-		t.Fatal(err)
-	}
 	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -486,6 +576,37 @@ func TestRecoveryRejectsUnknownRecord(t *testing.T) {
 	}
 }
 
+// TestRecoveryRejectsDoneWithoutRecords: a journaled campaign_done is
+// trusted to mean every record its buckets need precedes it. A journal
+// that says done without them is corrupt, and recovery refuses it instead
+// of serving buckets built from nothing.
+func TestRecoveryRejectsDoneWithoutRecords(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := CampaignSpec{Tests: 4}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Journal().Append("c001", recCampaignCreated, spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Journal().Append("c001", recCampaignDone, campaignDoneRec{}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, err := New(st2, Options{}); err == nil || !strings.Contains(err.Error(), "unrecorded tests") {
+		t.Fatalf("recovery over a done campaign without its tests: %v", err)
+	}
+}
+
 // waitBisect polls until the bisection job reaches a terminal state.
 func waitBisect(t *testing.T, s *Service, id string, timeout time.Duration) BisectStatus {
 	t.Helper()
@@ -507,8 +628,7 @@ func waitBisect(t *testing.T, s *Service, id string, timeout time.Duration) Bise
 
 // TestBisectJobResumeTornJournal is the bisection counterpart of the campaign
 // resume contract: a /bisect job SIGKILL'd mid-run — simulated by rewinding
-// the journal to one completed verdict, deleting the result checkpoint, and
-// leaving a torn half-written record at the tail — is auto-resumed by the
+// the journal to one completed verdict and leaving a torn half-written record at the tail — is auto-resumed by the
 // next service over the same store and produces a result set
 // bitwise-identical to the uninterrupted run, with the journaled verdict
 // skipped rather than recomputed.
@@ -572,9 +692,7 @@ func TestBisectJobResumeTornJournal(t *testing.T) {
 	s1.Close(context.Background())
 
 	// Simulate the SIGKILL: rewind the journal so only the first verdict
-	// survives, drop bisect_done and the checkpoint (journal order guarantees
-	// a crash losing the checkpoint also lost bisect_done or nothing), and
-	// tear the tail mid-record as an interrupted append would.
+	// survives, drop bisect_done, and tear the tail mid-record as an interrupted append would.
 	raw, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -608,9 +726,6 @@ func TestBisectJobResumeTornJournal(t *testing.T) {
 	torn := `{"seq":999999,"campaign":"` + job.ID + `","type":"case_bisected","data":{"case":"te`
 	kept = append(kept, torn)
 	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(strings.Join(kept, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "checkpoints", "bisect-"+job.ID+".json")); err != nil {
 		t.Fatal(err)
 	}
 

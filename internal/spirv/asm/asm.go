@@ -173,6 +173,11 @@ func parseInstruction(line string) (*spirv.Instruction, error) {
 			if err != nil {
 				return fmt.Errorf("%s: bad string %q", op, tok)
 			}
+			// A literal string ends at its first NUL, so one inside it
+			// would turn the rest of the string into operands.
+			if strings.IndexByte(s, 0) >= 0 {
+				return fmt.Errorf("%s: string %q contains a NUL", op, tok)
+			}
 			ins.Operands = append(ins.Operands, spirv.EncodeString(s)...)
 		}
 		return nil

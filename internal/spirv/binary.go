@@ -125,15 +125,18 @@ func DecodeWords(words []uint32) (*Module, error) {
 		body := words[pos+1 : pos+wc]
 		ins := &Instruction{Op: op}
 		i := 0
+		// Id 0 is never valid, and the encoder writes a type or result
+		// slot only when it holds a nonzero id: a zero there would not
+		// survive a re-encoding.
 		if sig.HasType {
-			if i >= len(body) {
+			if i >= len(body) || body[i] == 0 {
 				return nil, fmt.Errorf("spirv: %s at word %d missing result type", op, pos)
 			}
 			ins.Type = ID(body[i])
 			i++
 		}
 		if sig.HasResult {
-			if i >= len(body) {
+			if i >= len(body) || body[i] == 0 {
 				return nil, fmt.Errorf("spirv: %s at word %d missing result id", op, pos)
 			}
 			ins.Result = ID(body[i])

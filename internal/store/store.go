@@ -1,7 +1,7 @@
 // Package store is the durable state layer behind the spirvd campaign
 // daemon: a content-addressed blob store for campaign artifacts (module
-// binaries, transformation sequences, reduced bug reports), a write-ahead
-// journal of campaign events, and atomically-replaced checkpoint files.
+// binaries, transformation sequences, reduced bug reports) and a write-ahead
+// journal of campaign events.
 //
 // Everything the pipeline produces is deterministic, so durability is
 // expressed as content addressing plus an event log: artifacts are keyed by
@@ -28,7 +28,10 @@ import (
 //	root/
 //	  blobs/ab/abcdef...        content-addressed artifacts (SHA-256 hex)
 //	  journal.jsonl             append-only campaign event log
-//	  checkpoints/<name>.json   atomically-replaced derived state
+//
+// Derived state (buckets, bisection sets) is never stored: it is rebuilt
+// from the journal on open. A checkpoints/ directory left by older builds
+// is ignored.
 //
 // Store is safe for concurrent use.
 type Store struct {
@@ -38,7 +41,6 @@ type Store struct {
 	blobsWritten atomic.Uint64
 	blobBytes    atomic.Uint64
 	blobDedup    atomic.Uint64
-	checkpoints  atomic.Uint64
 
 	syncHasQueries atomic.Uint64
 	syncBlobsIn    atomic.Uint64
@@ -54,7 +56,6 @@ type Stats struct {
 	BlobBytes      uint64 `json:"blob_bytes"`    // bytes of those blobs
 	BlobDedupHits  uint64 `json:"blob_dedup_hits"`
 	JournalRecords uint64 `json:"journal_records"` // records appended this process
-	Checkpoints    uint64 `json:"checkpoints"`     // checkpoint saves this process
 
 	// Blob-sync protocol traffic (HasBatch/PutBatch/GetBatch), the
 	// store-side view of cluster transfers.
@@ -67,7 +68,7 @@ type Stats struct {
 
 // Open opens (creating if needed) a store rooted at dir.
 func Open(dir string) (*Store, error) {
-	for _, sub := range []string{"", "blobs", "checkpoints"} {
+	for _, sub := range []string{"", "blobs"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -95,7 +96,6 @@ func (s *Store) Stats() Stats {
 		BlobBytes:      s.blobBytes.Load(),
 		BlobDedupHits:  s.blobDedup.Load(),
 		JournalRecords: s.journal.appended.Load(),
-		Checkpoints:    s.checkpoints.Load(),
 		SyncHasQueries: s.syncHasQueries.Load(),
 		SyncBlobsIn:    s.syncBlobsIn.Load(),
 		SyncBytesIn:    s.syncBytesIn.Load(),
