@@ -47,14 +47,26 @@ test-bisect:
 # runs, which is where torn-tail and drain races would hide. Then repeated
 # runs of the recovery tests: a create whose record cannot be journaled
 # lists no job, a recovered campaign reports the status it had, and a
-# campaign that finds no bugs still finishes, bisects and recovers. Then a
-# short fuzz of journal replay over arbitrary bytes: an open fails or keeps
-# every complete record, and an append after it replays with a higher seq.
+# campaign that finds no bugs still finishes, bisects and recovers. Then
+# the store's fault and power-cut tests: injected ENOSPC, short writes,
+# fsync errors and torn tails surface as errors and counters, the blob log
+# is fsynced before the journal at every sync point, and a campaign resumed
+# after a simulated power cut ends with the uninterrupted run's buckets.
+# Then 20 race runs of the concurrent put/get tests. Then short fuzzes of
+# journal replay over arbitrary bytes (an open fails or keeps every
+# complete record, and an append after it replays with a higher seq), of
+# blob log recovery (every indexed blob reads back, a reopen indexes the
+# same, a put after recovery survives) and of the service's replay of
+# arbitrary journals (an error or a stable recovery, never a panic).
 test-daemon:
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./internal/service/... ./internal/store/...
 	$(GO) test -race -count=3 -run 'FailsWithoutJournal|RecoversDoneCampaign|CampaignWithoutBugs' ./internal/service/
+	$(GO) test -race -count=3 -run 'StoreFaults|StoreCreateFaults|SyncOrder|TornLastRecord|ImportsParentStore|PowerCutResume' ./internal/store/
+	$(GO) test -race -count=20 -run 'ConcurrentPut' ./internal/store/
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=2s ./internal/store/
+	$(GO) test -run '^$$' -fuzz=FuzzBlobLogRecover -fuzztime=10s -fuzzminimizetime=2s ./internal/store/
+	$(GO) test -run '^$$' -fuzz=FuzzMachineReplay -fuzztime=10s -fuzzminimizetime=2s ./internal/service/
 
 # The distributed layer gets the same treatment, plus repeated runs of the
 # tests of the journal both roles share (a store one role started, the

@@ -46,7 +46,7 @@ func main() {
 	exportReports := flag.String("export-reports", "", "reduce and export a bug-report bundle per distinct signature (Section 5 mode)")
 	all := flag.Bool("all", false, "regenerate everything")
 	asJSON := flag.Bool("json", false, "emit per-tool campaign summaries as JSON (the shape spirvd serves) instead of tables")
-	clusterProbe := flag.Int("cluster-probe", 0, "run a small probe campaign over this many in-process cluster nodes and report transfer/prefetch/shard-sizing counters")
+	clusterProbe := flag.Int("cluster-probe", 0, "run a small probe campaign over this many in-process cluster nodes and report transfer/prefetch/shard-sizing counters (-json adds the coordinator store's counters)")
 	flag.Parse()
 
 	if *listTargets {
@@ -119,10 +119,12 @@ func main() {
 	// produced are reported.
 	var probeCluster *cluster.ClusterStats
 	var probeWire *cluster.WireStats
+	var probeStore *store.Stats
 	if *clusterProbe > 0 {
-		cs, ws, err := clusterProbeRun(*clusterProbe)
+		m, ws, err := clusterProbeRun(*clusterProbe)
 		fatal(err)
-		probeCluster, probeWire = &cs, &ws
+		cs := m.Cluster
+		probeCluster, probeWire, probeStore = &cs, &ws, &m.Store
 		if !*asJSON {
 			fmt.Printf("gfauto: cluster probe (%d nodes): %d shards done (%d prefetched, %d requeued, %d duplicate), %d round trips, %d wire / %d raw bytes, blob dedup %.0f%%\n",
 				*clusterProbe, cs.ShardsCompleted, cs.Sync.Prefetched, cs.ShardsRequeued, cs.ShardsDuplicate,
@@ -148,7 +150,8 @@ func main() {
 			Memo      *memostore.Stats         `json:"memo,omitempty"`
 			Cluster   *cluster.ClusterStats    `json:"cluster,omitempty"`
 			Wire      *cluster.WireStats       `json:"wire,omitempty"`
-		}{campaignSummaries(c), c.Env.Eng.Stats(), c.Bisect.Stats(), memoStats, probeCluster, probeWire}, "", "  ")
+			Store     *store.Stats             `json:"store,omitempty"`
+		}{campaignSummaries(c), c.Env.Eng.Stats(), c.Bisect.Stats(), memoStats, probeCluster, probeWire, probeStore}, "", "  ")
 		fatal(err)
 		fmt.Println(string(out))
 	}
@@ -200,8 +203,8 @@ func campaignSummaries(c *experiments.Campaigns) []service.CampaignStatus {
 // cluster — temp stores, loopback HTTP, pipelined transport, adaptive
 // shards — and returns the coordinator's cluster counters plus the
 // process-wide wire-transfer delta the probe produced.
-func clusterProbeRun(n int) (cluster.ClusterStats, cluster.WireStats, error) {
-	var zero cluster.ClusterStats
+func clusterProbeRun(n int) (cluster.Metrics, cluster.WireStats, error) {
+	var zero cluster.Metrics
 	var zw cluster.WireStats
 	dir, err := os.MkdirTemp("", "gfauto-cluster-*")
 	if err != nil {
@@ -242,7 +245,7 @@ func clusterProbeRun(n int) (cluster.ClusterStats, cluster.WireStats, error) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	return co.Metrics().Cluster, cluster.SnapshotWire().Sub(before), nil
+	return co.Metrics(), cluster.SnapshotWire().Sub(before), nil
 }
 
 // ratio is a/b guarding the empty case.

@@ -346,11 +346,17 @@ func (m *Machine) replayCampaign(c *campaign, r store.Record) error {
 		if err := json.Unmarshal(r.Data, &rec); err != nil {
 			return err
 		}
+		if m.lacksBlob(rec) {
+			return store.ErrTornTail
+		}
 		c.addTest(rec)
 	case recReduced:
 		var rec ReducedRec
 		if err := json.Unmarshal(r.Data, &rec); err != nil {
 			return err
+		}
+		if !m.st.HasBlob(rec.ReportHash) {
+			return store.ErrTornTail
 		}
 		c.reduced[rec.Case] = rec
 	case recCampaignDone:
@@ -364,6 +370,21 @@ func (m *Machine) replayCampaign(c *campaign, r store.Record) error {
 		c.errMsg = rec.Error
 	}
 	return nil
+}
+
+// lacksBlob reports whether t names a sequence blob the store lacks. Every
+// record is journaled after the blobs it names are stored, and
+// Journal.Sync makes those blobs durable first, so in replay such a record
+// can only be one that a power cut kept while losing the blob: it and
+// every later record are a torn tail (store.ErrTornTail), whose steps
+// re-run.
+func (m *Machine) lacksBlob(t TestDone) bool {
+	for _, bug := range t.Bugs {
+		if !m.st.HasBlob(bug.SeqHash) {
+			return true
+		}
+	}
+	return false
 }
 
 func (m *Machine) replayBisect(j *bisectJob, r store.Record) error {
@@ -655,6 +676,9 @@ func (m *Machine) RecordTests(id string, tests []TestDone) ([]Unit, error) {
 		if t.Index < 0 || t.Index >= c.spec.Tests {
 			return nil, invalid("campaign %s has no test %d", id, t.Index)
 		}
+		if m.lacksBlob(t) {
+			return nil, invalid("campaign %s test %d names a sequence blob the store lacks", id, t.Index)
+		}
 	}
 	if terminal(c.state) {
 		return nil, ErrDuplicate
@@ -694,6 +718,9 @@ func (m *Machine) RecordReduced(id string, recs []ReducedRec) ([]Unit, error) {
 	for _, rec := range recs {
 		if !c.selected[rec.Case] {
 			return nil, invalid("campaign %s did not select case %q", id, rec.Case)
+		}
+		if !m.st.HasBlob(rec.ReportHash) {
+			return nil, invalid("campaign %s case %s names a report blob the store lacks", id, rec.Case)
 		}
 	}
 	if terminal(c.state) {

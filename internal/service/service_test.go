@@ -393,7 +393,7 @@ func TestRecoversDoneJobsWithoutCheckpoints(t *testing.T) {
 	s1.Close(context.Background())
 
 	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
-		t.Fatalf("store root holds %d entries, want blobs/ and the journal only", len(entries))
+		t.Fatalf("store root holds %d entries, want blobs.log and the journal only", len(entries))
 	}
 	stale := []byte("{\"buckets\": \"not what the journal says\"}\n")
 	stalePath := filepath.Join(dir, "checkpoints", "buckets-"+status.ID+".json")

@@ -24,12 +24,17 @@ func ScanLines(f *os.File, fn func(off int64, line []byte) error) (end int64, er
 	if err != nil {
 		return 0, err
 	}
+	return scanLines(f, info.Size(), fn)
+}
+
+// scanLines is ScanLines over the first size bytes of r.
+func scanLines(r io.ReaderAt, size int64, fn func(off int64, line []byte) error) (end int64, err error) {
 	// Size the buffer to the file, capped: logs are read whole on every
 	// open, and most are far smaller than the cap. ReadBytes joins lines
 	// longer than the buffer, so the cap bounds only the buffer.
-	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, info.Size()), int(min(info.Size(), maxScanBuf)))
+	br := bufio.NewReaderSize(io.NewSectionReader(r, 0, size), int(min(size, maxScanBuf)))
 	for {
-		line, err := r.ReadBytes('\n')
+		line, err := br.ReadBytes('\n')
 		if err == io.EOF {
 			return end, nil
 		}

@@ -289,8 +289,8 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte("\n  \n" + `{"seq":7,"type":"gap"}` + "\n" + `{"seq":2,"type":"older"}` + "\n  "))
 	f.Add([]byte(`{"seq":18446744073709551615,"type":"last"}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "journal.jsonl")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, journalName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var want []Record
@@ -321,7 +321,7 @@ func FuzzJournalReplay(f *testing.F) {
 			return got
 		}
 
-		j, err := openJournal(path)
+		j, err := openJournal(osFS{}, dir, nil, &faults{})
 		if err != nil {
 			if wellFormed {
 				t.Fatalf("open refused a well-formed journal: %v", err)
@@ -346,7 +346,7 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("appended seq %d not above earlier seq %d", rec.Seq, w.Seq)
 			}
 		}
-		j, err = openJournal(path)
+		j, err = openJournal(osFS{}, dir, nil, &faults{})
 		if err != nil {
 			t.Fatalf("reopen after append: %v", err)
 		}

@@ -1,8 +1,9 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
-	"os"
 )
 
 // Batch blob-sync primitives. A cluster worker negotiates transfers by hash:
@@ -24,16 +25,22 @@ func (s *Store) HasBatch(hashes []string) []bool {
 }
 
 // PutBatch stores each blob under its content address and returns the hashes
-// in order. Blobs arriving over the sync protocol count as SyncBlobsIn /
-// SyncBytesIn on top of the usual PutBlob accounting.
+// in order, appending every new blob to the blob log in one write. Blobs
+// arriving over the sync protocol count as SyncBlobsIn / SyncBytesIn on top
+// of the usual PutBlob accounting.
 func (s *Store) PutBatch(blobs [][]byte) ([]string, error) {
+	hs := make([]blobKey, len(blobs))
+	for i, b := range blobs {
+		hs[i] = sha256.Sum256(b)
+	}
+	written, err := s.blobs.putBatch(hs, blobs)
+	if err != nil {
+		return nil, fmt.Errorf("store: put batch: %w", err)
+	}
 	hashes := make([]string, len(blobs))
 	for i, b := range blobs {
-		h, err := s.PutBlob(b)
-		if err != nil {
-			return nil, fmt.Errorf("store: put batch blob %d: %w", i, err)
-		}
-		hashes[i] = h
+		hashes[i] = hex.EncodeToString(hs[i][:])
+		s.countPut(written[i], len(b))
 		s.syncBlobsIn.Add(1)
 		s.syncBytesIn.Add(uint64(len(b)))
 	}
@@ -60,13 +67,10 @@ func (s *Store) GetBatch(hashes []string) ([][]byte, error) {
 // it exists. Sync manifests carry (hash, size) pairs so referenced bytes can
 // be accounted without transferring anything.
 func (s *Store) StatBlob(hash string) (int64, bool) {
-	path, err := s.blobPath(hash)
+	h, err := parseHash(hash)
 	if err != nil {
 		return 0, false
 	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, false
-	}
-	return fi.Size(), true
+	sp, _, ok := s.blobs.lookup(h)
+	return sp.n, ok
 }
