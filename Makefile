@@ -25,11 +25,14 @@ test-analysis:
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s -fuzzminimizetime=2s ./internal/spirv/asm/
 
 # The interpreter gets repeated race passes over the VM/tree-walker
-# differential (the VM stores into cells in place and bump-allocates frame
-# values, the tree-walker clones; every image and fault must still match),
-# then the per-render allocation bound, which only builds without -race,
-# then a short fuzz of the same differential over fuzzed corpus variants and
-# their compiles by every target, injected miscompilations included.
+# differential (the VM stores into cells in place, bump-allocates frame
+# values and access-chain pointers per pixel, gives entry-block variables
+# cells owned by recycled frames and clears only the frame slots that can
+# be read before written; the tree-walker clones and makes a fresh cell per
+# OpVariable; every image and fault must still match), then the per-render
+# allocation bound, which only builds without -race, then a short fuzz of
+# the same differential over fuzzed corpus variants and their compiles by
+# every target, injected miscompilations included.
 test-interp:
 	$(GO) test -race -count=5 -run 'VMDiff' ./internal/interp/
 	$(GO) test -count=1 -run 'RenderAllocBound' ./internal/interp/

@@ -49,7 +49,7 @@ const (
 	popShuffle                // dst = vectorShuffle(a, b, lits)
 	popCopy                   // dst = a
 	popZero                   // dst = zero.Clone() (OpUndef)
-	popVariable               // dst = pointer to a fresh cell (init a or zero)
+	popVariable               // dst = pointer to frame cell `cell`, or a fresh one if < 0 (init a or zero)
 	popLoad                   // dst = *a
 	popStore                  // *a = b
 	popAccessChain            // dst = a narrowed by args indices
@@ -66,6 +66,7 @@ type pinstr struct {
 	fclass  fastClass // popBin: operand class for the closure-free fast path
 	dst     int32
 	a, b, c int32
+	cell    int32    // popVariable: index into the frame's cells, or -1 for a fresh cell
 	args    []int32  // construct elements / call arguments / chain indices
 	lits    []uint32 // extract/insert paths, shuffle selectors
 	bin     func(Value, Value) (Value, error)
@@ -141,12 +142,21 @@ type pblock struct {
 	term  pterm
 }
 
-// pfunc is one lowered function.
+// pfunc is one lowered function. Its slots are numbered parameters first,
+// then every result in block order, then ids defined nowhere, which are
+// never written; a recycled frame clears [clearFrom, ndefs), the slots an
+// activation may read before writing them (parameters are written by the
+// call; results of the entry block, which runs whole before any other
+// block, are written before any later read unless a read precedes its def
+// within the entry block itself).
 type pfunc struct {
 	id            spirv.ID
 	nparams       int
 	paramSlots    []int32
 	nslots        int
+	ndefs         int
+	clearFrom     int
+	ncells        int        // frame cells: the entry block's OpVariables, or 0
 	slotIDs       []spirv.ID // slot -> SSA id, for fault messages
 	fallback      []int32    // slot -> fixed ref if the id is also module-level
 	blocks        []pblock
@@ -202,15 +212,32 @@ func Compile(m *spirv.Module) (*Program, error) {
 	if entry == nil {
 		return nil, faultf("module has no entry point")
 	}
-	p := &planner{
-		m:       m,
-		prog:    &Program{coord: -1, color: -1},
-		refs:    make(map[spirv.ID]int32),
-		fnIndex: make(map[spirv.ID]int32),
-		consts:  make(map[spirv.ID]Value),
-		globals: make(map[spirv.ID]int32),
+	// Size the module-level tables from the module's counts: growing them
+	// by appends was most of what Compile allocated.
+	var nconsts, nvars int
+	for _, ins := range m.TypesGlobals {
+		switch ins.Op {
+		case spirv.OpConstantTrue, spirv.OpConstantFalse, spirv.OpConstant,
+			spirv.OpConstantComposite, spirv.OpConstantNull, spirv.OpUndef:
+			nconsts++
+		case spirv.OpVariable:
+			nvars++
+		}
 	}
-	names := make(map[spirv.ID]string)
+	p := &planner{
+		m: m,
+		prog: &Program{
+			coord: -1, color: -1,
+			fixedProto:  make([]Value, 0, nconsts+nvars),
+			fixedGlobal: make([]int32, 0, nconsts+nvars),
+			globals:     make([]globalSlot, 0, nvars),
+		},
+		refs:    make(map[spirv.ID]int32, nconsts+nvars),
+		fnIndex: make(map[spirv.ID]int32, len(m.Functions)),
+		consts:  make(map[spirv.ID]Value, nconsts),
+		globals: make(map[spirv.ID]int32, nvars),
+	}
+	names := make(map[spirv.ID]string, len(m.Names))
 	for _, n := range m.Names {
 		if n.Op == spirv.OpName {
 			s, _ := spirv.DecodeString(n.Operands[1:])
@@ -347,11 +374,16 @@ func (p *planner) addFixed(id spirv.ID, v Value, global int32) {
 	p.prog.fixedGlobal = append(p.prog.fixedGlobal, global)
 }
 
-// fctx is the per-function slot-numbering state.
+// fctx is the per-function slot-numbering state. While the entry block's
+// body is lowered (inEntry), its results below written are known written;
+// a read of one at or past it, below entryEnd, lowers pf.clearFrom.
 type fctx struct {
-	p     *planner
-	pf    *pfunc
-	slots map[spirv.ID]int32
+	p        *planner
+	pf       *pfunc
+	slots    map[spirv.ID]int32
+	inEntry  bool
+	written  int32
+	entryEnd int32
 }
 
 func (fx *fctx) addSlot(id spirv.ID) int32 {
@@ -371,6 +403,9 @@ func (fx *fctx) addSlot(id spirv.ID) int32 {
 // tree-walker's message at the tree-walker's point in evaluation order.
 func (fx *fctx) ref(id spirv.ID) int32 {
 	if s, ok := fx.slots[id]; ok {
+		if fx.inEntry && s >= fx.written && s < fx.entryEnd {
+			fx.pf.clearFrom = min(fx.pf.clearFrom, int(s))
+		}
 		return s
 	}
 	if r, ok := fx.p.refs[id]; ok {
@@ -406,13 +441,18 @@ func (p *planner) writesResult(ins *spirv.Instruction) bool {
 }
 
 func (p *planner) compileFunc(fn *spirv.Function) pfunc {
-	pf := pfunc{id: fn.ID(), nparams: len(fn.Params)}
-	fx := &fctx{p: p, pf: &pf, slots: make(map[spirv.ID]int32)}
+	ndefs := len(fn.Params)
+	for _, b := range fn.Blocks {
+		ndefs += len(b.Phis) + len(b.Body)
+	}
+	pf := pfunc{id: fn.ID(), nparams: len(fn.Params), slotIDs: make([]spirv.ID, 0, ndefs)}
+	fx := &fctx{p: p, pf: &pf, slots: make(map[spirv.ID]int32, ndefs)}
 	pf.paramSlots = make([]int32, len(fn.Params))
 	for i, prm := range fn.Params {
 		pf.paramSlots[i] = fx.addSlot(prm.Result)
 	}
-	for _, b := range fn.Blocks {
+	fx.written = int32(len(pf.slotIDs))
+	for i, b := range fn.Blocks {
 		for _, phi := range b.Phis {
 			fx.addSlot(phi.Result)
 		}
@@ -421,11 +461,16 @@ func (p *planner) compileFunc(fn *spirv.Function) pfunc {
 				fx.addSlot(ins.Result)
 			}
 		}
+		if i == 0 {
+			fx.entryEnd = int32(len(pf.slotIDs))
+		}
 	}
+	pf.ndefs = len(pf.slotIDs)
+	pf.clearFrom = int(fx.entryEnd)
 	if len(fn.Blocks) == 0 {
 		pf.noBlocks = faultf("function %%%d has no blocks", fn.ID())
 	} else {
-		blockIdx := make(map[spirv.ID]int32)
+		blockIdx := make(map[spirv.ID]int32, len(fn.Blocks))
 		for i, b := range fn.Blocks {
 			if _, ok := blockIdx[b.Label]; !ok {
 				blockIdx[b.Label] = int32(i)
@@ -435,13 +480,24 @@ func (p *planner) compileFunc(fn *spirv.Function) pfunc {
 		for i, b := range fn.Blocks {
 			pf.blocks[i] = pblock{label: b.Label}
 			pf.blocks[i].code = make([]pinstr, len(b.Body))
+			fx.inEntry = i == 0
 			for j, ins := range b.Body {
 				pf.blocks[i].code[j] = p.lowerInstr(fx, ins)
 			}
+			fx.inEntry = false
 			pf.blocks[i].term = p.lowerTerm(fx, fn, blockIdx, b)
 		}
 		if len(fn.Blocks[0].Phis) > 0 {
 			pf.entryPhiFault = faultf("ϕ in entry block %%%d", fn.Blocks[0].Label)
+		}
+		if pf.ncells > 0 && reentersEntry(pf.blocks) {
+			// The entry block's OpVariables can run twice in one
+			// activation, and each run needs a fresh cell: the first
+			// one's pointer may still be live.
+			for i := range pf.blocks[0].code {
+				pf.blocks[0].code[i].cell = -1
+			}
+			pf.ncells = 0
 		}
 	}
 	pf.nslots = len(pf.slotIDs)
@@ -456,6 +512,18 @@ func (p *planner) compileFunc(fn *spirv.Function) pfunc {
 	return pf
 }
 
+// reentersEntry reports whether any edge branches back to the entry block.
+func reentersEntry(blocks []pblock) bool {
+	for i := range blocks {
+		for _, e := range blocks[i].term.edges {
+			if e.fault == nil && e.target == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // lowerInstr lowers one body instruction 1:1 (every source instruction
 // costs exactly one VM instruction and one step, keeping step budgets
 // identical to the tree-walker's).
@@ -464,6 +532,15 @@ func (p *planner) lowerInstr(fx *fctx, ins *spirv.Instruction) pinstr {
 	if p.writesResult(ins) {
 		dst = fx.slots[ins.Result]
 	}
+	pi := p.lowerOp(fx, ins, dst)
+	if fx.inEntry && dst == fx.written {
+		fx.written++
+	}
+	return pi
+}
+
+// lowerOp lowers ins, whose result (if it writes one) goes to slot dst.
+func (p *planner) lowerOp(fx *fctx, ins *spirv.Instruction, dst int32) pinstr {
 	if f, ok := binOps[ins.Op]; ok {
 		pi := pinstr{op: popBin, dst: dst, a: fx.operand(ins, 0), b: fx.operand(ins, 1), bin: f}
 		switch {
@@ -517,14 +594,23 @@ func (p *planner) lowerInstr(fx *fctx, ins *spirv.Instruction) pinstr {
 		if !ok {
 			return pinstr{op: popFault, fault: faultf("OpVariable %%%d with non-pointer type", ins.Result)}
 		}
+		pi := pinstr{op: popVariable, dst: dst, a: refNone, cell: -1}
 		if len(ins.Operands) > 1 {
-			return pinstr{op: popVariable, dst: dst, a: fx.operand(ins, 1)}
+			pi.a = fx.operand(ins, 1)
+		} else {
+			z, err := ZeroValue(p.m, pointee)
+			if err != nil {
+				return pinstr{op: popFault, fault: err}
+			}
+			pi.zero = z
 		}
-		z, err := ZeroValue(p.m, pointee)
-		if err != nil {
-			return pinstr{op: popFault, fault: err}
+		if fx.inEntry {
+			// It runs once per activation (unless the entry block is
+			// branched back to, see compileFunc): a frame cell will do.
+			pi.cell = int32(fx.pf.ncells)
+			fx.pf.ncells++
 		}
-		return pinstr{op: popVariable, dst: dst, a: refNone, zero: z}
+		return pi
 	case spirv.OpLoad:
 		return pinstr{op: popLoad, dst: dst, a: fx.operand(ins, 0), msgID: ins.IDOperand(0)}
 	case spirv.OpStore:

@@ -12,15 +12,18 @@ import (
 
 // renderAllocBound caps the bytes one Program.Render of a corpus reference
 // may allocate at the campaign's DefaultGrid. Measured on linux/amd64:
-// 6–13 KiB for every reference but structarray (~55 KiB; its access chains
-// allocate a pointer per index per pixel). An arena with a fixed
-// 4096-element first chunk costs ≥224 KiB per render and fails the bound.
-const renderAllocBound = 64 << 10
+// 2–5 KiB for every reference but matrix1/2 (~9.5 KiB, matrix products
+// allocate their results), structarray 3.2 KiB. Heap-allocating a cell
+// and pointer per OpVariable execution costs structarray ~37 KiB per
+// render and fails the bound.
+const renderAllocBound = 16 << 10
 
 // TestRenderAllocBound pins the per-query render cost the oracle pays, at a
 // campaign's query rate a large share of everything the process allocates:
-// the element arena is sized to the shader, not to a fixed chunk. It is
-// built without -race, whose instrumentation allocates on its own.
+// variable cells belong to recycled frames, access-chain pointers to the
+// per-pixel arena, and the arena is sized to the shader, not to a fixed
+// chunk. It is built without -race, whose instrumentation allocates on its
+// own.
 func TestRenderAllocBound(t *testing.T) {
 	for _, item := range corpus.References() {
 		prog, err := interp.Compile(item.Mod)

@@ -1,5 +1,11 @@
 package interp
 
+import (
+	"slices"
+
+	"spirvfuzz/internal/freelist"
+)
+
 // vmachine executes a compiled Program. A machine owns its mutable state —
 // global cells, the fixed value pool (constants plus this machine's global
 // pointers) and a per-function frame arena — so concurrent renders use one
@@ -8,41 +14,106 @@ type vmachine struct {
 	p     *Program
 	fixed []Value
 	cells []Cell
-	arena [][][]Value // per function: stack of reusable frames
+	arena [][]vframe // per function: stack of reusable frames
 	valArena
 	scratch   []Value // ϕ parallel-move staging
 	argbuf    []Value // call-argument staging
 	steps     int
 	callDepth int
+	// escaped is set once a pointer is stored into memory, or returned by
+	// a function with frame cells: from then on an address may outlive its
+	// activation, so every later activation takes fresh cells.
+	escaped bool
 }
 
-// valArena is the bump arena for frame-bound composite elements, together
-// with the arena-backed evaluation helpers that allocate from it.
+// vframe is the storage of one VM activation: its value slots and one cell
+// per OpVariable the planner gave a frame cell (pfunc.ncells).
+type vframe struct {
+	slots []Value
+	cells []frameCell
+}
+
+// frameCell is a variable cell owned by a frame, with the pointer every
+// activation's OpVariable hands out; both live as long as the frame.
+type frameCell struct {
+	Cell
+	ptr Pointer
+}
+
+func newFrameCells(n int) []frameCell {
+	cs := make([]frameCell, n)
+	for i := range cs {
+		cs[i].ptr.Cell = &cs[i].Cell
+	}
+	return cs
+}
+
+// valArena is the per-pixel bump arena for frame-bound storage — composite
+// elements, access-chain pointers and their paths — together with the
+// arena-backed evaluation helpers that allocate from it.
 type valArena struct {
-	earena []Value // bump arena for frame-bound composite elements
+	earena []Value // composite elements
 	eoff   int
+	parena []Pointer // access-chain pointers
+	poff   int
+	iarena []int // access-chain paths
+	ioff   int
+	// ehigh and phigh bound the offsets any pixel reached in the current
+	// chunks, so recycle knows how much of them to clear.
+	ehigh, phigh int
 }
 
-// allocElems bump-allocates n element slots from the per-pixel arena. Values
-// backed by the arena may only be stored in frame slots: frames die when the
-// invocation returns, and everything that outlives the pixel (memory cells)
-// is copied out of it (popStore writes into the cell's own storage, variable
-// init clones to the heap). Chunks start small and double: a pixel of a
-// typical 8×8-grid shader needs a few dozen elements, so a render's arena is
-// a few KiB where a fixed 4096-element first chunk zeroed ~224 KiB of
-// pointer-bearing memory per render. renderPixel resets the offset and keeps
-// the last (largest) chunk, so once a chunk covers a whole pixel the render
-// allocates nothing more.
-func (ar *valArena) allocElems(n int) []Value {
-	if ar.eoff+n > len(ar.earena) {
+// bump allocates n slots from *buf at *off, starting a chunk twice the size
+// of the last when it runs out. Arena-backed storage may only be held by
+// frame slots: frames die when the invocation returns, and everything that
+// outlives the pixel (memory cells) is copied out of it by storeValue.
+// Chunks start small and double, so the arena fits the shader: a pixel of a
+// typical 8×8-grid shader needs a few dozen elements. renderPixel resets the
+// offsets and keeps the last (largest) chunks, so once they cover a whole
+// pixel the render allocates nothing more, and a finished render hands them
+// to the next (arenaCache).
+func bump[T any](buf *[]T, off *int, n int) []T {
+	if *off+n > len(*buf) {
 		// A new chunk; the old one stays alive while frame values reference
 		// it and is collected afterwards.
-		ar.earena = make([]Value, max(2*len(ar.earena), n, 64))
-		ar.eoff = 0
+		*buf = make([]T, max(2*len(*buf), n, 64))
+		*off = 0
 	}
-	s := ar.earena[ar.eoff : ar.eoff+n : ar.eoff+n]
-	ar.eoff += n
+	s := (*buf)[*off : *off+n : *off+n]
+	*off += n
 	return s
+}
+
+// allocElems bump-allocates n element slots from the per-pixel arena.
+func (ar *valArena) allocElems(n int) []Value { return bump(&ar.earena, &ar.eoff, n) }
+
+// reset recycles the arena for the next pixel: its frame values are dead.
+func (ar *valArena) reset() {
+	ar.ehigh, ar.phigh = max(ar.ehigh, ar.eoff), max(ar.phigh, ar.poff)
+	ar.eoff, ar.poff, ar.ioff = 0, 0, 0
+}
+
+// arenaCache hands the arena chunks of finished renders to the next ones, so
+// that a render does not regrow its chunks from 64 slots: in a campaign,
+// where almost every render is of a new program, that regrowth was the
+// largest share of what rendering allocated. It keeps no arena with a
+// chunk grown past maxCachedSlots.
+var arenaCache freelist.List[valArena]
+
+const maxCachedSlots = 1 << 14
+
+// recycle returns the arena's chunks to arenaCache once its render is done.
+// The used part of each chunk is cleared first, so a cached chunk keeps no
+// dead render's memory reachable.
+func (ar *valArena) recycle() {
+	ar.reset()
+	if len(ar.earena) > maxCachedSlots || len(ar.parena) > maxCachedSlots || len(ar.iarena) > maxCachedSlots {
+		return
+	}
+	clear(ar.earena[:ar.ehigh])
+	clear(ar.parena[:ar.phigh])
+	ar.ehigh, ar.phigh = 0, 0
+	arenaCache.Put(*ar)
 }
 
 // arenaClone is Value.Clone with element storage from the arena; the result
@@ -165,22 +236,30 @@ func (p *Program) newVM(in Inputs) *vmachine {
 			cells[u.global].V = v.Clone()
 		}
 	}
-	return &vmachine{p: p, cells: cells, fixed: fixed, arena: make([][][]Value, len(p.funcs))}
+	vm := &vmachine{p: p, cells: cells, fixed: fixed, arena: make([][]vframe, len(p.funcs))}
+	vm.valArena, _ = arenaCache.Get()
+	return vm
 }
 
-// acquire returns a cleared frame for function f from the arena.
-func (vm *vmachine) acquire(f int32) []Value {
+// acquire returns a frame for function pf (index f) from the arena. A
+// recycled frame clears only the slots an activation may read before it
+// writes them (pfunc.clearFrom); its cells are reset by the OpVariables that
+// hand them out, or replaced by fresh ones once a pointer has escaped.
+func (vm *vmachine) acquire(pf *pfunc, f int32) vframe {
 	pool := vm.arena[f]
 	if n := len(pool); n > 0 {
 		fr := pool[n-1]
 		vm.arena[f] = pool[:n-1]
-		clear(fr)
+		clear(fr.slots[pf.clearFrom:pf.ndefs])
+		if vm.escaped {
+			fr.cells = newFrameCells(pf.ncells)
+		}
 		return fr
 	}
-	return make([]Value, vm.p.funcs[f].nslots)
+	return vframe{slots: make([]Value, pf.nslots), cells: newFrameCells(pf.ncells)}
 }
 
-func (vm *vmachine) release(f int32, fr []Value) {
+func (vm *vmachine) release(f int32, fr vframe) {
 	vm.arena[f] = append(vm.arena[f], fr)
 }
 
@@ -208,12 +287,11 @@ func (vm *vmachine) readSlow(pf *pfunc, ref int32) (Value, error) {
 }
 
 // call runs funcs[fidx] to completion, mirroring callFunction's fault order
-// (depth, then arity) and step accounting exactly.
+// (depth, then arity) and step accounting exactly. It needs no defer: exec
+// returns every fault as an error, and a panic abandons the whole machine.
 func (vm *vmachine) call(fidx int32, args []Value) (Value, error) {
 	pf := &vm.p.funcs[fidx]
-	vm.callDepth++
-	defer func() { vm.callDepth-- }()
-	if vm.callDepth > maxCallDepth {
+	if vm.callDepth >= maxCallDepth {
 		return Value{}, faultf("call depth limit exceeded in function %%%d", pf.id)
 	}
 	if len(args) != pf.nparams {
@@ -222,17 +300,19 @@ func (vm *vmachine) call(fidx int32, args []Value) (Value, error) {
 	if pf.noBlocks != nil {
 		return Value{}, pf.noBlocks
 	}
-	fr := vm.acquire(fidx)
+	vm.callDepth++
+	fr := vm.acquire(pf, fidx)
 	for i, s := range pf.paramSlots {
-		fr[s] = args[i]
+		fr.slots[s] = args[i]
 	}
-	ret, err := vm.exec(pf, fr)
+	ret, err := vm.exec(pf, fr.slots, fr.cells)
 	vm.release(fidx, fr)
+	vm.callDepth--
 	return ret, err
 }
 
-// exec interprets one activation of pf over frame fr.
-func (vm *vmachine) exec(pf *pfunc, fr []Value) (Value, error) {
+// exec interprets one activation of pf over frame slots fr and cells.
+func (vm *vmachine) exec(pf *pfunc, fr []Value, cells []frameCell) (Value, error) {
 	bi := int32(0)
 	first := true
 	var moves []pmove
@@ -474,19 +554,26 @@ func (vm *vmachine) exec(pf *pfunc, fr []Value) (Value, error) {
 				fr[ins.dst] = vm.arenaClone(ins.zero)
 
 			case popVariable:
-				var init Value
+				init := ins.zero
 				if ins.a != refNone {
 					v, err := vm.read(pf, fr, ins.a)
 					if err != nil {
 						return Value{}, err
 					}
-					init = v.Clone()
-				} else {
-					init = ins.zero.Clone()
+					init = v
 				}
-				// A fresh cell per execution: escaped pointers from earlier
-				// activations stay valid, as with the tree-walker.
-				cell := &Cell{V: init}
+				if ins.cell >= 0 {
+					// The frame's own cell, reset in place: no pointer to it
+					// outlives the activation that set it up (see escaped).
+					fc := &cells[ins.cell]
+					vm.storeValue(&fc.V, init)
+					fr[ins.dst] = Value{Kind: KindPointer, Ptr: &fc.ptr}
+					continue
+				}
+				// A fresh cell per execution: pointers from earlier
+				// executions stay valid, as with the tree-walker.
+				cell := &Cell{}
+				vm.storeValue(&cell.V, init)
 				fr[ins.dst] = Value{Kind: KindPointer, Ptr: &Pointer{Cell: cell}}
 
 			case popLoad:
@@ -528,7 +615,7 @@ func (vm *vmachine) exec(pf *pfunc, fr []Value) (Value, error) {
 				if pv.Kind != KindPointer {
 					return Value{}, faultf("OpStore to non-pointer %%%d", ins.msgID)
 				}
-				storePtr(pv.Ptr, v)
+				vm.storePtr(pv.Ptr, v)
 
 			case popAccessChain:
 				base, err := vm.read(pf, fr, ins.a)
@@ -538,13 +625,9 @@ func (vm *vmachine) exec(pf *pfunc, fr []Value) (Value, error) {
 				if base.Kind != KindPointer {
 					return Value{}, faultf("OpAccessChain on non-pointer %%%d", ins.msgID)
 				}
-				ptr := base.Ptr
-				for _, r := range ins.args {
-					idx, err := vm.read(pf, fr, r)
-					if err != nil {
-						return Value{}, err
-					}
-					ptr = ptr.Elem(int(int32(idx.Bits)))
+				ptr, err := vm.accessChain(pf, fr, ins.args, base.Ptr)
+				if err != nil {
+					return Value{}, err
 				}
 				fr[ins.dst] = Value{Kind: KindPointer, Ptr: ptr}
 
@@ -611,7 +694,11 @@ func (vm *vmachine) exec(pf *pfunc, fr []Value) (Value, error) {
 		case tkReturn:
 			return Value{}, nil
 		case tkReturnValue:
-			return vm.read(pf, fr, t.ret)
+			v, err := vm.read(pf, fr, t.ret)
+			if pf.ncells > 0 && holdsPointer(v) {
+				vm.escaped = true // it may point at one of this frame's cells
+			}
+			return v, err
 		case tkKill:
 			return Value{}, errKill
 		default: // tkFault
@@ -625,54 +712,129 @@ func (vm *vmachine) exec(pf *pfunc, fr []Value) (Value, error) {
 	}
 }
 
+// accessChain is Pointer.Elem applied per index, with the result and its
+// path taken from the per-pixel arena: it walks the base value once and
+// clamps each index into range, leaving the path as is where the value
+// reached has no members.
+func (vm *vmachine) accessChain(pf *pfunc, fr []Value, idxs []int32, base *Pointer) (*Pointer, error) {
+	if len(idxs) == 0 {
+		return base, nil
+	}
+	v := &base.Cell.V
+	for _, i := range base.Path {
+		v = &v.Elems[i]
+	}
+	path := bump(&vm.iarena, &vm.ioff, len(base.Path)+len(idxs))[:len(base.Path)]
+	copy(path, base.Path)
+	for _, r := range idxs {
+		idx, err := vm.read(pf, fr, r)
+		if err != nil {
+			return nil, err
+		}
+		n := len(v.Elems)
+		if n == 0 {
+			continue
+		}
+		i := min(max(int(int32(idx.Bits)), 0), n-1)
+		path = append(path, i)
+		v = &v.Elems[i]
+	}
+	p := &bump(&vm.parena, &vm.poff, 1)[0]
+	*p = Pointer{Cell: base.Cell, Path: path}
+	return p, nil
+}
+
 // loadPtr is Pointer.Load with the copy taken from the arena: loaded values
 // land in frame slots, and anything stored back into a cell is copied into
-// the cell's own storage by storePtr.
+// the cell's own storage by storeValue. Scalars and flat vectors copy lane
+// by lane; only nested composites recurse.
 func (vm *vmachine) loadPtr(p *Pointer) Value {
 	v := &p.Cell.V
 	for _, i := range p.Path {
 		v = &v.Elems[i]
 	}
-	return vm.arenaClone(*v)
+	if v.Kind != KindComposite {
+		return *v
+	}
+	out := *v
+	out.Elems = vm.allocElems(len(v.Elems))
+	for i := range v.Elems {
+		if e := &v.Elems[i]; e.Kind == KindComposite {
+			out.Elems[i] = vm.arenaClone(*e)
+		} else {
+			out.Elems[i] = *e
+		}
+	}
+	return out
 }
 
-// storePtr is Pointer.Store reusing the target's element storage: resetValue
-// copies v into the cell's existing elements wherever the shapes match and
-// heap-clones the rest, so v's arena-backed elements never reach the cell.
+// storePtr is Pointer.Store into the target's own storage (storeValue).
 // Writing in place is sound because a cell owns its element storage
-// exclusively: loads arena-clone (loadPtr), and global, uniform and variable
-// cells start from heap clones, so no frame value, constant or other cell
-// aliases it. The tree-walker's Pointer.Store stays the reference.
-func storePtr(p *Pointer, v Value) {
+// exclusively: loads copy out (loadPtr), and every cell's storage is made
+// by storeValue or cloned from a prototype, so no frame value, constant or
+// other cell aliases it. The tree-walker's Pointer.Store stays the
+// reference.
+func (vm *vmachine) storePtr(p *Pointer, v Value) {
 	dst := &p.Cell.V
 	for _, i := range p.Path {
 		dst = &dst.Elems[i]
 	}
-	resetValue(dst, v)
+	vm.storeValue(dst, v)
 }
 
-// resetColor writes the program's output zero into the color cell, reusing
-// the cell's existing element storage when the shape still matches (the
-// common case: storePtr keeps the cell's shape, so after the first pixel no
-// allocation is needed).
+// resetColor writes the program's output zero into the color cell, in the
+// cell's existing storage (storePtr keeps the cell's shape, so after the
+// first pixel no allocation is needed).
 func (vm *vmachine) resetColor() {
-	resetValue(&vm.cells[vm.p.color].V, vm.p.colorZero)
+	vm.storeValue(&vm.cells[vm.p.color].V, vm.p.colorZero)
 }
 
-// resetValue sets *dst to a deep copy of proto, writing into dst's existing
-// element storage wherever the composite shapes match and heap-cloning the
-// rest. proto's own storage is only read, never retained.
-func resetValue(dst *Value, proto Value) {
-	if proto.Kind == KindComposite && dst.Kind == KindComposite && len(dst.Elems) == len(proto.Elems) {
-		elems := dst.Elems
-		for i := range elems {
-			resetValue(&elems[i], proto.Elems[i])
-		}
-		*dst = proto
-		dst.Elems = elems
+// storeValue sets *dst to a deep copy of v, writing into dst's existing
+// element storage wherever the composite shapes match and allocating the
+// rest; v's own storage, which may be the arena's, is only read. Scalar
+// lanes copy in place and only nested composites recurse. A stored pointer
+// is copied off the arena and marks the machine escaped: the address now
+// lives in memory, beyond the activation and pixel that made it.
+func (vm *vmachine) storeValue(dst *Value, v Value) {
+	switch v.Kind {
+	case KindComposite:
+	case KindPointer:
+		vm.escaped = true
+		v.Ptr = &Pointer{Cell: v.Ptr.Cell, Path: slices.Clone(v.Ptr.Path)}
+		*dst = v
+		return
+	default:
+		*dst = v
 		return
 	}
-	*dst = proto.Clone()
+	elems := dst.Elems
+	if dst.Kind != KindComposite || len(elems) != len(v.Elems) {
+		elems = make([]Value, len(v.Elems))
+	}
+	for i := range v.Elems {
+		if s := &v.Elems[i]; s.Kind == KindComposite || s.Kind == KindPointer {
+			vm.storeValue(&elems[i], *s)
+		} else {
+			elems[i] = *s
+		}
+	}
+	v.Elems = elems
+	*dst = v
+}
+
+// holdsPointer reports whether v is or contains a pointer.
+func holdsPointer(v Value) bool {
+	switch v.Kind {
+	case KindPointer:
+		return true
+	case KindComposite:
+		for i := range v.Elems {
+			if holdsPointer(v.Elems[i]) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // setCoord updates the coordinate input cell, in place when the cell still
@@ -701,6 +863,7 @@ func (p *Program) Render(in Inputs) (*Image, error) {
 	}
 	img := &Image{W: w, H: h, Pix: make([]uint8, 4*w*h)}
 	vm := p.newVM(in)
+	defer vm.recycle()
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if err := p.renderPixel(vm, img, x, y); err != nil {
@@ -722,7 +885,7 @@ func (p *Program) renderPixel(vm *vmachine, img *Image, x, y int) error {
 	}
 	vm.resetColor()
 	vm.steps = 0
-	vm.eoff = 0 // recycle the element arena: frame values are dead
+	vm.reset()
 	_, err := vm.call(p.entry, nil)
 	pi := 4 * (y*w + x)
 	if err == errKill {

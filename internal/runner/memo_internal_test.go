@@ -31,6 +31,26 @@ func TestMemoKeyDerivation(t *testing.T) {
 	}
 }
 
+// targetKey must keep naming every target and release view as
+// Name NUL Version, the form persistent memo stores were keyed by, and
+// must not build the string again once it has it.
+func TestMemoTargetKey(t *testing.T) {
+	for _, tg := range target.All() {
+		for _, rel := range target.Releases(tg.Name) {
+			v := target.At(tg.Name, rel)
+			if got, want := targetKey(v), v.Name+"\x00"+v.Version; got != want {
+				t.Fatalf("targetKey(%s@%s) = %q, want %q", tg.Name, rel, got, want)
+			}
+		}
+		if got, want := targetKey(tg), tg.Name+"\x00"+tg.Version; got != want {
+			t.Fatalf("targetKey(%s) = %q, want %q", tg.Name, got, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { targetKey(tg) }); n != 0 {
+			t.Fatalf("targetKey(%s) allocates %v times per call", tg.Name, n)
+		}
+	}
+}
+
 // All three legal result shapes survive the payload codec exactly.
 func TestMemoResultCodec(t *testing.T) {
 	img := &interp.Image{W: 2, H: 2, Pix: []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}}

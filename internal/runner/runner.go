@@ -454,9 +454,20 @@ func (e *Engine) DoCtx(ctx context.Context, n int, f func(i int)) error {
 // not version-qualified: a compile is fully determined by (module, mutation
 // fingerprint), so releases with equal firing sets share one compile — the
 // cache win bisection depends on.
+//
+// Targets are immutable after init, so each one's key is built once and
+// kept in targetKeys rather than concatenated, one allocation each time,
+// for every result-layer key.
 func targetKey(tg *target.Target) string {
-	return tg.Name + "\x00" + tg.Version
+	if k, ok := targetKeys.Load(tg); ok {
+		return k.(string)
+	}
+	k := tg.Name + "\x00" + tg.Version
+	targetKeys.Store(tg, k)
+	return k
 }
+
+var targetKeys sync.Map // *target.Target -> its targetKey
 
 // keyFor builds the content-addressed cache key: the module hash is the
 // memoized fingerprint and the inputs hash is the memoized uniforms hash

@@ -9,7 +9,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
+
+	"spirvfuzz/internal/freelist"
 )
 
 // MaxBodyBytes caps every HTTP body a spirvd process reads, both as sent and
@@ -42,22 +43,28 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 // Every gzip-coded HTTP body a spirvd process sends or reads goes through
-// one pool of encoders and one of decoders. A deflate compressor carries
-// ~0.8 MiB of hash chains and window and an inflater a 32 KiB window, so
-// with a fresh coder per body, coder set-up rather than the bodies would be
-// the bulk of what a cluster allocates. Reset restores a pooled coder to
-// the state of a fresh one, so pooled bodies are byte-identical to
-// gzip.NewWriter's at the same level.
+// one free list of encoders and one of decoders. A deflate compressor
+// carries ~0.8 MiB of hash chains and window and an inflater a 32 KiB
+// window, so with a fresh coder per body, coder set-up rather than the
+// bodies would be the bulk of what a cluster allocates. Reset restores a
+// reused coder to the state of a fresh one, so its bodies are
+// byte-identical to gzip.NewWriter's at the same level. They are free
+// lists rather than sync.Pools because every collection empties a
+// sync.Pool, and a campaign collects every few MB: most bodies would build
+// a fresh compressor.
 var (
-	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
-	gzipReaders = sync.Pool{New: func() any { return new(GzipReader) }}
+	gzipWriters freelist.List[*gzip.Writer]
+	gzipReaders freelist.List[*GzipReader]
 )
 
 // WriteGzip writes data to dst as one gzip member at DefaultCompression.
-// The pooled writer goes back to the pool whether or not dst failed; it
+// The writer goes back to its free list whether or not dst failed; it
 // keeps its reference to dst until its next use.
 func WriteGzip(dst io.Writer, data []byte) error {
-	zw := gzipWriters.Get().(*gzip.Writer)
+	zw, ok := gzipWriters.Get()
+	if !ok {
+		zw = gzip.NewWriter(nil)
+	}
 	defer gzipWriters.Put(zw)
 	zw.Reset(dst)
 	if _, err := zw.Write(data); err != nil {
@@ -66,18 +73,21 @@ func WriteGzip(dst io.Writer, data []byte) error {
 	return zw.Close()
 }
 
-// GzipReader is a pooled gzip decoder (multistream, like gzip.NewReader's)
+// GzipReader is a reused gzip decoder (multistream, like gzip.NewReader's)
 // with its own read buffer over the source.
 type GzipReader struct {
 	gzip.Reader
 	src bufio.Reader
 }
 
-// OpenGzipReader takes a decoder from the pool and points it at src, whose
-// gzip header it reads. On success the caller owns the decoder until it
-// calls Release; on a bad header it is already back in the pool.
+// OpenGzipReader takes a decoder from the free list and points it at src,
+// whose gzip header it reads. On success the caller owns the decoder until
+// it calls Release; on a bad header it is already back on the list.
 func OpenGzipReader(src io.Reader) (*GzipReader, error) {
-	zr := gzipReaders.Get().(*GzipReader)
+	zr, ok := gzipReaders.Get()
+	if !ok {
+		zr = new(GzipReader)
+	}
 	zr.src.Reset(src)
 	if err := zr.Reset(&zr.src); err != nil {
 		zr.Release()
@@ -87,7 +97,8 @@ func OpenGzipReader(src io.Reader) (*GzipReader, error) {
 }
 
 // Release drops the decoder's reference to its source and returns it to
-// the pool; neither it nor anything still wrapping it may be read after.
+// the free list; neither it nor anything still wrapping it may be read
+// after.
 func (zr *GzipReader) Release() {
 	zr.src.Reset(nil)
 	gzipReaders.Put(zr)
